@@ -24,7 +24,6 @@ from .evaluate import (
     curve_csv,
     layer_report,
     pseudo_ft_curve,
-    reconstruction_mse,
 )
 from .quant import (
     QuantConfig,
@@ -43,6 +42,7 @@ from .search import (
     normalize_scale,
     quant_loss,
     quantize_model,
+    reconstruction_mse,
     search_scale,
 )
 from .signals import (

@@ -10,9 +10,8 @@ error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,6 @@ from .signals import (
     importances_to_map,
 )
 from .toy import CalibrationSet, TrainConfig, forward, init_model, train
-
-THREADS_ENV = "DELTAQUANT_THREADS"
 
 
 class UsageError(Exception):
@@ -52,25 +49,8 @@ class Opt:
         return self.flag.lstrip("-").replace("-", "_")
 
 
-def _threads_default() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"${THREADS_ENV} must be an integer, got {raw!r}") from None
-
-
 _COMMON = [
     Opt("--config", None, str, None, "flat key=value config file"),
-    Opt(
-        "--threads",
-        "run.threads",
-        int,
-        _threads_default,
-        f"upper bound on worker threads; ${THREADS_ENV} is the fallback",
-    ),
 ]
 
 _MAP_OPTS = [
@@ -213,8 +193,7 @@ def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
         if raw is None:
             if opt.required:
                 raise UsageError(f"missing required option {opt.flag}")
-            default = opt.default() if callable(opt.default) else opt.default
-            setattr(ns, opt.dest, default)
+            setattr(ns, opt.dest, opt.default)
             continue
         if opt.is_flag:
             setattr(ns, opt.dest, _coerce_flag(raw))
@@ -223,8 +202,6 @@ def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
                 setattr(ns, opt.dest, opt.convert(raw))
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad value for {opt.flag}: {raw!r}") from exc
-    if ns.threads < 1:
-        raise UsageError("--threads must be >= 1")
     return ns
 
 
@@ -245,8 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, opts in _COMMANDS.items():
         p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
         for opt in opts:
-            default = opt.default() if callable(opt.default) else opt.default
-            text = opt.help if opt.required else f"{opt.help} (default: {default})"
+            text = opt.help if opt.required else f"{opt.help} (default: {opt.default})"
             if opt.is_flag:
                 p.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
                                default=None, help=text)
@@ -397,21 +373,10 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
     if not fractions:
         raise UsageError("--fractions must name at least one fraction")
     base = _mapping_config(ns)
-    signals = []
-    for name in names:
-        try:
-            signals.append(
-                MappingConfig(
-                    signal=_signal_name(name),
-                    y_min=base.y_min,
-                    y_max=base.y_max,
-                    zero_epsilon=base.zero_epsilon,
-                    slices=base.slices,
-                    multiply_activation=base.multiply_activation,
-                )
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    try:
+        signals = [replace(base, signal=_signal_name(name)) for name in names]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     qcfg = _quant_config(ns)
     pre = load_container(ns.pre)
     post = load_container(ns.post)

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
-from .search import SearchConfig, quantize_model
+from .search import SearchConfig, quant_loss, quantize_model, reconstruction_mse
 from .signals import DegenerateDeltasError, MappingConfig, importance_all
-from .toy import CalibrationSet, forward, model_from_map
+from .toy import CalibrationSet, forward, model_from_map, weight_modules
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -51,13 +51,6 @@ class AblationRow:
     per_module: dict[str, float]
     mean_mse: float
     end_to_end_mse: float
-
-
-def reconstruction_mse(weight: np.ndarray, calib_inputs: np.ndarray, recon: np.ndarray) -> float:
-    """Mean squared difference between reconstructed and original outputs."""
-    err = recon.astype(np.float64) - weight.astype(np.float64)
-    out_err = calib_inputs.astype(np.float32).astype(np.float64) @ err.T
-    return float(np.mean(out_err * out_err))
 
 
 def _heldout_batch(in_dim: int, seed: int, rows: int) -> np.ndarray:
@@ -100,9 +93,9 @@ def layer_report(
     """Per-module and end-to-end error report for a quantized artifact."""
     if not artifact:
         raise ValueError("empty artifact")
-    ckpt_modules = {n[: -len(".weight")] for n in post_ckpt.names() if n.endswith(".weight")}
-    for module in sorted(ckpt_modules - set(artifact)):
-        raise ValueError(f"artifact does not cover module {module!r}")
+    for module in weight_modules(post_ckpt):
+        if module not in artifact:
+            raise ValueError(f"artifact does not cover module {module!r}")
     per_module: dict[str, dict[str, float]] = {}
     recon_full: dict[str, np.ndarray] = {}
     for module in sorted(artifact):
@@ -114,16 +107,13 @@ def layer_report(
             raise ValueError(f"missing calibration inputs for module {module!r}")
         weight = post_ckpt[weight_name]
         x = calib.inputs[module]
-        plain_cfg = QuantConfig(bits=q.bits, group_size=q.group_size, protect_fraction=0.0)
-        rtn_recon = dequantize(rtn_quantize(weight, plain_cfg))
-        searched_recon = dequantize(
-            rtn_quantize(weight, plain_cfg, channel_scale=q.channel_scale)
-        )
+        qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
+        ones = np.ones(weight.shape[1], dtype=np.float32)
         protected_recon = dequantize(q)
         recon_full[module] = protected_recon
         per_module[module] = {
-            "rtn_mse": reconstruction_mse(weight, x, rtn_recon),
-            "searched_mse": reconstruction_mse(weight, x, searched_recon),
+            "rtn_mse": quant_loss(weight, x, ones, qcfg),
+            "searched_mse": quant_loss(weight, x, q.channel_scale, qcfg),
             "protected_mse": reconstruction_mse(weight, x, protected_recon),
         }
     e2e_mse, rel_fro = _end_to_end(post_ckpt, recon_full, heldout_seed, heldout_rows)
@@ -166,7 +156,8 @@ def ablate_signals(
     """
     if not signals:
         raise ValueError("need at least one signal")
-    modules = sorted(n[: -len(".weight")] for n in post.names() if n.endswith(".weight"))
+    modules = weight_modules(post)
+    plain = {m: rtn_quantize(post[f"{m}.weight"], qcfg, module=m) for m in modules}
     rows: list[AblationRow] = []
     for cfg_sig in signals:
         imps = importance_all(pre, post, cfg_sig, calib)
@@ -176,12 +167,8 @@ def ablate_signals(
             for module in modules:
                 weight = post[f"{module}.weight"]
                 mask = select_protected(imps[module], fraction)
-                q = rtn_quantize(
-                    weight,
-                    QuantConfig(qcfg.bits, qcfg.group_size, fraction),
-                    protected=mask,
-                    module=module,
-                )
+                # protection never changes the codes, only the stored columns
+                q = replace(plain[module], protected=mask, protected_values=weight[:, mask])
                 recon = dequantize(q)
                 recon_full[module] = recon
                 diff = recon.astype(np.float64) - weight.astype(np.float64)

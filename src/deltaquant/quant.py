@@ -36,8 +36,8 @@ class QuantConfig:
     protect_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 8:
-            raise ValueError("bits must be in [1, 8]")
+        if self.bits not in (3, 4):
+            raise ValueError("bits must be 3 or 4")
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
         if not 0.0 <= self.protect_fraction <= 1.0:

@@ -18,14 +18,14 @@ normalized base nor any candidate loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
 from .signals import ImportanceVector
-from .toy import CalibrationSet
+from .toy import CalibrationSet, weight_modules
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,13 @@ class SearchResult:
     best_loss: float
 
 
+def reconstruction_mse(weight: np.ndarray, calib_inputs: np.ndarray, recon: np.ndarray) -> float:
+    """Mean squared difference between reconstructed and original outputs."""
+    err = recon.astype(np.float64) - weight.astype(np.float64)
+    out_err = np.asarray(calib_inputs, dtype=np.float32).astype(np.float64) @ err.T
+    return float(np.mean(out_err * out_err))
+
+
 def quant_loss(
     weight: np.ndarray,
     calib_inputs: np.ndarray,
@@ -75,21 +82,13 @@ def quant_loss(
     against the original weight on the calibration rows.
     """
     weight = np.ascontiguousarray(weight, dtype=np.float32)
-    x = np.ascontiguousarray(calib_inputs, dtype=np.float32)
+    x = np.asarray(calib_inputs)
     if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ValueError("calibration inputs must be [n, in_features]")
     if x.shape[0] < 1:
         raise ValueError("need at least one calibration row")
-    scale = np.asarray(scale, dtype=np.float32)
-    if scale.shape != (weight.shape[1],):
-        raise ValueError("scale length must match in_features")
-    if not np.isfinite(scale).all() or (scale <= 0).any():
-        raise ValueError("scale entries must be positive and finite")
-    plain = replace(qcfg, protect_fraction=0.0)
-    recon = dequantize(rtn_quantize(weight, plain, channel_scale=scale))
-    err = recon.astype(np.float64) - weight.astype(np.float64)
-    out_err = x.astype(np.float64) @ err.T
-    return float(np.mean(out_err * out_err))
+    recon = dequantize(rtn_quantize(weight, qcfg, channel_scale=scale))
+    return reconstruction_mse(weight, x, recon)
 
 
 def normalize_scale(raw: np.ndarray) -> np.ndarray:
@@ -165,9 +164,7 @@ def quantize_model(
     importance, then quantize with both applied. Modules are processed in
     sorted name order; the report carries one full loss curve per module.
     """
-    modules = sorted(
-        n[: -len(".weight")] for n in post_ckpt.names() if n.endswith(".weight")
-    )
+    modules = weight_modules(post_ckpt)
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     artifact: dict[str, QuantizedTensor] = {}
@@ -178,8 +175,7 @@ def quantize_model(
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
         weight = post_ckpt[f"{module}.weight"]
-        x = calib.inputs[module][: scfg.max_calib_rows]
-        result = search_scale(weight, importances[module], x, scfg, qcfg)
+        result = search_scale(weight, importances[module], calib.inputs[module], scfg, qcfg)
         result.module = module
         mask = select_protected(importances[module], qcfg.protect_fraction)
         artifact[module] = rtn_quantize(

@@ -82,14 +82,20 @@ class ImportanceVector:
 
 
 def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
-    """Element-wise |post - pre| of every '.weight' tensor."""
+    """Element-wise |post - pre| of every '.weight' tensor.
+
+    Raises ValueError naming the tensor when either checkpoint holds a
+    non-finite value there, so no NaN importance can be derived from it.
+    """
     check_compatible(pre, post)
     out = TensorMap()
     for name in pre.names():
         if name.endswith(".weight"):
-            out[name] = np.abs(
-                post[name].astype(np.float32) - pre[name].astype(np.float32)
-            )
+            delta = np.abs(post[name].astype(np.float32) - pre[name].astype(np.float32))
+            # max propagates NaN and inf without allocating a mask
+            if not np.isfinite(delta.max(initial=0.0)):
+                raise ValueError(f"non-finite weight update in {name!r}")
+            out[name] = delta
     return out
 
 

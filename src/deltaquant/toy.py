@@ -210,6 +210,11 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
     return tmap
 
 
+def weight_modules(tmap: TensorMap) -> list[str]:
+    """Sorted module names of the ``<module>.weight`` tensors in a map."""
+    return sorted(n[: -len(".weight")] for n in tmap.names() if n.endswith(".weight"))
+
+
 def model_from_map(tmap: TensorMap) -> ToyModel:
     """Rebuild a ToyModel from a checkpoint TensorMap."""
     modules = sorted(

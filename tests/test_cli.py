@@ -16,11 +16,11 @@ def run_cli(*args, cwd=None):
     )
 
 
-def train_run(tmp_path, name="run", steps=300, extra=()):
+def train_run(tmp_path, name="run", steps=300):
     out = tmp_path / name
     res = run_cli(
         "train-toy", "--dims", "8,16,8", "--steps", steps, "--seed", "7",
-        "--data-seed", "3", "--snapshot-every", "100", "--out", out, *extra,
+        "--data-seed", "3", "--snapshot-every", "100", "--out", out,
     )
     assert res.returncode == 0, res.stderr
     return out
@@ -113,6 +113,23 @@ class TestImportance:
             "--signal", "sideways", "--out", tmp_path / "imp.dqt",
         )
         assert res.returncode == 2
+
+    def test_non_finite_checkpoint_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out = train_run(tmp_path)
+        post = load_container(out / "ckpt_step000300.dqt")
+        post["layer0.weight"][0, 0] = np.nan
+        bad = tmp_path / "post_nan.dqt"
+        save_container(post, bad)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", bad, "--out", imp,
+        )
+        assert res.returncode == 1
+        assert "layer0.weight" in res.stderr
+        assert not imp.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         res = run_cli(
@@ -242,10 +259,11 @@ class TestConfigAndHelp:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "dq.cfg"
-        cfg.write_text("train.stepz = 120\n")
-        res = run_cli("train-toy", "--config", cfg, "--out", tmp_path / "x")
-        assert res.returncode == 2
-        assert "stepz" in res.stderr
+        for key in ("train.stepz", "run.threads"):
+            cfg.write_text(f"{key} = 4\n")
+            res = run_cli("train-toy", "--config", cfg, "--out", tmp_path / "x")
+            assert res.returncode == 2
+            assert key in res.stderr
 
     @pytest.mark.parametrize(
         "command", ["train-toy", "importance", "quantize", "eval", "ablate", "curve"]
@@ -254,33 +272,12 @@ class TestConfigAndHelp:
         res = run_cli(command, "--help")
         assert res.returncode == 0
         assert "default:" in res.stdout
-        assert "--threads" in res.stdout
-
-    def test_threads_env_fallback(self, tmp_path):
-        import os
-
-        env = dict(os.environ, DELTAQUANT_THREADS="4")
-        res = subprocess.run(
-            CLI + ["train-toy", "--dims", "4,4", "--steps", "5",
-                   "--out", str(tmp_path / "envrun")],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 0, res.stderr
+        assert "--threads" not in res.stdout
 
     def test_bad_threads_rejected(self, tmp_path):
-        res = run_cli("train-toy", "--threads", "0", "--out", tmp_path / "x")
+        # parallelism is not a user setting: the flag is unknown
+        res = run_cli("train-toy", "--threads", "4", "--out", tmp_path / "x")
         assert res.returncode == 2
-
-    def test_malformed_threads_env_is_usage_error(self, tmp_path):
-        import os
-
-        env = dict(os.environ, DELTAQUANT_THREADS="lots")
-        res = subprocess.run(
-            CLI + ["train-toy", "--steps", "5", "--out", str(tmp_path / "x")],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 2
-        assert "DELTAQUANT_THREADS" in res.stderr
 
     def test_unpackable_bits_rejected(self, tmp_path):
         out = train_run(tmp_path, steps=100)
@@ -293,30 +290,29 @@ class TestConfigAndHelp:
         assert "--bits" in res.stderr
 
 
-class TestDeterminismAcrossThreads:
-    def test_thread_cap_does_not_change_bytes(self, tmp_path):
+class TestDeterminism:
+    def test_rerun_does_not_change_bytes(self, tmp_path):
         outs = {}
-        for threads in (1, 4):
-            base = tmp_path / f"t{threads}"
+        for tag in ("a", "b"):
+            base = tmp_path / tag
             base.mkdir()
-            run = train_run(base, steps=200, extra=("--threads", str(threads)))
+            run = train_run(base, steps=200)
             imp = base / "imp.dqt"
             art = base / "art.dqt"
             rep = base / "report.jsonl"
             for args in (
                 ("importance", "--pre", run / "ckpt_step000000.dqt",
-                 "--post", run / "ckpt_step000200.dqt", "--out", imp,
-                 "--threads", threads),
+                 "--post", run / "ckpt_step000200.dqt", "--out", imp),
                 ("quantize", "--post", run / "ckpt_step000200.dqt",
                  "--importance", imp, "--calib", run / "calib.dqt",
                  "--bits", "3", "--group-size", "4", "--out", art,
-                 "--report", rep, "--threads", threads),
+                 "--report", rep),
             ):
                 res = run_cli(*args)
                 assert res.returncode == 0, res.stderr
-            outs[threads] = [
+            outs[tag] = [
                 p.read_bytes()
                 for p in sorted(base.rglob("*"))
                 if p.is_file()
             ]
-        assert outs[1] == outs[4]
+        assert outs["a"] == outs["b"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaquant.container import load_container, save_container
 from deltaquant.quant import (
@@ -142,6 +144,30 @@ class TestProtection:
             prev = err
         assert prev == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        out_features=st.integers(1, 6),
+        in_features=st.integers(1, 40),
+        group_size=st.integers(1, 16),
+        bits=st.sampled_from([3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_mask_never_changes_codes(
+        self, out_features, in_features, group_size, bits, seed, data
+    ):
+        # ablate quantizes each module once and only swaps the mask afterwards
+        w = _rand_weight(np.random.default_rng(seed), (out_features, in_features))
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=in_features, max_size=in_features))
+        )
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        plain = rtn_quantize(w, cfg)
+        masked = rtn_quantize(w, cfg, protected=mask)
+        assert np.array_equal(masked.codes, plain.codes)
+        assert np.array_equal(masked.scales, plain.scales)
+        assert np.array_equal(masked.zero_points, plain.zero_points)
+
 
 class TestPacking:
     def test_worked_4bit_pair(self):
@@ -269,10 +295,9 @@ class TestArtifactContainer:
 
 class TestQuantConfig:
     def test_bits_range(self):
-        with pytest.raises(ValueError):
-            QuantConfig(bits=0)
-        with pytest.raises(ValueError):
-            QuantConfig(bits=9)
+        for bits in (0, 2, 5, 8, 9):
+            with pytest.raises(ValueError):
+                QuantConfig(bits=bits)
 
     def test_fraction_range(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,22 @@ class TestComputeDelta:
         deltas = compute_delta(a, a)
         assert deltas.names() == ["m.weight"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["pre", "post"])
+    def test_non_finite_update_rejected(self, bad, side):
+        rng = np.random.default_rng(1)
+        clean = rng.standard_normal((3, 4)).astype(np.float32)
+        poisoned = clean.copy()
+        poisoned[1, 2] = bad
+        maps = {"pre": clean, "post": clean + 0.5}
+        maps[side] = poisoned
+        pre = _weight_map({"m": maps["pre"], "n": clean})
+        post = _weight_map({"m": maps["post"], "n": clean})
+        with pytest.raises(ValueError, match="m.weight"):
+            compute_delta(pre, post)
+        with pytest.raises(ValueError, match="non-finite"):
+            importance_all(pre, post, MappingConfig())
+
 
 class TestGlobalStats:
     def test_sort_and_index_oracle(self):
