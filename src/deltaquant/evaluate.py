@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
-from .search import SearchConfig, quant_loss, quantize_model, reconstruction_mse
+from .search import SearchConfig, _LossKernel, quantize_model
 from .signals import DegenerateDeltasError, MappingConfig, importance_all
 from .toy import CalibrationSet, forward, model_from_map, weight_modules
 
@@ -106,15 +106,22 @@ def layer_report(
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
         weight = post_ckpt[weight_name]
-        x = calib.inputs[module]
+        loss_of = _LossKernel(weight, calib.inputs[module], module)
         qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
-        ones = np.ones(weight.shape[1], dtype=np.float32)
+        out_features, in_features = q.shape
+        # the artifact's codes do not depend on its mask: stripping the
+        # protection decodes the scaled search candidate it was built from
+        unprotected = replace(
+            q,
+            protected=np.zeros(in_features, dtype=bool),
+            protected_values=np.zeros((out_features, 0), dtype=np.float32),
+        )
         protected_recon = dequantize(q)
         recon_full[module] = protected_recon
         per_module[module] = {
-            "rtn_mse": quant_loss(weight, x, ones, qcfg),
-            "searched_mse": quant_loss(weight, x, q.channel_scale, qcfg),
-            "protected_mse": reconstruction_mse(weight, x, protected_recon),
+            "rtn_mse": loss_of(dequantize(rtn_quantize(weight, qcfg))),
+            "searched_mse": loss_of(dequantize(unprotected)),
+            "protected_mse": loss_of(protected_recon),
         }
     e2e_mse, rel_fro = _end_to_end(post_ckpt, recon_full, heldout_seed, heldout_rows)
     first = next(iter(artifact.values()))

@@ -88,33 +88,39 @@ def _quantize_groups(
     zero-points bit-exactly: the achieved code span must regenerate the
     stored scale, and when a double rounding leaves the span one short the
     scale is stepped down one grid ulp and the group re-coded.
+
+    Coding ``clip(rint(v / s) + z, 0, k)`` is monotone in ``v``, so a row's
+    largest and smallest codes are the codes of its max and min. The
+    rescale loop therefore works on per-row vectors, and the code slab is
+    computed once, after it, from the final scales.
     """
     k = (1 << bits) - 1
-    v64 = values.astype(np.float64)
-    lo = v64.min(axis=1)
-    hi = v64.max(axis=1)
+    lo = values.min(axis=1).astype(np.float64)
+    hi = values.max(axis=1).astype(np.float64)
     const = hi == lo
     lo_ext = np.minimum(lo, 0.0)
     hi_ext = np.maximum(hi, 0.0)
     spread = np.where(const, 1.0, (hi_ext - lo_ext) / k)
     scales = _round_scale_up(spread).astype(np.float32)
 
-    codes = np.zeros(values.shape, dtype=np.int64)
-    zeros = np.zeros(values.shape[0], dtype=np.int64)
-    cmin = np.zeros(values.shape[0], dtype=np.int64)
-    cmax = np.zeros(values.shape[0], dtype=np.int64)
     for _ in range(_MAX_RESCALE_ITERS):
         s64 = scales.astype(np.float64)
-        zeros = np.clip(np.rint(-lo_ext / s64), 0, k).astype(np.int64)
-        codes = np.clip(np.rint(v64 / s64[:, None]) + zeros[:, None], 0, k).astype(np.int64)
-        cmax = codes.max(axis=1)
-        cmin = codes.min(axis=1)
+        zeros = np.clip(np.rint(-lo_ext / s64), 0, k)
+        cmax = np.clip(np.rint(hi / s64) + zeros, 0, k)
+        cmin = np.clip(np.rint(lo / s64) + zeros, 0, k)
         span = np.maximum(cmax - zeros, 0) + np.maximum(zeros - cmin, 0)
         unstable = ~const & (cmax != cmin) & (span != k)
         if not unstable.any():
             break
-        bumped = _round_scale_down(scales.astype(np.float64) * (1.0 - 2.0**-20))
-        scales = np.where(unstable, bumped, scales.astype(np.float64)).astype(np.float32)
+        bumped = _round_scale_down(s64 * (1.0 - 2.0**-20))
+        scales = np.where(unstable, bumped, s64).astype(np.float32)
+
+    # codes of the last scales tried, in place in one float64 slab
+    codes = values.astype(np.float64)
+    codes /= s64[:, None]
+    np.rint(codes, out=codes)
+    codes += zeros[:, None]
+    np.clip(codes, 0, k, out=codes)
 
     # canonical constant form: reconstructs the group constant exactly
     collapsed = const | (cmax == cmin)
@@ -129,9 +135,8 @@ def _quantize_groups(
         scales = np.where(is_zero, np.float32(1.0), np.where(nonzero, value, scales))
         scales = scales.astype(np.float32)
         zeros = np.where(collapsed, 0, zeros)
-        codes = np.where(
-            is_zero[:, None], 0, np.where(nonzero[:, None], 1, codes)
-        )
+        codes[is_zero] = 0
+        codes[nonzero] = 1
     return codes.astype(np.uint8), scales, zeros.astype(np.uint8)
 
 

@@ -9,6 +9,12 @@ is searched on an endpoint-inclusive uniform grid (default 20 points over
 [0, 1]), so alpha = 0 always reproduces plain unscaled quantization and
 the best candidate can never lose to it.
 
+One loss kernel per module serves every candidate: with at least
+``in_features`` calibration rows it scores through the Gram matrix
+``H = X.T @ X``, with fewer it multiplies by the rows directly. The choice
+depends only on the shapes, and both forms give the same loss up to
+float64 rounding.
+
 Importance vectors are normalized by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
 the argmin: rescaling the importance by a constant changes neither the
@@ -62,11 +68,56 @@ class SearchResult:
     best_loss: float
 
 
+class _LossKernel:
+    """Output-error loss of reconstructions of one weight on fixed calibration rows.
+
+    Built once per (weight, calibration rows) pair: the rows are validated
+    and cast to float64 here, not per candidate. With ``n`` rows and
+    ``E = recon - weight`` the loss is ``mean((X @ E.T)**2)`` over
+    ``n * out`` outputs. When ``n >= in_features`` the kernel keeps only the
+    Gram matrix ``H = X.T @ X`` and scores ``sum((E @ H) * E) / (n * out)``,
+    which costs ``out * in**2`` instead of ``n * in * out`` per candidate;
+    with fewer rows it keeps ``X`` and uses the direct form. The choice
+    depends only on the shapes. The two forms agree up to float64 rounding
+    (about 1e-15 relative).
+    """
+
+    def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
+        self.weight = np.asarray(weight)
+        x = np.asarray(calib_inputs)
+        where = f" for module {module!r}" if module else ""
+        if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
+            raise ValueError(f"calibration inputs{where} must be [n, in_features]")
+        if x.shape[0] < 1:
+            raise ValueError(f"need at least one calibration row{where}")
+        x64 = np.asarray(x, dtype=np.float32).astype(np.float64)
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every value is; no mask temporary is allocated
+        if not np.isfinite(x64.sum()):
+            raise ValueError(f"calibration inputs{where} contain non-finite values")
+        self.outputs = x64.shape[0] * self.weight.shape[0]
+        if x64.shape[0] >= x64.shape[1]:
+            self.gram, self.x64 = x64.T @ x64, None
+        else:
+            self.gram, self.x64 = None, x64
+
+    def __call__(self, recon: np.ndarray) -> float:
+        # subtracting in float64 without keeping a float64 copy of the weight:
+        # a persistent copy measurably slowed the next stage's allocations
+        err = np.subtract(recon, self.weight, dtype=np.float64)
+        if self.gram is None:
+            out_err = self.x64 @ err.T
+            return float(np.mean(out_err * out_err))
+        return float(np.vdot(err @ self.gram, err) / self.outputs)
+
+
 def reconstruction_mse(weight: np.ndarray, calib_inputs: np.ndarray, recon: np.ndarray) -> float:
-    """Mean squared difference between reconstructed and original outputs."""
-    err = recon.astype(np.float64) - weight.astype(np.float64)
-    out_err = np.asarray(calib_inputs, dtype=np.float32).astype(np.float64) @ err.T
-    return float(np.mean(out_err * out_err))
+    """Mean squared difference between reconstructed and original outputs.
+
+    Computed through ``H = X.T @ X`` when the rows number at least
+    ``in_features`` (see ``_LossKernel``).
+    """
+    return _LossKernel(weight, calib_inputs)(recon)
 
 
 def quant_loss(
@@ -79,16 +130,12 @@ def quant_loss(
 
     Quantizes weight columns multiplied by ``scale`` (no protection),
     reconstructs, divides the scale back out, and compares layer outputs
-    against the original weight on the calibration rows.
+    against the original weight on the calibration rows. Uses the same
+    kernel as ``search_scale``, so it reproduces the search's losses exactly.
     """
     weight = np.ascontiguousarray(weight, dtype=np.float32)
-    x = np.asarray(calib_inputs)
-    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
-        raise ValueError("calibration inputs must be [n, in_features]")
-    if x.shape[0] < 1:
-        raise ValueError("need at least one calibration row")
-    recon = dequantize(rtn_quantize(weight, qcfg, channel_scale=scale))
-    return reconstruction_mse(weight, x, recon)
+    loss = _LossKernel(weight, calib_inputs)
+    return loss(dequantize(rtn_quantize(weight, qcfg, channel_scale=scale)))
 
 
 def normalize_scale(raw: np.ndarray) -> np.ndarray:
@@ -124,18 +171,23 @@ def search_scale(
     if (scores <= 0).any():
         raise ValueError("importance scores must be strictly positive")
     x = np.ascontiguousarray(calib_inputs, dtype=np.float32)[: scfg.max_calib_rows]
+    loss_of = _LossKernel(weight, x, module)
 
     base = normalize_scale(scores) if scfg.normalize_scale else scores
     ones = np.ones(weight.shape[1], dtype=np.float32)
-    rtn_loss = quant_loss(weight, x, ones, qcfg)
+    rtn_loss = loss_of(dequantize(rtn_quantize(weight, qcfg, channel_scale=ones)))
 
     best_alpha = None
     best_loss = np.inf
     best_scale = ones
     curve: list[tuple[float, float]] = []
     for alpha in scfg.alphas():
-        s32 = (base**alpha).astype(np.float32)
-        loss = quant_loss(weight, x, s32, qcfg)
+        if alpha == 0.0:
+            # base**0.0 is exactly one: this is the candidate rtn_loss scored
+            s32, loss = ones, rtn_loss
+        else:
+            s32 = (base**alpha).astype(np.float32)
+            loss = loss_of(dequantize(rtn_quantize(weight, qcfg, channel_scale=s32)))
         curve.append((alpha, loss))
         if loss < best_loss:
             best_alpha = alpha

@@ -186,6 +186,30 @@ class TestQuantizeAndEval:
             assert stats["protected_mse"] <= 1e-10
         assert report["end_to_end"]["output_mse_fp32_vs_quant"] <= 1e-10
 
+    def test_non_finite_calibration_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, imp, art, _, _ = full_pipeline(tmp_path, bits=3)
+        calib = load_container(out / "calib.dqt")
+        calib["layer1.calib_inputs"][2, 3] = np.inf
+        bad = tmp_path / "calib_inf.dqt"
+        save_container(calib, bad)
+        post = out / "ckpt_step000300.dqt"
+        art2 = tmp_path / "art2.dqt"
+        res = run_cli(
+            "quantize", "--post", post, "--importance", imp, "--calib", bad,
+            "--bits", "3", "--group-size", "4", "--out", art2,
+        )
+        assert res.returncode == 1
+        assert "layer1" in res.stderr
+        assert not art2.exists()
+        assert not art2.with_suffix(".report.jsonl").exists()
+        ev = tmp_path / "eval_bad.json"
+        res = run_cli("eval", "--post", post, "--artifact", art, "--calib", bad, "--out", ev)
+        assert res.returncode == 1
+        assert "layer1" in res.stderr
+        assert not ev.exists()
+
     def test_eval_crosscheck_against_report(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=4)
         by_module = {

@@ -14,9 +14,16 @@ from deltaquant.evaluate import (
     pseudo_ft_curve,
 )
 from deltaquant.quant import QuantConfig
-from deltaquant.search import SearchConfig, quantize_model
+from deltaquant.search import SearchConfig, quant_loss, quantize_model
 from deltaquant.signals import MappingConfig, importance_all
-from deltaquant.toy import TrainConfig, forward, init_model, model_from_map, train
+from deltaquant.toy import (
+    CalibrationSet,
+    TrainConfig,
+    forward,
+    init_model,
+    model_from_map,
+    train,
+)
 
 QCFG = QuantConfig(bits=3, group_size=4)
 
@@ -50,6 +57,31 @@ class TestLayerReport:
             # same formula through two code paths
             assert abs(stats["rtn_mse"] - by_module[module].rtn_loss) < 1e-9
             assert stats["searched_mse"] == by_module[module].best_loss
+
+    def test_searched_mse_decodes_protected_artifact(self, toy_run, searched_artifact):
+        # searched_mse strips the protection instead of re-quantizing
+        _, _, imps = searched_artifact
+        qcfg = QuantConfig(bits=3, group_size=4, protect_fraction=0.25)
+        artifact, _ = quantize_model(toy_run["post"], imps, toy_run["calib"], SearchConfig(), qcfg)
+        ev = layer_report(toy_run["post"], artifact, toy_run["calib"])
+        for module, stats in ev.per_module.items():
+            q = artifact[module]
+            assert q.protected.any()
+            weight = toy_run["post"][f"{module}.weight"]
+            x = toy_run["calib"].inputs[module]
+            assert stats["searched_mse"] == quant_loss(weight, x, q.channel_scale, QCFG)
+
+    def test_non_finite_calibration_rejected(self, toy_run, searched_artifact):
+        artifact, _, _ = searched_artifact
+        calib = toy_run["calib"]
+        bad = CalibrationSet(
+            inputs={**calib.inputs, "layer0": calib.inputs["layer0"].copy()},
+            mean_abs=calib.mean_abs,
+            mean_square=calib.mean_square,
+        )
+        bad.inputs["layer0"][5, 1] = np.nan
+        with pytest.raises(ValueError, match="layer0.*non-finite"):
+            layer_report(toy_run["post"], artifact, bad)
 
     def test_full_protection_zeroes_every_mse(self, toy_run, searched_artifact):
         _, _, imps = searched_artifact

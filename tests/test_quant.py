@@ -16,6 +16,7 @@ from deltaquant.quant import (
     select_protected,
     unpack_codes,
 )
+from quant_oracle import rtn_oracle
 
 
 def _rand_weight(rng, shape, scale=1.0):
@@ -84,6 +85,46 @@ class TestRtnQuantize:
             q = rtn_quantize(_rand_weight(rng, (16, 16)), QuantConfig(bits=bits, group_size=8))
             assert q.codes.max() <= 2**bits - 1
             assert q.zero_points.max() <= 2**bits - 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        out_features=st.integers(1, 6),
+        in_features=st.integers(1, 40),
+        group_size=st.integers(1, 16),
+        bits=st.sampled_from([3, 4]),
+        scaled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_scalar_oracle(
+        self, out_features, in_features, group_size, bits, scaled, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        w = _rand_weight(rng, (out_features, in_features), scale=10.0 ** rng.uniform(-3, 3))
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(["mixed", "constant", "positive", "negative", "quarter"]),
+                min_size=out_features,
+                max_size=out_features,
+            )
+        )
+        for r, kind in enumerate(kinds):
+            if kind == "constant":
+                w[r] = w[r, 0]
+            elif kind == "positive":
+                w[r] = np.abs(w[r])
+            elif kind == "negative":
+                w[r] = -np.abs(w[r])
+            elif kind == "quarter":
+                w[r] = np.round(w[r] * 4) / 4
+        scale = np.ones(in_features, np.float32)
+        if scaled:
+            scale = np.exp(rng.uniform(-1, 1, in_features)).astype(np.float32)
+        q = rtn_quantize(w, QuantConfig(bits=bits, group_size=group_size), channel_scale=scale)
+        codes, scales, zeros = rtn_oracle(w, scale, bits, group_size)
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zero_points, zeros)
 
 
 class TestChannelScale:

@@ -1,10 +1,11 @@
 """Quantization loss, scale normalization, alpha grid search."""
 
 import json
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
@@ -12,11 +13,13 @@ from deltaquant.search import (
     normalize_scale,
     quant_loss,
     quantize_model,
+    reconstruction_mse,
     report_lines,
     search_scale,
 )
 from deltaquant.signals import ImportanceVector, MappingConfig, importance_all
 from deltaquant.toy import TrainConfig, forward, init_model, train
+from quant_oracle import oracle_reconstruct
 
 QCFG = QuantConfig(bits=3, group_size=4)
 
@@ -24,51 +27,11 @@ QCFG = QuantConfig(bits=3, group_size=4)
 def _loop_quant_loss(weight, x, scale, bits, group_size):
     """Scalar re-implementation of the scaled quantization loss.
 
-    Mirrors the documented quantizer: per row-group min/max extended to
-    zero, scale rounded up onto the 19-bit-mantissa grid (stepped down one
-    ulp while the achieved code span cannot regenerate it), collapsed
-    groups stored as exact constants. Loss is the mean squared output
-    difference over all calibration rows and output channels.
+    Reconstructs through the scalar quantizer oracle, then takes the mean
+    squared output difference over all calibration rows and output channels.
     """
-    k = 2**bits - 1
-
-    def round19(value, up):
-        m, e = math.frexp(value)
-        step = 2.0**19
-        m = (math.ceil(m * step) if up else math.floor(m * step)) / step
-        return np.float32(math.ldexp(m, e))
-
+    recon = oracle_reconstruct(weight, scale, bits, group_size)
     out_f, in_f = weight.shape
-    w_scaled = np.empty_like(weight)
-    for r in range(out_f):
-        for c in range(in_f):
-            w_scaled[r, c] = np.float32(weight[r, c] * np.float32(scale[c]))
-    recon = np.zeros_like(weight)
-    for r in range(out_f):
-        for g0 in range(0, in_f, group_size):
-            grp = [float(w_scaled[r, c]) for c in range(g0, min(g0 + group_size, in_f))]
-            lo, hi = min(grp), max(grp)
-            if hi == lo:
-                vals = grp  # exact constant representation
-            else:
-                lo_e, hi_e = min(lo, 0.0), max(hi, 0.0)
-                s = round19((hi_e - lo_e) / k, up=True)
-                for _ in range(64):
-                    z = int(min(max(round(-lo_e / float(s)), 0), k))
-                    codes = [
-                        int(min(max(round(v / float(s)) + z, 0), k)) for v in grp
-                    ]
-                    cmax, cmin = max(codes), min(codes)
-                    if cmax == cmin or max(cmax - z, 0) + max(z - cmin, 0) == k:
-                        break
-                    s = round19(float(s) * (1 - 2.0**-20), up=False)
-                if cmax == cmin:
-                    v = np.float32(np.float32(cmax - z) * s)
-                    vals = [float(v)] * len(grp)
-                else:
-                    vals = [float(np.float32(np.float32(c - z) * s)) for c in codes]
-            for i, c in enumerate(range(g0, min(g0 + group_size, in_f))):
-                recon[r, c] = np.float32(np.float32(vals[i]) / np.float32(scale[c]))
     total = 0.0
     n = x.shape[0]
     for row in range(n):
@@ -88,9 +51,10 @@ class TestQuantLoss:
         ones = np.ones(8, np.float32)
         loss = quant_loss(w, x, ones, QCFG)
         recon = dequantize(rtn_quantize(w, QCFG))
+        assert loss == reconstruction_mse(w, x, recon)
         err = recon.astype(np.float64) - w.astype(np.float64)
         direct = float(np.mean((x.astype(np.float64) @ err.T) ** 2))
-        assert loss == direct
+        assert loss == pytest.approx(direct, rel=1e-12)
 
     def test_exactly_representable_weight_gives_zero_loss(self):
         rng = np.random.default_rng(1)
@@ -129,6 +93,42 @@ class TestQuantLoss:
                 np.ones(3, np.float32),
                 QCFG,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_rejected(self, bad):
+        w, x, iv = _instance(0)
+        x[3, 5] = bad
+        ones = np.ones(8, np.float32)
+        with pytest.raises(ValueError, match="non-finite"):
+            quant_loss(w, x, ones, QCFG)
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruction_mse(w, x, w)
+        with pytest.raises(ValueError, match="non-finite"):
+            search_scale(w, iv, x, SearchConfig(), QCFG)
+
+
+class TestReconstructionMse:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        out_features=st.integers(1, 12),
+        in_features=st.integers(2, 24),
+        rows=st.sampled_from(["below", "equal", "above"]),
+        zero_column=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_formula(self, out_features, in_features, rows, zero_column, seed):
+        # rows >= in_features takes the Gram-matrix path, fewer rows the direct one
+        n = {"below": in_features - 1, "equal": in_features, "above": 2 * in_features}[rows]
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((out_features, in_features)).astype(np.float32)
+        x = rng.standard_normal((n, in_features)).astype(np.float32)
+        if zero_column:
+            x[:, rng.integers(in_features)] = 0.0
+        recon = (w + 0.1 * rng.standard_normal(w.shape)).astype(np.float32)
+        err = recon.astype(np.float64) - w.astype(np.float64)
+        direct = float(np.mean((x.astype(np.float64) @ err.T) ** 2))
+        assert reconstruction_mse(w, x, recon) == pytest.approx(direct, rel=1e-12)
+        assert reconstruction_mse(w, x, w) == 0.0
 
 
 class TestNormalizeScale:
@@ -171,6 +171,17 @@ class TestSearchScale:
         assert res.alpha_star == 0.0
         assert res.best_loss == res.rtn_loss
         assert np.array_equal(res.scale, np.ones(8, np.float32))
+
+    @pytest.mark.parametrize("alpha_lo, alpha_hi", [(0.0, 1.0), (-1.0, 1.0), (0.25, 1.0)])
+    def test_curve_matches_quant_loss_at_every_alpha(self, alpha_lo, alpha_hi):
+        # alpha = 0 reuses the unscaled loss instead of quantizing again
+        w, x, iv = _instance(4)
+        scfg = SearchConfig(grid_points=5, alpha_lo=alpha_lo, alpha_hi=alpha_hi)
+        res = search_scale(w, iv, x, scfg, QCFG)
+        base = iv.scores / np.sqrt(iv.scores.max() * iv.scores.min())
+        for alpha, loss in res.loss_curve:
+            assert loss == quant_loss(w, x, (base**alpha).astype(np.float32), QCFG)
+        assert res.rtn_loss == quant_loss(w, x, np.ones(8, np.float32), QCFG)
 
     def test_two_point_grid_hits_endpoints(self):
         assert SearchConfig(grid_points=2).alphas() == [0.0, 1.0]
@@ -282,6 +293,12 @@ class TestQuantizeModel:
         post, imps, calib = self._setup()
         del calib.inputs["layer0"]
         with pytest.raises(ValueError, match="layer0"):
+            quantize_model(post, imps, calib, SearchConfig(), QCFG)
+
+    def test_non_finite_calibration_named(self):
+        post, imps, calib = self._setup()
+        calib.inputs["layer1"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="layer1.*non-finite"):
             quantize_model(post, imps, calib, SearchConfig(), QCFG)
 
     def test_searched_beats_or_ties_unscaled_3bit(self):
