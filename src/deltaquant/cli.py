@@ -85,14 +85,6 @@ _SEARCH_OPTS = [
     Opt("--grid-points", "search.grid_points", int, 20, "alpha candidates on the grid"),
     Opt("--alpha-lo", "search.alpha_lo", float, 0.0, "lower end of the alpha grid"),
     Opt("--alpha-hi", "search.alpha_hi", float, 1.0, "upper end of the alpha grid"),
-    Opt(
-        "--no-normalize",
-        "search.no_normalize",
-        None,
-        False,
-        "skip sqrt(max*min) normalization of the scale base",
-        is_flag=True,
-    ),
     Opt("--max-calib-rows", "search.max_calib_rows", int, 512, "calibration rows used in the loss"),
 ]
 
@@ -278,7 +270,6 @@ def _search_config(ns: argparse.Namespace) -> SearchConfig:
             grid_points=ns.grid_points,
             alpha_lo=ns.alpha_lo,
             alpha_hi=ns.alpha_hi,
-            normalize_scale=not ns.no_normalize,
             max_calib_rows=ns.max_calib_rows,
         )
     except ValueError as exc:

@@ -57,24 +57,19 @@ def _heldout_batch(in_dim: int, seed: int, rows: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((rows, in_dim), dtype=np.float32)
 
 
-def _quantized_model(post_ckpt: TensorMap, recon: dict[str, np.ndarray]):
-    model = model_from_map(post_ckpt)
-    for layer in model.layers:
-        layer.weight = recon[layer.name]
-    return model
-
-
-def _end_to_end(
-    post_ckpt: TensorMap,
-    recon: dict[str, np.ndarray],
-    seed: int,
-    rows: int,
-) -> tuple[float, float]:
-    """Output MSE and relative Frobenius error on a fresh seeded batch."""
+def _heldout_reference(post_ckpt: TensorMap, seed: int, rows: int):
+    """The float model, a fresh seeded batch, and the model's outputs on it."""
     model = model_from_map(post_ckpt)
     batch = _heldout_batch(model.in_dim, seed, rows)
     ref, _ = forward(model, batch)
-    quant, _ = forward(_quantized_model(post_ckpt, recon), batch)
+    return model, batch, ref
+
+
+def _end_to_end(reference, recon: dict[str, np.ndarray]) -> tuple[float, float]:
+    """Output MSE and relative Frobenius error of ``recon`` weights on the held-out batch."""
+    model, batch, ref = reference
+    layers = [replace(layer, weight=recon[layer.name]) for layer in model.layers]
+    quant, _ = forward(replace(model, layers=layers), batch)
     diff = quant.astype(np.float64) - ref.astype(np.float64)
     mse = float(np.mean(diff * diff))
     ref_norm = float(np.linalg.norm(ref.astype(np.float64)))
@@ -123,7 +118,8 @@ def layer_report(
             "searched_mse": loss_of(dequantize(unprotected)),
             "protected_mse": loss_of(protected_recon),
         }
-    e2e_mse, rel_fro = _end_to_end(post_ckpt, recon_full, heldout_seed, heldout_rows)
+    reference = _heldout_reference(post_ckpt, heldout_seed, heldout_rows)
+    e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))
     return EvalReport(
         per_module=per_module,
@@ -165,9 +161,11 @@ def ablate_signals(
         raise ValueError("need at least one signal")
     modules = weight_modules(post)
     plain = {m: rtn_quantize(post[f"{m}.weight"], qcfg, module=m) for m in modules}
+    # importance first: the float model copy is not held through its peak
+    signal_imps = [importance_all(pre, post, cfg_sig, calib) for cfg_sig in signals]
+    reference = _heldout_reference(post, heldout_seed, heldout_rows)
     rows: list[AblationRow] = []
-    for cfg_sig in signals:
-        imps = importance_all(pre, post, cfg_sig, calib)
+    for cfg_sig, imps in zip(signals, signal_imps):
         for fraction in fractions:
             per_module: dict[str, float] = {}
             recon_full: dict[str, np.ndarray] = {}
@@ -181,7 +179,7 @@ def ablate_signals(
                 diff = recon.astype(np.float64) - weight.astype(np.float64)
                 per_module[module] = float(np.mean(diff * diff))
             mean_mse = float(np.mean([per_module[m] for m in modules]))
-            e2e_mse, _ = _end_to_end(post, recon_full, heldout_seed, heldout_rows)
+            e2e_mse, _ = _end_to_end(reference, recon_full)
             rows.append(
                 AblationRow(
                     signal=cfg_sig.signal,

@@ -1,4 +1,4 @@
-"""Round-to-nearest group quantization, 3/4-bit packing, and protection.
+"""Round-to-nearest group quantization, bit packing, and protection.
 
 Weights are quantized per output row in groups of consecutive input
 channels. Each group stores an unsigned code per weight plus one scale and
@@ -18,6 +18,7 @@ dequantization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .container import TensorMap
 # scale mantissa width: 19 bits + 4-bit codes keeps products exact in f32
 _SCALE_MANTISSA_BITS = 19
 _MAX_RESCALE_ITERS = 64
+# widths the artifact stores: 1 (protection mask), 3 and 4 (codes, zero points)
+_PACK_WIDTHS = (1, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -65,17 +68,11 @@ class QuantizedTensor:
         return self.scales.shape[1]
 
 
-def _round_scale_up(x: np.ndarray) -> np.ndarray:
-    """Round positive values up onto the reduced-mantissa float grid."""
+def _round_scale(x: np.ndarray, rounding) -> np.ndarray:
+    """Round positive values onto the reduced-mantissa float grid with ``rounding``."""
     m, e = np.frexp(np.asarray(x, dtype=np.float64))
     step = 2.0 ** _SCALE_MANTISSA_BITS
-    return np.ldexp(np.ceil(m * step) / step, e)
-
-
-def _round_scale_down(x: np.ndarray) -> np.ndarray:
-    m, e = np.frexp(np.asarray(x, dtype=np.float64))
-    step = 2.0 ** _SCALE_MANTISSA_BITS
-    return np.ldexp(np.floor(m * step) / step, e)
+    return np.ldexp(rounding(m * step) / step, e)
 
 
 def _quantize_groups(
@@ -101,7 +98,7 @@ def _quantize_groups(
     lo_ext = np.minimum(lo, 0.0)
     hi_ext = np.maximum(hi, 0.0)
     spread = np.where(const, 1.0, (hi_ext - lo_ext) / k)
-    scales = _round_scale_up(spread).astype(np.float32)
+    scales = _round_scale(spread, np.ceil).astype(np.float32)
 
     for _ in range(_MAX_RESCALE_ITERS):
         s64 = scales.astype(np.float64)
@@ -112,7 +109,7 @@ def _quantize_groups(
         unstable = ~const & (cmax != cmin) & (span != k)
         if not unstable.any():
             break
-        bumped = _round_scale_down(s64 * (1.0 - 2.0**-20))
+        bumped = _round_scale(s64 * (1.0 - 2.0**-20), np.floor)
         scales = np.where(unstable, bumped, s64).astype(np.float32)
 
     # codes of the last scales tried, in place in one float64 slab
@@ -231,63 +228,53 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return recon
 
 
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack unsigned codes into bytes.
+def _block(bits: int) -> tuple[int, int]:
+    """(values, bytes) of one packed block: the fewest values filling whole bytes."""
+    if bits not in _PACK_WIDTHS:
+        raise ValueError(f"packing supports bits in {_PACK_WIDTHS}")
+    values = 8 // math.gcd(bits, 8)
+    return values, values * bits // 8
 
-    4-bit: two codes per byte, first code in the low nibble. 3-bit: blocks
-    of eight codes become one little-endian 24-bit word (code k occupies
-    bits [3k, 3k+3)); the tail is padded with zero codes.
+
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Pack unsigned ``bits``-wide values into bytes, LSB first.
+
+    Value k occupies bits [bits*k, bits*k + bits) of a little-endian bit
+    stream, padded with zero values to whole blocks of 8 / gcd(bits, 8)
+    values: two per byte at width 4, eight per three bytes at width 3, eight
+    per byte at width 1 (the protection mask).
     """
-    if bits not in (3, 4):
-        raise ValueError("pack_codes supports bits in {3, 4}")
+    per_block, block_bytes = _block(bits)
     flat = np.ascontiguousarray(codes, dtype=np.uint8).ravel()
     if flat.size and int(flat.max()) >= (1 << bits):
         raise ValueError(f"code out of range for {bits}-bit packing")
-    if flat.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if bits == 4:
-        if flat.size % 2:
-            flat = np.concatenate([flat, np.zeros(1, dtype=np.uint8)])
-        pairs = flat.reshape(-1, 2).astype(np.uint16)
-        return (pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8)
-    pad = (-flat.size) % 8
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-    blocks = flat.reshape(-1, 8).astype(np.uint32)
+    blocks = np.zeros((-(-flat.size // per_block), per_block), dtype=np.uint8)
+    blocks.reshape(-1)[: flat.size] = flat
     words = np.zeros(blocks.shape[0], dtype=np.uint32)
-    for i in range(8):
-        words |= blocks[:, i] << (3 * i)
-    out = np.empty((blocks.shape[0], 3), dtype=np.uint8)
-    out[:, 0] = words & 0xFF
-    out[:, 1] = (words >> 8) & 0xFF
-    out[:, 2] = (words >> 16) & 0xFF
+    for i in range(per_block):
+        words |= np.left_shift(blocks[:, i], bits * i, dtype=np.uint32)
+    out = np.empty((blocks.shape[0], block_bytes), dtype=np.uint8)
+    for j in range(block_bytes):
+        out[:, j] = (words >> (8 * j)) & 0xFF
     return out.ravel()
 
 
 def unpack_codes(buf: np.ndarray, count: int, bits: int) -> np.ndarray:
-    """Exact inverse of pack_codes, returning the first ``count`` codes."""
-    if bits not in (3, 4):
-        raise ValueError("unpack_codes supports bits in {3, 4}")
+    """Exact inverse of pack_codes, returning the first ``count`` values."""
+    per_block, block_bytes = _block(bits)
     if count < 0:
         raise ValueError("count must be >= 0")
     buf = np.ascontiguousarray(buf, dtype=np.uint8).ravel()
-    if bits == 4:
-        expected = (count + 1) // 2
-        if buf.size != expected:
-            raise ValueError(f"length mismatch: {buf.size} bytes for {count} 4-bit codes")
-        low = buf & 0x0F
-        high = buf >> 4
-        return np.column_stack([low, high]).ravel()[:count].astype(np.uint8)
-    expected = -(-count // 8) * 3
-    if buf.size != expected:
-        raise ValueError(f"length mismatch: {buf.size} bytes for {count} 3-bit codes")
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
-    triples = buf.reshape(-1, 3).astype(np.uint32)
-    words = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-    out = np.empty((words.shape[0], 8), dtype=np.uint8)
-    for i in range(8):
-        out[:, i] = (words >> (3 * i)) & 0x7
+    n_blocks = -(-count // per_block)
+    if buf.size != n_blocks * block_bytes:
+        raise ValueError(f"length mismatch: {buf.size} bytes for {count} {bits}-bit codes")
+    chunks = buf.reshape(n_blocks, block_bytes)
+    words = np.zeros(n_blocks, dtype=np.uint32)
+    for j in range(block_bytes):
+        words |= np.left_shift(chunks[:, j], 8 * j, dtype=np.uint32)
+    out = np.empty((n_blocks, per_block), dtype=np.uint8)
+    for i in range(per_block):
+        out[:, i] = (words >> (bits * i)) & ((1 << bits) - 1)
     return out.ravel()[:count]
 
 
@@ -312,7 +299,12 @@ def select_protected(importance, fraction: float) -> np.ndarray:
 def artifact_to_map(
     artifact: dict[str, QuantizedTensor], meta: dict[str, str] | None = None
 ) -> TensorMap:
-    """Serialize quantized modules into a container map."""
+    """Serialize quantized modules into a container map.
+
+    Codes and zero points are packed at the artifact's code width, the
+    protection mask at width 1; scales, channel scales and protected
+    columns stay float32.
+    """
     if not artifact:
         raise ValueError("empty artifact")
     first = next(iter(artifact.values()))
@@ -322,28 +314,40 @@ def artifact_to_map(
     tmap = TensorMap(meta=base_meta)
     for module in sorted(artifact):
         q = artifact[module]
-        out_features, in_features = q.shape
-        tmap.put_packed(
-            f"{module}.codes", pack_codes(q.codes, q.bits), out_features * in_features
-        )
+        for field, values, bits in (
+            ("codes", q.codes, q.bits),
+            ("zeros", q.zero_points, q.bits),
+            ("protected", q.protected, 1),
+        ):
+            tmap.put_packed(f"{module}.{field}", pack_codes(values, bits), values.size)
         tmap[f"{module}.scales"] = q.scales.astype(np.float32)
-        tmap[f"{module}.zeros"] = q.zero_points.astype(np.float32)
         tmap[f"{module}.channel_scale"] = q.channel_scale.astype(np.float32)
-        tmap.put_packed(
-            f"{module}.protected",
-            np.packbits(q.protected.astype(np.uint8), bitorder="little"),
-            in_features,
-        )
         tmap[f"{module}.protected_values"] = q.protected_values.astype(np.float32)
     return tmap
+
+
+def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: int) -> np.ndarray:
+    """Decode the packed ``<module>.<field>`` stream of ``count`` values."""
+    name = f"{module}.{field}"
+    buf = tmap[name]
+    if buf.dtype != np.uint8:
+        raise ValueError(
+            f"{field} of module {module!r} is {buf.dtype}, not a packed stream "
+            "(an older artifact format); re-run quantize"
+        )
+    if tmap.elements.get(name) != count:
+        raise ValueError(f"corrupt packing length for module {module!r} ({field})")
+    try:
+        return unpack_codes(buf, count, bits)
+    except ValueError as exc:
+        raise ValueError(f"corrupt {field} of module {module!r}: {exc}") from exc
 
 
 def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
     """Rebuild quantized modules from a container map."""
     if "bits" not in tmap.meta or "group_size" not in tmap.meta:
         raise ValueError("artifact container is missing 'bits'/'group_size' meta")
-    bits = int(tmap.meta["bits"])
-    group_size = int(tmap.meta["group_size"])
+    cfg = QuantConfig(bits=int(tmap.meta["bits"]), group_size=int(tmap.meta["group_size"]))
     artifact: dict[str, QuantizedTensor] = {}
     for name in tmap.names():
         if not name.endswith(".codes"):
@@ -353,25 +357,17 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
         channel_scale = tmap[f"{module}.channel_scale"]
         out_features = scales.shape[0]
         in_features = channel_scale.shape[0]
-        n_codes = tmap.elements.get(name, out_features * in_features)
-        if n_codes != out_features * in_features:
-            raise ValueError(f"corrupt packing length for module {module!r}")
-        codes = unpack_codes(tmap[name], n_codes, bits).reshape(out_features, in_features)
-        zeros_f = tmap[f"{module}.zeros"]
-        zero_points = zeros_f.astype(np.uint8)
-        if not np.array_equal(zero_points.astype(np.float32), zeros_f):
-            raise ValueError(f"non-integral zero points for module {module!r}")
-        prot_bits = tmap[f"{module}.protected"]
-        protected = np.unpackbits(prot_bits, bitorder="little")[:in_features].astype(bool)
+        codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
+        zeros = _unpack_field(tmap, module, "zeros", scales.size, cfg.bits)
         artifact[module] = QuantizedTensor(
             module=module,
-            bits=bits,
-            group_size=group_size,
-            codes=codes,
+            bits=cfg.bits,
+            group_size=cfg.group_size,
+            codes=codes.reshape(out_features, in_features),
             scales=scales,
-            zero_points=zero_points,
+            zero_points=zeros.reshape(scales.shape),
             channel_scale=channel_scale,
-            protected=protected,
+            protected=_unpack_field(tmap, module, "protected", in_features, 1).astype(bool),
             protected_values=tmap[f"{module}.protected_values"],
         )
     if not artifact:

@@ -39,7 +39,6 @@ class SearchConfig:
     grid_points: int = 20
     alpha_lo: float = 0.0
     alpha_hi: float = 1.0
-    normalize_scale: bool = True
     max_calib_rows: int = 512
 
     def __post_init__(self) -> None:
@@ -160,8 +159,8 @@ def search_scale(
     """Grid-search the scaling exponent that minimizes the loss.
 
     Evaluates every alpha on the endpoint-inclusive grid with
-    s = normalize(I)^alpha (normalization optional); ties go to the
-    smaller alpha. Also reports the unscaled loss for reference.
+    s = normalize(I)^alpha; ties go to the smaller alpha. Also reports the
+    unscaled loss for reference.
     """
     module = getattr(importance, "module", "")
     scores = np.asarray(getattr(importance, "scores", importance), dtype=np.float64)
@@ -173,7 +172,7 @@ def search_scale(
     x = np.ascontiguousarray(calib_inputs, dtype=np.float32)[: scfg.max_calib_rows]
     loss_of = _LossKernel(weight, x, module)
 
-    base = normalize_scale(scores) if scfg.normalize_scale else scores
+    base = normalize_scale(scores)
     ones = np.ones(weight.shape[1], dtype=np.float32)
     rtn_loss = loss_of(dequantize(rtn_quantize(weight, qcfg, channel_scale=ones)))
 
@@ -248,7 +247,6 @@ def report_lines(
                 "alpha_lo": scfg.alpha_lo,
                 "alpha_hi": scfg.alpha_hi,
                 "grid_spacing": "endpoint-inclusive",
-                "normalize_scale": scfg.normalize_scale,
                 "bits": qcfg.bits,
                 "group_size": qcfg.group_size,
                 "protect_fraction": qcfg.protect_fraction,

@@ -217,10 +217,7 @@ def weight_modules(tmap: TensorMap) -> list[str]:
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
     """Rebuild a ToyModel from a checkpoint TensorMap."""
-    modules = sorted(
-        {n[: -len(".weight")] for n in tmap.names() if n.endswith(".weight")},
-        key=lambda n: (len(n), n),
-    )
+    modules = sorted(weight_modules(tmap), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     layers = []

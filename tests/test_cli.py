@@ -210,6 +210,24 @@ class TestQuantizeAndEval:
         assert "layer1" in res.stderr
         assert not ev.exists()
 
+    def test_float_zero_points_artifact_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
+        tmap = load_container(art)
+        tmap["layer0.zeros"] = np.zeros((16, 2), np.float32)
+        del tmap.elements["layer0.zeros"]
+        old = tmp_path / "art_f32_zeros.dqt"
+        save_container(tmap, old)
+        ev = tmp_path / "eval_old.json"
+        res = run_cli(
+            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", old,
+            "--calib", out / "calib.dqt", "--out", ev,
+        )
+        assert res.returncode == 1
+        assert "layer0" in res.stderr and "re-run quantize" in res.stderr
+        assert not ev.exists()
+
     def test_eval_crosscheck_against_report(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=4)
         by_module = {
@@ -283,7 +301,7 @@ class TestConfigAndHelp:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "dq.cfg"
-        for key in ("train.stepz", "run.threads"):
+        for key in ("train.stepz", "run.threads", "search.no_normalize"):
             cfg.write_text(f"{key} = 4\n")
             res = run_cli("train-toy", "--config", cfg, "--out", tmp_path / "x")
             assert res.returncode == 2
@@ -297,11 +315,14 @@ class TestConfigAndHelp:
         assert res.returncode == 0
         assert "default:" in res.stdout
         assert "--threads" not in res.stdout
+        assert "--no-normalize" not in res.stdout
 
     def test_bad_threads_rejected(self, tmp_path):
-        # parallelism is not a user setting: the flag is unknown
-        res = run_cli("train-toy", "--threads", "4", "--out", tmp_path / "x")
-        assert res.returncode == 2
+        # parallelism and scale normalization are not user settings: the flags are unknown
+        for args in (("train-toy", "--threads", "4"), ("quantize", "--no-normalize")):
+            res = run_cli(*args, "--out", tmp_path / "x")
+            assert res.returncode == 2
+            assert args[1] in res.stderr
 
     def test_unpackable_bits_rejected(self, tmp_path):
         out = train_run(tmp_path, steps=100)

@@ -254,6 +254,24 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_codes(np.zeros(4, np.uint8), 5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.sampled_from([1, 3, 4]), data=st.data())
+    def test_round_trip_every_width_and_length(self, bits, data):
+        n = data.draw(st.integers(0, 300), label="n")
+        values = np.array(
+            data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=n, max_size=n)), np.uint8
+        )
+        packed = pack_codes(values, bits)
+        # value k at bits [bits*k, bits*k + bits) of a little-endian stream,
+        # padded to whole blocks of 8 / gcd(bits, 8) values
+        per_block = {1: 8, 3: 8, 4: 2}[bits]
+        n_bytes = -(-n // per_block) * per_block * bits // 8
+        stream = sum(int(v) << (bits * k) for k, v in enumerate(values))
+        assert packed.tobytes() == stream.to_bytes(n_bytes, "little")
+        if bits == 1:
+            assert packed.tobytes() == np.packbits(values, bitorder="little").tobytes()
+        assert np.array_equal(unpack_codes(packed, n, bits), values)
+
 
 class TestSelectProtected:
     SCORES = np.array([5.0, 1.0, 9.0, 9.0])
@@ -325,6 +343,38 @@ class TestArtifactContainer:
         with pytest.raises(ValueError, match="packing length"):
             artifact_from_map(tmap)
 
+    def test_worked_packed_zero_points(self):
+        w = np.array(
+            [[-1, 0, 0, 6, -3, 0, 0, 4],
+             [0, 1, 2, 7, -7, 0, 0, 0]], np.float32
+        )
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")
+        assert q.zero_points.tolist() == [[1, 3], [0, 7]]
+        tmap = artifact_to_map({"m": q})
+        # 3-bit stream 1 | 3 << 3 | 0 << 6 | 7 << 9 == 0x000E19
+        assert tmap["m.zeros"].dtype == np.uint8
+        assert tmap["m.zeros"].tolist() == [0x19, 0x0E, 0x00]
+        assert tmap.elements["m.zeros"] == 4
+        assert np.array_equal(artifact_from_map(tmap)["m"].zero_points, q.zero_points)
+
+    def test_short_protected_buffer_rejected(self):
+        w = _rand_weight(np.random.default_rng(1), (2, 16))
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=8), protected=np.ones(16, bool),
+                         module="m")
+        tmap = artifact_to_map({"m": q})
+        tmap.put_packed("m.protected", tmap["m.protected"][:1], 16)
+        with pytest.raises(ValueError, match="'m'"):
+            artifact_from_map(tmap)
+
+    def test_float_zero_points_rejected(self):
+        w = _rand_weight(np.random.default_rng(2), (2, 8))
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")
+        tmap = artifact_to_map({"m": q})
+        tmap["m.zeros"] = q.zero_points.astype(np.float32)
+        del tmap.elements["m.zeros"]
+        with pytest.raises(ValueError, match="'m'.*re-run quantize"):
+            artifact_from_map(tmap)
+
     def test_non_artifact_container_rejected(self):
         from deltaquant.container import TensorMap
 
@@ -332,6 +382,11 @@ class TestArtifactContainer:
             artifact_from_map(TensorMap({"w": np.zeros(2, np.float32)}))
         with pytest.raises(ValueError, match="no quantized modules"):
             artifact_from_map(TensorMap(meta={"bits": "3", "group_size": "4"}))
+        w = _rand_weight(np.random.default_rng(0), (2, 8))
+        tmap = artifact_to_map({"m": rtn_quantize(w, QuantConfig(bits=3, group_size=8))})
+        tmap.meta["bits"] = "1"  # a width the codec packs, but not a code width
+        with pytest.raises(ValueError, match="bits"):
+            artifact_from_map(tmap)
 
 
 class TestQuantConfig:
