@@ -19,8 +19,15 @@ import numpy as np
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
 from .search import SearchConfig, _LossKernel, quantize_model
-from .signals import DegenerateDeltasError, MappingConfig, importance_all
-from .toy import CalibrationSet, forward, model_from_map, weight_modules
+from .signals import (
+    DegenerateDeltasError,
+    MappingConfig,
+    _importance_per_module,
+    compute_delta,
+    global_delta_stats,
+    importance_all,
+)
+from .toy import CalibrationSet, _forward_activations, model_from_map, weight_modules
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -61,15 +68,14 @@ def _heldout_reference(post_ckpt: TensorMap, seed: int, rows: int):
     """The float model, a fresh seeded batch, and the model's outputs on it."""
     model = model_from_map(post_ckpt)
     batch = _heldout_batch(model.in_dim, seed, rows)
-    ref, _ = forward(model, batch)
-    return model, batch, ref
+    return model, batch, _forward_activations(model.layers, batch)[-1]
 
 
 def _end_to_end(reference, recon: dict[str, np.ndarray]) -> tuple[float, float]:
     """Output MSE and relative Frobenius error of ``recon`` weights on the held-out batch."""
     model, batch, ref = reference
     layers = [replace(layer, weight=recon[layer.name]) for layer in model.layers]
-    quant, _ = forward(replace(model, layers=layers), batch)
+    quant = _forward_activations(layers, batch)[-1]
     diff = quant.astype(np.float64) - ref.astype(np.float64)
     mse = float(np.mean(diff * diff))
     ref_norm = float(np.linalg.norm(ref.astype(np.float64)))
@@ -156,13 +162,35 @@ def ablate_signals(
     error columns and leaves other groups untouched); output-level
     divergence is reported end to end, where channel errors may interfere.
     Rows are emitted in input order, signals outer, fractions inner.
+
+    Cost of a sweep: one delta pass, one global-stats pass per distinct
+    ``zero_epsilon``, and per module one quantize, one dequantize and one
+    float64 squared-error map. A (signal, fraction) row then only selects
+    columns: protected columns take the float weight and an error of 0, the
+    others the plain reconstruction and its error, which is exactly what
+    decoding the protected tensor gives (the channel scale is all ones and
+    the mask never changes the codes). Beyond that, a row costs one
+    held-out forward pass.
     """
     if not signals:
         raise ValueError("need at least one signal")
     modules = weight_modules(post)
-    plain = {m: rtn_quantize(post[f"{m}.weight"], qcfg, module=m) for m in modules}
-    # importance first: the float model copy is not held through its peak
-    signal_imps = [importance_all(pre, post, cfg_sig, calib) for cfg_sig in signals]
+    deltas = compute_delta(pre, post)
+    stats_by_epsilon = {}
+    signal_imps = []
+    for cfg_sig in signals:
+        eps = cfg_sig.zero_epsilon
+        if eps not in stats_by_epsilon:
+            stats_by_epsilon[eps] = global_delta_stats(deltas, eps)
+        signal_imps.append(_importance_per_module(deltas, stats_by_epsilon[eps], cfg_sig, calib))
+    # dropped before the per-module maps so that the two peaks do not add up
+    del deltas
+    weights, plain, sq_err = {}, {}, {}
+    for module in modules:
+        weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
+        recon = dequantize(rtn_quantize(weight, qcfg, module=module))
+        diff = recon.astype(np.float64) - weight.astype(np.float64)
+        weights[module], plain[module], sq_err[module] = weight, recon, diff * diff
     reference = _heldout_reference(post, heldout_seed, heldout_rows)
     rows: list[AblationRow] = []
     for cfg_sig, imps in zip(signals, signal_imps):
@@ -170,14 +198,9 @@ def ablate_signals(
             per_module: dict[str, float] = {}
             recon_full: dict[str, np.ndarray] = {}
             for module in modules:
-                weight = post[f"{module}.weight"]
-                mask = select_protected(imps[module], fraction)
-                # protection never changes the codes, only the stored columns
-                q = replace(plain[module], protected=mask, protected_values=weight[:, mask])
-                recon = dequantize(q)
-                recon_full[module] = recon
-                diff = recon.astype(np.float64) - weight.astype(np.float64)
-                per_module[module] = float(np.mean(diff * diff))
+                cols = select_protected(imps[module], fraction)
+                recon_full[module] = np.where(cols, weights[module], plain[module])
+                per_module[module] = float(np.mean(np.where(cols, 0.0, sq_err[module])))
             mean_mse = float(np.mean([per_module[m] for m in modules]))
             e2e_mse, _ = _end_to_end(reference, recon_full)
             rows.append(

@@ -355,6 +355,11 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
         module = name[: -len(".codes")]
         scales = tmap[f"{module}.scales"]
         channel_scale = tmap[f"{module}.channel_scale"]
+        protected_values = tmap[f"{module}.protected_values"]
+        if not (np.isfinite(scales).all() and np.isfinite(protected_values).all()):
+            raise ValueError(f"scales and protected_values of module {module!r} must be finite")
+        if not (np.isfinite(channel_scale).all() and (channel_scale > 0).all()):
+            raise ValueError(f"channel_scale of module {module!r} must be positive and finite")
         out_features = scales.shape[0]
         in_features = channel_scale.shape[0]
         codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
@@ -368,7 +373,7 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
             zero_points=zeros.reshape(scales.shape),
             channel_scale=channel_scale,
             protected=_unpack_field(tmap, module, "protected", in_features, 1).astype(bool),
-            protected_values=tmap[f"{module}.protected_values"],
+            protected_values=protected_values,
         )
     if not artifact:
         raise ValueError("no quantized modules found in container")

@@ -105,23 +105,28 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
     Updates at or below ``zero_epsilon`` count as zero and are excluded
     from the minimum and the median. The median is the lower middle
     element of the sorted positives for even counts.
+
+    The pooled deltas keep their own dtype. The threshold is compared in
+    float64, so a ``zero_epsilon`` that float32 cannot represent keeps its
+    meaning under every numpy promotion rule; a partial sort finds the
+    median, and reductions the ends.
     """
     if len(deltas) == 0:
         raise ValueError("deltas map is empty")
-    vals = np.concatenate(
-        [deltas[name].ravel().astype(np.float64) for name in deltas.names()]
-    )
-    positives = np.sort(vals[vals > zero_epsilon])
+    vals = np.concatenate([deltas[name].ravel() for name in deltas.names()])
+    positives = vals[np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None))]
     total = vals.size
     zeros = total - positives.size
     if positives.size == 0:
         raise DegenerateDeltasError(
             "degenerate deltas: all weight updates are zero"
         )
+    middle = (positives.size - 1) // 2
+    positives.partition(middle)
     return DeltaStats(
-        min_positive=float(positives[0]),
-        median_positive=float(positives[(positives.size - 1) // 2]),
-        max=float(positives[-1]),
+        min_positive=float(positives.min()),
+        median_positive=float(positives[middle]),
+        max=float(positives.max()),
         zero_count=int(zeros),
         total_count=int(total),
     )
@@ -275,6 +280,16 @@ def importance_all(
     """
     deltas = compute_delta(pre, post)
     stats = global_delta_stats(deltas, cfg.zero_epsilon)
+    return _importance_per_module(deltas, stats, cfg, calib)
+
+
+def _importance_per_module(
+    deltas: TensorMap,
+    stats: DeltaStats,
+    cfg: MappingConfig,
+    calib: CalibrationSet | None,
+) -> dict[str, ImportanceVector]:
+    """Importance of every module of ``deltas`` under one set of global stats."""
     result: dict[str, ImportanceVector] = {}
     for name in deltas.names():
         module = name[: -len(".weight")]
@@ -314,6 +329,9 @@ def importances_from_map(tmap: TensorMap) -> dict[str, ImportanceVector]:
     for name in tmap.names():
         if name.endswith(".importance"):
             module = name[: -len(".importance")]
-            scores = np.maximum(tmap[name].astype(np.float64), _SCORE_FLOOR)
+            scores = tmap[name].astype(np.float64)
+            if not np.isfinite(scores).all():
+                raise ValueError(f"non-finite importance scores for module {module!r}")
+            scores = np.maximum(scores, _SCORE_FLOOR)
             out[module] = ImportanceVector(module=module, scores=scores, config=cfg)
     return out

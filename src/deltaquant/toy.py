@@ -109,13 +109,31 @@ class CalibrationSet:
 
     @classmethod
     def from_tensor_map(cls, tmap: TensorMap) -> "CalibrationSet":
+        """Load the set, checking each module's channel statistics.
+
+        The statistics must exist, be finite and have one entry per input
+        channel. The input rows are not scanned here; the loss kernel checks
+        them where they are used.
+        """
         calib = cls()
         for name in tmap.names():
             if name.endswith(".calib_inputs"):
                 module = name[: -len(".calib_inputs")]
-                calib.inputs[module] = tmap[name]
-                calib.mean_abs[module] = tmap[f"{module}.mean_abs"]
-                calib.mean_square[module] = tmap[f"{module}.mean_square"]
+                inputs = tmap[name]
+                if inputs.ndim != 2:
+                    raise ValueError(f"calibration inputs of module {module!r} must be 2-D")
+                calib.inputs[module] = inputs
+                for stat, into in (("mean_abs", calib.mean_abs), ("mean_square", calib.mean_square)):
+                    key = f"{module}.{stat}"
+                    if key not in tmap:
+                        raise ValueError(f"calibration is missing {key!r}")
+                    values = tmap[key]
+                    if values.shape != (inputs.shape[1],) or not np.isfinite(values).all():
+                        raise ValueError(
+                            f"calibration {stat} of module {module!r} must be "
+                            f"{inputs.shape[1]} finite values"
+                        )
+                    into[module] = values
         return calib
 
 

@@ -228,6 +228,74 @@ class TestQuantizeAndEval:
         assert "layer0" in res.stderr and "re-run quantize" in res.stderr
         assert not ev.exists()
 
+    def test_corrupt_artifact_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
+        for field, corrupt in (
+            ("channel_scale", np.negative),  # would decode to the negated weights
+            ("scales", lambda a: np.where(np.indices(a.shape)[0] == 1, np.nan, a)),
+            ("protected_values", lambda a: np.full_like(a, np.inf)),
+        ):
+            tmap = load_container(art)
+            tmap[f"layer0.{field}"] = corrupt(tmap[f"layer0.{field}"]).astype(np.float32)
+            bad = tmp_path / f"art_{field}.dqt"
+            save_container(tmap, bad)
+            ev = tmp_path / f"eval_{field}.json"
+            res = run_cli(
+                "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
+                "--calib", out / "calib.dqt", "--out", ev,
+            )
+            assert res.returncode == 1, field
+            assert "layer0" in res.stderr and field in res.stderr
+            assert not ev.exists()
+
+    def test_non_finite_importance_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
+        tmap = load_container(imp)
+        tmap["layer1.importance"][3] = np.nan
+        bad = tmp_path / "imp_nan.dqt"
+        save_container(tmap, bad)
+        art = tmp_path / "art_nan.dqt"
+        res = run_cli(
+            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
+            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
+        )
+        assert res.returncode == 1
+        assert "layer1" in res.stderr
+        assert not art.exists()
+        assert not art.with_suffix(".report.jsonl").exists()
+
+    def test_bad_calibration_statistics_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
+        pre, post = out / "ckpt_step000000.dqt", out / "ckpt_step000300.dqt"
+        for tag, corrupt in (
+            ("missing", lambda t: t.entries.pop("layer0.mean_abs")),
+            ("nan", lambda t: t["layer0.mean_square"].__setitem__(1, np.nan)),
+            ("width", lambda t: t.__setitem__("layer0.mean_abs", np.ones(3, np.float32))),
+        ):
+            calib = load_container(out / "calib.dqt")
+            corrupt(calib)
+            bad = tmp_path / f"calib_{tag}.dqt"
+            save_container(calib, bad)
+            ev = tmp_path / f"eval_{tag}.json"
+            res = run_cli("eval", "--post", post, "--artifact", art, "--calib", bad, "--out", ev)
+            assert res.returncode == 1, tag
+            assert "layer0" in res.stderr
+            assert not ev.exists()
+        csv = tmp_path / "ablation.csv"
+        res = run_cli(
+            "ablate", "--pre", pre, "--post", post, "--calib", bad,
+            "--bits", "3", "--group-size", "4", "--out", csv,
+        )
+        assert res.returncode == 1
+        assert "layer0" in res.stderr
+        assert not csv.exists()
+
     def test_eval_crosscheck_against_report(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=4)
         by_module = {

@@ -1,11 +1,17 @@
 """Eval reports, ablation table, pseudo-fine-tuning curve."""
 
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ablate_oracle import ablate_oracle
+from deltaquant import evaluate, signals
+from deltaquant.container import TensorMap
 from deltaquant.evaluate import (
     ablation_csv,
     ablate_signals,
@@ -15,7 +21,7 @@ from deltaquant.evaluate import (
 )
 from deltaquant.quant import QuantConfig
 from deltaquant.search import SearchConfig, quant_loss, quantize_model
-from deltaquant.signals import MappingConfig, importance_all
+from deltaquant.signals import SIGNALS, DegenerateDeltasError, MappingConfig, importance_all
 from deltaquant.toy import (
     CalibrationSet,
     TrainConfig,
@@ -193,6 +199,106 @@ class TestAblation:
             self.SIGNALS[:2], [0.05], QCFG,
         )
         assert ablation_csv(rows2) == text
+
+
+def _random_pair(rng, dims, zero_fraction):
+    """Chained pre/post checkpoints whose updates sit on a coarse grid, some exactly zero."""
+    pre, post = TensorMap(), TensorMap()
+    for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
+        weight = rng.standard_normal((n_out, n_in)).astype(np.float32)
+        update = np.round(rng.exponential(0.05, weight.shape) * 40) / 40
+        update[rng.random(weight.shape) < zero_fraction] = 0.0
+        update *= rng.choice([-1.0, 1.0], weight.shape)
+        bias = rng.standard_normal(n_out).astype(np.float32)
+        pre[f"layer{i}.weight"], pre[f"layer{i}.bias"] = weight, bias
+        post[f"layer{i}.weight"] = (weight + update).astype(np.float32)
+        post[f"layer{i}.bias"] = bias
+    return pre, post
+
+
+class TestAblationOracle:
+    """The shared-work sweep against the row-by-row reference in ``ablate_oracle``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+        group_size=st.integers(1, 8),
+        bits=st.sampled_from([3, 4]),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+        sweep=st.lists(
+            st.tuples(st.sampled_from(SIGNALS), st.sampled_from([0.0, 0.025, 0.05, 0.1])),
+            min_size=1,
+            max_size=5,
+        ),
+        inner=st.lists(st.floats(0.0, 1.0), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_csv_matches_row_by_row_oracle(
+        self, dims, group_size, bits, zero_fraction, sweep, inner, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pre, post = _random_pair(rng, dims, zero_fraction)
+        batch = rng.standard_normal((6, dims[0])).astype(np.float32)
+        _, calib = forward(model_from_map(post), batch)
+        cfgs = [MappingConfig(signal=sig, zero_epsilon=eps) for sig, eps in sweep]
+        fractions = [0.0, *inner, 1.0]
+        qcfg = QuantConfig(bits=bits, group_size=group_size)
+        held = {"heldout_seed": seed % 1000, "heldout_rows": 5}
+        try:
+            want = ablation_csv(ablate_oracle(pre, post, calib, cfgs, fractions, qcfg, **held))
+        except DegenerateDeltasError:
+            with pytest.raises(DegenerateDeltasError):
+                ablate_signals(pre, post, calib, cfgs, fractions, qcfg, **held)
+            return
+        got = ablation_csv(ablate_signals(pre, post, calib, cfgs, fractions, qcfg, **held))
+        assert got == want
+
+    def test_toy_run_matches_oracle(self, toy_run):
+        cfgs = [MappingConfig(signal=sig) for sig in SIGNALS]
+        args = (toy_run["pre"], toy_run["post"], toy_run["calib"], cfgs, [0.0, 0.05, 0.3, 1.0], QCFG)
+        held = {"heldout_seed": 1013, "heldout_rows": 64}
+        assert ablation_csv(ablate_signals(*args)) == ablation_csv(ablate_oracle(*args, **held))
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    def test_every_signal_raises_on_degenerate_deltas(self, toy_run, signal):
+        # pseudo_ft_curve turns this error into a NaN point
+        with pytest.raises(DegenerateDeltasError):
+            ablate_signals(
+                toy_run["post"], toy_run["post"], toy_run["calib"],
+                [MappingConfig(signal=signal)], [0.1], QCFG,
+            )
+
+    def test_sweep_shares_per_checkpoint_work(self, toy_run, monkeypatch):
+        counts = collections.Counter()
+
+        def count(namespace, name):
+            fn = getattr(namespace, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(namespace, name, wrapper)
+
+        for namespace in (signals, evaluate):
+            count(namespace, "compute_delta")
+            count(namespace, "global_delta_stats")
+        count(evaluate, "rtn_quantize")
+        count(evaluate, "dequantize")
+        epsilons = [0.0, 1e-4, 0.0, 1e-4, 1e-3]
+        cfgs = [MappingConfig(signal=sig, zero_epsilon=e) for sig, e in zip(SIGNALS, epsilons)]
+        rows = ablate_signals(
+            toy_run["pre"], toy_run["post"], toy_run["calib"],
+            cfgs, [0.0, 0.05, 0.1, 0.3, 1.0], QCFG,
+        )
+        assert len(rows) == 25
+        modules = len(toy_run["calib"].inputs)
+        assert counts == {
+            "compute_delta": 1,
+            "global_delta_stats": len(set(epsilons)),
+            "rtn_quantize": modules,
+            "dequantize": modules,
+        }
 
 
 class TestCurve:

@@ -375,6 +375,29 @@ class TestArtifactContainer:
         with pytest.raises(ValueError, match="'m'.*re-run quantize"):
             artifact_from_map(tmap)
 
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("scales", (0, 1), np.nan),
+            ("protected_values", (1, 0), np.inf),
+            ("channel_scale", 5, -0.5),
+            ("channel_scale", 3, 0.0),
+            ("channel_scale", 0, np.inf),
+        ],
+    )
+    def test_non_finite_or_non_positive_field_rejected(self, field, index, value):
+        rng = np.random.default_rng(3)
+        w = _rand_weight(rng, (3, 8))
+        q = rtn_quantize(
+            w, QuantConfig(bits=3, group_size=4), module="m",
+            channel_scale=np.exp(rng.uniform(-0.5, 0.5, 8)).astype(np.float32),
+            protected=np.arange(8) < 2,
+        )
+        tmap = artifact_to_map({"m": q})
+        tmap[f"m.{field}"][index] = value
+        with pytest.raises(ValueError, match=f"{field}.* of module 'm'"):
+            artifact_from_map(tmap)
+
     def test_non_artifact_container_rejected(self):
         from deltaquant.container import TensorMap
 

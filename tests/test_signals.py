@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaquant.container import CompatibilityError, TensorMap
 from deltaquant.signals import (
@@ -100,6 +102,21 @@ class TestComputeDelta:
             importance_all(pre, post, MappingConfig())
 
 
+def _sorted_stats_oracle(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaStats:
+    """Global stats the direct way: pool in float64, sort, index."""
+    vals = np.concatenate([deltas[n].ravel().astype(np.float64) for n in deltas.names()])
+    positives = np.sort(vals[vals > zero_epsilon])
+    if positives.size == 0:
+        raise DegenerateDeltasError("degenerate deltas")
+    return DeltaStats(
+        min_positive=float(positives[0]),
+        median_positive=float(positives[(positives.size - 1) // 2]),
+        max=float(positives[-1]),
+        zero_count=int(vals.size - positives.size),
+        total_count=int(vals.size),
+    )
+
+
 class TestGlobalStats:
     def test_sort_and_index_oracle(self):
         deltas = _weight_map({"m": np.array([[0.0, 1.0], [2.0, 3.0]])})
@@ -134,6 +151,50 @@ class TestGlobalStats:
         stats = global_delta_stats(deltas)
         assert stats.median_positive == 3.0
         assert stats.max == 5.0
+
+    def test_epsilon_between_float32_neighbours(self):
+        # float32 rounds this epsilon up to v, yet v exceeds it and must count
+        v = np.float32(0.1)
+        below = float(v) - 1e-12
+        for dtype in (np.float32, np.float64):
+            deltas = TensorMap({"m.weight": np.array([[0.0, v, 2 * v]], dtype)})
+            assert global_delta_stats(deltas, below) == _sorted_stats_oracle(deltas, below)
+            assert global_delta_stats(deltas, below).min_positive == float(v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3),
+        zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+        levels=st.sampled_from([None, 3]),
+        epsilon=st.sampled_from(["zero", "below", "between", "at"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sort_oracle(self, dtype, shapes, zero_fraction, levels, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        deltas = TensorMap()
+        for i, shape in enumerate(shapes):
+            values = rng.exponential(1.0, shape)
+            if levels:  # repeated values: ties at the median and the ends
+                values = np.ceil(values * levels) / levels
+            values[rng.random(shape) < zero_fraction] = 0.0
+            deltas[f"m{i}.weight"] = values.astype(dtype)
+        pooled = np.concatenate([deltas[n].ravel() for n in deltas.names()])
+        v = pooled[rng.integers(pooled.size)]
+        up = np.nextafter(v, v.dtype.type(np.inf))
+        eps = {
+            "zero": 0.0,
+            "below": max(float(v) - float(up - v) / 4, 0.0),
+            "between": (float(v) + float(up)) / 2,  # no float32 holds it
+            "at": float(v),
+        }[epsilon]
+        try:
+            want = _sorted_stats_oracle(deltas, eps)
+        except DegenerateDeltasError:
+            with pytest.raises(DegenerateDeltasError):
+                global_delta_stats(deltas, eps)
+            return
+        assert global_delta_stats(deltas, eps) == want
 
     def test_min_including_zeros(self):
         with_zeros = DeltaStats(1.0, 2.0, 3.0, zero_count=1, total_count=4)
@@ -443,3 +504,13 @@ class TestImportanceAll:
         for name in imps:
             f32 = imps[name].scores.astype(np.float32).astype(np.float64)
             assert np.array_equal(loaded[name].scores, f32)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected_on_load(self, bad):
+        tmap = TensorMap(
+            {"a.importance": np.ones(3, np.float32), "b.importance": np.ones(4, np.float32)},
+            meta={"signal": "magnitude"},
+        )
+        tmap["b.importance"][2] = bad
+        with pytest.raises(ValueError, match="non-finite.*'b'"):
+            importances_from_map(tmap)

@@ -133,6 +133,27 @@ class TestForward:
         assert loaded.inputs["layer0"].tobytes() == x.tobytes()
 
 
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda t: t.entries.pop("layer1.mean_abs"), "missing 'layer1.mean_abs'"),
+            (lambda t: t["layer1.mean_square"].__setitem__(2, np.nan), "mean_square.*'layer1'"),
+            (lambda t: t["layer0.mean_abs"].__setitem__(0, -np.inf), "mean_abs.*'layer0'"),
+            (lambda t: t.__setitem__("layer0.mean_abs", np.ones(3, np.float32)), "mean_abs.*'layer0'"),
+            (lambda t: t.__setitem__("layer1.calib_inputs", np.ones(6, np.float32)), "'layer1'.*2-D"),
+        ],
+    )
+    def test_bad_channel_statistics_rejected_on_load(self, corrupt, message):
+        from deltaquant.toy import CalibrationSet
+
+        x = np.random.default_rng(0).standard_normal((8, 4), dtype=np.float32)
+        _, calib = forward(init_model([4, 6, 2], seed=2), x)
+        tmap = calib.to_tensor_map()
+        corrupt(tmap)
+        with pytest.raises(ValueError, match=message):
+            CalibrationSet.from_tensor_map(tmap)
+
 class TestTrain:
     def test_tiny_learning_rate_keeps_weights(self):
         # small enough that every float32 update underflows to zero
