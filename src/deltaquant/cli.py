@@ -315,8 +315,7 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
 
 def cmd_importance(ns: argparse.Namespace) -> int:
     cfg = _mapping_config(ns)
-    needs_calib = cfg.signal == "activation_sq" or cfg.multiply_activation
-    if needs_calib and not ns.calib:
+    if cfg.needs_calib and not ns.calib:
         raise UsageError(f"signal {ns.signal!r} requires --calib")
     pre = load_container(ns.pre)
     post = load_container(ns.post)

@@ -16,6 +16,8 @@ buffers, which record their logical element count in an ``elements`` field.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -172,82 +174,96 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_container(path: str | Path) -> TensorMap:
-    """Read a container file, validating structure and bounds."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ContainerError("truncated header: file shorter than 16 bytes")
-    if raw[:4] != MAGIC:
-        raise ContainerError("bad magic: not a DQTC container")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != VERSION:
-        raise ContainerError(f"unsupported version {version}")
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    if 16 + header_len > len(raw):
-        raise ContainerError("truncated header: declared length exceeds file size")
-    try:
-        header = json.loads(
-            raw[16 : 16 + header_len].decode("utf-8"),
-            object_pairs_hook=_reject_duplicate_keys,
-        )
-    except ContainerError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"malformed header JSON: {exc}") from exc
+    """Read a container file; a malformed header or data region raises ContainerError.
 
-    if not isinstance(header, dict) or "meta" not in header or "tensors" not in header:
-        raise ContainerError("header must contain 'meta' and 'tensors'")
-    meta = header["meta"]
-    tensors = header["tensors"]
-    if not isinstance(meta, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
-    ):
-        raise ContainerError("meta must map strings to strings")
-    if not isinstance(tensors, dict):
-        raise ContainerError("tensor table must be a JSON object")
-
-    data_start = _align_up(16 + header_len)
-    tmap = TensorMap(meta=meta)
-    for name in sorted(tensors):
-        rec = tensors[name]
-        if not name or not name.isascii():
-            raise ContainerError(f"invalid tensor name {name!r}")
-        if not isinstance(rec, dict):
-            raise ContainerError(f"tensor record for {name!r} must be an object")
-        dtype_tag = rec.get("dtype")
-        if dtype_tag not in _TAG_TO_DTYPE:
-            raise ContainerError(f"tensor {name!r}: unsupported dtype {dtype_tag!r}")
-        shape = rec.get("shape")
-        if (
-            not isinstance(shape, list)
-            or len(shape) > 2
-            or any(not isinstance(d, int) or d < 0 for d in shape)
-        ):
-            raise ContainerError(f"tensor {name!r}: invalid shape {shape!r}")
-        offset = rec.get("offset")
-        nbytes = rec.get("nbytes")
-        if not isinstance(offset, int) or not isinstance(nbytes, int) or nbytes < 0:
-            raise ContainerError(f"tensor {name!r}: invalid offset/nbytes")
-        if offset < 0:
-            raise ContainerError(f"tensor {name!r}: header/data overlap (negative offset)")
-        if offset % ALIGNMENT != 0:
-            raise ContainerError(f"tensor {name!r}: offset {offset} not {ALIGNMENT}-byte aligned")
-        dtype = _TAG_TO_DTYPE[dtype_tag]
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if expected != nbytes:
-            raise ContainerError(
-                f"tensor {name!r}: nbytes {nbytes} does not match shape {shape} ({expected})"
+    Each tensor is read straight into its own array; no copy of the file is held.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if len(head) < 16:
+            raise ContainerError("truncated header: file shorter than 16 bytes")
+        if head[:4] != MAGIC:
+            raise ContainerError("bad magic: not a DQTC container")
+        (version,) = struct.unpack("<I", head[4:8])
+        if version != VERSION:
+            raise ContainerError(f"unsupported version {version}")
+        (header_len,) = struct.unpack("<Q", head[8:16])
+        if 16 + header_len > size:
+            raise ContainerError("truncated header: declared length exceeds file size")
+        try:
+            header = json.loads(
+                f.read(header_len).decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
             )
-        end = data_start + offset + nbytes
-        if end > len(raw):
-            raise ContainerError(f"truncated data: tensor {name!r} extends past end of file")
-        buf = raw[data_start + offset : end]
-        arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-        tmap.entries[name] = arr
-        if dtype == np.uint8:
-            elements = rec.get("elements", nbytes)
-            if not isinstance(elements, int) or elements < 0:
-                raise ContainerError(f"tensor {name!r}: invalid element count")
-            tmap.elements[name] = elements
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or too long
+            raise ContainerError(f"malformed header JSON: {exc}") from exc
+
+        if not isinstance(header, dict) or "meta" not in header or "tensors" not in header:
+            raise ContainerError("header must contain 'meta' and 'tensors'")
+        meta = header["meta"]
+        tensors = header["tensors"]
+        if not isinstance(meta, dict) or any(
+            not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
+        ):
+            raise ContainerError("meta must map strings to strings")
+        if not isinstance(tensors, dict):
+            raise ContainerError("tensor table must be a JSON object")
+
+        data_start = _align_up(16 + header_len)
+        tmap = TensorMap(meta=meta)
+        for name in sorted(tensors):
+            rec = tensors[name]
+            if not name or not name.isascii():
+                raise ContainerError(f"invalid tensor name {name!r}")
+            if not isinstance(rec, dict):
+                raise ContainerError(f"tensor record for {name!r} must be an object")
+            dtype_tag = rec.get("dtype")
+            if dtype_tag not in _TAG_TO_DTYPE:
+                raise ContainerError(f"tensor {name!r}: unsupported dtype {dtype_tag!r}")
+            shape = rec.get("shape")
+            if (
+                not isinstance(shape, list)
+                or len(shape) > 2
+                # ``type(...) is int`` also rejects JSON true/false, which load as bools
+                or any(type(d) is not int or d < 0 for d in shape)
+            ):
+                raise ContainerError(f"tensor {name!r}: invalid shape {shape!r}")
+            offset = rec.get("offset")
+            nbytes = rec.get("nbytes")
+            if type(offset) is not int or type(nbytes) is not int or nbytes < 0:
+                raise ContainerError(f"tensor {name!r}: invalid offset/nbytes")
+            if offset < 0:
+                raise ContainerError(f"tensor {name!r}: header/data overlap (negative offset)")
+            if offset % ALIGNMENT != 0:
+                raise ContainerError(
+                    f"tensor {name!r}: offset {offset} not {ALIGNMENT}-byte aligned"
+                )
+            dtype = _TAG_TO_DTYPE[dtype_tag]
+            expected = math.prod(shape) * dtype.itemsize
+            if expected != nbytes:
+                raise ContainerError(
+                    f"tensor {name!r}: nbytes {nbytes} does not match shape {shape} ({expected})"
+                )
+            if data_start + offset + nbytes > size:
+                raise ContainerError(f"truncated data: tensor {name!r} extends past end of file")
+            buf = np.empty(nbytes, dtype=np.uint8)
+            f.seek(data_start + offset)
+            if f.readinto(buf) != nbytes:
+                raise ContainerError(f"truncated data: file shrank while reading {name!r}")
+            try:
+                tmap.entries[name] = buf.view(dtype).reshape(shape)
+            except ValueError as exc:  # a zero-size shape may still have a dimension numpy rejects
+                raise ContainerError(f"tensor {name!r}: invalid shape {shape!r}") from exc
+            if dtype == np.uint8:
+                elements = rec.get("elements", nbytes)
+                if type(elements) is not int or elements < 0:
+                    raise ContainerError(f"tensor {name!r}: invalid element count")
+                tmap.elements[name] = elements
+    region_end = 0
+    for offset, nbytes, name in sorted((r["offset"], r["nbytes"], n) for n, r in tensors.items()):
+        if nbytes and offset < region_end:
+            raise ContainerError(f"tensor {name!r}: data overlaps another tensor")
+        region_end = max(region_end, offset + nbytes)
     return tmap
 
 

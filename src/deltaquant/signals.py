@@ -10,7 +10,8 @@ magnitudes instead, a zero-aware mapping that pins exactly-zero updates to
 the minimum score and fits the left branch on positive updates only, and a
 zero-count amplifier that multiplies a channel's mean score by one plus
 its (optionally band-averaged) count of zero updates. Activation-based
-signals from a calibration set serve as baselines.
+signals serve as baselines; their statistics are derived from the
+calibration rows where a signal reads them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ SIGNALS = ("magnitude", "both_ends", "both_ends_zero", "mid", "activation_sq")
 # importance must stay strictly positive; dead activation channels would
 # otherwise produce exact zeros and break the scaling search
 _SCORE_FLOOR = 1e-12
+# columns per block of the update signals: keeps their float64 temporaries
+# small; blocks of one width leave each column's mean adding its rows in order
+_COLUMN_BLOCK = 64
 
 
 class DegenerateDeltasError(Exception):
@@ -47,10 +51,15 @@ class MappingConfig:
             raise ValueError(f"unknown signal {self.signal!r}; expected one of {SIGNALS}")
         if not (self.y_max > self.y_min > 0):
             raise ValueError("need y_max > y_min > 0")
-        if self.zero_epsilon < 0:
+        if not self.zero_epsilon >= 0:
             raise ValueError("zero_epsilon must be >= 0")
         if self.slices < 1:
             raise ValueError("slices must be >= 1")
+
+    @property
+    def needs_calib(self) -> bool:
+        """Whether the signal reads calibration inputs."""
+        return self.signal == "activation_sq" or self.multiply_activation
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,23 @@ def count_zeros_per_channel(
     return counts / slices
 
 
+def _activation_stat(x: np.ndarray, module: str, width: int, *, square: bool) -> np.ndarray:
+    """Per-channel mean of ``x**2`` (or ``|x|``) over a module's calibration rows."""
+    if x.shape[0] == 0 or x.shape[1] != width:
+        raise ValueError(f"calibration inputs of module {module!r} must be [n >= 1, {width}]")
+    if square:
+        stat = np.square(x, dtype=np.float64).mean(axis=0)
+    else:
+        stat = np.mean(np.abs(x), axis=0, dtype=np.float64)
+    # rounded through float32 like the statistics older calibration files
+    # stored, which keeps the scores byte-identical; an overflow becomes inf
+    with np.errstate(over="ignore"):
+        stat = stat.astype(np.float32)
+    if not np.isfinite(stat).all():
+        raise ValueError(f"non-finite calibration statistic for module {module!r}")
+    return stat.astype(np.float64)
+
+
 def importance(
     module: str,
     weight_delta: np.ndarray,
@@ -236,33 +262,38 @@ def importance(
                      (mean zero count per band + 1)
 
     With ``multiply_activation`` the result is further scaled by the mean
-    absolute calibration input. Scores are clamped to a tiny positive
+    absolute calibration input. Both statistics are derived from
+    ``calib.inputs[module]``; empty, misshaped or non-finite rows raise
+    ValueError naming the module. Scores are clamped to a tiny positive
     floor so they can serve as scaling-factor bases.
     """
-    delta = np.asarray(weight_delta, dtype=np.float64)
-    if delta.ndim != 2:
+    weight_delta = np.asarray(weight_delta)
+    if weight_delta.ndim != 2:
         raise ValueError("weight_delta must be a [out, in] matrix")
-    needs_calib = cfg.signal == "activation_sq" or cfg.multiply_activation
-    if needs_calib and (calib is None or module not in calib.mean_abs):
+    width = weight_delta.shape[1]
+    if cfg.needs_calib and (calib is None or module not in calib.inputs):
         raise ValueError(f"signal requires calibration inputs for module {module!r}")
 
-    if cfg.signal == "magnitude":
-        scores = delta.mean(axis=0)
-    elif cfg.signal == "activation_sq":
-        scores = calib.mean_square[module].astype(np.float64)
-        if scores.shape[0] != delta.shape[1]:
-            raise ValueError(f"calibration width mismatch for module {module!r}")
-    elif cfg.signal == "both_ends":
-        scores = map_both_ends(delta, stats, cfg).mean(axis=0)
-    elif cfg.signal == "mid":
-        scores = map_mid(delta, stats, cfg).mean(axis=0)
-    else:  # both_ends_zero
-        mapped = map_both_ends_zero(delta, stats, cfg).mean(axis=0)
-        zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
-        scores = mapped * (zbar + 1.0)
+    if cfg.signal == "activation_sq":
+        scores = _activation_stat(calib.inputs[module], module, width, square=True)
+    else:
+        scores = np.empty(width)
+        for start in range(0, width, _COLUMN_BLOCK):
+            # the last block ends at the last column, overlapping the one before
+            cols = slice(max(min(start, width - _COLUMN_BLOCK), 0), start + _COLUMN_BLOCK)
+            delta = weight_delta[:, cols].astype(np.float64)
+            if cfg.signal == "magnitude":
+                scores[cols] = delta.mean(axis=0)
+            elif cfg.signal == "both_ends":
+                scores[cols] = map_both_ends(delta, stats, cfg).mean(axis=0)
+            elif cfg.signal == "mid":
+                scores[cols] = map_mid(delta, stats, cfg).mean(axis=0)
+            else:  # both_ends_zero
+                zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
+                scores[cols] = map_both_ends_zero(delta, stats, cfg).mean(axis=0) * (zbar + 1.0)
 
     if cfg.multiply_activation:
-        scores = scores * calib.mean_abs[module].astype(np.float64)
+        scores = scores * _activation_stat(calib.inputs[module], module, width, square=False)
     scores = np.maximum(scores, _SCORE_FLOOR)
     return ImportanceVector(module=module, scores=scores, config=cfg)
 

@@ -50,9 +50,6 @@ class ToyModel:
     def out_dim(self) -> int:
         return self.dims[-1]
 
-    def module_names(self) -> list[str]:
-        return [layer.name for layer in self.layers]
-
     def num_params(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 
@@ -81,17 +78,12 @@ class CalibrationSet:
     """Per-module input rows captured from forward passes.
 
     ``inputs[m]`` is the exact [n_samples, in_features] matrix fed to module
-    ``m``; ``mean_abs``/``mean_square`` are its per-channel statistics.
+    ``m``. Nothing else is stored: signals that read activation statistics
+    derive them from these rows, and every user of the rows checks that
+    they are finite.
     """
 
     inputs: dict[str, np.ndarray] = field(default_factory=dict)
-    mean_abs: dict[str, np.ndarray] = field(default_factory=dict)
-    mean_square: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def num_samples(self) -> int:
-        if not self.inputs:
-            return 0
-        return next(iter(self.inputs.values())).shape[0]
 
     def to_tensor_map(self, meta: dict[str, str] | None = None) -> TensorMap:
         tmap = TensorMap(meta=meta or {})
@@ -99,21 +91,14 @@ class CalibrationSet:
             tmap[f"{module}.calib_inputs"] = np.ascontiguousarray(
                 self.inputs[module], dtype=np.float32
             )
-            tmap[f"{module}.mean_abs"] = np.ascontiguousarray(
-                self.mean_abs[module], dtype=np.float32
-            )
-            tmap[f"{module}.mean_square"] = np.ascontiguousarray(
-                self.mean_square[module], dtype=np.float32
-            )
         return tmap
 
     @classmethod
     def from_tensor_map(cls, tmap: TensorMap) -> "CalibrationSet":
-        """Load the set, checking each module's channel statistics.
+        """Load the ``<module>.calib_inputs`` matrices; other tensors are ignored.
 
-        The statistics must exist, be finite and have one entry per input
-        channel. The input rows are not scanned here; the loss kernel checks
-        them where they are used.
+        Only the rank is checked here; the rows are not scanned, because the
+        loss kernel and the activation signals check them where they use them.
         """
         calib = cls()
         for name in tmap.names():
@@ -123,17 +108,6 @@ class CalibrationSet:
                 if inputs.ndim != 2:
                     raise ValueError(f"calibration inputs of module {module!r} must be 2-D")
                 calib.inputs[module] = inputs
-                for stat, into in (("mean_abs", calib.mean_abs), ("mean_square", calib.mean_square)):
-                    key = f"{module}.{stat}"
-                    if key not in tmap:
-                        raise ValueError(f"calibration is missing {key!r}")
-                    values = tmap[key]
-                    if values.shape != (inputs.shape[1],) or not np.isfinite(values).all():
-                        raise ValueError(
-                            f"calibration {stat} of module {module!r} must be "
-                            f"{inputs.shape[1]} finite values"
-                        )
-                    into[module] = values
         return calib
 
 
@@ -169,7 +143,7 @@ def _forward_activations(layers: list[LinearLayer], inputs: np.ndarray) -> list[
 
 
 def forward(model: ToyModel, inputs: np.ndarray) -> tuple[np.ndarray, CalibrationSet]:
-    """Run the model on a batch and capture per-module calibration inputs."""
+    """Run the model on a batch; return its output and each module's input rows."""
     inputs = np.ascontiguousarray(inputs, dtype=np.float32)
     if inputs.ndim != 2 or inputs.shape[1] != model.in_dim:
         raise ValueError(
@@ -178,11 +152,7 @@ def forward(model: ToyModel, inputs: np.ndarray) -> tuple[np.ndarray, Calibratio
     acts = _forward_activations(model.layers, inputs)
     calib = CalibrationSet()
     for i, layer in enumerate(model.layers):
-        x = acts[i]
-        calib.inputs[layer.name] = x.copy()
-        x64 = x.astype(np.float64)
-        calib.mean_abs[layer.name] = np.abs(x64).mean(axis=0).astype(np.float32)
-        calib.mean_square[layer.name] = (x64 * x64).mean(axis=0).astype(np.float32)
+        calib.inputs[layer.name] = acts[i].copy()
     return acts[-1], calib
 
 

@@ -114,6 +114,18 @@ class TestImportance:
         )
         assert res.returncode == 2
 
+    def test_nan_zero_epsilon_is_usage_error(self, tmp_path):
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", out / "ckpt_step000300.dqt",
+            "--zero-epsilon", "nan", "--out", imp,
+        )
+        assert res.returncode == 2
+        assert "zero_epsilon" in res.stderr
+        assert not imp.exists()
+
     def test_non_finite_checkpoint_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
 
@@ -269,32 +281,30 @@ class TestQuantizeAndEval:
         assert not art.with_suffix(".report.jsonl").exists()
 
     def test_bad_calibration_statistics_is_runtime_error(self, tmp_path):
+        # the activation statistics are derived from the rows, so a NaN row
+        # or a width mismatch fails every command that reads them
         from deltaquant.container import load_container, save_container
 
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
+        out = train_run(tmp_path)
         pre, post = out / "ckpt_step000000.dqt", out / "ckpt_step000300.dqt"
         for tag, corrupt in (
-            ("missing", lambda t: t.entries.pop("layer0.mean_abs")),
-            ("nan", lambda t: t["layer0.mean_square"].__setitem__(1, np.nan)),
-            ("width", lambda t: t.__setitem__("layer0.mean_abs", np.ones(3, np.float32))),
+            ("nan", lambda t: t["layer0.calib_inputs"].__setitem__((4, 1), np.nan)),
+            ("width", lambda t: t.__setitem__("layer0.calib_inputs", np.ones((5, 3), np.float32))),
         ):
             calib = load_container(out / "calib.dqt")
             corrupt(calib)
             bad = tmp_path / f"calib_{tag}.dqt"
             save_container(calib, bad)
-            ev = tmp_path / f"eval_{tag}.json"
-            res = run_cli("eval", "--post", post, "--artifact", art, "--calib", bad, "--out", ev)
-            assert res.returncode == 1, tag
-            assert "layer0" in res.stderr
-            assert not ev.exists()
-        csv = tmp_path / "ablation.csv"
-        res = run_cli(
-            "ablate", "--pre", pre, "--post", post, "--calib", bad,
-            "--bits", "3", "--group-size", "4", "--out", csv,
-        )
-        assert res.returncode == 1
-        assert "layer0" in res.stderr
-        assert not csv.exists()
+            for name, args in (
+                ("sq.dqt", ["importance", "--signal", "activation-sq"]),
+                ("mul.dqt", ["importance", "--multiply-activation"]),
+                ("ablation.csv", ["ablate", "--bits", "3", "--group-size", "4"]),
+            ):
+                dst = tmp_path / f"{tag}_{name}"
+                res = run_cli(*args, "--pre", pre, "--post", post, "--calib", bad, "--out", dst)
+                assert res.returncode == 1, (tag, name)
+                assert "layer0" in res.stderr
+                assert not dst.exists()
 
     def test_eval_crosscheck_against_report(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=4)

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deltaquant.container import (
     ALIGNMENT,
@@ -23,6 +25,20 @@ def _map_ab() -> TensorMap:
     tmap["a"] = rng.standard_normal((4, 4), dtype=np.float32)
     tmap["b"] = rng.standard_normal(8, dtype=np.float32)
     return tmap
+
+
+def _crafted(path, header: bytes) -> None:
+    """Write a container with this header over 256 zero data bytes."""
+    body = b"DQTC" + struct.pack("<IQ", 1, len(header)) + header
+    data_start = (len(body) + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
+    path.write_bytes(body + b"\x00" * (data_start - len(body) + 256))
+
+
+def _valid_container(path) -> bytes:
+    tmap = _map_ab()
+    tmap.put_packed("codes", np.arange(5, dtype=np.uint8), elements=9)
+    save_container(tmap, path)
+    return path.read_bytes()
 
 
 class TestRoundTrip:
@@ -69,6 +85,14 @@ class TestRoundTrip:
         loaded = load_container(path)
         assert loaded.elements["codes"] == 13
         assert loaded["codes"].tobytes() == bytes(range(7))
+
+    def test_empty_tensor_shares_offset_with_next(self, tmp_path):
+        path = tmp_path / "e.dqt"
+        tmap = TensorMap({"a": np.zeros((3, 0), np.float32), "b": np.ones(4, np.float32)})
+        save_container(tmap, path)
+        header = json.loads(path.read_bytes()[16:].split(b"\x00")[0])
+        assert header["tensors"]["a"]["offset"] == header["tensors"]["b"]["offset"]
+        assert load_container(path) == tmap
 
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "m1.dqt", tmp_path / "m2.dqt"
@@ -151,6 +175,72 @@ class TestLoadValidation:
         path.write_bytes(body + b"\x00" * 128)
         with pytest.raises(ContainerError, match="does not match shape"):
             load_container(path)
+
+
+    @pytest.mark.parametrize(
+        "tensors, message",
+        [
+            # the byte count overflows int64 when computed by numpy
+            ({"w": {"dtype": "f32", "shape": [2**32, 2**32], "offset": 0, "nbytes": 0}},
+             "does not match shape"),
+            ({"w": {"dtype": "f32", "shape": [0, 2**62], "offset": 0, "nbytes": 0}},
+             "invalid shape"),
+            ({"w": {"dtype": "f32", "shape": [True, 4], "offset": 0, "nbytes": 16}},
+             "invalid shape"),
+            ({"w": {"dtype": "f32", "shape": [4], "offset": False, "nbytes": 16}},
+             "invalid offset"),
+            ({"w": {"dtype": "u8", "shape": [4], "offset": 0, "nbytes": 4, "elements": True}},
+             "element count"),
+            ({"a": {"dtype": "f32", "shape": [16], "offset": 0, "nbytes": 64},
+              "b": {"dtype": "f32", "shape": [4], "offset": 0, "nbytes": 16}},
+             "data overlaps"),
+            ({"a": {"dtype": "f32", "shape": [32], "offset": 0, "nbytes": 128},
+              "b": {"dtype": "f32", "shape": [4], "offset": 64, "nbytes": 16}},
+             "data overlaps"),
+        ],
+        ids=["int64-overflow", "huge-empty-dim", "bool-dim", "bool-offset", "bool-elements",
+             "same-offset", "inside-region"],
+    )
+    def test_crafted_header_rejected(self, tmp_path, tensors, message):
+        path = tmp_path / "crafted.dqt"
+        _crafted(path, json.dumps({"meta": {}, "tensors": tensors}).encode())
+        with pytest.raises(ContainerError, match=message):
+            load_container(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"meta":{},"tensors":{"w":' + b"1" * 5000 + b"}}"],
+        ids=["too-deep", "too-long-int"],
+    )
+    def test_unparsable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "crafted.dqt"
+        _crafted(path, header)
+        with pytest.raises(ContainerError, match="malformed header JSON"):
+            load_container(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_truncation_raises_container_error(self, tmp_path, data):
+        path = tmp_path / "trunc.dqt"
+        raw = _valid_container(path)
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(ContainerError):
+            load_container(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_bit_flip_loads_or_raises_container_error(self, tmp_path, data):
+        path = tmp_path / "flip.dqt"
+        raw = bytearray(_valid_container(path))
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            load_container(path)
+        except ContainerError:
+            pass
 
 
 class TestSaveValidation:

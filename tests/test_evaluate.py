@@ -80,11 +80,7 @@ class TestLayerReport:
     def test_non_finite_calibration_rejected(self, toy_run, searched_artifact):
         artifact, _, _ = searched_artifact
         calib = toy_run["calib"]
-        bad = CalibrationSet(
-            inputs={**calib.inputs, "layer0": calib.inputs["layer0"].copy()},
-            mean_abs=calib.mean_abs,
-            mean_square=calib.mean_square,
-        )
+        bad = CalibrationSet(inputs={**calib.inputs, "layer0": calib.inputs["layer0"].copy()})
         bad.inputs["layer0"][5, 1] = np.nan
         with pytest.raises(ValueError, match="layer0.*non-finite"):
             layer_report(toy_run["post"], artifact, bad)

@@ -21,7 +21,7 @@ from deltaquant.signals import (
     map_both_ends_zero,
     map_mid,
 )
-from deltaquant.toy import TrainConfig, forward, init_model, train
+from deltaquant.toy import CalibrationSet, TrainConfig, forward, init_model, train
 
 CFG = MappingConfig()  # defaults: both_ends_zero, y 1..10
 
@@ -281,6 +281,8 @@ class TestMappings:
             MappingConfig(slices=0)
         with pytest.raises(ValueError):
             MappingConfig(signal="sideways")
+        with pytest.raises(ValueError, match="zero_epsilon"):
+            MappingConfig(zero_epsilon=float("nan"))
 
     def test_default_output_anchors(self):
         assert CFG.y_min == 1.0
@@ -413,6 +415,25 @@ class TestImportance:
         want = _loop_importance(delta.astype(np.float32).astype(np.float64), stats, cfg)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
+    @pytest.mark.parametrize("signal", ["magnitude", "both_ends", "both_ends_zero", "mid"])
+    @pytest.mark.parametrize("width", [63, 64, 65, 130])
+    def test_column_blocks_match_whole_matrix_bit_for_bit(self, signal, width):
+        rng = np.random.default_rng(width)
+        delta = rng.uniform(0, 1, size=(9, width)).astype(np.float32)
+        delta[rng.uniform(size=delta.shape) < 0.3] = 0.0
+        stats = global_delta_stats(_weight_map({"m": delta}))
+        cfg = MappingConfig(signal=signal, slices=2)
+        d = delta.astype(np.float64)
+        whole = {
+            "magnitude": lambda: d.mean(axis=0),
+            "both_ends": lambda: map_both_ends(d, stats, cfg).mean(axis=0),
+            "mid": lambda: map_mid(d, stats, cfg).mean(axis=0),
+            "both_ends_zero": lambda: map_both_ends_zero(d, stats, cfg).mean(axis=0)
+            * (count_zeros_per_channel(d, 0.0, 2) + 1.0),
+        }[signal]()
+        got = importance("m", delta, stats, cfg).scores
+        assert got.tobytes() == np.maximum(whole, 1e-12).tobytes()
+
     @pytest.mark.parametrize("slices", [1, 2, 4])
     def test_sliced_zero_counts_match_oracle(self, slices):
         rng = np.random.default_rng(slices + 10)
@@ -434,6 +455,10 @@ class TestImportance:
         model = init_model([8, 8], seed=0)
         x = np.random.default_rng(1).standard_normal((16, 8), dtype=np.float32)
         _, calib = forward(model, x)
+        calib.inputs["m"] = calib.inputs["layer0"]
+        rows = calib.inputs["m"].astype(np.float64)
+        mean_abs = [sum(abs(v) for v in rows[:, c]) / len(rows) for c in range(8)]
+        mean_square = [sum(v * v for v in rows[:, c]) / len(rows) for c in range(8)]
         rng = np.random.default_rng(2)
         delta = rng.uniform(0, 1, size=(8, 8))
         delta[0, 0] = 0.0
@@ -442,18 +467,52 @@ class TestImportance:
             MappingConfig(signal="activation_sq"),
             MappingConfig(signal="both_ends_zero", multiply_activation=True),
         ):
-            calib.inputs["m"] = calib.inputs["layer0"]
-            calib.mean_abs["m"] = calib.mean_abs["layer0"]
-            calib.mean_square["m"] = calib.mean_square["layer0"]
             got = importance("m", delta, stats, cfg, calib).scores
             want = _loop_importance(
                 delta.astype(np.float32).astype(np.float64),
                 stats,
                 cfg,
-                mean_abs=calib.mean_abs["m"].astype(np.float64),
-                mean_square=calib.mean_square["m"].astype(np.float64),
+                mean_abs=mean_abs,
+                mean_square=mean_square,
             )
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "dims, rows", [([4, 6, 2], 16), ([8, 64, 8], 1000)], ids=["16rows", "1000rows"]
+    )
+    def test_activation_stats_are_rounded_float64_column_means(self, dims, rows):
+        # the exact values older calibration files stored next to the rows
+        x = np.random.default_rng(rows).standard_normal((rows, dims[0]), dtype=np.float32)
+        _, calib = forward(init_model(dims, seed=2), x)
+        for module, mat in calib.inputs.items():
+            x64 = mat.astype(np.float64)
+            ones = np.ones((1, mat.shape[1]))
+            for cfg, want in (
+                (MappingConfig(signal="activation_sq"), (x64 * x64).mean(axis=0)),
+                (MappingConfig(signal="magnitude", multiply_activation=True),
+                 np.abs(x64).mean(axis=0)),
+            ):
+                got = importance(module, ones, self.ST, cfg, calib).scores
+                want = np.maximum(want.astype(np.float32).astype(np.float64), 1e-12)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "signal, multiply, kind",
+        [("activation_sq", False, k) for k in ("nan", "inf", "overflow", "no_rows", "width")]
+        # a column mean of float32 |x| cannot exceed the float32 maximum
+        + [("magnitude", True, k) for k in ("nan", "inf", "no_rows", "width")],
+    )
+    def test_bad_calibration_rows_rejected(self, signal, multiply, kind):
+        x = np.random.default_rng(0).standard_normal((8, 4), dtype=np.float32)
+        if kind in ("nan", "inf", "overflow"):
+            x[3, 1] = {"nan": np.nan, "inf": -np.inf, "overflow": 1e20}[kind]
+            message = "non-finite calibration statistic for module 'm'"
+        else:
+            x = x[:0] if kind == "no_rows" else x[:, :3]
+            message = r"calibration inputs of module 'm' must be \[n >= 1, 4\]"
+        cfg = MappingConfig(signal=signal, multiply_activation=multiply)
+        with pytest.raises(ValueError, match=message):
+            importance("m", np.ones((4, 4)), self.ST, cfg, CalibrationSet(inputs={"m": x}))
 
     def test_scores_strictly_positive_even_for_dead_channels(self):
         stats = self.ST
