@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -240,40 +240,23 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _config(cls, ns: argparse.Namespace, opts: list[Opt], **overrides):
+    """Build ``cls`` from the options whose config keys name its fields.
+
+    A value the config rejects is a usage error that echoes those options.
+    """
+    names = {field.name for field in fields(cls)}
+    used = [opt for opt in opts if opt.key.partition(".")[2] in names]
+    values = {opt.key.partition(".")[2]: getattr(ns, opt.dest) for opt in used}
+    try:
+        return cls(**{**values, **overrides})
+    except ValueError as exc:
+        given = " ".join(f"{opt.flag} {getattr(ns, opt.dest)}" for opt in used)
+        raise UsageError(f"{given}: {exc}") from exc
+
+
 def _mapping_config(ns: argparse.Namespace) -> MappingConfig:
-    try:
-        return MappingConfig(
-            signal=_signal_name(ns.signal),
-            y_min=ns.y_min,
-            y_max=ns.y_max,
-            zero_epsilon=ns.zero_epsilon,
-            slices=ns.slices,
-            multiply_activation=ns.multiply_activation,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _quant_config(ns: argparse.Namespace) -> QuantConfig:
-    if ns.bits not in (3, 4):
-        raise UsageError("--bits must be 3 or 4 (the packed artifact format)")
-    try:
-        return QuantConfig(bits=ns.bits, group_size=ns.group_size,
-                           protect_fraction=ns.protect)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _search_config(ns: argparse.Namespace) -> SearchConfig:
-    try:
-        return SearchConfig(
-            grid_points=ns.grid_points,
-            alpha_lo=ns.alpha_lo,
-            alpha_hi=ns.alpha_hi,
-            max_calib_rows=ns.max_calib_rows,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _config(MappingConfig, ns, _MAP_OPTS, signal=_signal_name(ns.signal))
 
 
 def _load_calib(path: str) -> CalibrationSet:
@@ -282,16 +265,7 @@ def _load_calib(path: str) -> CalibrationSet:
 
 def cmd_train_toy(ns: argparse.Namespace) -> int:
     dims = _parse_dims(ns.dims)
-    try:
-        cfg = TrainConfig(
-            steps=ns.steps,
-            learning_rate=ns.lr,
-            batch_size=ns.batch_size,
-            data_seed=ns.data_seed,
-            snapshot_every=ns.snapshot_every,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _config(TrainConfig, ns, _TRAIN_OPTS)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(dims, seed=ns.seed)
@@ -327,8 +301,8 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 
 
 def cmd_quantize(ns: argparse.Namespace) -> int:
-    qcfg = _quant_config(ns)
-    scfg = _search_config(ns)
+    qcfg = _config(QuantConfig, ns, _QUANT_OPTS)
+    scfg = _config(SearchConfig, ns, _SEARCH_OPTS)
     post = load_container(ns.post)
     imps = importances_from_map(load_container(ns.importance))
     calib = _load_calib(ns.calib)
@@ -363,11 +337,8 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
     if not fractions:
         raise UsageError("--fractions must name at least one fraction")
     base = _mapping_config(ns)
-    try:
-        signals = [replace(base, signal=_signal_name(name)) for name in names]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    qcfg = _quant_config(ns)
+    signals = [replace(base, signal=_signal_name(name)) for name in names]
+    qcfg = _config(QuantConfig, ns, _QUANT_OPTS)
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib)
@@ -392,7 +363,8 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     calib = _load_calib(calib_path)
     final_ref = snapshots[-1][1]
     points, slope = pseudo_ft_curve(
-        snapshots, final_ref, calib, _mapping_config(ns), _search_config(ns), _quant_config(ns)
+        snapshots, final_ref, calib, _mapping_config(ns),
+        _config(SearchConfig, ns, _SEARCH_OPTS), _config(QuantConfig, ns, _QUANT_OPTS),
     )
     Path(ns.out).write_text(curve_csv(points, slope))
     print(f"wrote {ns.out}")

@@ -3,7 +3,10 @@
 Weights are quantized per output row in groups of consecutive input
 channels. Each group stores an unsigned code per weight plus one scale and
 one zero-point; the quantization range is the group's min/max extended to
-include zero so the zero-point always fits the unsigned code range.
+include zero so the zero-point always fits the unsigned code range. Both
+directions work on slabs: the full groups as one ``[rows, groups,
+group_size]`` view, a ragged last group as a second ``[rows, 1, tail]``
+view, each in row chunks of ``_CHUNK_ELEMENTS`` weights.
 
 Two representation details keep quantize(dequantize(q)) an exact identity:
 scales are rounded up onto a 19-bit-mantissa grid (so every code-times-
@@ -30,6 +33,8 @@ _SCALE_MANTISSA_BITS = 19
 _MAX_RESCALE_ITERS = 64
 # widths the artifact stores: 1 (protection mask), 3 and 4 (codes, zero points)
 _PACK_WIDTHS = (1, 3, 4)
+# weights per row chunk of a slab (a 512 KiB float64 code temporary)
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class QuantConfig:
 
     def __post_init__(self) -> None:
         if self.bits not in (3, 4):
-            raise ValueError("bits must be 3 or 4")
+            raise ValueError("bits must be 3 or 4 (the packed artifact format)")
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
         if not 0.0 <= self.protect_fraction <= 1.0:
@@ -78,22 +83,28 @@ def _round_scale(x: np.ndarray, rounding) -> np.ndarray:
 def _quantize_groups(
     values: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize one [rows, width] group slab.
+    """Quantize a [rows, groups, width] slab, one group per (row, group) pair.
 
-    Returns (codes u8, scales f32, zero_points u8). The scale is chosen so
-    that re-quantizing the reconstruction reproduces codes, scales, and
+    Returns (codes u8 [rows, groups, width], scales f32 [rows, groups],
+    zero_points u8 [rows, groups]). The scale is chosen so that
+    re-quantizing the reconstruction reproduces codes, scales, and
     zero-points bit-exactly: the achieved code span must regenerate the
     stored scale, and when a double rounding leaves the span one short the
     scale is stepped down one grid ulp and the group re-coded.
 
-    Coding ``clip(rint(v / s) + z, 0, k)`` is monotone in ``v``, so a row's
-    largest and smallest codes are the codes of its max and min. The
-    rescale loop therefore works on per-row vectors, and the code slab is
+    Coding ``clip(rint(v / s) + z, 0, k)`` is monotone in ``v``, so a
+    group's largest and smallest codes are the codes of its max and min.
+    The rescale loop therefore runs once per slab on [rows, groups] tables
+    (a stable group keeps its scale while others step), and the codes are
     computed once, after it, from the final scales.
     """
     k = (1 << bits) - 1
-    lo = values.min(axis=1).astype(np.float64)
-    hi = values.max(axis=1).astype(np.float64)
+    # min and max of a width-major copy: numpy reduces a leading axis over
+    # whole [rows, groups] planes, a short last axis one group at a time
+    planes = np.moveaxis(values, -1, 0).copy()
+    lo = np.minimum.reduce(planes).astype(np.float64)
+    hi = np.maximum.reduce(planes).astype(np.float64)
+    del planes  # freed before the float64 code slab is allocated
     const = hi == lo
     lo_ext = np.minimum(lo, 0.0)
     hi_ext = np.maximum(hi, 0.0)
@@ -114,9 +125,9 @@ def _quantize_groups(
 
     # codes of the last scales tried, in place in one float64 slab
     codes = values.astype(np.float64)
-    codes /= s64[:, None]
+    codes /= s64[..., None]
     np.rint(codes, out=codes)
-    codes += zeros[:, None]
+    codes += zeros[..., None]
     np.clip(codes, 0, k, out=codes)
 
     # canonical constant form: reconstructs the group constant exactly
@@ -137,8 +148,20 @@ def _quantize_groups(
     return codes.astype(np.uint8), scales, zeros.astype(np.uint8)
 
 
-def _group_slices(in_features: int, group_size: int) -> list[slice]:
-    return [slice(c, min(c + group_size, in_features)) for c in range(0, in_features, group_size)]
+def _slabs(shape: tuple[int, int], group_size: int):
+    """Yield (rows, cols, groups, width) index slabs covering a [out, in] weight.
+
+    The full groups come first, then the ragged last group, each in row
+    chunks of at most ``_CHUNK_ELEMENTS`` weights (one row if a row is longer).
+    """
+    out_features, in_features = shape
+    full = in_features - in_features % group_size
+    for c0, c1, width in ((0, full, group_size), (full, in_features, in_features - full)):
+        if c1 > c0:
+            step = max(1, _CHUNK_ELEMENTS // (c1 - c0))
+            groups = slice(c0 // group_size, -(-c1 // group_size))
+            for r0 in range(0, out_features, step):
+                yield slice(r0, r0 + step), slice(c0, c1), groups, width
 
 
 def rtn_quantize(
@@ -179,16 +202,16 @@ def rtn_quantize(
         if mask.shape != (in_features,):
             raise ValueError("protected mask length must match in_features")
 
-    scaled = weight * cscale
-    slices = _group_slices(in_features, cfg.group_size)
+    n_groups = -(-in_features // cfg.group_size)
     codes = np.empty((out_features, in_features), dtype=np.uint8)
-    scales = np.empty((out_features, len(slices)), dtype=np.float32)
-    zero_points = np.empty((out_features, len(slices)), dtype=np.uint8)
-    for g, sl in enumerate(slices):
-        c, s, z = _quantize_groups(scaled[:, sl], cfg.bits)
-        codes[:, sl] = c
-        scales[:, g] = s
-        zero_points[:, g] = z
+    scales = np.empty((out_features, n_groups), dtype=np.float32)
+    zero_points = np.empty((out_features, n_groups), dtype=np.uint8)
+    for rows, cols, groups, width in _slabs(weight.shape, cfg.group_size):
+        scaled = weight[rows, cols] * cscale[cols]
+        c, scales[rows, groups], zero_points[rows, groups] = _quantize_groups(
+            scaled.reshape(len(scaled), -1, width), cfg.bits
+        )
+        codes[rows, cols] = c.reshape(len(scaled), -1)
 
     return QuantizedTensor(
         module=module,
@@ -210,17 +233,20 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     are divided by the channel scale; protected channels are restored
     verbatim from the stored float32 columns.
     """
-    out_features, in_features = q.codes.shape
-    slices = _group_slices(in_features, q.group_size)
-    if len(slices) != q.n_groups or q.zero_points.shape != q.scales.shape:
+    in_features = q.codes.shape[1]
+    if -(-in_features // q.group_size) != q.n_groups or q.zero_points.shape != q.scales.shape:
         raise ValueError("corrupt quantized tensor: group table mismatch")
     if int(q.protected.sum()) != q.protected_values.shape[1]:
         raise ValueError("corrupt quantized tensor: protected column count mismatch")
-    recon = np.empty((out_features, in_features), dtype=np.float32)
-    for g, sl in enumerate(slices):
-        diff = q.codes[:, sl].astype(np.int32) - q.zero_points[:, g : g + 1].astype(np.int32)
-        # integer-times-19-bit-scale products are exact in float32
-        recon[:, sl] = diff.astype(np.float32) * q.scales[:, g : g + 1]
+    recon = np.empty(q.codes.shape, dtype=np.float32)
+    for rows, cols, groups, width in _slabs(q.codes.shape, q.group_size):
+        codes = q.codes[rows, cols]
+        # code minus zero point is a small integer, exact in float32, and
+        # its product with a 19-bit-mantissa scale is exact too
+        diff = codes.reshape(len(codes), -1, width).astype(np.float32)
+        diff -= q.zero_points[rows, groups, None]
+        diff *= q.scales[rows, groups, None]
+        recon[rows, cols] = diff.reshape(len(codes), -1)
     recon /= q.channel_scale
     recon[:, q.protected] = q.protected_values
     if not np.isfinite(recon).all():

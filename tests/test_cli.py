@@ -1,11 +1,18 @@
 """CLI subcommands: files, exit codes, config precedence, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from deltaquant import cli
+from deltaquant.quant import QuantConfig
+from deltaquant.search import SearchConfig
+from deltaquant.signals import MappingConfig
+from deltaquant.toy import TrainConfig
 
 CLI = [sys.executable, "-m", "deltaquant.cli"]
 
@@ -411,6 +418,26 @@ class TestConfigAndHelp:
         )
         assert res.returncode == 2
         assert "--bits" in res.stderr
+
+    @pytest.mark.parametrize(
+        "cls,opts",
+        [
+            (MappingConfig, cli._MAP_OPTS),
+            (QuantConfig, cli._QUANT_OPTS),
+            (SearchConfig, cli._SEARCH_OPTS),
+            (TrainConfig, cli._TRAIN_OPTS),
+        ],
+    )
+    def test_every_config_field_has_an_option(self, cls, opts):
+        # the CLI fills a config field from the option whose key ends in its name
+        keys = {opt.key.partition(".")[2] for opt in opts}
+        assert {field.name for field in dataclasses.fields(cls)} <= keys
+
+    def test_rejected_option_values_are_echoed(self, tmp_path):
+        res = run_cli("train-toy", "--steps", "0", "--lr", "0.5", "--out", tmp_path / "x")
+        assert res.returncode == 2
+        assert "--steps 0 --lr 0.5" in res.stderr and "steps must be >= 1" in res.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaquant import quant
 from deltaquant.container import load_container, save_container
 from deltaquant.quant import (
     QuantConfig,
@@ -16,11 +17,26 @@ from deltaquant.quant import (
     select_protected,
     unpack_codes,
 )
-from quant_oracle import rtn_oracle
+from quant_oracle import oracle_reconstruct, rtn_oracle
 
 
 def _rand_weight(rng, shape, scale=1.0):
     return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+
+def _mixed_rows(w):
+    """Give rows the group kinds the canonical forms and zero extension handle."""
+    for r in range(w.shape[0]):
+        kind = r % 5
+        if kind == 1:
+            w[r] = w[r, 0]  # constant groups
+        elif kind == 2:
+            w[r] = np.abs(w[r])
+        elif kind == 3:
+            w[r] = -np.abs(w[r])
+        elif kind == 4 and r % 2:
+            w[r] = 0.0
+    return w
 
 
 class TestRtnQuantize:
@@ -78,6 +94,57 @@ class TestRtnQuantize:
         assert np.array_equal(q1.codes, q2.codes)
         assert np.array_equal(q1.scales, q2.scales)
         assert np.array_equal(q1.zero_points, q2.zero_points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        out_features=st.integers(1, 12),
+        full_groups=st.integers(0, 4),
+        group_size=st.integers(2, 16),
+        bits=st.sampled_from([3, 4]),
+        chunk=st.sampled_from([16, quant._CHUNK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_requantize_reproduces_ragged(
+        self, out_features, full_groups, group_size, bits, chunk, seed, data
+    ):
+        tail = data.draw(st.integers(1, group_size - 1), label="tail")
+        rng = np.random.default_rng(seed)
+        w = _rand_weight(
+            rng, (out_features, full_groups * group_size + tail), scale=10.0 ** rng.uniform(-3, 3)
+        )
+        w = _mixed_rows(w)
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quant, "_CHUNK_ELEMENTS", chunk)
+            q1 = rtn_quantize(w, cfg)
+            q2 = rtn_quantize(dequantize(q1), cfg)
+        assert q1.n_groups == full_groups + 1
+        assert np.array_equal(q1.codes, q2.codes)
+        assert np.array_equal(q1.scales, q2.scales)
+        assert np.array_equal(q1.zero_points, q2.zero_points)
+
+    @pytest.mark.parametrize("bits", [3, 4])
+    @pytest.mark.parametrize("shape,group_size", [((13, 23), 5), ((37, 10), 4), ((6, 70), 32)])
+    def test_row_chunked_slabs_match_scalar_oracle(self, monkeypatch, shape, group_size, bits):
+        # a 24-weight budget splits both slabs of each shape into row chunks
+        monkeypatch.setattr(quant, "_CHUNK_ELEMENTS", 24)
+        assert shape[1] % group_size
+        assert len(list(quant._slabs(shape, group_size))) > 3
+        rng = np.random.default_rng(shape[0] * 100 + bits)
+        w = _mixed_rows(_rand_weight(rng, shape, scale=3.0))
+        scale = np.exp(rng.uniform(-1, 1, shape[1])).astype(np.float32)
+        mask = rng.random(shape[1]) < 0.2
+        mask[-1] = True  # a protected column inside the ragged group
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        q = rtn_quantize(w, cfg, channel_scale=scale, protected=mask)
+        codes, scales, zeros = rtn_oracle(w, scale, bits, group_size)
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zero_points, zeros)
+        expected = oracle_reconstruct(w, scale, bits, group_size)
+        expected[:, mask] = w[:, mask]
+        assert dequantize(q).tobytes() == expected.tobytes()
 
     def test_codes_within_bit_range(self):
         rng = np.random.default_rng(5)
