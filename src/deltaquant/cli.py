@@ -2,9 +2,11 @@
 
 Option values resolve with the precedence command-line flag > config file >
 built-in default. The config file is flat ``section.key = value`` text (see
-``--config``); unknown keys are rejected. All subcommands are deterministic
-for fixed inputs and seeds. Exit codes: 0 success, 1 runtime error, 2 usage
-error.
+``--config``); unknown keys are rejected. An option whose key names a config
+dataclass field takes its default, type and text form from that field.
+Every value is parsed, and every config built, before a command reads a
+file. All subcommands are deterministic for fixed inputs and seeds. Exit
+codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,21 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .container import load_container, save_container
+from .container import config_from_text, config_to_text, load_container, save_container
 from .evaluate import ablation_csv, ablate_signals, curve_csv, layer_report, pseudo_ft_curve
 from .quant import QuantConfig, artifact_from_map, artifact_to_map
 from .search import SearchConfig, quantize_model, report_lines
-from .signals import (
-    SIGNALS,
-    MappingConfig,
-    importance_all,
-    importances_from_map,
-    importances_to_map,
-)
+from .signals import MappingConfig, importance_all, importances_from_map, importances_to_map
 from .toy import CalibrationSet, TrainConfig, forward, init_model, train
 
 
@@ -34,118 +32,93 @@ class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
 
+# the config dataclass whose fields the keys of each config-file section name
+_CONFIGS = {
+    "map": MappingConfig, "quant": QuantConfig, "search": SearchConfig, "train": TrainConfig
+}
+
+
 @dataclass(frozen=True)
 class Opt:
     flag: str
-    key: str | None  # config-file key, None for CLI-only options
-    convert: type | None
-    default: object
+    key: str | None  # config-file key, None for --config itself
     help: str
+    # text default and parser of an option that no config field backs
+    default: str | None = None
+    convert: Callable[[str], object] | None = None
     required: bool = False
-    is_flag: bool = False
 
     @property
     def dest(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
 
+    @cached_property
+    def field(self) -> tuple[type, str] | None:
+        """The config class and field name behind this option, if any."""
+        section, _, name = (self.key or "").partition(".")
+        cls = _CONFIGS.get(section)
+        return (cls, name) if cls and name in {f.name for f in fields(cls)} else None
 
-_COMMON = [
-    Opt("--config", None, str, None, "flat key=value config file"),
-]
+
+def _comma_list(item: Callable[[str], object], least: int = 1) -> Callable[[str], list]:
+    """Parser of a comma-separated list of at least ``least`` items."""
+
+    def parse(text: str) -> list:
+        items = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if len(items) < least:
+            raise ValueError(f"needs at least {least} comma-separated value(s)")
+        return items
+
+    return parse
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("fractions must be in [0, 1]")
+    return value
+
+
+_COMMON = [Opt("--config", None, "flat key=value config file")]
 
 _MAP_OPTS = [
-    Opt(
-        "--signal",
-        "map.signal",
-        str,
-        "both-ends-zero",
-        "importance signal: magnitude, both-ends, both-ends-zero, mid, activation-sq",
-    ),
-    Opt("--y-min", "map.y_min", float, 1.0, "mapping output at the median update"),
-    Opt("--y-max", "map.y_max", float, 10.0, "mapping output at both ends"),
-    Opt("--zero-epsilon", "map.zero_epsilon", float, 0.0, "updates at or below this count as zero"),
-    Opt("--slices", "map.slices", int, 1, "row bands for averaged zero counting"),
-    Opt(
-        "--multiply-activation",
-        "map.multiply_activation",
-        None,
-        False,
-        "multiply importance by mean absolute activation (needs --calib)",
-        is_flag=True,
-    ),
+    Opt("--signal", "map.signal",
+        "importance signal: magnitude, both-ends, both-ends-zero, mid, activation-sq"),
+    Opt("--y-min", "map.y_min", "mapping output at the median update"),
+    Opt("--y-max", "map.y_max", "mapping output at both ends"),
+    Opt("--zero-epsilon", "map.zero_epsilon", "updates at or below this count as zero"),
+    Opt("--slices", "map.slices", "row bands for averaged zero counting"),
+    Opt("--multiply-activation", "map.multiply_activation",
+        "multiply importance by mean absolute activation (needs --calib)"),
 ]
 
 _QUANT_OPTS = [
-    Opt("--bits", "quant.bits", int, 3, "code width (3 or 4)"),
-    Opt("--group-size", "quant.group_size", int, 128, "input channels per quantization group"),
-    Opt("--protect", "quant.protect_fraction", float, 0.0, "fraction of channels kept in float32"),
+    Opt("--bits", "quant.bits", "code width (3 or 4)"),
+    Opt("--group-size", "quant.group_size", "input channels per quantization group"),
+    Opt("--protect", "quant.protect_fraction", "fraction of channels kept in float32"),
 ]
 
 _SEARCH_OPTS = [
-    Opt("--grid-points", "search.grid_points", int, 20, "alpha candidates on the grid"),
-    Opt("--alpha-lo", "search.alpha_lo", float, 0.0, "lower end of the alpha grid"),
-    Opt("--alpha-hi", "search.alpha_hi", float, 1.0, "upper end of the alpha grid"),
-    Opt("--max-calib-rows", "search.max_calib_rows", int, 512, "calibration rows used in the loss"),
+    Opt("--grid-points", "search.grid_points", "alpha candidates on the grid"),
+    Opt("--alpha-lo", "search.alpha_lo", "lower end of the alpha grid"),
+    Opt("--alpha-hi", "search.alpha_hi", "upper end of the alpha grid"),
+    Opt("--max-calib-rows", "search.max_calib_rows", "calibration rows used in the loss"),
 ]
 
 _TRAIN_OPTS = [
-    Opt("--dims", "train.dims", str, "8,16,8", "comma-separated layer widths"),
-    Opt("--steps", "train.steps", int, 500, "gradient-descent steps"),
-    Opt("--lr", "train.learning_rate", float, 0.05, "learning rate"),
-    Opt("--batch-size", "train.batch_size", int, 32, "rows per training batch"),
-    Opt("--seed", "train.seed", int, 0, "weight-initialization seed"),
-    Opt("--data-seed", "train.data_seed", int, 1, "synthetic-data and teacher seed"),
-    Opt("--snapshot-every", "train.snapshot_every", int, 100, "steps between checkpoints"),
-    Opt("--calib-rows", "train.calib_rows", int, 256, "rows in the captured calibration set"),
+    Opt("--dims", "train.dims", "comma-separated layer widths", "8,16,8", _comma_list(int, 2)),
+    Opt("--steps", "train.steps", "gradient-descent steps"),
+    Opt("--lr", "train.learning_rate", "learning rate"),
+    Opt("--batch-size", "train.batch_size", "rows per training batch"),
+    Opt("--seed", "train.seed", "weight-initialization seed", "0", int),
+    Opt("--data-seed", "train.data_seed", "synthetic-data and teacher seed"),
+    Opt("--snapshot-every", "train.snapshot_every", "steps between checkpoints"),
+    Opt("--calib-rows", "train.calib_rows", "rows in the captured calibration set", "256", int),
 ]
-
-_COMMANDS: dict[str, list[Opt]] = {
-    "train-toy": _COMMON + _TRAIN_OPTS + [
-        Opt("--out", "io.out", str, None, "output directory", required=True),
-    ],
-    "importance": _COMMON + _MAP_OPTS + [
-        Opt("--pre", "io.pre", str, None, "pre-fine-tuned checkpoint (.dqt)", required=True),
-        Opt("--post", "io.post", str, None, "post-fine-tuned checkpoint (.dqt)", required=True),
-        Opt("--calib", "io.calib", str, None, "calibration container (.dqt)"),
-        Opt("--out", "io.out", str, None, "importance container to write", required=True),
-    ],
-    "quantize": _COMMON + _QUANT_OPTS + _SEARCH_OPTS + [
-        Opt("--post", "io.post", str, None, "checkpoint to quantize (.dqt)", required=True),
-        Opt("--importance", "io.importance", str, None, "importance container", required=True),
-        Opt("--calib", "io.calib", str, None, "calibration container", required=True),
-        Opt("--out", "io.out", str, None, "quantized artifact to write", required=True),
-        Opt("--report", "io.report", str, None, "search report (JSON lines); defaults next to --out"),
-    ],
-    "eval": _COMMON + [
-        Opt("--post", "io.post", str, None, "float checkpoint (.dqt)", required=True),
-        Opt("--artifact", "io.artifact", str, None, "quantized artifact (.dqt)", required=True),
-        Opt("--calib", "io.calib", str, None, "calibration container", required=True),
-        Opt("--out", "io.out", str, None, "JSON report to write", required=True),
-    ],
-    "ablate": _COMMON + _MAP_OPTS + _QUANT_OPTS + [
-        Opt("--pre", "io.pre", str, None, "pre-fine-tuned checkpoint", required=True),
-        Opt("--post", "io.post", str, None, "post-fine-tuned checkpoint", required=True),
-        Opt("--calib", "io.calib", str, None, "calibration container", required=True),
-        Opt(
-            "--signals",
-            "ablate.signals",
-            str,
-            "magnitude,mid,both-ends,both-ends-zero,activation-sq",
-            "comma-separated protection signals",
-        ),
-        Opt("--fractions", "ablate.fractions", str, "0.05,0.3", "comma-separated protect fractions"),
-        Opt("--out", "io.out", str, None, "ablation CSV to write", required=True),
-    ],
-    "curve": _COMMON + _MAP_OPTS + _QUANT_OPTS + _SEARCH_OPTS + [
-        Opt("--run", "io.run", str, None, "train-toy output directory", required=True),
-        Opt("--out", "io.out", str, None, "curve CSV to write", required=True),
-    ],
-}
-
-_KNOWN_KEYS = {opt.key for opts in _COMMANDS.values() for opt in opts if opt.key}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    known = {opt.key for _, _, opts in _COMMANDS.values() for opt in opts}
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -159,41 +132,39 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         cfg[key] = value.strip()
     return cfg
 
 
-def _coerce_flag(raw: object) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"expected a boolean, got {raw!r}")
-
-
 def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
-    cfg = _parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+    """Fill every option, then build every config as ``ns.<section>`` from its options.
+
+    A value a config rejects is a usage error that echoes the given options.
+    """
+    cfg = _parse_config_file(ns.config) if ns.config else {}
     for opt in opts:
-        raw = getattr(ns, opt.dest, None)
-        if raw is None and opt.key and opt.key in cfg:
-            raw = cfg[opt.key]
+        raw = getattr(ns, opt.dest)
         if raw is None:
-            if opt.required:
-                raise UsageError(f"missing required option {opt.flag}")
-            setattr(ns, opt.dest, opt.default)
-            continue
-        if opt.is_flag:
-            setattr(ns, opt.dest, _coerce_flag(raw))
-        else:
+            raw = cfg.get(opt.key, opt.default)
+        if raw is None and opt.required:
+            raise UsageError(f"missing required option {opt.flag}")
+        if raw is not None and opt.convert:
             try:
-                setattr(ns, opt.dest, opt.convert(raw))
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for {opt.flag}: {raw!r}") from exc
+                raw = opt.convert(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for {opt.flag}: {raw!r}: {exc}") from exc
+        setattr(ns, opt.dest, raw)
+    for section, cls in _CONFIGS.items():
+        backed = [o for o in opts if o.field and o.field[0] is cls]
+        given = [o for o in backed if getattr(ns, o.dest) is not None]
+        try:
+            config = config_from_text(cls, {o.field[1]: getattr(ns, o.dest) for o in given})
+        except ValueError as exc:
+            shown = " ".join(f"{o.flag} {getattr(ns, o.dest)}" for o in given)
+            raise UsageError(f"{shown}: {exc}") from exc
+        setattr(ns, section, config)
     return ns
 
 
@@ -203,60 +174,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="weight-update-driven post-training quantization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "train-toy": "train a seeded toy MLP and write checkpoints plus calibration",
-        "importance": "turn a checkpoint pair into per-channel importance scores",
-        "quantize": "search channel scales and write a packed quantized artifact",
-        "eval": "report reconstruction and end-to-end error of an artifact",
-        "ablate": "protection-signal sweep with plain RTN plus channel protection",
-        "curve": "quantization loss versus pseudo-fine-tuning step",
-    }
-    for name, opts in _COMMANDS.items():
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    configs = {cls: cls() for cls in _CONFIGS.values()}
+    texts = {cls: config_to_text(cfg) for cls, cfg in configs.items()}
+    for name, (_, description, opts) in _COMMANDS.items():
+        p = sub.add_parser(name, help=description, description=description)
         for opt in opts:
-            text = opt.help if opt.required else f"{opt.help} (default: {opt.default})"
-            if opt.is_flag:
-                p.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
+            switch, default = False, opt.default
+            if opt.field:
+                cls, field = opt.field
+                switch, default = isinstance(getattr(configs[cls], field), bool), texts[cls][field]
+            text = opt.help if opt.required else f"{opt.help} (default: {default})"
+            if switch:
+                p.add_argument(opt.flag, dest=opt.dest, action="store_const", const="true",
                                default=None, help=text)
             else:
                 p.add_argument(opt.flag, dest=opt.dest, default=None, metavar="V", help=text)
     return parser
-
-
-def _signal_name(cli_name: str) -> str:
-    name = cli_name.strip().replace("-", "_")
-    if name in SIGNALS:
-        return name
-    raise UsageError(f"unknown signal {cli_name!r}")
-
-
-def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --dims value {text!r}") from exc
-    if len(dims) < 2:
-        raise UsageError("--dims needs at least two comma-separated sizes")
-    return dims
-
-
-def _config(cls, ns: argparse.Namespace, opts: list[Opt], **overrides):
-    """Build ``cls`` from the options whose config keys name its fields.
-
-    A value the config rejects is a usage error that echoes those options.
-    """
-    names = {field.name for field in fields(cls)}
-    used = [opt for opt in opts if opt.key.partition(".")[2] in names]
-    values = {opt.key.partition(".")[2]: getattr(ns, opt.dest) for opt in used}
-    try:
-        return cls(**{**values, **overrides})
-    except ValueError as exc:
-        given = " ".join(f"{opt.flag} {getattr(ns, opt.dest)}" for opt in used)
-        raise UsageError(f"{given}: {exc}") from exc
-
-
-def _mapping_config(ns: argparse.Namespace) -> MappingConfig:
-    return _config(MappingConfig, ns, _MAP_OPTS, signal=_signal_name(ns.signal))
 
 
 def _load_calib(path: str) -> CalibrationSet:
@@ -264,53 +197,45 @@ def _load_calib(path: str) -> CalibrationSet:
 
 
 def cmd_train_toy(ns: argparse.Namespace) -> int:
-    dims = _parse_dims(ns.dims)
-    cfg = _config(TrainConfig, ns, _TRAIN_OPTS)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = init_model(dims, seed=ns.seed)
-    final, snapshots = train(model, cfg)
+    model = init_model(ns.dims, seed=ns.seed)
+    final, snapshots = train(model, ns.train)
     for step, snap in snapshots:
         path = out_dir / f"ckpt_step{step:06d}.dqt"
         save_container(snap, path)
         print(f"wrote {path}")
-    batch = np.random.default_rng((ns.data_seed, 101)).standard_normal(
-        (ns.calib_rows, dims[0]), dtype=np.float32
+    batch = np.random.default_rng((ns.train.data_seed, 101)).standard_normal(
+        (ns.calib_rows, ns.dims[0]), dtype=np.float32
     )
     _, calib = forward(final, batch)
     calib_path = out_dir / "calib.dqt"
-    save_container(
-        calib.to_tensor_map(meta={"data_seed": str(ns.data_seed), "rows": str(ns.calib_rows)}),
-        calib_path,
-    )
+    meta = {"data_seed": str(ns.train.data_seed), "rows": str(ns.calib_rows)}
+    save_container(calib.to_tensor_map(meta=meta), calib_path)
     print(f"wrote {calib_path}")
     return 0
 
 
 def cmd_importance(ns: argparse.Namespace) -> int:
-    cfg = _mapping_config(ns)
-    if cfg.needs_calib and not ns.calib:
-        raise UsageError(f"signal {ns.signal!r} requires --calib")
+    if ns.map.needs_calib and not ns.calib:
+        raise UsageError(f"signal {ns.map.signal!r} requires --calib")
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib) if ns.calib else None
-    imps = importance_all(pre, post, cfg, calib)
+    imps = importance_all(pre, post, ns.map, calib)
     save_container(importances_to_map(imps), ns.out)
     print(f"wrote {ns.out}")
     return 0
 
 
 def cmd_quantize(ns: argparse.Namespace) -> int:
-    qcfg = _config(QuantConfig, ns, _QUANT_OPTS)
-    scfg = _config(SearchConfig, ns, _SEARCH_OPTS)
     post = load_container(ns.post)
     imps = importances_from_map(load_container(ns.importance))
     calib = _load_calib(ns.calib)
-    artifact, report = quantize_model(post, imps, calib, scfg, qcfg)
-    meta = {"protect_fraction": repr(qcfg.protect_fraction)}
-    save_container(artifact_to_map(artifact, meta), ns.out)
+    artifact, report = quantize_model(post, imps, calib, ns.search, ns.quant)
+    save_container(artifact_to_map(artifact, config_to_text(ns.quant)), ns.out)
     report_path = Path(ns.report) if ns.report else Path(ns.out).with_suffix(".report.jsonl")
-    report_path.write_text("\n".join(report_lines(report, scfg, qcfg)) + "\n")
+    report_path.write_text("\n".join(report_lines(report, ns.search, ns.quant)) + "\n")
     print(f"wrote {ns.out}")
     print(f"wrote {report_path}")
     return 0
@@ -327,22 +252,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_ablate(ns: argparse.Namespace) -> int:
-    names = [part for part in ns.signals.split(",") if part.strip()]
-    if not names:
-        raise UsageError("--signals must name at least one signal")
-    try:
-        fractions = [float(part) for part in ns.fractions.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --fractions value {ns.fractions!r}") from exc
-    if not fractions:
-        raise UsageError("--fractions must name at least one fraction")
-    base = _mapping_config(ns)
-    signals = [replace(base, signal=_signal_name(name)) for name in names]
-    qcfg = _config(QuantConfig, ns, _QUANT_OPTS)
+    signals = [replace(ns.map, signal=name) for name in ns.signals]
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib)
-    rows = ablate_signals(pre, post, calib, signals, fractions, qcfg)
+    rows = ablate_signals(pre, post, calib, signals, ns.fractions, ns.quant)
     Path(ns.out).write_text(ablation_csv(rows))
     print(f"wrote {ns.out}")
     return 0
@@ -362,31 +276,69 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         snapshots.append((step, load_container(path)))
     calib = _load_calib(calib_path)
     final_ref = snapshots[-1][1]
-    points, slope = pseudo_ft_curve(
-        snapshots, final_ref, calib, _mapping_config(ns),
-        _config(SearchConfig, ns, _SEARCH_OPTS), _config(QuantConfig, ns, _QUANT_OPTS),
-    )
+    points, slope = pseudo_ft_curve(snapshots, final_ref, calib, ns.map, ns.search, ns.quant)
     Path(ns.out).write_text(curve_csv(points, slope))
     print(f"wrote {ns.out}")
     return 0
 
 
-_DISPATCH = {
-    "train-toy": cmd_train_toy,
-    "importance": cmd_importance,
-    "quantize": cmd_quantize,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "curve": cmd_curve,
+# subcommand -> (handler, description, options)
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[Opt]]] = {
+    "train-toy": (cmd_train_toy, "train a seeded toy MLP and write checkpoints plus calibration",
+        _COMMON + _TRAIN_OPTS + [Opt("--out", "io.out", "output directory", required=True)],
+    ),
+    "importance": (cmd_importance, "turn a checkpoint pair into per-channel importance scores",
+        _COMMON + _MAP_OPTS + [
+            Opt("--pre", "io.pre", "pre-fine-tuned checkpoint (.dqt)", required=True),
+            Opt("--post", "io.post", "post-fine-tuned checkpoint (.dqt)", required=True),
+            Opt("--calib", "io.calib", "calibration container (.dqt)"),
+            Opt("--out", "io.out", "importance container to write", required=True),
+        ],
+    ),
+    "quantize": (cmd_quantize, "search channel scales and write a packed quantized artifact",
+        _COMMON + _QUANT_OPTS + _SEARCH_OPTS + [
+            Opt("--post", "io.post", "checkpoint to quantize (.dqt)", required=True),
+            Opt("--importance", "io.importance", "importance container", required=True),
+            Opt("--calib", "io.calib", "calibration container", required=True),
+            Opt("--out", "io.out", "quantized artifact to write", required=True),
+            Opt("--report", "io.report", "search report (JSON lines); defaults next to --out"),
+        ],
+    ),
+    "eval": (cmd_eval, "report reconstruction and end-to-end error of an artifact",
+        _COMMON + [
+            Opt("--post", "io.post", "float checkpoint (.dqt)", required=True),
+            Opt("--artifact", "io.artifact", "quantized artifact (.dqt)", required=True),
+            Opt("--calib", "io.calib", "calibration container", required=True),
+            Opt("--out", "io.out", "JSON report to write", required=True),
+        ],
+    ),
+    "ablate": (cmd_ablate, "protection-signal sweep with plain RTN plus channel protection",
+        _COMMON + _MAP_OPTS + _QUANT_OPTS + [
+            Opt("--pre", "io.pre", "pre-fine-tuned checkpoint", required=True),
+            Opt("--post", "io.post", "post-fine-tuned checkpoint", required=True),
+            Opt("--calib", "io.calib", "calibration container", required=True),
+            Opt("--signals", "ablate.signals", "comma-separated protection signals",
+                "magnitude,mid,both-ends,both-ends-zero,activation-sq",
+                _comma_list(lambda name: MappingConfig(signal=name).signal)),
+            Opt("--fractions", "ablate.fractions", "comma-separated protect fractions in [0, 1]",
+                "0.05,0.3", _comma_list(_fraction)),
+            Opt("--out", "io.out", "ablation CSV to write", required=True),
+        ],
+    ),
+    "curve": (cmd_curve, "quantization loss versus pseudo-fine-tuning step",
+        _COMMON + _MAP_OPTS + _QUANT_OPTS + _SEARCH_OPTS + [
+            Opt("--run", "io.run", "train-toy output directory", required=True),
+            Opt("--out", "io.out", "curve CSV to write", required=True),
+        ],
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
-        ns = _resolve(ns, _COMMANDS[ns.command])
-        return _DISPATCH[ns.command](ns)
+        ns = _build_parser().parse_args(argv)
+        handler, _, opts = _COMMANDS[ns.command]
+        return handler(_resolve(ns, opts))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

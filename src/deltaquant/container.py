@@ -11,14 +11,20 @@ identical maps always produce identical files.
 Only rank-0/1/2 tensors are supported, stored row-major little-endian.
 float32 carries model weights and statistics; uint8 carries packed code
 buffers, which record their logical element count in an ``elements`` field.
+
+``config_to_text``/``config_from_text`` give config dataclasses one text
+form, for container metadata and command-line and config-file values.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import struct
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +100,47 @@ class TensorMap:
 
     def __repr__(self) -> str:
         return f"TensorMap({len(self.entries)} tensors, meta={self.meta!r})"
+
+
+def config_to_text(cfg) -> dict[str, str]:
+    """Text of every field of a config dataclass: ``repr`` of floats,
+    ``true``/``false`` for booleans, ``str`` of anything else."""
+    out = {}
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        out[field.name] = repr(value) if isinstance(value, float) else str(value)
+    return out
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    return typing.get_type_hints(cls)  # evaluates string annotations: slow, so cached
+
+
+def config_from_text(cls, text: dict[str, str]):
+    """Build the config dataclass ``cls`` from text in ``config_to_text`` form.
+
+    A field missing from ``text`` keeps its default and keys that are not
+    fields are ignored. Booleans also read 1/0, yes/no and on/off in any
+    case. A value that does not parse as its field's type, or that ``cls``
+    rejects, raises ValueError.
+    """
+    types = _field_types(cls)
+    words = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+    values = {}
+    for field in fields(cls):
+        if field.name not in text:
+            continue
+        raw = text[field.name].strip()
+        kind = types[field.name]
+        try:
+            values[field.name] = words[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{field.name} must be {kind.__name__}, got {raw!r}") from None
+    return cls(**values)
 
 
 def _align_up(n: int, alignment: int = ALIGNMENT) -> int:

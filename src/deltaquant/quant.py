@@ -329,11 +329,18 @@ def artifact_to_map(
 
     Codes and zero points are packed at the artifact's code width, the
     protection mask at width 1; scales, channel scales and protected
-    columns stay float32.
+    columns stay float32. The meta records one code width and group size,
+    so every module must share them.
     """
     if not artifact:
         raise ValueError("empty artifact")
     first = next(iter(artifact.values()))
+    for module, q in artifact.items():
+        if (q.bits, q.group_size) != (first.bits, first.group_size):
+            raise ValueError(
+                f"module {module!r} has bits {q.bits} and group_size {q.group_size}, "
+                f"unlike the first module ({first.bits} and {first.group_size})"
+            )
     base_meta = {"bits": str(first.bits), "group_size": str(first.group_size)}
     if meta:
         base_meta.update(meta)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap, check_compatible
+from .container import TensorMap, check_compatible, config_from_text, config_to_text
 from .toy import CalibrationSet
 
 SIGNALS = ("magnitude", "both_ends", "both_ends_zero", "mid", "activation_sq")
@@ -39,7 +39,7 @@ class DegenerateDeltasError(Exception):
 
 @dataclass(frozen=True)
 class MappingConfig:
-    signal: str = "both_ends_zero"
+    signal: str = "both_ends_zero"  # hyphens read as underscores: "both-ends-zero"
     y_min: float = 1.0
     y_max: float = 10.0
     zero_epsilon: float = 0.0
@@ -47,6 +47,7 @@ class MappingConfig:
     multiply_activation: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "signal", self.signal.replace("-", "_"))
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal {self.signal!r}; expected one of {SIGNALS}")
         if not (self.y_max > self.y_min > 0):
@@ -224,7 +225,9 @@ def count_zeros_per_channel(
         raise ValueError(f"slices must be in [1, {rows}], got {slices}")
     counts = np.zeros(delta.shape[1], dtype=np.float64)
     for band in np.array_split(delta, slices, axis=0):
-        counts += (band <= zero_epsilon).sum(axis=0)
+        # compared in float64, like the threshold of global_delta_stats
+        zeros = np.less_equal(band, zero_epsilon, signature=(np.float64, np.float64, None))
+        counts += zeros.sum(axis=0)
     return counts / slices
 
 
@@ -332,30 +335,15 @@ def importances_to_map(imps: dict[str, ImportanceVector]) -> TensorMap:
     """Serialize importance vectors as a container map with config meta."""
     if not imps:
         raise ValueError("no importance vectors to save")
-    cfg = next(iter(imps.values())).config
-    meta = {
-        "signal": cfg.signal,
-        "y_min": repr(cfg.y_min),
-        "y_max": repr(cfg.y_max),
-        "zero_epsilon": repr(cfg.zero_epsilon),
-        "slices": str(cfg.slices),
-        "multiply_activation": "true" if cfg.multiply_activation else "false",
-    }
-    tmap = TensorMap(meta=meta)
+    tmap = TensorMap(meta=config_to_text(next(iter(imps.values())).config))
     for module in sorted(imps):
         tmap[f"{module}.importance"] = imps[module].scores.astype(np.float32)
     return tmap
 
 
 def importances_from_map(tmap: TensorMap) -> dict[str, ImportanceVector]:
-    cfg = MappingConfig(
-        signal=tmap.meta.get("signal", "both_ends_zero"),
-        y_min=float(tmap.meta.get("y_min", "1.0")),
-        y_max=float(tmap.meta.get("y_max", "10.0")),
-        zero_epsilon=float(tmap.meta.get("zero_epsilon", "0.0")),
-        slices=int(tmap.meta.get("slices", "1")),
-        multiply_activation=tmap.meta.get("multiply_activation", "false") == "true",
-    )
+    """Read importance vectors; meta fields that are missing keep their defaults."""
+    cfg = config_from_text(MappingConfig, tmap.meta)
     out: dict[str, ImportanceVector] = {}
     for name in tmap.names():
         if name.endswith(".importance"):

@@ -56,7 +56,7 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int
+    steps: int = 500
     learning_rate: float = 0.05
     batch_size: int = 32
     data_seed: int = 1

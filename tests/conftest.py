@@ -1,7 +1,8 @@
 """Point the CLI subprocesses the tests start at this checkout's ``src``.
 
-``pythonpath`` in ``pyproject.toml`` covers in-process imports only; child
-processes see ``PYTHONPATH``.
+``pythonpath`` and ``filterwarnings`` in ``pyproject.toml`` cover in-process
+code only; child processes see ``PYTHONPATH`` and ``PYTHONWARNINGS``, so a
+numpy ``RuntimeWarning`` fails a CLI run as it fails an in-process test.
 """
 
 import os
@@ -11,3 +12,4 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
 )
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -438,6 +440,103 @@ class TestConfigAndHelp:
         assert res.returncode == 2
         assert "--steps 0 --lr 0.5" in res.stderr and "steps must be >= 1" in res.stderr
         assert not (tmp_path / "x").exists()
+
+
+def unloadable_inputs(tmp_path):
+    """Base arguments per command whose inputs fail to load (exit 1 once read)."""
+    bad = tmp_path / "bad.dqt"
+    bad.write_bytes(b"not a container")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where train-toy wants a directory")
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("ckpt_step000000.dqt", "ckpt_step000100.dqt", "calib.dqt"):
+        (run / name).write_bytes(b"not a container")
+    out = tmp_path / "out"
+    return {
+        "train-toy": ["train-toy", "--out", blocked / "run"],
+        "importance": ["importance", "--pre", bad, "--post", bad, "--out", out],
+        "quantize": ["quantize", "--post", bad, "--importance", bad, "--calib", bad, "--out", out],
+        "ablate": ["ablate", "--pre", bad, "--post", bad, "--calib", bad, "--out", out],
+        "curve": ["curve", "--run", run, "--out", out],
+    }
+
+
+class TestValuesCheckedBeforeInputs:
+    @pytest.mark.parametrize(
+        "command,flag_args,config_line,config_flag",
+        [
+            ("train-toy", ["--steps", "0"], "train.learning_rate = -1", "--lr"),
+            ("importance", ["--y-min", "20"], "map.slices = 0", "--slices"),
+            ("quantize", ["--bits", "5"], "search.grid_points = 1", "--grid-points"),
+            ("ablate", ["--protect", "2"], "map.zero_epsilon = nan", "--zero-epsilon"),
+            ("curve", ["--alpha-hi", "-1"], "quant.group_size = x", "--group-size"),
+        ],
+    )
+    def test_rejected_config_value_is_usage_error(
+        self, tmp_path, command, flag_args, config_line, config_flag
+    ):
+        base = unloadable_inputs(tmp_path)[command]
+        assert run_cli(*base).returncode == 1  # the inputs really fail once read
+        res = run_cli(*base, *flag_args)
+        assert res.returncode == 2, res.stderr
+        assert flag_args[0] in res.stderr
+        cfg = tmp_path / "dq.cfg"
+        cfg.write_text(config_line + "\n")
+        res = run_cli(*base, "--config", cfg)
+        assert res.returncode == 2, res.stderr
+        assert config_flag in res.stderr
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("train-toy", "--dims", "8"),
+            ("train-toy", "--dims", "8,x"),
+            ("train-toy", "--dims", ""),
+            ("ablate", "--signals", "mid,sideways"),
+            ("ablate", "--signals", ""),
+            ("ablate", "--fractions", "0.1,1.5"),
+            ("ablate", "--fractions", "nan"),
+            ("ablate", "--fractions", "-0.1"),
+            ("ablate", "--fractions", ""),
+        ],
+    )
+    def test_bad_list_value_is_usage_error(self, tmp_path, command, flag, value):
+        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
+        assert res.returncode == 2, res.stderr
+        assert flag in res.stderr
+
+
+class TestHelpDefaults:
+    @pytest.mark.parametrize(
+        "command,count",
+        [("train-toy", 5), ("importance", 6), ("quantize", 7), ("ablate", 9), ("curve", 13)],
+    )
+    def test_help_default_is_the_dataclass_default(self, command, count):
+        env = dict(os.environ, COLUMNS="400")  # no wrapped help lines
+        res = subprocess.run(CLI + [command, "--help"], capture_output=True, text=True, env=env)
+        assert res.returncode == 0
+        configs = {"map": MappingConfig, "quant": QuantConfig, "search": SearchConfig,
+                   "train": TrainConfig}
+        checked = 0
+        for opt in cli._COMMANDS[command][2]:
+            section, _, name = (opt.key or "").partition(".")
+            fields = dataclasses.fields(configs[section]) if section in configs else ()
+            default = {f.name: f.default for f in fields}.get(name, dataclasses.MISSING)
+            if default is dataclasses.MISSING:
+                continue
+            # the help of a long flag starts on the next line
+            shown = re.search(
+                r"^\s+" + re.escape(opt.flag) + r"\b.*?\(default: (\S+)\)",
+                res.stdout, re.MULTILINE | re.DOTALL,
+            )
+            assert shown, opt.flag
+            if isinstance(default, bool):
+                assert shown.group(1) == str(default).lower(), opt.flag
+            else:
+                assert type(default)(shown.group(1)) == default, opt.flag
+            checked += 1
+        assert checked == count
 
 
 class TestDeterminism:

@@ -14,9 +14,13 @@ from deltaquant.container import (
     ContainerError,
     TensorMap,
     check_compatible,
+    config_from_text,
+    config_to_text,
     load_container,
     save_container,
 )
+from deltaquant.quant import QuantConfig
+from deltaquant.signals import MappingConfig
 
 
 def _map_ab() -> TensorMap:
@@ -302,3 +306,39 @@ class TestCompatibility:
         b = TensorMap({"b": np.zeros(3, np.float32)})
         with pytest.raises(CompatibilityError, match="'a'"):
             check_compatible(a, b)
+
+
+class TestConfigText:
+    def test_round_trip_of_every_field(self):
+        cfg = MappingConfig(
+            signal="mid", y_min=0.5, y_max=7.25, zero_epsilon=1e-4, slices=3,
+            multiply_activation=True,
+        )
+        assert config_to_text(cfg) == {
+            "signal": "mid", "y_min": "0.5", "y_max": "7.25", "zero_epsilon": "0.0001",
+            "slices": "3", "multiply_activation": "true",
+        }
+        assert config_from_text(MappingConfig, config_to_text(cfg)) == cfg
+
+    def test_missing_fields_keep_defaults_and_other_keys_are_ignored(self):
+        cfg = config_from_text(QuantConfig, {"bits": " 4 ", "rows": "7"})
+        assert cfg == QuantConfig(bits=4)
+
+    @pytest.mark.parametrize(
+        "word,value", [("YES", True), ("on", True), ("0", False), ("Off", False)]
+    )
+    def test_boolean_words(self, word, value):
+        cfg = config_from_text(MappingConfig, {"multiply_activation": word})
+        assert cfg.multiply_activation is value
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ({"slices": "2.5"}, "slices must be int"),
+            ({"multiply_activation": "maybe"}, "multiply_activation must be bool"),
+            ({"slices": "0"}, "slices must be >= 1"),  # parsed, then rejected by the config
+        ],
+    )
+    def test_bad_text_raises_value_error_naming_the_field(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_text(MappingConfig, text)

@@ -403,6 +403,19 @@ class TestArtifactContainer:
         assert tmap.meta["group_size"] == "2"
         assert tmap.elements["m.codes"] == 8
 
+    @pytest.mark.parametrize(
+        "cfg_b", [QuantConfig(bits=4, group_size=4), QuantConfig(group_size=2)]
+    )
+    def test_modules_with_different_widths_rejected(self, cfg_b):
+        # the meta records one bits/group_size, so a second one would not load back
+        w = _rand_weight(np.random.default_rng(0), (2, 4))
+        artifact = {
+            "a": rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="a"),
+            "b": rtn_quantize(w, cfg_b, module="b"),
+        }
+        with pytest.raises(ValueError, match="module 'b'"):
+            artifact_to_map(artifact)
+
     def test_corrupt_packing_length_rejected(self, tmp_path):
         w = _rand_weight(np.random.default_rng(0), (2, 4))
         tmap = artifact_to_map({"m": rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")})

@@ -9,6 +9,7 @@ from deltaquant.container import CompatibilityError, TensorMap
 from deltaquant.signals import (
     DegenerateDeltasError,
     DeltaStats,
+    ImportanceVector,
     MappingConfig,
     compute_delta,
     count_zeros_per_channel,
@@ -318,6 +319,13 @@ class TestZeroCounting:
         for c in range(8):
             assert got[c] == sum(1 for r in range(8) if delta[r, c] == 0)
 
+    def test_threshold_compared_in_float64_like_global_stats(self):
+        # float32(0.1) lies above the float64 epsilon 0.1, so neither counts it as zero
+        delta = np.float32([[0.1], [0.2]])
+        assert np.array_equal(count_zeros_per_channel(delta, 0.1), [0.0])
+        stats = global_delta_stats(_weight_map({"a": delta}), zero_epsilon=0.1)
+        assert stats.zero_count == 0
+
     @pytest.mark.parametrize("slices", [1, 2, 4, 8])
     def test_even_bands_scale_back_to_total(self, slices):
         rng = np.random.default_rng(slices)
@@ -563,6 +571,33 @@ class TestImportanceAll:
         for name in imps:
             f32 = imps[name].scores.astype(np.float32).astype(np.float64)
             assert np.array_equal(loaded[name].scores, f32)
+
+    def test_every_config_field_round_trips_through_meta(self):
+        cfg = MappingConfig(
+            signal="mid", y_min=2.0, zero_epsilon=1e-4, slices=3, multiply_activation=True
+        )
+        imps = {"a": ImportanceVector("a", np.ones(3), cfg)}
+        assert importances_from_map(importances_to_map(imps))["a"].config == cfg
+
+    def test_hyphenated_signal_names_read_as_underscores(self):
+        assert MappingConfig(signal="both-ends-zero") == MappingConfig()
+        with pytest.raises(ValueError, match="unknown signal"):
+            MappingConfig(signal="both ends")
+
+    def test_default_meta_text_is_unchanged(self):
+        imps = {"a": ImportanceVector("a", np.ones(3), MappingConfig())}
+        assert importances_to_map(imps).meta == {
+            "signal": "both_ends_zero",
+            "y_min": "1.0",
+            "y_max": "10.0",
+            "zero_epsilon": "0.0",
+            "slices": "1",
+            "multiply_activation": "false",
+        }
+
+    def test_missing_meta_keeps_defaults_and_extra_keys_are_ignored(self):
+        tmap = TensorMap({"a.importance": np.ones(3, np.float32)}, meta={"slices": "2", "x": "y"})
+        assert importances_from_map(tmap)["a"].config == MappingConfig(slices=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected_on_load(self, bad):
