@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -72,6 +72,18 @@ def _comma_list(item: Callable[[str], object], least: int = 1) -> Callable[[str]
     return parse
 
 
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """Parser of an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}")
+        return value
+
+    return parse
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -110,10 +122,11 @@ _TRAIN_OPTS = [
     Opt("--steps", "train.steps", "gradient-descent steps"),
     Opt("--lr", "train.learning_rate", "learning rate"),
     Opt("--batch-size", "train.batch_size", "rows per training batch"),
-    Opt("--seed", "train.seed", "weight-initialization seed", "0", int),
+    Opt("--seed", "train.seed", "weight-initialization seed", "0", _int_at_least(0)),
     Opt("--data-seed", "train.data_seed", "synthetic-data and teacher seed"),
     Opt("--snapshot-every", "train.snapshot_every", "steps between checkpoints"),
-    Opt("--calib-rows", "train.calib_rows", "rows in the captured calibration set", "256", int),
+    Opt("--calib-rows", "train.calib_rows", "rows in the captured calibration set", "256",
+        _int_at_least(1)),
 ]
 
 
@@ -168,7 +181,9 @@ def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
     return ns
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="deltaquant",
         description="weight-update-driven post-training quantization toolkit",
@@ -218,7 +233,9 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
 
 def cmd_importance(ns: argparse.Namespace) -> int:
     if ns.map.needs_calib and not ns.calib:
-        raise UsageError(f"signal {ns.map.signal!r} requires --calib")
+        activation = ns.map.signal == "activation_sq"
+        reader = f"signal {ns.map.signal!r}" if activation else "--multiply-activation"
+        raise UsageError(f"{reader} requires --calib")
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib) if ns.calib else None

@@ -101,7 +101,8 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     out = TensorMap()
     for name in pre.names():
         if name.endswith(".weight"):
-            delta = np.abs(post[name].astype(np.float32) - pre[name].astype(np.float32))
+            delta = np.subtract(post[name], pre[name], dtype=np.float32)
+            np.abs(delta, out=delta)
             # max propagates NaN and inf without allocating a mask
             if not np.isfinite(delta.max(initial=0.0)):
                 raise ValueError(f"non-finite weight update in {name!r}")
@@ -124,7 +125,9 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
     if len(deltas) == 0:
         raise ValueError("deltas map is empty")
     vals = np.concatenate([deltas[name].ravel() for name in deltas.names()])
-    positives = vals[np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None))]
+    positives = np.compress(
+        np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None)), vals
+    )
     total = vals.size
     zeros = total - positives.size
     if positives.size == 0:
@@ -142,23 +145,48 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
     )
 
 
-def _restricted_quadratic(delta, lo: float, mid: float, hi: float, y_min: float, y_max: float):
+def _restricted_quadratic(
+    delta, lo: float, mid: float, hi: float, y_min: float, y_max: float,
+    zero_epsilon: float | None = None,
+) -> np.ndarray:
     """Two-branch quadratic: y_max at both ends, y_min at the median.
 
     delta may be a scalar or an ndarray; values outside [lo, hi] are
-    clamped. A collapsed branch (zero width) returns y_max at its point.
+    clamped. With ``zero_epsilon``, updates at or below it score y_min.
+    A collapsed left branch (mid == lo) returns y_max at its point; a
+    collapsed right branch is never reached, because clamping keeps every
+    update at or below hi == mid.
+
+    Each element is evaluated once, in place: t = d - mid splits into
+    min(t, 0) and max(t, 0), each divided by its own branch width. Exactly
+    one part is non-zero, d - mid is the exact negation of mid - d, and
+    x + 0 == x, so the sum squared equals the selected branch's square bit
+    for bit. A pinned update is set to t = 0, which maps to exactly y_min.
     """
-    d = np.minimum(np.maximum(np.asarray(delta, dtype=np.float64), lo), hi)
-    amp = y_max - y_min
-    if mid - lo > 0:
-        left = y_min + amp * ((mid - d) / (mid - lo)) ** 2
-    else:
-        left = np.full_like(d, y_max)
+    d = np.asarray(delta, dtype=np.float64)
+    t = np.clip(d, lo, hi, out=np.empty_like(d))
+    t -= mid
+    # a collapsed left branch scores y_max at its one point, the median
+    at_mid = None if mid - lo > 0 else t == 0
+    if zero_epsilon is not None:
+        # a multiply by the mask: a masked store branches on every element
+        kept = d > zero_epsilon
+        t *= kept
+        if at_mid is not None:
+            at_mid &= kept
+    q = np.minimum(t, 0.0, out=np.empty_like(t))
+    np.maximum(t, 0.0, out=t)
+    if at_mid is None:
+        q /= mid - lo
     if hi - mid > 0:
-        right = y_min + amp * ((d - mid) / (hi - mid)) ** 2
-    else:
-        right = np.full_like(d, y_max)
-    return np.where(d <= mid, left, right)
+        t /= hi - mid
+    q += t
+    np.square(q, out=q)
+    q *= y_max - y_min
+    q += y_min
+    if at_mid is not None:
+        np.copyto(q, y_max, where=at_mid)
+    return q
 
 
 def _as_input_kind(values: np.ndarray, original) -> float | np.ndarray:
@@ -187,12 +215,10 @@ def map_both_ends_zero(delta, stats: DeltaStats, cfg: MappingConfig):
     branch is anchored at the smallest positive update instead of zero,
     so f(min_positive) = f(max) = y_max and f(median) = y_min.
     """
-    d = np.asarray(delta, dtype=np.float64)
     out = _restricted_quadratic(
-        d, stats.min_positive, stats.median_positive, stats.max,
-        cfg.y_min, cfg.y_max,
+        delta, stats.min_positive, stats.median_positive, stats.max,
+        cfg.y_min, cfg.y_max, cfg.zero_epsilon,
     )
-    out = np.where(d <= cfg.zero_epsilon, cfg.y_min, out)
     return _as_input_kind(out, delta)
 
 

@@ -1,0 +1,105 @@
+"""Two-branch reference for the update signals.
+
+The mapping, the global statistics and the update deltas the direct way:
+both quadratic branches are evaluated over every element and one is picked
+with ``np.where``, zero updates are pinned with a second ``np.where``, the
+positive deltas are selected with a boolean index, and each checkpoint is
+cast to float32 before subtracting. ``signals`` evaluates each element once
+in place; the signal tests compare its outputs with these byte for byte.
+"""
+
+import numpy as np
+
+from deltaquant.container import TensorMap
+from deltaquant.signals import (
+    DegenerateDeltasError,
+    DeltaStats,
+    count_zeros_per_channel,
+)
+
+COLUMN_BLOCK = 64
+
+
+def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
+    out = TensorMap()
+    for name in pre.names():
+        if name.endswith(".weight"):
+            out[name] = np.abs(post[name].astype(np.float32) - pre[name].astype(np.float32))
+    return out
+
+
+def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaStats:
+    vals = np.concatenate([deltas[name].ravel() for name in deltas.names()])
+    positives = vals[np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None))]
+    if positives.size == 0:
+        raise DegenerateDeltasError("degenerate deltas: all weight updates are zero")
+    middle = (positives.size - 1) // 2
+    positives.partition(middle)
+    return DeltaStats(
+        min_positive=float(positives.min()),
+        median_positive=float(positives[middle]),
+        max=float(positives.max()),
+        zero_count=int(vals.size - positives.size),
+        total_count=int(vals.size),
+    )
+
+
+def restricted_quadratic(delta, lo, mid, hi, y_min, y_max):
+    d = np.minimum(np.maximum(np.asarray(delta, dtype=np.float64), lo), hi)
+    amp = y_max - y_min
+    if mid - lo > 0:
+        left = y_min + amp * ((mid - d) / (mid - lo)) ** 2
+    else:
+        left = np.full_like(d, y_max)
+    if hi - mid > 0:
+        right = y_min + amp * ((d - mid) / (hi - mid)) ** 2
+    else:
+        right = np.full_like(d, y_max)
+    return np.where(d <= mid, left, right)
+
+
+def _as_input_kind(values, original):
+    if np.isscalar(original) or np.ndim(original) == 0:
+        return float(values)
+    return values
+
+
+def map_both_ends(delta, stats, cfg):
+    out = restricted_quadratic(
+        delta, stats.min_including_zeros, stats.median_positive, stats.max, cfg.y_min, cfg.y_max
+    )
+    return _as_input_kind(out, delta)
+
+
+def map_both_ends_zero(delta, stats, cfg):
+    d = np.asarray(delta, dtype=np.float64)
+    out = restricted_quadratic(
+        d, stats.min_positive, stats.median_positive, stats.max, cfg.y_min, cfg.y_max
+    )
+    out = np.where(d <= cfg.zero_epsilon, cfg.y_min, out)
+    return _as_input_kind(out, delta)
+
+
+def map_mid(delta, stats, cfg):
+    out = (cfg.y_min + cfg.y_max) - np.asarray(map_both_ends(delta, stats, cfg), dtype=np.float64)
+    return _as_input_kind(out, delta)
+
+
+def update_importance(weight_delta, stats, cfg):
+    """Floored scores of an update signal, column block by block."""
+    weight_delta = np.asarray(weight_delta)
+    width = weight_delta.shape[1]
+    scores = np.empty(width)
+    for start in range(0, width, COLUMN_BLOCK):
+        cols = slice(max(min(start, width - COLUMN_BLOCK), 0), start + COLUMN_BLOCK)
+        delta = weight_delta[:, cols].astype(np.float64)
+        if cfg.signal == "magnitude":
+            scores[cols] = delta.mean(axis=0)
+        elif cfg.signal == "both_ends":
+            scores[cols] = map_both_ends(delta, stats, cfg).mean(axis=0)
+        elif cfg.signal == "mid":
+            scores[cols] = map_mid(delta, stats, cfg).mean(axis=0)
+        else:
+            zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
+            scores[cols] = map_both_ends_zero(delta, stats, cfg).mean(axis=0) * (zbar + 1.0)
+    return np.maximum(scores, 1e-12)

@@ -61,6 +61,15 @@ class TestTrainToy:
         res = run_cli("train-toy", "--steps", "0", "--out", tmp_path / "x")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
+                                            ("--seed", "-1")])
+    def test_out_of_range_value_is_usage_error_and_writes_nothing(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        res = run_cli("train-toy", "--steps", "10", flag, value, "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert flag in res.stderr
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestImportance:
     def test_defaults_echoed_in_meta(self, tmp_path):
@@ -89,6 +98,19 @@ class TestImportance:
         )
         assert res.returncode == 2
         assert "calib" in res.stderr
+
+    def test_multiply_activation_without_calib_names_the_flag(self, tmp_path):
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", out / "ckpt_step000300.dqt",
+            "--multiply-activation", "--out", imp,
+        )
+        assert res.returncode == 2
+        assert "--multiply-activation requires --calib" in res.stderr
+        assert "both_ends_zero" not in res.stderr
+        assert not imp.exists()
 
     def test_slicing_path_runs_and_differs_when_zeros_differ(self, tmp_path):
         # hand-built checkpoints with zeros confined to the first row band
@@ -537,6 +559,26 @@ class TestHelpDefaults:
                 assert type(default)(shown.group(1)) == default, opt.flag
             checked += 1
         assert checked == count
+
+
+class TestParserCache:
+    def test_consecutive_commands_see_only_their_own_values(self, monkeypatch):
+        seen = []
+        for name, (_, description, opts) in cli._COMMANDS.items():
+            monkeypatch.setitem(
+                cli._COMMANDS, name, (lambda ns: seen.append(ns) or 0, description, opts)
+            )
+        importance = ["importance", "--pre", "a", "--post", "b", "--out", "c"]
+        assert cli.main(importance + ["--signal", "magnitude", "--slices", "3",
+                                      "--calib", "x"]) == 0
+        assert cli.main(["curve", "--run", "r", "--out", "o"]) == 0
+        assert cli.main(importance) == 0
+        first, second, third = seen
+        assert cli._build_parser() is cli._build_parser()
+        assert first.map == MappingConfig(signal="magnitude", slices=3)
+        assert (second.command, second.out, second.map) == ("curve", "o", MappingConfig())
+        assert not hasattr(second, "pre")
+        assert (third.map, third.calib) == (MappingConfig(), None)
 
 
 class TestDeterminism:

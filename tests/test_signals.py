@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaquant import signals
 from deltaquant.container import CompatibilityError, TensorMap
 from deltaquant.signals import (
     DegenerateDeltasError,
@@ -23,6 +24,7 @@ from deltaquant.signals import (
     map_mid,
 )
 from deltaquant.toy import CalibrationSet, TrainConfig, forward, init_model, train
+import signals_oracle
 
 CFG = MappingConfig()  # defaults: both_ends_zero, y 1..10
 
@@ -608,3 +610,133 @@ class TestImportanceAll:
         tmap["b.importance"][2] = bad
         with pytest.raises(ValueError, match="non-finite.*'b'"):
             importances_from_map(tmap)
+
+
+UPDATE_SIGNALS = ["magnitude", "both_ends", "both_ends_zero", "mid"]
+MAPPINGS = ["map_both_ends", "map_both_ends_zero", "map_mid"]
+
+
+@st.composite
+def _anchor_stats(draw):
+    """Float32-exact anchors lo <= mid <= hi; either branch may collapse."""
+    lo = float(np.float32(draw(st.floats(1e-4, 1.0))))
+    mid = float(np.float32(lo + draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0]))))
+    hi = float(np.float32(mid + draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0]))))
+    return DeltaStats(lo, mid, hi, zero_count=draw(st.sampled_from([0, 3])), total_count=100)
+
+
+def _update_matrix(rng, shape, stats, epsilon):
+    """Updates drawn from zeros, the anchors, the threshold and values around them."""
+    lo, mid, hi = stats.min_positive, stats.median_positive, stats.max
+    pool = np.float32([0.0, epsilon, epsilon / 2, lo, mid, hi, 2 * hi, (lo + mid) / 2])
+    picked = pool[rng.integers(0, pool.size, shape)]
+    spread = rng.uniform(0.0, 1.2 * hi, shape).astype(np.float32)
+    return np.where(rng.random(shape) < 0.5, picked, spread)
+
+
+class TestTwoBranchOracle:
+    """Outputs equal the frozen two-branch implementation byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signal=st.sampled_from(UPDATE_SIGNALS),
+        rows=st.integers(1, 12),
+        width=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(1, 140)),
+        stats=_anchor_stats(),
+        from_data=st.booleans(),
+        y_min=st.floats(0.01, 5.0),
+        y_span=st.floats(0.01, 20.0),
+        epsilon=st.sampled_from([0.0, 1e-5, 0.05]),
+        slices=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_importance_matches_oracle(
+        self, signal, rows, width, stats, from_data, y_min, y_span, epsilon, slices, seed
+    ):
+        delta = _update_matrix(np.random.default_rng(seed), (rows, width), stats, epsilon)
+        if from_data:
+            deltas = _weight_map({"m": delta})
+            try:
+                stats = global_delta_stats(deltas, epsilon)
+            except DegenerateDeltasError:
+                pass
+            else:
+                assert stats == signals_oracle.global_delta_stats(deltas, epsilon)
+        cfg = MappingConfig(
+            signal=signal, y_min=y_min, y_max=y_min + y_span, zero_epsilon=epsilon,
+            slices=min(slices, rows),
+        )
+        got = importance("m", delta, stats, cfg).scores
+        assert got.tobytes() == signals_oracle.update_importance(delta, stats, cfg).tobytes()
+        for name in MAPPINGS:
+            want = getattr(signals_oracle, name)(delta, stats, cfg)
+            assert getattr(signals, name)(delta, stats, cfg).tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 70)), min_size=1, max_size=3),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+        signal=st.sampled_from(UPDATE_SIGNALS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_importance_all_matches_oracle(self, shapes, dtype, zero_fraction, signal, seed):
+        rng = np.random.default_rng(seed)
+        pre, post = TensorMap(), TensorMap()
+        for i, shape in enumerate(shapes):
+            base = rng.standard_normal(shape)
+            update = rng.lognormal(-3.0, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+            update[rng.random(shape) < zero_fraction] = 0.0
+            pre[f"m{i}.weight"] = base.astype(dtype)
+            post[f"m{i}.weight"] = (base + update).astype(dtype)
+        deltas = compute_delta(pre, post)
+        want_deltas = signals_oracle.compute_delta(pre, post)
+        assert deltas.names() == want_deltas.names()
+        for name in deltas.names():
+            assert deltas[name].dtype == np.float32
+            assert deltas[name].tobytes() == want_deltas[name].tobytes()
+        try:
+            stats = signals_oracle.global_delta_stats(want_deltas)
+        except DegenerateDeltasError:
+            with pytest.raises(DegenerateDeltasError):
+                importance_all(pre, post, MappingConfig(signal=signal))
+            return
+        assert global_delta_stats(deltas) == stats
+        cfg = MappingConfig(signal=signal)
+        got = importance_all(pre, post, cfg)
+        for name in want_deltas.names():
+            want = signals_oracle.update_importance(want_deltas[name], stats, cfg)
+            assert got[name[: -len(".weight")]].scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", MAPPINGS)
+    @pytest.mark.parametrize("kind", [float, np.float32, np.float64, np.array])
+    def test_scalar_and_0d_inputs_return_floats(self, name, kind):
+        stats = DeltaStats(0.5, 2.0, 6.0, zero_count=1, total_count=10)
+        cfg = MappingConfig(y_min=0.1, y_max=0.3)
+        for value in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0):
+            got = getattr(signals, name)(kind(value), stats, cfg)
+            assert type(got) is float
+            assert got == getattr(signals_oracle, name)(kind(value), stats, cfg)
+
+    @pytest.mark.parametrize("anchors", [(2.0, 2.0, 6.0), (0.5, 2.0, 2.0), (2.0, 2.0, 2.0)],
+                             ids=["mid=lo<hi", "lo<mid=hi", "lo=mid=hi"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+    def test_collapsed_branches_match_oracle(self, anchors, zeros):
+        lo, mid, hi = anchors
+        stats = DeltaStats(lo, mid, hi, zero_count=3 if zeros else 0, total_count=12)
+        values = [0.5 * lo, lo, (lo + mid) / 2, mid, (mid + hi) / 2, hi, 2 * hi]
+        extra = [0.0] * 5 if zeros else [lo, mid, hi, mid, lo]
+        delta = np.float32(values + extra).reshape(4, 3)
+        for epsilon in (0.0, 0.25 * lo):
+            cfg = MappingConfig(zero_epsilon=epsilon)
+            for name in MAPPINGS:
+                want = getattr(signals_oracle, name)(delta, stats, cfg)
+                assert getattr(signals, name)(delta, stats, cfg).tobytes() == want.tobytes()
+                for value in values:
+                    assert getattr(signals, name)(value, stats, cfg) == getattr(
+                        signals_oracle, name
+                    )(value, stats, cfg)
+            for signal in UPDATE_SIGNALS:
+                cfg = MappingConfig(signal=signal, zero_epsilon=epsilon, slices=2)
+                want = signals_oracle.update_importance(delta, stats, cfg)
+                assert importance("m", delta, stats, cfg).scores.tobytes() == want.tobytes()
