@@ -49,7 +49,6 @@ from .signals import (
     SIGNALS,
     DegenerateDeltasError,
     DeltaStats,
-    ImportanceVector,
     MappingConfig,
     compute_delta,
     count_zeros_per_channel,

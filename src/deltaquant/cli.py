@@ -239,8 +239,8 @@ def cmd_importance(ns: argparse.Namespace) -> int:
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib) if ns.calib else None
-    imps = importance_all(pre, post, ns.map, calib)
-    save_container(importances_to_map(imps), ns.out)
+    scores = importance_all(pre, post, ns.map, calib)
+    save_container(importances_to_map(scores, ns.map), ns.out)
     print(f"wrote {ns.out}")
     return 0
 

@@ -78,6 +78,11 @@ class TensorMap:
     def names(self) -> list[str]:
         return sorted(self.entries)
 
+    def modules(self, field: str) -> list[str]:
+        """Sorted names ``m`` of the modules that have an ``<m>.<field>`` tensor."""
+        suffix = f".{field}"
+        return sorted(n[: -len(suffix)] for n in self.entries if n.endswith(suffix))
+
     def put_packed(self, name: str, buf: np.ndarray, elements: int) -> None:
         """Store a packed uint8 buffer together with its logical length."""
         self.entries[name] = np.ascontiguousarray(buf, dtype=np.uint8)

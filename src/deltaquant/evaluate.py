@@ -27,7 +27,7 @@ from .signals import (
     global_delta_stats,
     importance_all,
 )
-from .toy import CalibrationSet, _forward_activations, model_from_map, weight_modules
+from .toy import CalibrationSet, _forward_activations, model_from_map
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -94,7 +94,7 @@ def layer_report(
     """Per-module and end-to-end error report for a quantized artifact."""
     if not artifact:
         raise ValueError("empty artifact")
-    for module in weight_modules(post_ckpt):
+    for module in post_ckpt.modules("weight"):
         if module not in artifact:
             raise ValueError(f"artifact does not cover module {module!r}")
     per_module: dict[str, dict[str, float]] = {}
@@ -174,7 +174,7 @@ def ablate_signals(
     """
     if not signals:
         raise ValueError("need at least one signal")
-    modules = weight_modules(post)
+    modules = post.modules("weight")
     deltas = compute_delta(pre, post)
     stats_by_epsilon = {}
     signal_imps = []
@@ -188,7 +188,7 @@ def ablate_signals(
     weights, plain, sq_err = {}, {}, {}
     for module in modules:
         weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
-        recon = dequantize(rtn_quantize(weight, qcfg, module=module))
+        recon = dequantize(rtn_quantize(weight, qcfg))
         diff = recon.astype(np.float64) - weight.astype(np.float64)
         weights[module], plain[module], sq_err[module] = weight, recon, diff * diff
     reference = _heldout_reference(post, heldout_seed, heldout_rows)

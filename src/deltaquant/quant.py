@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap
+from .container import TensorMap, config_from_text
 
 # scale mantissa width: 19 bits + 4-bit codes keeps products exact in f32
 _SCALE_MANTISSA_BITS = 19
@@ -54,7 +54,6 @@ class QuantConfig:
 
 @dataclass
 class QuantizedTensor:
-    module: str
     bits: int
     group_size: int
     codes: np.ndarray  # uint8 [out, in], one code per weight
@@ -170,7 +169,6 @@ def rtn_quantize(
     *,
     channel_scale: np.ndarray | None = None,
     protected: np.ndarray | None = None,
-    module: str = "",
 ) -> QuantizedTensor:
     """Round-to-nearest group quantization of one linear weight.
 
@@ -214,7 +212,6 @@ def rtn_quantize(
         codes[rows, cols] = c.reshape(len(scaled), -1)
 
     return QuantizedTensor(
-        module=module,
         bits=cfg.bits,
         group_size=cfg.group_size,
         codes=codes,
@@ -304,15 +301,14 @@ def unpack_codes(buf: np.ndarray, count: int, bits: int) -> np.ndarray:
     return out.ravel()[:count]
 
 
-def select_protected(importance, fraction: float) -> np.ndarray:
-    """Mark the round(fraction * n) highest-importance channels.
+def select_protected(scores: np.ndarray, fraction: float) -> np.ndarray:
+    """Mark the round(fraction * n) highest-importance channels of a score array.
 
-    Ties break toward the lower channel index. Accepts an ImportanceVector
-    or a plain score array.
+    Ties break toward the lower channel index.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    scores = np.asarray(getattr(importance, "scores", importance), dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     n_protect = int(round(fraction * n))
     mask = np.zeros(n, dtype=bool)
@@ -377,15 +373,23 @@ def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: in
 
 
 def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
-    """Rebuild quantized modules from a container map."""
-    if "bits" not in tmap.meta or "group_size" not in tmap.meta:
+    """Rebuild quantized modules from a container map.
+
+    A missing, misshaped or non-finite field raises ValueError naming its module.
+    """
+    keys = ("bits", "group_size")
+    if any(key not in tmap.meta for key in keys):
         raise ValueError("artifact container is missing 'bits'/'group_size' meta")
-    cfg = QuantConfig(bits=int(tmap.meta["bits"]), group_size=int(tmap.meta["group_size"]))
+    cfg = config_from_text(QuantConfig, {key: tmap.meta[key] for key in keys})
     artifact: dict[str, QuantizedTensor] = {}
-    for name in tmap.names():
-        if not name.endswith(".codes"):
-            continue
-        module = name[: -len(".codes")]
+    for module in tmap.modules("codes"):
+        for field, rank in (("zeros", 0), ("protected", 0), ("scales", 2),
+                            ("channel_scale", 1), ("protected_values", 2)):
+            name = f"{module}.{field}"
+            if name not in tmap:
+                raise ValueError(f"module {module!r} is missing its {field} tensor")
+            if rank and tmap[name].ndim != rank:  # packed streams have no rank to check
+                raise ValueError(f"{field} of module {module!r} must be {rank}-D")
         scales = tmap[f"{module}.scales"]
         channel_scale = tmap[f"{module}.channel_scale"]
         protected_values = tmap[f"{module}.protected_values"]
@@ -398,7 +402,6 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
         codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
         zeros = _unpack_field(tmap, module, "zeros", scales.size, cfg.bits)
         artifact[module] = QuantizedTensor(
-            module=module,
             bits=cfg.bits,
             group_size=cfg.group_size,
             codes=codes.reshape(out_features, in_features),

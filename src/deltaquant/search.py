@@ -30,8 +30,7 @@ import numpy as np
 
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
-from .signals import ImportanceVector
-from .toy import CalibrationSet, weight_modules
+from .toy import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -151,24 +150,25 @@ def normalize_scale(raw: np.ndarray) -> np.ndarray:
 
 def search_scale(
     weight: np.ndarray,
-    importance: ImportanceVector | np.ndarray,
+    importance: np.ndarray,
     calib_inputs: np.ndarray,
     scfg: SearchConfig,
     qcfg: QuantConfig,
+    module: str = "",
 ) -> SearchResult:
     """Grid-search the scaling exponent that minimizes the loss.
 
     Evaluates every alpha on the endpoint-inclusive grid with
     s = normalize(I)^alpha; ties go to the smaller alpha. Also reports the
-    unscaled loss for reference.
+    unscaled loss for reference. ``module`` names the result and the errors.
     """
-    module = getattr(importance, "module", "")
-    scores = np.asarray(getattr(importance, "scores", importance), dtype=np.float64)
+    scores = np.asarray(importance, dtype=np.float64)
     weight = np.ascontiguousarray(weight, dtype=np.float32)
+    where = f" for module {module!r}" if module else ""
     if scores.shape != (weight.shape[1],):
-        raise ValueError("importance length must match in_features")
+        raise ValueError(f"importance length must match in_features{where}")
     if (scores <= 0).any():
-        raise ValueError("importance scores must be strictly positive")
+        raise ValueError(f"importance scores must be strictly positive{where}")
     x = np.ascontiguousarray(calib_inputs, dtype=np.float32)[: scfg.max_calib_rows]
     loss_of = _LossKernel(weight, x, module)
 
@@ -204,7 +204,7 @@ def search_scale(
 
 def quantize_model(
     post_ckpt: TensorMap,
-    importances: dict[str, ImportanceVector],
+    importances: dict[str, np.ndarray],
     calib: CalibrationSet,
     scfg: SearchConfig,
     qcfg: QuantConfig,
@@ -215,7 +215,7 @@ def quantize_model(
     importance, then quantize with both applied. Modules are processed in
     sorted name order; the report carries one full loss curve per module.
     """
-    modules = weight_modules(post_ckpt)
+    modules = post_ckpt.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     artifact: dict[str, QuantizedTensor] = {}
@@ -226,12 +226,10 @@ def quantize_model(
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
         weight = post_ckpt[f"{module}.weight"]
-        result = search_scale(weight, importances[module], calib.inputs[module], scfg, qcfg)
-        result.module = module
+        inputs = calib.inputs[module]
+        result = search_scale(weight, importances[module], inputs, scfg, qcfg, module)
         mask = select_protected(importances[module], qcfg.protect_fraction)
-        artifact[module] = rtn_quantize(
-            weight, qcfg, channel_scale=result.scale, protected=mask, module=module
-        )
+        artifact[module] = rtn_quantize(weight, qcfg, channel_scale=result.scale, protected=mask)
         report.append(result)
     return artifact, report
 

@@ -82,15 +82,6 @@ class DeltaStats:
         return 0.0 if self.zero_count > 0 else self.min_positive
 
 
-@dataclass
-class ImportanceVector:
-    """Per-input-channel importance scores for one linear module."""
-
-    module: str
-    scores: np.ndarray  # [in_features] float64, strictly positive
-    config: MappingConfig
-
-
 def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """Element-wise |post - pre| of every '.weight' tensor.
 
@@ -99,14 +90,14 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """
     check_compatible(pre, post)
     out = TensorMap()
-    for name in pre.names():
-        if name.endswith(".weight"):
-            delta = np.subtract(post[name], pre[name], dtype=np.float32)
-            np.abs(delta, out=delta)
-            # max propagates NaN and inf without allocating a mask
-            if not np.isfinite(delta.max(initial=0.0)):
-                raise ValueError(f"non-finite weight update in {name!r}")
-            out[name] = delta
+    for module in pre.modules("weight"):
+        name = f"{module}.weight"
+        delta = np.subtract(post[name], pre[name], dtype=np.float32)
+        np.abs(delta, out=delta)
+        # max propagates NaN and inf without allocating a mask
+        if not np.isfinite(delta.max(initial=0.0)):
+            raise ValueError(f"non-finite weight update in {name!r}")
+        out[name] = delta
     return out
 
 
@@ -280,7 +271,7 @@ def importance(
     stats: DeltaStats,
     cfg: MappingConfig,
     calib: CalibrationSet | None = None,
-) -> ImportanceVector:
+) -> np.ndarray:
     """Per-input-channel importance of one module under a chosen signal.
 
     magnitude        mean |update| down each column
@@ -318,13 +309,15 @@ def importance(
             elif cfg.signal == "mid":
                 scores[cols] = map_mid(delta, stats, cfg).mean(axis=0)
             else:  # both_ends_zero
-                zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
+                try:
+                    zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
+                except ValueError as exc:  # slices beyond the module's rows
+                    raise ValueError(f"module {module!r}: {exc}") from None
                 scores[cols] = map_both_ends_zero(delta, stats, cfg).mean(axis=0) * (zbar + 1.0)
 
     if cfg.multiply_activation:
         scores = scores * _activation_stat(calib.inputs[module], module, width, square=False)
-    scores = np.maximum(scores, _SCORE_FLOOR)
-    return ImportanceVector(module=module, scores=scores, config=cfg)
+    return np.maximum(scores, _SCORE_FLOOR)
 
 
 def importance_all(
@@ -332,8 +325,8 @@ def importance_all(
     post: TensorMap,
     cfg: MappingConfig,
     calib: CalibrationSet | None = None,
-) -> dict[str, ImportanceVector]:
-    """Compute importance for every linear module of a checkpoint pair.
+) -> dict[str, np.ndarray]:
+    """Compute importance scores for every linear module of a checkpoint pair.
 
     One global DeltaStats, pooled over all modules, anchors the mappings
     for every module.
@@ -348,35 +341,31 @@ def _importance_per_module(
     stats: DeltaStats,
     cfg: MappingConfig,
     calib: CalibrationSet | None,
-) -> dict[str, ImportanceVector]:
+) -> dict[str, np.ndarray]:
     """Importance of every module of ``deltas`` under one set of global stats."""
-    result: dict[str, ImportanceVector] = {}
-    for name in deltas.names():
-        module = name[: -len(".weight")]
-        result[module] = importance(module, deltas[name], stats, cfg, calib)
-    return result
+    return {
+        module: importance(module, deltas[f"{module}.weight"], stats, cfg, calib)
+        for module in deltas.modules("weight")
+    }
 
 
-def importances_to_map(imps: dict[str, ImportanceVector]) -> TensorMap:
-    """Serialize importance vectors as a container map with config meta."""
-    if not imps:
+def importances_to_map(scores: dict[str, np.ndarray], cfg: MappingConfig) -> TensorMap:
+    """Serialize importance scores as a container map with ``cfg`` as meta."""
+    if not scores:
         raise ValueError("no importance vectors to save")
-    tmap = TensorMap(meta=config_to_text(next(iter(imps.values())).config))
-    for module in sorted(imps):
-        tmap[f"{module}.importance"] = imps[module].scores.astype(np.float32)
+    tmap = TensorMap(meta=config_to_text(cfg))
+    for module in sorted(scores):
+        tmap[f"{module}.importance"] = scores[module].astype(np.float32)
     return tmap
 
 
-def importances_from_map(tmap: TensorMap) -> dict[str, ImportanceVector]:
-    """Read importance vectors; meta fields that are missing keep their defaults."""
-    cfg = config_from_text(MappingConfig, tmap.meta)
-    out: dict[str, ImportanceVector] = {}
-    for name in tmap.names():
-        if name.endswith(".importance"):
-            module = name[: -len(".importance")]
-            scores = tmap[name].astype(np.float64)
-            if not np.isfinite(scores).all():
-                raise ValueError(f"non-finite importance scores for module {module!r}")
-            scores = np.maximum(scores, _SCORE_FLOOR)
-            out[module] = ImportanceVector(module=module, scores=scores, config=cfg)
+def importances_from_map(tmap: TensorMap) -> dict[str, np.ndarray]:
+    """Read importance scores by module; a malformed meta value raises ValueError."""
+    config_from_text(MappingConfig, tmap.meta)
+    out: dict[str, np.ndarray] = {}
+    for module in tmap.modules("importance"):
+        scores = tmap[f"{module}.importance"].astype(np.float64)
+        if not np.isfinite(scores).all():
+            raise ValueError(f"non-finite importance scores for module {module!r}")
+        out[module] = np.maximum(scores, _SCORE_FLOOR)
     return out

@@ -101,13 +101,11 @@ class CalibrationSet:
         loss kernel and the activation signals check them where they use them.
         """
         calib = cls()
-        for name in tmap.names():
-            if name.endswith(".calib_inputs"):
-                module = name[: -len(".calib_inputs")]
-                inputs = tmap[name]
-                if inputs.ndim != 2:
-                    raise ValueError(f"calibration inputs of module {module!r} must be 2-D")
-                calib.inputs[module] = inputs
+        for module in tmap.modules("calib_inputs"):
+            inputs = tmap[f"{module}.calib_inputs"]
+            if inputs.ndim != 2:
+                raise ValueError(f"calibration inputs of module {module!r} must be 2-D")
+            calib.inputs[module] = inputs
         return calib
 
 
@@ -198,14 +196,9 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
     return tmap
 
 
-def weight_modules(tmap: TensorMap) -> list[str]:
-    """Sorted module names of the ``<module>.weight`` tensors in a map."""
-    return sorted(n[: -len(".weight")] for n in tmap.names() if n.endswith(".weight"))
-
-
 def model_from_map(tmap: TensorMap) -> ToyModel:
     """Rebuild a ToyModel from a checkpoint TensorMap."""
-    modules = sorted(weight_modules(tmap), key=lambda n: (len(n), n))
+    modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     layers = []

@@ -15,7 +15,7 @@ import numpy as np
 from deltaquant.evaluate import AblationRow
 from deltaquant.quant import dequantize, rtn_quantize, select_protected
 from deltaquant.signals import importance_all
-from deltaquant.toy import forward, model_from_map, weight_modules
+from deltaquant.toy import forward, model_from_map
 
 
 def _heldout(post, seed, rows):
@@ -27,8 +27,8 @@ def _heldout(post, seed, rows):
 
 def ablate_oracle(pre, post, calib, signals, fractions, qcfg, *, heldout_seed, heldout_rows):
     """The ablation rows of ``ablate_signals``, one row at a time."""
-    modules = weight_modules(post)
-    plain = {m: rtn_quantize(post[f"{m}.weight"], qcfg, module=m) for m in modules}
+    modules = post.modules("weight")
+    plain = {m: rtn_quantize(post[f"{m}.weight"], qcfg) for m in modules}
     model, batch, ref = _heldout(post, heldout_seed, heldout_rows)
     rows = []
     for cfg_sig in signals:

@@ -24,7 +24,6 @@ from deltaquant.quant import (
 from deltaquant.search import SearchConfig, quant_loss, search_scale
 from deltaquant.signals import (
     DeltaStats,
-    ImportanceVector,
     MappingConfig,
     count_zeros_per_channel,
     global_delta_stats,
@@ -127,7 +126,7 @@ def test_criterion_2_importance_oracle_equivalence():
         stats = global_delta_stats(TensorMap({"m.weight": delta.astype(np.float32)}))
         for slices in (1, 2, 4):
             cfg = MappingConfig(slices=slices)
-            got = importance("m", delta, stats, cfg).scores
+            got = importance("m", delta, stats, cfg)
             want = _oracle_importance(delta, stats, cfg)
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
         raw = count_zeros_per_channel(delta, 0.0, 1)
@@ -202,8 +201,7 @@ def test_criterion_5_search_optimality():
         w = rng.standard_normal((8, 8)).astype(np.float32)
         x = rng.standard_normal((16, 8)).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, 8))
-        iv = ImportanceVector("m", scores, MappingConfig())
-        res = search_scale(w, iv, x, scfg, qcfg)
+        res = search_scale(w, scores, x, scfg, qcfg)
 
         base = scores / np.sqrt(scores.max() * scores.min())
         best_alpha, best_loss = None, np.inf
@@ -216,9 +214,7 @@ def test_criterion_5_search_optimality():
         assert res.best_loss <= res.rtn_loss + 1e-9
 
         for factor in (0.25, 4.0, 1024.0):  # exact float rescalings
-            res2 = search_scale(
-                w, ImportanceVector("m", scores * factor, iv.config), x, scfg, qcfg
-            )
+            res2 = search_scale(w, scores * factor, x, scfg, qcfg)
             assert res2.alpha_star == res.alpha_star
             assert np.array_equal(res2.scale, res.scale)
     _report(5, "grid argmin matches re-evaluation, never-worse, rescaling invariance")

@@ -174,6 +174,18 @@ class TestImportance:
         assert "layer0.weight" in res.stderr
         assert not imp.exists()
 
+    def test_too_many_slices_names_the_module(self, tmp_path):
+        # layer0 of the 8,16,8 model has 16 rows, fewer than the 100 bands asked for
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", out / "ckpt_step000300.dqt", "--slices", "100", "--out", imp,
+        )
+        assert res.returncode == 1
+        assert "'layer0'" in res.stderr and "slices must be in [1, 16]" in res.stderr
+        assert not imp.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         res = run_cli(
             "importance", "--pre", tmp_path / "nope.dqt",
@@ -292,6 +304,42 @@ class TestQuantizeAndEval:
             assert res.returncode == 1, field
             assert "layer0" in res.stderr and field in res.stderr
             assert not ev.exists()
+
+    def test_misshaped_artifact_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
+        tmap = load_container(art)
+        tmap["layer0.protected_values"] = tmap["layer0.protected_values"].ravel()
+        bad = tmp_path / "art_1d.dqt"
+        save_container(tmap, bad)
+        ev = tmp_path / "eval_1d.json"
+        res = run_cli(
+            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
+            "--calib", out / "calib.dqt", "--out", ev,
+        )
+        assert res.returncode == 1
+        assert "'layer0'" in res.stderr and "protected_values" in res.stderr
+        assert not ev.exists()
+
+    def test_misshaped_importance_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
+        for tag, reshape in (("short", lambda a: a[:-1]), ("2d", lambda a: a[None, :])):
+            tmap = load_container(imp)
+            tmap["layer0.importance"] = np.ascontiguousarray(reshape(tmap["layer0.importance"]))
+            bad = tmp_path / f"imp_{tag}.dqt"
+            save_container(tmap, bad)
+            art = tmp_path / f"art_{tag}.dqt"
+            res = run_cli(
+                "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
+                "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
+            )
+            assert res.returncode == 1, tag
+            assert "'layer0'" in res.stderr and "in_features" in res.stderr, tag
+            assert not art.exists()
+            assert not art.with_suffix(".report.jsonl").exists()
 
     def test_non_finite_importance_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container

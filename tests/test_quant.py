@@ -380,7 +380,6 @@ class TestArtifactContainer:
                 QuantConfig(bits=3, group_size=4, protect_fraction=0.25),
                 channel_scale=np.exp(rng.uniform(-0.5, 0.5, shape[1])).astype(np.float32),
                 protected=mask,
-                module=f"layer{i}",
             )
         tmap = artifact_to_map(artifact, {"protect_fraction": "0.25"})
         path = tmp_path / "artifact.dqt"
@@ -397,7 +396,7 @@ class TestArtifactContainer:
 
     def test_meta_carries_config(self):
         w = np.ones((2, 4), np.float32) * 0.5
-        q = rtn_quantize(w, QuantConfig(bits=4, group_size=2), module="m")
+        q = rtn_quantize(w, QuantConfig(bits=4, group_size=2))
         tmap = artifact_to_map({"m": q})
         assert tmap.meta["bits"] == "4"
         assert tmap.meta["group_size"] == "2"
@@ -410,15 +409,15 @@ class TestArtifactContainer:
         # the meta records one bits/group_size, so a second one would not load back
         w = _rand_weight(np.random.default_rng(0), (2, 4))
         artifact = {
-            "a": rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="a"),
-            "b": rtn_quantize(w, cfg_b, module="b"),
+            "a": rtn_quantize(w, QuantConfig(bits=3, group_size=4)),
+            "b": rtn_quantize(w, cfg_b),
         }
         with pytest.raises(ValueError, match="module 'b'"):
             artifact_to_map(artifact)
 
     def test_corrupt_packing_length_rejected(self, tmp_path):
         w = _rand_weight(np.random.default_rng(0), (2, 4))
-        tmap = artifact_to_map({"m": rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")})
+        tmap = artifact_to_map({"m": rtn_quantize(w, QuantConfig(bits=3, group_size=4))})
         tmap.elements["m.codes"] = 5  # lie about the logical count
         with pytest.raises(ValueError, match="packing length"):
             artifact_from_map(tmap)
@@ -428,7 +427,7 @@ class TestArtifactContainer:
             [[-1, 0, 0, 6, -3, 0, 0, 4],
              [0, 1, 2, 7, -7, 0, 0, 0]], np.float32
         )
-        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4))
         assert q.zero_points.tolist() == [[1, 3], [0, 7]]
         tmap = artifact_to_map({"m": q})
         # 3-bit stream 1 | 3 << 3 | 0 << 6 | 7 << 9 == 0x000E19
@@ -439,8 +438,7 @@ class TestArtifactContainer:
 
     def test_short_protected_buffer_rejected(self):
         w = _rand_weight(np.random.default_rng(1), (2, 16))
-        q = rtn_quantize(w, QuantConfig(bits=3, group_size=8), protected=np.ones(16, bool),
-                         module="m")
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=8), protected=np.ones(16, bool))
         tmap = artifact_to_map({"m": q})
         tmap.put_packed("m.protected", tmap["m.protected"][:1], 16)
         with pytest.raises(ValueError, match="'m'"):
@@ -448,7 +446,7 @@ class TestArtifactContainer:
 
     def test_float_zero_points_rejected(self):
         w = _rand_weight(np.random.default_rng(2), (2, 8))
-        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4), module="m")
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4))
         tmap = artifact_to_map({"m": q})
         tmap["m.zeros"] = q.zero_points.astype(np.float32)
         del tmap.elements["m.zeros"]
@@ -469,13 +467,48 @@ class TestArtifactContainer:
         rng = np.random.default_rng(3)
         w = _rand_weight(rng, (3, 8))
         q = rtn_quantize(
-            w, QuantConfig(bits=3, group_size=4), module="m",
+            w, QuantConfig(bits=3, group_size=4),
             channel_scale=np.exp(rng.uniform(-0.5, 0.5, 8)).astype(np.float32),
             protected=np.arange(8) < 2,
         )
         tmap = artifact_to_map({"m": q})
         tmap[f"m.{field}"][index] = value
         with pytest.raises(ValueError, match=f"{field}.* of module 'm'"):
+            artifact_from_map(tmap)
+
+    @staticmethod
+    def _protected_map():
+        w = _rand_weight(np.random.default_rng(4), (3, 8))
+        return artifact_to_map(
+            {"m": rtn_quantize(w, QuantConfig(bits=3, group_size=4), protected=np.arange(8) < 2)}
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["zeros", "protected", "scales", "channel_scale", "protected_values"]
+    )
+    def test_missing_field_rejected(self, field):
+        tmap = self._protected_map()
+        del tmap.entries[f"m.{field}"]
+        with pytest.raises(ValueError, match=f"module 'm' is missing its {field} tensor"):
+            artifact_from_map(tmap)
+
+    @pytest.mark.parametrize(
+        "field, reshape",
+        [("scales", np.ravel), ("protected_values", np.ravel), ("channel_scale", np.atleast_2d)],
+    )
+    def test_wrong_rank_rejected(self, field, reshape):
+        tmap = self._protected_map()
+        tmap[f"m.{field}"] = reshape(tmap[f"m.{field}"])
+        with pytest.raises(ValueError, match=f"{field} of module 'm' must be [12]-D"):
+            artifact_from_map(tmap)
+
+    @pytest.mark.parametrize(
+        "key, value", [("bits", "x"), ("bits", "3.0"), ("group_size", "x"), ("group_size", "0")]
+    )
+    def test_malformed_meta_rejected(self, key, value):
+        tmap = self._protected_map()
+        tmap.meta[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be"):
             artifact_from_map(tmap)
 
     def test_non_artifact_container_rejected(self):

@@ -17,7 +17,7 @@ from deltaquant.search import (
     report_lines,
     search_scale,
 )
-from deltaquant.signals import ImportanceVector, MappingConfig, importance_all
+from deltaquant.signals import MappingConfig, importance_all
 from deltaquant.toy import TrainConfig, forward, init_model, train
 from quant_oracle import oracle_reconstruct
 
@@ -96,7 +96,7 @@ class TestQuantLoss:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_calibration_rejected(self, bad):
-        w, x, iv = _instance(0)
+        w, x, scores = _instance(0)
         x[3, 5] = bad
         ones = np.ones(8, np.float32)
         with pytest.raises(ValueError, match="non-finite"):
@@ -104,7 +104,7 @@ class TestQuantLoss:
         with pytest.raises(ValueError, match="non-finite"):
             reconstruction_mse(w, x, w)
         with pytest.raises(ValueError, match="non-finite"):
-            search_scale(w, iv, x, SearchConfig(), QCFG)
+            search_scale(w, scores, x, SearchConfig(), QCFG)
 
 
 class TestReconstructionMse:
@@ -159,15 +159,13 @@ def _instance(seed, n_in=8, n_out=8, rows=16):
     w = rng.standard_normal((n_out, n_in)).astype(np.float32)
     x = rng.standard_normal((rows, n_in)).astype(np.float32)
     scores = np.exp(rng.uniform(-1.0, 2.0, n_in))
-    iv = ImportanceVector(module="m", scores=scores, config=MappingConfig())
-    return w, x, iv
+    return w, x, scores
 
 
 class TestSearchScale:
     def test_constant_importance_reduces_to_rtn(self):
         w, x, _ = _instance(0)
-        iv = ImportanceVector("m", np.full(8, 3.0), MappingConfig())
-        res = search_scale(w, iv, x, SearchConfig(), QCFG)
+        res = search_scale(w, np.full(8, 3.0), x, SearchConfig(), QCFG)
         assert res.alpha_star == 0.0
         assert res.best_loss == res.rtn_loss
         assert np.array_equal(res.scale, np.ones(8, np.float32))
@@ -175,10 +173,10 @@ class TestSearchScale:
     @pytest.mark.parametrize("alpha_lo, alpha_hi", [(0.0, 1.0), (-1.0, 1.0), (0.25, 1.0)])
     def test_curve_matches_quant_loss_at_every_alpha(self, alpha_lo, alpha_hi):
         # alpha = 0 reuses the unscaled loss instead of quantizing again
-        w, x, iv = _instance(4)
+        w, x, scores = _instance(4)
         scfg = SearchConfig(grid_points=5, alpha_lo=alpha_lo, alpha_hi=alpha_hi)
-        res = search_scale(w, iv, x, scfg, QCFG)
-        base = iv.scores / np.sqrt(iv.scores.max() * iv.scores.min())
+        res = search_scale(w, scores, x, scfg, QCFG)
+        base = scores / np.sqrt(scores.max() * scores.min())
         for alpha, loss in res.loss_curve:
             assert loss == quant_loss(w, x, (base**alpha).astype(np.float32), QCFG)
         assert res.rtn_loss == quant_loss(w, x, np.ones(8, np.float32), QCFG)
@@ -194,10 +192,10 @@ class TestSearchScale:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_argmin_matches_independent_reevaluation(self, seed):
-        w, x, iv = _instance(seed)
+        w, x, scores = _instance(seed)
         scfg = SearchConfig(grid_points=12)
-        res = search_scale(w, iv, x, scfg, QCFG)
-        base = iv.scores / np.sqrt(iv.scores.max() * iv.scores.min())
+        res = search_scale(w, scores, x, scfg, QCFG)
+        base = scores / np.sqrt(scores.max() * scores.min())
         best_alpha, best_loss = None, np.inf
         for alpha in scfg.alphas():
             loss = quant_loss(w, x, (base**alpha).astype(np.float32), QCFG)
@@ -208,16 +206,15 @@ class TestSearchScale:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_never_worse_than_rtn(self, seed):
-        w, x, iv = _instance(seed + 50)
-        res = search_scale(w, iv, x, SearchConfig(), QCFG)
+        w, x, scores = _instance(seed + 50)
+        res = search_scale(w, scores, x, SearchConfig(), QCFG)
         assert res.best_loss <= res.rtn_loss + 1e-9
 
     @pytest.mark.parametrize("factor", [0.25, 2.0, 64.0])
     def test_argmin_invariant_to_rescaling(self, factor):
-        w, x, iv = _instance(7)
-        res1 = search_scale(w, iv, x, SearchConfig(), QCFG)
-        iv2 = ImportanceVector("m", iv.scores * factor, iv.config)
-        res2 = search_scale(w, iv2, x, SearchConfig(), QCFG)
+        w, x, scores = _instance(7)
+        res1 = search_scale(w, scores, x, SearchConfig(), QCFG)
+        res2 = search_scale(w, scores * factor, x, SearchConfig(), QCFG)
         assert res1.alpha_star == res2.alpha_star
         assert np.array_equal(res1.scale, res2.scale)
         assert res1.loss_curve == res2.loss_curve
@@ -225,20 +222,19 @@ class TestSearchScale:
     def test_ties_go_to_smaller_alpha(self):
         # an exactly representable weight has zero loss everywhere on the grid
         w = np.zeros((4, 8), np.float32)
-        _, x, iv = _instance(3)
-        res = search_scale(w, iv, x, SearchConfig(), QCFG)
+        _, x, scores = _instance(3)
+        res = search_scale(w, scores, x, SearchConfig(), QCFG)
         assert res.alpha_star == 0.0
 
     def test_curve_length_matches_grid(self):
-        w, x, iv = _instance(9)
-        res = search_scale(w, iv, x, SearchConfig(grid_points=20), QCFG)
+        w, x, scores = _instance(9)
+        res = search_scale(w, scores, x, SearchConfig(grid_points=20), QCFG)
         assert len(res.loss_curve) == 20
 
     def test_non_positive_importance_rejected(self):
-        w, x, iv = _instance(1)
-        bad = ImportanceVector("m", iv.scores * 0.0, iv.config)
+        w, x, scores = _instance(1)
         with pytest.raises(ValueError):
-            search_scale(w, bad, x, SearchConfig(), QCFG)
+            search_scale(w, scores * 0.0, x, SearchConfig(), QCFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

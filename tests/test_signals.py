@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaquant import signals
-from deltaquant.container import CompatibilityError, TensorMap
+from deltaquant.container import CompatibilityError, TensorMap, config_from_text
 from deltaquant.signals import (
     DegenerateDeltasError,
     DeltaStats,
-    ImportanceVector,
     MappingConfig,
     compute_delta,
     count_zeros_per_channel,
@@ -403,13 +402,13 @@ class TestImportance:
     def test_worked_column_example(self):
         # column [0, mid, max, 0]: mean f = (1+1+10+1)/4, Z = 2, I = 3.25 * 3
         col = np.array([[0.0], [1.0], [2.0], [0.0]])
-        iv = importance("m", col, self.ST, CFG)
-        assert iv.scores[0] == pytest.approx(9.75, abs=1e-12)
+        scores = importance("m", col, self.ST, CFG)
+        assert scores[0] == pytest.approx(9.75, abs=1e-12)
 
     def test_all_zero_column_forced_value(self):
         col = np.zeros((5, 1))
-        iv = importance("m", col, self.ST, CFG)
-        assert iv.scores[0] == pytest.approx(6.0, abs=1e-12)  # y_min * (N + 1)
+        scores = importance("m", col, self.ST, CFG)
+        assert scores[0] == pytest.approx(6.0, abs=1e-12)  # y_min * (N + 1)
 
     @pytest.mark.parametrize("signal", ["magnitude", "both_ends", "both_ends_zero", "mid"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -421,7 +420,7 @@ class TestImportance:
             delta[0, 0] = 0.5
         stats = global_delta_stats(_weight_map({"m": delta}))
         cfg = MappingConfig(signal=signal)
-        got = importance("m", delta, stats, cfg).scores
+        got = importance("m", delta, stats, cfg)
         want = _loop_importance(delta.astype(np.float32).astype(np.float64), stats, cfg)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -441,7 +440,7 @@ class TestImportance:
             "both_ends_zero": lambda: map_both_ends_zero(d, stats, cfg).mean(axis=0)
             * (count_zeros_per_channel(d, 0.0, 2) + 1.0),
         }[signal]()
-        got = importance("m", delta, stats, cfg).scores
+        got = importance("m", delta, stats, cfg)
         assert got.tobytes() == np.maximum(whole, 1e-12).tobytes()
 
     @pytest.mark.parametrize("slices", [1, 2, 4])
@@ -451,7 +450,7 @@ class TestImportance:
         delta[rng.uniform(size=(8, 8)) < 0.4] = 0.0
         stats = global_delta_stats(_weight_map({"m": delta}))
         cfg = MappingConfig(slices=slices)
-        got = importance("m", delta, stats, cfg).scores
+        got = importance("m", delta, stats, cfg)
         want = _loop_importance(delta.astype(np.float32).astype(np.float64), stats, cfg)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -477,7 +476,7 @@ class TestImportance:
             MappingConfig(signal="activation_sq"),
             MappingConfig(signal="both_ends_zero", multiply_activation=True),
         ):
-            got = importance("m", delta, stats, cfg, calib).scores
+            got = importance("m", delta, stats, cfg, calib)
             want = _loop_importance(
                 delta.astype(np.float32).astype(np.float64),
                 stats,
@@ -502,7 +501,7 @@ class TestImportance:
                 (MappingConfig(signal="magnitude", multiply_activation=True),
                  np.abs(x64).mean(axis=0)),
             ):
-                got = importance(module, ones, self.ST, cfg, calib).scores
+                got = importance(module, ones, self.ST, cfg, calib)
                 want = np.maximum(want.astype(np.float32).astype(np.float64), 1e-12)
                 assert got.tobytes() == want.tobytes()
 
@@ -527,8 +526,9 @@ class TestImportance:
     def test_scores_strictly_positive_even_for_dead_channels(self):
         stats = self.ST
         cfg = MappingConfig(signal="magnitude")
-        iv = importance("m", np.zeros((4, 4)), stats, cfg)
-        assert (iv.scores > 0).all()
+        scores = importance("m", np.zeros((4, 4)), stats, cfg)
+        assert scores.dtype == np.float64
+        assert (scores > 0).all()
 
 
 class TestImportanceAll:
@@ -548,11 +548,11 @@ class TestImportanceAll:
         pre, post = self._trained_pair()
         imps = importance_all(pre, post, CFG)
         assert sorted(imps) == ["layer0", "layer1"]
-        assert imps["layer0"].scores.shape == (6,)
-        assert imps["layer1"].scores.shape == (10,)
-        for iv in imps.values():
-            assert np.isfinite(iv.scores).all()
-            assert (iv.scores > 0).all()
+        assert imps["layer0"].shape == (6,)
+        assert imps["layer1"].shape == (10,)
+        for scores in imps.values():
+            assert np.isfinite(scores).all()
+            assert (scores > 0).all()
 
     def test_zero_fraction_is_reported(self):
         pre, post = self._trained_pair()
@@ -562,8 +562,9 @@ class TestImportanceAll:
 
     def test_container_round_trip_preserves_scores_and_meta(self):
         pre, post = self._trained_pair()
-        imps = importance_all(pre, post, MappingConfig(slices=2))
-        tmap = importances_to_map(imps)
+        cfg = MappingConfig(slices=2)
+        imps = importance_all(pre, post, cfg)
+        tmap = importances_to_map(imps, cfg)
         assert tmap.meta["signal"] == "both_ends_zero"
         assert tmap.meta["y_min"] == "1.0"
         assert tmap.meta["y_max"] == "10.0"
@@ -571,15 +572,16 @@ class TestImportanceAll:
         loaded = importances_from_map(tmap)
         assert sorted(loaded) == sorted(imps)
         for name in imps:
-            f32 = imps[name].scores.astype(np.float32).astype(np.float64)
-            assert np.array_equal(loaded[name].scores, f32)
+            f32 = imps[name].astype(np.float32).astype(np.float64)
+            assert np.array_equal(loaded[name], f32)
 
     def test_every_config_field_round_trips_through_meta(self):
         cfg = MappingConfig(
             signal="mid", y_min=2.0, zero_epsilon=1e-4, slices=3, multiply_activation=True
         )
-        imps = {"a": ImportanceVector("a", np.ones(3), cfg)}
-        assert importances_from_map(importances_to_map(imps))["a"].config == cfg
+        tmap = importances_to_map({"a": np.ones(3)}, cfg)
+        assert config_from_text(MappingConfig, tmap.meta) == cfg
+        assert importances_from_map(tmap)["a"].tolist() == [1.0, 1.0, 1.0]
 
     def test_hyphenated_signal_names_read_as_underscores(self):
         assert MappingConfig(signal="both-ends-zero") == MappingConfig()
@@ -587,8 +589,7 @@ class TestImportanceAll:
             MappingConfig(signal="both ends")
 
     def test_default_meta_text_is_unchanged(self):
-        imps = {"a": ImportanceVector("a", np.ones(3), MappingConfig())}
-        assert importances_to_map(imps).meta == {
+        assert importances_to_map({"a": np.ones(3)}, MappingConfig()).meta == {
             "signal": "both_ends_zero",
             "y_min": "1.0",
             "y_max": "10.0",
@@ -599,7 +600,14 @@ class TestImportanceAll:
 
     def test_missing_meta_keeps_defaults_and_extra_keys_are_ignored(self):
         tmap = TensorMap({"a.importance": np.ones(3, np.float32)}, meta={"slices": "2", "x": "y"})
-        assert importances_from_map(tmap)["a"].config == MappingConfig(slices=2)
+        assert config_from_text(MappingConfig, tmap.meta) == MappingConfig(slices=2)
+        assert sorted(importances_from_map(tmap)) == ["a"]
+
+    @pytest.mark.parametrize("key, value", [("slices", "x"), ("signal", "nope"), ("y_min", "-1")])
+    def test_malformed_meta_rejected_on_load(self, key, value):
+        tmap = TensorMap({"a.importance": np.ones(3, np.float32)}, meta={key: value})
+        with pytest.raises(ValueError, match=key):
+            importances_from_map(tmap)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected_on_load(self, bad):
@@ -666,7 +674,7 @@ class TestTwoBranchOracle:
             signal=signal, y_min=y_min, y_max=y_min + y_span, zero_epsilon=epsilon,
             slices=min(slices, rows),
         )
-        got = importance("m", delta, stats, cfg).scores
+        got = importance("m", delta, stats, cfg)
         assert got.tobytes() == signals_oracle.update_importance(delta, stats, cfg).tobytes()
         for name in MAPPINGS:
             want = getattr(signals_oracle, name)(delta, stats, cfg)
@@ -704,9 +712,9 @@ class TestTwoBranchOracle:
         assert global_delta_stats(deltas) == stats
         cfg = MappingConfig(signal=signal)
         got = importance_all(pre, post, cfg)
-        for name in want_deltas.names():
-            want = signals_oracle.update_importance(want_deltas[name], stats, cfg)
-            assert got[name[: -len(".weight")]].scores.tobytes() == want.tobytes()
+        for module in want_deltas.modules("weight"):
+            want = signals_oracle.update_importance(want_deltas[f"{module}.weight"], stats, cfg)
+            assert got[module].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", MAPPINGS)
     @pytest.mark.parametrize("kind", [float, np.float32, np.float64, np.array])
@@ -739,4 +747,4 @@ class TestTwoBranchOracle:
             for signal in UPDATE_SIGNALS:
                 cfg = MappingConfig(signal=signal, zero_epsilon=epsilon, slices=2)
                 want = signals_oracle.update_importance(delta, stats, cfg)
-                assert importance("m", delta, stats, cfg).scores.tobytes() == want.tobytes()
+                assert importance("m", delta, stats, cfg).tobytes() == want.tobytes()
