@@ -37,12 +37,12 @@ from .quant import (
     unpack_codes,
 )
 from .search import (
+    ModuleLoss,
     SearchConfig,
     SearchResult,
     normalize_scale,
     quant_loss,
     quantize_model,
-    reconstruction_mse,
     search_scale,
 )
 from .signals import (

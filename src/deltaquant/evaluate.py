@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .container import TensorMap
 from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
-from .search import SearchConfig, _LossKernel, quantize_model
+from .search import ModuleLoss, SearchConfig, quantize_model
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
-    _importance_per_module,
     compute_delta,
     global_delta_stats,
+    importance,
     importance_all,
 )
-from .toy import CalibrationSet, _forward_activations, model_from_map
+from .toy import CalibrationSet, forward_activations, model_from_map
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -40,15 +40,7 @@ class EvalReport:
     config: dict[str, str]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_module": self.per_module,
-                "end_to_end": self.end_to_end,
-                "config": self.config,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 @dataclass
@@ -60,26 +52,24 @@ class AblationRow:
     end_to_end_mse: float
 
 
-def _heldout_batch(in_dim: int, seed: int, rows: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal((rows, in_dim), dtype=np.float32)
-
-
 def _heldout_reference(post_ckpt: TensorMap, seed: int, rows: int):
     """The float model, a fresh seeded batch, and the model's outputs on it."""
     model = model_from_map(post_ckpt)
-    batch = _heldout_batch(model.in_dim, seed, rows)
-    return model, batch, _forward_activations(model.layers, batch)[-1]
+    batch = np.random.default_rng(seed).standard_normal((rows, model.in_dim), dtype=np.float32)
+    return model, batch, forward_activations(model.layers, batch)[-1]
 
 
 def _end_to_end(reference, recon: dict[str, np.ndarray]) -> tuple[float, float]:
     """Output MSE and relative Frobenius error of ``recon`` weights on the held-out batch."""
     model, batch, ref = reference
     layers = [replace(layer, weight=recon[layer.name]) for layer in model.layers]
-    quant = _forward_activations(layers, batch)[-1]
-    diff = quant.astype(np.float64) - ref.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    ref_norm = float(np.linalg.norm(ref.astype(np.float64)))
-    rel = float(np.linalg.norm(diff) / ref_norm) if ref_norm > 0 else 0.0
+    quant = forward_activations(layers, batch)[-1]
+    ref = ref.astype(np.float64)
+    sq_err = np.square(quant.astype(np.float64) - ref)
+    mse = float(np.mean(sq_err))
+    # numpy sums, not BLAS norms, so the result does not depend on the thread count
+    ref_norm = float(np.sqrt(np.sum(ref * ref)))
+    rel = float(np.sqrt(np.sum(sq_err)) / ref_norm) if ref_norm > 0 else 0.0
     return mse, rel
 
 
@@ -106,8 +96,7 @@ def layer_report(
             raise ValueError(f"checkpoint is missing {weight_name!r}")
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
-        weight = post_ckpt[weight_name]
-        loss_of = _LossKernel(weight, calib.inputs[module], module)
+        loss = ModuleLoss(post_ckpt[weight_name], calib.inputs[module], module)
         qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
         out_features, in_features = q.shape
         # the artifact's codes do not depend on its mask: stripping the
@@ -120,9 +109,9 @@ def layer_report(
         protected_recon = dequantize(q)
         recon_full[module] = protected_recon
         per_module[module] = {
-            "rtn_mse": loss_of(dequantize(rtn_quantize(weight, qcfg))),
-            "searched_mse": loss_of(dequantize(unprotected)),
-            "protected_mse": loss_of(protected_recon),
+            "rtn_mse": loss.quantized(qcfg),
+            "searched_mse": loss(dequantize(unprotected)),
+            "protected_mse": loss(protected_recon),
         }
     reference = _heldout_reference(post_ckpt, heldout_seed, heldout_rows)
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
@@ -182,7 +171,10 @@ def ablate_signals(
         eps = cfg_sig.zero_epsilon
         if eps not in stats_by_epsilon:
             stats_by_epsilon[eps] = global_delta_stats(deltas, eps)
-        signal_imps.append(_importance_per_module(deltas, stats_by_epsilon[eps], cfg_sig, calib))
+        stats = stats_by_epsilon[eps]
+        signal_imps.append(
+            {m: importance(m, deltas[f"{m}.weight"], stats, cfg_sig, calib) for m in modules}
+        )
     # dropped before the per-module maps so that the two peaks do not add up
     del deltas
     weights, plain, sq_err = {}, {}, {}

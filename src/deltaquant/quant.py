@@ -63,6 +63,21 @@ class QuantizedTensor:
     protected: np.ndarray  # bool [in]
     protected_values: np.ndarray  # float32 [out, n_protected], unscaled
 
+    def __post_init__(self) -> None:
+        """Check that the group tables and protected columns fit the codes."""
+        out_features, in_features = self.codes.shape
+        tables = (out_features, -(-in_features // self.group_size))
+        if self.scales.shape != tables or self.zero_points.shape != tables:
+            raise ValueError(
+                f"scales and zero points must be {list(tables)}, one column per "
+                f"group of {self.group_size} of the {in_features} channels"
+            )
+        protected = (out_features, int(self.protected.sum()))
+        if self.protected_values.shape != protected:
+            raise ValueError(
+                f"protected_values must be {list(protected)}, one column per protected channel"
+            )
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
@@ -96,6 +111,10 @@ def _quantize_groups(
     The rescale loop therefore runs once per slab on [rows, groups] tables
     (a stable group keeps its scale while others step), and the codes are
     computed once, after it, from the final scales.
+
+    A non-finite value raises ValueError. Min and max propagate NaN and
+    +-inf, so the [rows, groups] tables are finite exactly when every value
+    of the slab is, and only the tables are checked.
     """
     k = (1 << bits) - 1
     # min and max of a width-major copy: numpy reduces a leading axis over
@@ -104,6 +123,8 @@ def _quantize_groups(
     lo = np.minimum.reduce(planes).astype(np.float64)
     hi = np.maximum.reduce(planes).astype(np.float64)
     del planes  # freed before the float64 code slab is allocated
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("weight times channel_scale contains non-finite values")
     const = hi == lo
     lo_ext = np.minimum(lo, 0.0)
     hi_ext = np.maximum(hi, 0.0)
@@ -175,13 +196,12 @@ def rtn_quantize(
     ``channel_scale`` multiplies weight columns before quantization and is
     divided back out at dequantization. ``protected`` marks input channels
     whose original (unscaled) columns are kept in float32 and restored
-    bit-exactly.
+    bit-exactly. A non-finite weight, or one whose product with
+    ``channel_scale`` overflows float32, raises ValueError.
     """
     weight = np.ascontiguousarray(weight, dtype=np.float32)
     if weight.ndim != 2:
         raise ValueError("weight must be a [out, in] matrix")
-    if not np.isfinite(weight).all():
-        raise ValueError("weight contains non-finite values")
     out_features, in_features = weight.shape
 
     if channel_scale is None:
@@ -205,7 +225,8 @@ def rtn_quantize(
     scales = np.empty((out_features, n_groups), dtype=np.float32)
     zero_points = np.empty((out_features, n_groups), dtype=np.uint8)
     for rows, cols, groups, width in _slabs(weight.shape, cfg.group_size):
-        scaled = weight[rows, cols] * cscale[cols]
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected per slab
+            scaled = weight[rows, cols] * cscale[cols]
         c, scales[rows, groups], zero_points[rows, groups] = _quantize_groups(
             scaled.reshape(len(scaled), -1, width), cfg.bits
         )
@@ -230,11 +251,6 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     are divided by the channel scale; protected channels are restored
     verbatim from the stored float32 columns.
     """
-    in_features = q.codes.shape[1]
-    if -(-in_features // q.group_size) != q.n_groups or q.zero_points.shape != q.scales.shape:
-        raise ValueError("corrupt quantized tensor: group table mismatch")
-    if int(q.protected.sum()) != q.protected_values.shape[1]:
-        raise ValueError("corrupt quantized tensor: protected column count mismatch")
     recon = np.empty(q.codes.shape, dtype=np.float32)
     for rows, cols, groups, width in _slabs(q.codes.shape, q.group_size):
         codes = q.codes[rows, cols]
@@ -375,7 +391,8 @@ def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: in
 def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
     """Rebuild quantized modules from a container map.
 
-    A missing, misshaped or non-finite field raises ValueError naming its module.
+    A missing, misshaped or non-finite field, or fields of one module whose
+    shapes disagree, raises ValueError naming the module.
     """
     keys = ("bits", "group_size")
     if any(key not in tmap.meta for key in keys):
@@ -401,16 +418,19 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
         in_features = channel_scale.shape[0]
         codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
         zeros = _unpack_field(tmap, module, "zeros", scales.size, cfg.bits)
-        artifact[module] = QuantizedTensor(
-            bits=cfg.bits,
-            group_size=cfg.group_size,
-            codes=codes.reshape(out_features, in_features),
-            scales=scales,
-            zero_points=zeros.reshape(scales.shape),
-            channel_scale=channel_scale,
-            protected=_unpack_field(tmap, module, "protected", in_features, 1).astype(bool),
-            protected_values=protected_values,
-        )
+        try:
+            artifact[module] = QuantizedTensor(
+                bits=cfg.bits,
+                group_size=cfg.group_size,
+                codes=codes.reshape(out_features, in_features),
+                scales=scales,
+                zero_points=zeros.reshape(scales.shape),
+                channel_scale=channel_scale,
+                protected=_unpack_field(tmap, module, "protected", in_features, 1).astype(bool),
+                protected_values=protected_values,
+            )
+        except ValueError as exc:
+            raise ValueError(f"module {module!r}: {exc}") from None
     if not artifact:
         raise ValueError("no quantized modules found in container")
     return artifact

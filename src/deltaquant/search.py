@@ -9,11 +9,14 @@ is searched on an endpoint-inclusive uniform grid (default 20 points over
 [0, 1]), so alpha = 0 always reproduces plain unscaled quantization and
 the best candidate can never lose to it.
 
-One loss kernel per module serves every candidate: with at least
-``in_features`` calibration rows it scores through the Gram matrix
-``H = X.T @ X``, with fewer it multiplies by the rows directly. The choice
-depends only on the shapes, and both forms give the same loss up to
-float64 rounding.
+One ``ModuleLoss`` per module serves every candidate. It validates the
+calibration rows once; ``loss(recon)`` scores any reconstruction and
+``loss.quantized(qcfg, scale)`` scores round-to-nearest of the scaled
+weight, which ``search_scale``, ``quant_loss`` and the evaluation report
+share. With at least ``in_features`` calibration rows it scores through
+the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the rows
+directly. The choice depends only on the shapes, and both forms give the
+same loss up to float64 rounding.
 
 Importance vectors are normalized by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
@@ -66,22 +69,22 @@ class SearchResult:
     best_loss: float
 
 
-class _LossKernel:
+class ModuleLoss:
     """Output-error loss of reconstructions of one weight on fixed calibration rows.
 
-    Built once per (weight, calibration rows) pair: the rows are validated
-    and cast to float64 here, not per candidate. With ``n`` rows and
-    ``E = recon - weight`` the loss is ``mean((X @ E.T)**2)`` over
-    ``n * out`` outputs. When ``n >= in_features`` the kernel keeps only the
-    Gram matrix ``H = X.T @ X`` and scores ``sum((E @ H) * E) / (n * out)``,
+    Built once per module: the weight is kept as float32 and the rows are
+    validated and cast to float64 here, not per candidate. With ``n`` rows
+    and ``E = recon - weight`` the loss is ``mean((X @ E.T)**2)`` over
+    ``n * out`` outputs. When ``n >= in_features`` only the Gram matrix
+    ``H = X.T @ X`` is kept and the loss is ``sum((E @ H) * E) / (n * out)``,
     which costs ``out * in**2`` instead of ``n * in * out`` per candidate;
-    with fewer rows it keeps ``X`` and uses the direct form. The choice
+    with fewer rows ``X`` is kept and the direct form used. The choice
     depends only on the shapes. The two forms agree up to float64 rounding
-    (about 1e-15 relative).
+    (about 1e-15 relative). ``module`` names the errors.
     """
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
-        self.weight = np.asarray(weight)
+        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
         x = np.asarray(calib_inputs)
         where = f" for module {module!r}" if module else ""
         if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
@@ -100,40 +103,34 @@ class _LossKernel:
             self.gram, self.x64 = None, x64
 
     def __call__(self, recon: np.ndarray) -> float:
+        """Mean squared difference between reconstructed and original outputs."""
         # subtracting in float64 without keeping a float64 copy of the weight:
         # a persistent copy measurably slowed the next stage's allocations
         err = np.subtract(recon, self.weight, dtype=np.float64)
         if self.gram is None:
             out_err = self.x64 @ err.T
             return float(np.mean(out_err * out_err))
-        return float(np.vdot(err @ self.gram, err) / self.outputs)
+        # numpy's own row reduction: a BLAS dot would split the sum by thread count
+        return float(np.einsum("ij,ij->i", err @ self.gram, err).sum() / self.outputs)
 
+    def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
+        """Loss of round-to-nearest quantization of the weight scaled by ``scale``.
 
-def reconstruction_mse(weight: np.ndarray, calib_inputs: np.ndarray, recon: np.ndarray) -> float:
-    """Mean squared difference between reconstructed and original outputs.
-
-    Computed through ``H = X.T @ X`` when the rows number at least
-    ``in_features`` (see ``_LossKernel``).
-    """
-    return _LossKernel(weight, calib_inputs)(recon)
+        The columns are multiplied by ``scale`` (default all ones), quantized
+        without protection, decoded, and divided by ``scale`` again.
+        """
+        return self(dequantize(rtn_quantize(self.weight, qcfg, channel_scale=scale)))
 
 
 def quant_loss(
-    weight: np.ndarray,
-    calib_inputs: np.ndarray,
-    scale: np.ndarray,
-    qcfg: QuantConfig,
+    weight: np.ndarray, calib_inputs: np.ndarray, scale: np.ndarray, qcfg: QuantConfig
 ) -> float:
     """Mean squared output error of scaled round-to-nearest quantization.
 
-    Quantizes weight columns multiplied by ``scale`` (no protection),
-    reconstructs, divides the scale back out, and compares layer outputs
-    against the original weight on the calibration rows. Uses the same
-    kernel as ``search_scale``, so it reproduces the search's losses exactly.
+    ``ModuleLoss(weight, calib_inputs).quantized(qcfg, scale)``: the loss
+    ``search_scale`` scores for the candidate ``scale``, reproduced exactly.
     """
-    weight = np.ascontiguousarray(weight, dtype=np.float32)
-    loss = _LossKernel(weight, calib_inputs)
-    return loss(dequantize(rtn_quantize(weight, qcfg, channel_scale=scale)))
+    return ModuleLoss(weight, calib_inputs).quantized(qcfg, scale)
 
 
 def normalize_scale(raw: np.ndarray) -> np.ndarray:
@@ -162,19 +159,18 @@ def search_scale(
     s = normalize(I)^alpha; ties go to the smaller alpha. Also reports the
     unscaled loss for reference. ``module`` names the result and the errors.
     """
+    loss = ModuleLoss(weight, np.asarray(calib_inputs)[: scfg.max_calib_rows], module)
+    in_features = loss.weight.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
-    weight = np.ascontiguousarray(weight, dtype=np.float32)
     where = f" for module {module!r}" if module else ""
-    if scores.shape != (weight.shape[1],):
+    if scores.shape != (in_features,):
         raise ValueError(f"importance length must match in_features{where}")
     if (scores <= 0).any():
         raise ValueError(f"importance scores must be strictly positive{where}")
-    x = np.ascontiguousarray(calib_inputs, dtype=np.float32)[: scfg.max_calib_rows]
-    loss_of = _LossKernel(weight, x, module)
 
     base = normalize_scale(scores)
-    ones = np.ones(weight.shape[1], dtype=np.float32)
-    rtn_loss = loss_of(dequantize(rtn_quantize(weight, qcfg, channel_scale=ones)))
+    ones = np.ones(in_features, dtype=np.float32)
+    rtn_loss = loss.quantized(qcfg)
 
     best_alpha = None
     best_loss = np.inf
@@ -183,14 +179,14 @@ def search_scale(
     for alpha in scfg.alphas():
         if alpha == 0.0:
             # base**0.0 is exactly one: this is the candidate rtn_loss scored
-            s32, loss = ones, rtn_loss
+            s32, value = ones, rtn_loss
         else:
             s32 = (base**alpha).astype(np.float32)
-            loss = loss_of(dequantize(rtn_quantize(weight, qcfg, channel_scale=s32)))
-        curve.append((alpha, loss))
-        if loss < best_loss:
+            value = loss.quantized(qcfg, s32)
+        curve.append((alpha, value))
+        if value < best_loss:
             best_alpha = alpha
-            best_loss = loss
+            best_loss = value
             best_scale = s32
     return SearchResult(
         module=module,
@@ -218,11 +214,13 @@ def quantize_model(
     modules = post_ckpt.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
+    unmatched = sorted(set(importances) ^ set(modules))
+    if unmatched:
+        missing_from = "checkpoint" if unmatched[0] in importances else "importance vectors"
+        raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
     for module in modules:
-        if module not in importances:
-            raise ValueError(f"missing importance vector for module {module!r}")
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
         weight = post_ckpt[f"{module}.weight"]
@@ -253,16 +251,7 @@ def report_lines(
         )
     ]
     for res in report:
-        lines.append(
-            json.dumps(
-                {
-                    "module": res.module,
-                    "alpha_star": res.alpha_star,
-                    "rtn_loss": res.rtn_loss,
-                    "best_loss": res.best_loss,
-                    "loss_curve": [[a, l] for a, l in res.loss_curve],
-                },
-                sort_keys=True,
-            )
-        )
+        # every field but the scale array, which the artifact already stores
+        record = {key: value for key, value in vars(res).items() if key != "scale"}
+        lines.append(json.dumps(record, sort_keys=True))
     return lines

@@ -333,16 +333,6 @@ def importance_all(
     """
     deltas = compute_delta(pre, post)
     stats = global_delta_stats(deltas, cfg.zero_epsilon)
-    return _importance_per_module(deltas, stats, cfg, calib)
-
-
-def _importance_per_module(
-    deltas: TensorMap,
-    stats: DeltaStats,
-    cfg: MappingConfig,
-    calib: CalibrationSet | None,
-) -> dict[str, np.ndarray]:
-    """Importance of every module of ``deltas`` under one set of global stats."""
     return {
         module: importance(module, deltas[f"{module}.weight"], stats, cfg, calib)
         for module in deltas.modules("weight")

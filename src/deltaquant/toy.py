@@ -98,7 +98,7 @@ class CalibrationSet:
         """Load the ``<module>.calib_inputs`` matrices; other tensors are ignored.
 
         Only the rank is checked here; the rows are not scanned, because the
-        loss kernel and the activation signals check them where they use them.
+        ``ModuleLoss`` and the activation signals check them where they use them.
         """
         calib = cls()
         for module in tmap.modules("calib_inputs"):
@@ -130,7 +130,7 @@ def init_model(dims: list[int] | tuple[int, ...], seed: int) -> ToyModel:
     return ToyModel(layers=layers, dims=dims, seed=int(seed))
 
 
-def _forward_activations(layers: list[LinearLayer], inputs: np.ndarray) -> list[np.ndarray]:
+def forward_activations(layers: list[LinearLayer], inputs: np.ndarray) -> list[np.ndarray]:
     """Return [input, hidden..., output]; entry i is the input of layer i."""
     acts = [inputs]
     last = len(layers) - 1
@@ -147,7 +147,7 @@ def forward(model: ToyModel, inputs: np.ndarray) -> tuple[np.ndarray, Calibratio
         raise ValueError(
             f"inputs must be [n, {model.in_dim}], got {tuple(inputs.shape)}"
         )
-    acts = _forward_activations(model.layers, inputs)
+    acts = forward_activations(model.layers, inputs)
     calib = CalibrationSet()
     for i, layer in enumerate(model.layers):
         calib.inputs[layer.name] = acts[i].copy()
@@ -164,7 +164,7 @@ def gradients(
     """
     inputs = np.ascontiguousarray(inputs, dtype=np.float32)
     targets = np.ascontiguousarray(targets, dtype=np.float32)
-    acts = _forward_activations(model.layers, inputs)
+    acts = forward_activations(model.layers, inputs)
     out = acts[-1]
     diff = out - targets
     loss = float(np.mean(diff.astype(np.float64) ** 2))
@@ -239,7 +239,7 @@ def train(
     snapshots: list[tuple[int, TensorMap]] = [(0, checkpoint_map(model, 0, extra))]
     for step in range(1, cfg.steps + 1):
         batch = rng.standard_normal((cfg.batch_size, model.in_dim), dtype=np.float32)
-        targets = _forward_activations(teacher.layers, batch)[-1]
+        targets = forward_activations(teacher.layers, batch)[-1]
         loss, grads = gradients(model, batch, targets)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
@@ -314,7 +314,7 @@ def finite_diff_check(
     targets = np.ascontiguousarray(targets, dtype=np.float32)
 
     _, grads = (grad_fn or gradients)(model, inputs, targets)
-    acts = _forward_activations(model.layers, inputs)
+    acts = forward_activations(model.layers, inputs)
     masks = [(acts[i + 1] > 0).astype(np.float64) for i in range(len(model.layers) - 1)]
 
     slots: list[tuple[str, str, int]] = []

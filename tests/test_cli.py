@@ -322,6 +322,50 @@ class TestQuantizeAndEval:
         assert "'layer0'" in res.stderr and "protected_values" in res.stderr
         assert not ev.exists()
 
+    @pytest.mark.parametrize(
+        "tag,corrupt,message",
+        [
+            ("short_rows",
+             lambda t: t.__setitem__("layer0.protected_values", t["layer0.protected_values"][:3]),
+             "protected_values"),
+            ("wide_groups", lambda t: t.meta.__setitem__("group_size", "8"), "scales"),
+        ],
+    )
+    def test_inconsistent_artifact_fields_name_the_module(self, tmp_path, tag, corrupt, message):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
+        tmap = load_container(art)
+        corrupt(tmap)
+        bad = tmp_path / f"art_{tag}.dqt"
+        save_container(tmap, bad)
+        ev = tmp_path / f"eval_{tag}.json"
+        res = run_cli(
+            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
+            "--calib", out / "calib.dqt", "--out", ev,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "'layer0'" in res.stderr and message in res.stderr
+        assert not ev.exists()
+
+    def test_importance_for_unknown_module_is_runtime_error(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
+        tmap = load_container(imp)
+        tmap["layer9.importance"] = np.ones(3, np.float32)
+        bad = tmp_path / "imp_extra.dqt"
+        save_container(tmap, bad)
+        art = tmp_path / "art_extra.dqt"
+        res = run_cli(
+            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
+            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "'layer9'" in res.stderr and "checkpoint" in res.stderr
+        assert not art.exists()
+        assert not art.with_suffix(".report.jsonl").exists()
+
     def test_misshaped_importance_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
 
@@ -655,3 +699,33 @@ class TestDeterminism:
                 if p.is_file()
             ]
         assert outs["a"] == outs["b"]
+
+    def test_outputs_independent_of_blas_thread_count(self, tmp_path):
+        # BLAS splits a threaded reduction differently at each thread count;
+        # every loss and norm must therefore reduce in a fixed order
+        outs = {}
+        for threads in ("1", "2"):
+            base = tmp_path / f"threads{threads}"
+            run = base / "run"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            for args in (
+                ("train-toy", "--dims", "64,256,64", "--steps", "200",
+                 "--calib-rows", "512", "--out", run),
+                ("importance", "--pre", run / "ckpt_step000000.dqt",
+                 "--post", run / "ckpt_step000200.dqt", "--out", base / "imp.dqt"),
+                ("quantize", "--post", run / "ckpt_step000200.dqt",
+                 "--importance", base / "imp.dqt", "--calib", run / "calib.dqt",
+                 "--out", base / "art.dqt"),
+                ("eval", "--post", run / "ckpt_step000200.dqt", "--artifact", base / "art.dqt",
+                 "--calib", run / "calib.dqt", "--out", base / "eval.json"),
+            ):
+                res = subprocess.run(
+                    CLI + [str(a) for a in args], capture_output=True, text=True, env=env
+                )
+                assert res.returncode == 0, res.stderr
+            outs[threads] = {
+                str(p.relative_to(base)): p.read_bytes() for p in base.rglob("*") if p.is_file()
+            }
+        assert sorted(outs["1"]) == sorted(outs["2"])
+        differ = [name for name in sorted(outs["1"]) if outs["1"][name] != outs["2"][name]]
+        assert differ == []

@@ -1,5 +1,7 @@
 """RTN group quantization, packing bijection, channel protection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,25 @@ class TestRtnQuantize:
         w = np.array([[1.0, np.inf]], np.float32)
         with pytest.raises(ValueError, match="non-finite"):
             rtn_quantize(w, QuantConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [5, 9], ids=["full-group", "ragged-group"])
+    @pytest.mark.parametrize("protect", [False, True])
+    def test_non_finite_rejected_in_every_group(self, bad, col, protect):
+        # 10 columns at group 4: two full groups and a ragged group of width 2
+        w = _rand_weight(np.random.default_rng(5), (3, 10))
+        w[1, col] = bad
+        mask = np.arange(10) == col if protect else None
+        with pytest.raises(ValueError, match="non-finite"):
+            rtn_quantize(w, QuantConfig(bits=3, group_size=4), protected=mask)
+
+    def test_channel_scale_overflow_rejected(self):
+        # every weight and scale is finite, but 1e38 * 10 overflows float32
+        w = np.full((2, 8), 1e38, np.float32)
+        scale = np.ones(8, np.float32)
+        scale[6] = 10.0
+        with pytest.raises(ValueError, match="non-finite"):
+            rtn_quantize(w, QuantConfig(bits=3, group_size=4), channel_scale=scale)
 
     def test_group_count(self):
         w = _rand_weight(np.random.default_rng(0), (4, 10))
@@ -192,6 +213,20 @@ class TestRtnQuantize:
         assert np.array_equal(q.codes, codes)
         assert np.array_equal(q.scales, scales)
         assert np.array_equal(q.zero_points, zeros)
+
+
+class TestFieldShapes:
+    def test_fields_that_disagree_are_rejected(self):
+        w = _rand_weight(np.random.default_rng(6), (4, 10))
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4), protected=np.arange(10) < 3)
+        with pytest.raises(ValueError, match="scales and zero points must be \\[4, 3\\]"):
+            dataclasses.replace(q, scales=q.scales[:, :2], zero_points=q.zero_points[:, :2])
+        with pytest.raises(ValueError, match="scales and zero points"):
+            dataclasses.replace(q, group_size=8)
+        with pytest.raises(ValueError, match="protected_values must be \\[4, 3\\]"):
+            dataclasses.replace(q, protected_values=q.protected_values[:3])
+        with pytest.raises(ValueError, match="protected_values"):
+            dataclasses.replace(q, protected=np.arange(10) < 4)
 
 
 class TestChannelScale:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
+    ModuleLoss,
     SearchConfig,
     normalize_scale,
     quant_loss,
     quantize_model,
-    reconstruction_mse,
     report_lines,
     search_scale,
 )
@@ -51,7 +51,8 @@ class TestQuantLoss:
         ones = np.ones(8, np.float32)
         loss = quant_loss(w, x, ones, QCFG)
         recon = dequantize(rtn_quantize(w, QCFG))
-        assert loss == reconstruction_mse(w, x, recon)
+        assert loss == ModuleLoss(w, x)(recon)
+        assert loss == ModuleLoss(w, x).quantized(QCFG)
         err = recon.astype(np.float64) - w.astype(np.float64)
         direct = float(np.mean((x.astype(np.float64) @ err.T) ** 2))
         assert loss == pytest.approx(direct, rel=1e-12)
@@ -102,12 +103,12 @@ class TestQuantLoss:
         with pytest.raises(ValueError, match="non-finite"):
             quant_loss(w, x, ones, QCFG)
         with pytest.raises(ValueError, match="non-finite"):
-            reconstruction_mse(w, x, w)
+            ModuleLoss(w, x)
         with pytest.raises(ValueError, match="non-finite"):
             search_scale(w, scores, x, SearchConfig(), QCFG)
 
 
-class TestReconstructionMse:
+class TestModuleLoss:
     @settings(max_examples=60, deadline=None)
     @given(
         out_features=st.integers(1, 12),
@@ -127,8 +128,39 @@ class TestReconstructionMse:
         recon = (w + 0.1 * rng.standard_normal(w.shape)).astype(np.float32)
         err = recon.astype(np.float64) - w.astype(np.float64)
         direct = float(np.mean((x.astype(np.float64) @ err.T) ** 2))
-        assert reconstruction_mse(w, x, recon) == pytest.approx(direct, rel=1e-12)
-        assert reconstruction_mse(w, x, w) == 0.0
+        loss = ModuleLoss(w, x)
+        assert (loss.gram is None) == (n < in_features)
+        assert loss(recon) == pytest.approx(direct, rel=1e-12)
+        assert loss(w) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        out_features=st.integers(1, 12),
+        in_features=st.integers(2, 24),
+        rows=st.sampled_from(["below", "equal", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_and_direct_forms_agree(self, out_features, in_features, rows, seed):
+        n = {"below": in_features - 1, "equal": in_features, "above": 2 * in_features}[rows]
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((out_features, in_features)).astype(np.float32)
+        x = rng.standard_normal((n, in_features)).astype(np.float32)
+        recon = (w + 0.1 * rng.standard_normal(w.shape)).astype(np.float32)
+        loss = ModuleLoss(w, x)(recon)
+        if n < in_features:
+            # zero rows add nothing to the error sum but reach the Gram form;
+            # the mean then divides by more outputs
+            padded = np.vstack([x, np.zeros((in_features - n, in_features), np.float32)])
+            other = ModuleLoss(w, padded)
+            assert other.gram is not None
+            other_loss = other(recon) * in_features / n
+        else:
+            # zero columns add nothing to the outputs but reach the direct form
+            pad = ((0, 0), (0, n + 1 - in_features))
+            other = ModuleLoss(np.pad(w, pad), np.pad(x, pad))
+            assert other.gram is None
+            other_loss = other(np.pad(recon, pad))
+        assert other_loss == pytest.approx(loss, rel=1e-12)
 
 
 class TestNormalizeScale:
