@@ -32,6 +32,7 @@ from .quant import (
     artifact_to_map,
     dequantize,
     pack_codes,
+    protection_order,
     rtn_quantize,
     select_protected,
     unpack_codes,
@@ -55,6 +56,7 @@ from .signals import (
     global_delta_stats,
     importance,
     importance_all,
+    importances,
     importances_from_map,
     importances_to_map,
     map_both_ends,

@@ -17,15 +17,22 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .container import TensorMap
-from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
+from .quant import (
+    QuantConfig,
+    QuantizedTensor,
+    dequantize,
+    protected_count,
+    protection_order,
+    rtn_quantize,
+)
 from .search import ModuleLoss, SearchConfig, quantize_model
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
     compute_delta,
     global_delta_stats,
-    importance,
     importance_all,
+    importances,
 )
 from .toy import CalibrationSet, forward_activations, model_from_map
 
@@ -131,6 +138,26 @@ def layer_report(
     )
 
 
+def _column_sq_err(recon: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per-column sums of the float64 squared error of ``recon`` against ``weight``."""
+    err = recon.astype(np.float64)
+    err -= weight
+    np.square(err, out=err)
+    # an axis-0 reduction adds each column's rows in order, with no BLAS call
+    return err.sum(axis=0)
+
+
+def _copy_columns(dst: np.ndarray, src: np.ndarray, cols: np.ndarray) -> None:
+    """``dst[:, cols] = src[:, cols]`` for a C-contiguous ``dst``.
+
+    Indexing the flattened arrays with sorted flat indices is several times
+    faster than a two-axis column gather and scatter.
+    """
+    rows, width = dst.shape
+    flat = (np.arange(rows)[:, None] * width + np.sort(cols)).ravel()
+    dst.reshape(-1)[flat] = src.reshape(-1)[flat]
+
+
 def ablate_signals(
     pre: TensorMap,
     post: TensorMap,
@@ -146,63 +173,76 @@ def ablate_signals(
 
     No scale search is involved; the protection mask is the only thing a
     signal changes, so rows isolate the value of each signal. Per-module
-    numbers are weight-space reconstruction MSE, which is guaranteed
-    non-increasing in the protected fraction (protection zeroes whole
-    error columns and leaves other groups untouched); output-level
-    divergence is reported end to end, where channel errors may interfere.
-    Rows are emitted in input order, signals outer, fractions inner.
+    numbers are weight-space reconstruction MSE, which never rises with the
+    protected fraction; output-level divergence is reported end to end,
+    where channel errors may interfere. Rows are emitted in input order,
+    signals outer, fractions inner.
 
-    Cost of a sweep: one delta pass, one global-stats pass per distinct
-    ``zero_epsilon``, and per module one quantize, one dequantize and one
-    float64 squared-error map. A (signal, fraction) row then only selects
-    columns: protected columns take the float weight and an error of 0, the
-    others the plain reconstruction and its error, which is exactly what
+    Cost of a sweep: one delta pass and one global-stats pass per distinct
+    ``zero_epsilon``. Per module: one float64 cast of each column block of
+    the updates, shared by every signal; one quantize, one dequantize and
+    the float64 per-column sums of the squared error; per signal, one sort
+    (``protection_order``). Each fraction's mask is a prefix of that order,
+    so the fractions are walked in ascending order over one float32
+    reconstruction buffer per module. Per row and module: one sum of the
+    column error sums with the protected columns zeroed, and a copy of the
+    newly protected float columns into the buffer, which is exactly what
     decoding the protected tensor gives (the channel scale is all ones and
-    the mask never changes the codes). Beyond that, a row costs one
-    held-out forward pass.
+    the mask never changes the codes). Plus one held-out forward pass per
+    row. The error sum runs over the columns in channel order, so it
+    depends only on the protected set and cannot rise when a column joins
+    it.
     """
     if not signals:
         raise ValueError("need at least one signal")
+    bad = [f for f in fractions if not 0.0 <= f <= 1.0]
+    if bad:
+        raise ValueError(f"fractions must lie in [0, 1], got {bad[0]!r}")
     modules = post.modules("weight")
     deltas = compute_delta(pre, post)
     stats_by_epsilon = {}
-    signal_imps = []
     for cfg_sig in signals:
         eps = cfg_sig.zero_epsilon
         if eps not in stats_by_epsilon:
             stats_by_epsilon[eps] = global_delta_stats(deltas, eps)
-        stats = stats_by_epsilon[eps]
-        signal_imps.append(
-            {m: importance(m, deltas[f"{m}.weight"], stats, cfg_sig, calib) for m in modules}
-        )
-    # dropped before the per-module maps so that the two peaks do not add up
+    requests = [(cfg_sig, stats_by_epsilon[cfg_sig.zero_epsilon]) for cfg_sig in signals]
+    orders = {
+        m: [protection_order(s) for s in importances(m, deltas[f"{m}.weight"], requests, calib)]
+        for m in modules
+    }
+    # dropped before the reconstructions so that the two peaks do not add up
     del deltas
-    weights, plain, sq_err = {}, {}, {}
+    weights, plain, col_err = {}, {}, {}
     for module in modules:
         weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
         recon = dequantize(rtn_quantize(weight, qcfg))
-        diff = recon.astype(np.float64) - weight.astype(np.float64)
-        weights[module], plain[module], sq_err[module] = weight, recon, diff * diff
+        weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
     reference = _heldout_reference(post, heldout_seed, heldout_rows)
-    rows: list[AblationRow] = []
-    for cfg_sig, imps in zip(signals, signal_imps):
-        for fraction in fractions:
+    ascending = sorted(range(len(fractions)), key=lambda i: fractions[i])
+    rows: list = [None] * (len(signals) * len(fractions))
+    recon_full = {m: np.empty_like(plain[m]) for m in modules}
+    for s, cfg_sig in enumerate(signals):
+        for module in modules:
+            np.copyto(recon_full[module], plain[module])
+        err_left = {m: col_err[m].copy() for m in modules}
+        protected = dict.fromkeys(modules, 0)
+        for i in ascending:
             per_module: dict[str, float] = {}
-            recon_full: dict[str, np.ndarray] = {}
             for module in modules:
-                cols = select_protected(imps[module], fraction)
-                recon_full[module] = np.where(cols, weights[module], plain[module])
-                per_module[module] = float(np.mean(np.where(cols, 0.0, sq_err[module])))
-            mean_mse = float(np.mean([per_module[m] for m in modules]))
+                weight = weights[module]
+                n = protected_count(fractions[i], weight.shape[1])
+                new = orders[module][s][protected[module]:n]
+                _copy_columns(recon_full[module], weight, new)
+                err_left[module][new] = 0.0
+                protected[module] = n
+                per_module[module] = float(err_left[module].sum() / weight.size)
             e2e_mse, _ = _end_to_end(reference, recon_full)
-            rows.append(
-                AblationRow(
-                    signal=cfg_sig.signal,
-                    fraction=float(fraction),
-                    per_module=per_module,
-                    mean_mse=mean_mse,
-                    end_to_end_mse=e2e_mse,
-                )
+            rows[s * len(fractions) + i] = AblationRow(
+                signal=cfg_sig.signal,
+                fraction=float(fractions[i]),
+                per_module=per_module,
+                mean_mse=float(np.mean([per_module[m] for m in modules])),
+                end_to_end_mse=e2e_mse,
             )
     return rows
 

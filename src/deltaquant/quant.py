@@ -317,20 +317,32 @@ def unpack_codes(buf: np.ndarray, count: int, bits: int) -> np.ndarray:
     return out.ravel()[:count]
 
 
+def protection_order(scores: np.ndarray) -> np.ndarray:
+    """Channels from most to least important; ties break toward the lower index.
+
+    ``select_protected`` marks a prefix of this order, so the masks of
+    ascending fractions are nested.
+    """
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
+def protected_count(fraction: float, channels: int) -> int:
+    """How many of ``channels`` a protect ``fraction`` in [0, 1] marks: round(fraction * channels)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    return int(round(fraction * channels))
+
+
 def select_protected(scores: np.ndarray, fraction: float) -> np.ndarray:
     """Mark the round(fraction * n) highest-importance channels of a score array.
 
     Ties break toward the lower channel index.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    n_protect = int(round(fraction * n))
+    n = np.shape(scores)[0]
+    n_protect = protected_count(fraction, n)
     mask = np.zeros(n, dtype=bool)
     if n_protect:
-        order = np.argsort(-scores, kind="stable")
-        mask[order[:n_protect]] = True
+        mask[protection_order(scores)[:n_protect]] = True
     return mask
 
 

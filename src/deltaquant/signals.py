@@ -138,12 +138,12 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
 
 def _restricted_quadratic(
     delta, lo: float, mid: float, hi: float, y_min: float, y_max: float,
-    zero_epsilon: float | None = None,
+    kept: np.ndarray | None = None,
 ) -> np.ndarray:
     """Two-branch quadratic: y_max at both ends, y_min at the median.
 
     delta may be a scalar or an ndarray; values outside [lo, hi] are
-    clamped. With ``zero_epsilon``, updates at or below it score y_min.
+    clamped. With a ``kept`` mask, the updates it leaves out score y_min.
     A collapsed left branch (mid == lo) returns y_max at its point; a
     collapsed right branch is never reached, because clamping keeps every
     update at or below hi == mid.
@@ -159,9 +159,8 @@ def _restricted_quadratic(
     t -= mid
     # a collapsed left branch scores y_max at its one point, the median
     at_mid = None if mid - lo > 0 else t == 0
-    if zero_epsilon is not None:
+    if kept is not None:
         # a multiply by the mask: a masked store branches on every element
-        kept = d > zero_epsilon
         t *= kept
         if at_mid is not None:
             at_mid &= kept
@@ -186,16 +185,20 @@ def _as_input_kind(values: np.ndarray, original) -> float | np.ndarray:
     return values
 
 
+def _both_ends_anchors(stats: DeltaStats, cfg: MappingConfig) -> tuple[float, ...]:
+    """The quadratic arguments of ``map_both_ends``; ``mid`` reflects the same values."""
+    return (
+        stats.min_including_zeros, stats.median_positive, stats.max, cfg.y_min, cfg.y_max
+    )
+
+
 def map_both_ends(delta, stats: DeltaStats, cfg: MappingConfig):
     """Both-ends quadratic with no special zero handling.
 
     The left anchor is the global minimum including zeros, so when any
     zero update exists f(0) = y_max. Accepts scalars or arrays.
     """
-    out = _restricted_quadratic(
-        delta, stats.min_including_zeros, stats.median_positive, stats.max,
-        cfg.y_min, cfg.y_max,
-    )
+    out = _restricted_quadratic(delta, *_both_ends_anchors(stats, cfg))
     return _as_input_kind(out, delta)
 
 
@@ -206,9 +209,10 @@ def map_both_ends_zero(delta, stats: DeltaStats, cfg: MappingConfig):
     branch is anchored at the smallest positive update instead of zero,
     so f(min_positive) = f(max) = y_max and f(median) = y_min.
     """
+    d = np.asarray(delta, dtype=np.float64)
     out = _restricted_quadratic(
-        delta, stats.min_positive, stats.median_positive, stats.max,
-        cfg.y_min, cfg.y_max, cfg.zero_epsilon,
+        d, stats.min_positive, stats.median_positive, stats.max,
+        cfg.y_min, cfg.y_max, d > cfg.zero_epsilon,
     )
     return _as_input_kind(out, delta)
 
@@ -240,12 +244,18 @@ def count_zeros_per_channel(
     rows = delta.shape[0]
     if slices < 1 or slices > rows:
         raise ValueError(f"slices must be in [1, {rows}], got {slices}")
-    counts = np.zeros(delta.shape[1], dtype=np.float64)
-    for band in np.array_split(delta, slices, axis=0):
-        # compared in float64, like the threshold of global_delta_stats
-        zeros = np.less_equal(band, zero_epsilon, signature=(np.float64, np.float64, None))
-        counts += zeros.sum(axis=0)
-    return counts / slices
+    # compared in float64, like the threshold of global_delta_stats
+    zeros = np.less_equal(delta, zero_epsilon, signature=(np.float64, np.float64, None))
+    return _mean_band_zeros(~zeros, slices)
+
+
+def _mean_band_zeros(kept: np.ndarray, slices: int) -> np.ndarray:
+    """Per column, the mean over ``slices`` row bands of the entries ``kept`` leaves out.
+
+    The bands of ``count_zeros_per_channel``; integer counts add exactly.
+    """
+    zeros = sum(band.shape[0] - band.sum(axis=0) for band in np.array_split(kept, slices))
+    return zeros / slices
 
 
 def _activation_stat(x: np.ndarray, module: str, width: int, *, square: bool) -> np.ndarray:
@@ -287,37 +297,74 @@ def importance(
     ValueError naming the module. Scores are clamped to a tiny positive
     floor so they can serve as scaling-factor bases.
     """
+    return importances(module, weight_delta, [(cfg, stats)], calib)[0]
+
+
+def importances(
+    module: str,
+    weight_delta: np.ndarray,
+    signals: list[tuple[MappingConfig, DeltaStats]],
+    calib: CalibrationSet | None = None,
+) -> list[np.ndarray]:
+    """``importance`` of one module under each (config, statistics) pair.
+
+    Each column block of the updates is cast to float64 once and serves
+    every pair. Pairs that share the both-ends quadratic's anchors evaluate
+    it once per block, and ``mid`` reflects its values elementwise, which
+    gives the bits of ``map_mid``. ``both_ends_zero`` compares each update
+    with ``zero_epsilon`` once: the one mask both pins the zero updates in
+    the quadratic and gives each band's zero count.
+    """
     weight_delta = np.asarray(weight_delta)
     if weight_delta.ndim != 2:
         raise ValueError("weight_delta must be a [out, in] matrix")
-    width = weight_delta.shape[1]
-    if cfg.needs_calib and (calib is None or module not in calib.inputs):
-        raise ValueError(f"signal requires calibration inputs for module {module!r}")
+    rows, width = weight_delta.shape
+    for cfg, _ in signals:
+        if cfg.needs_calib and (calib is None or module not in calib.inputs):
+            raise ValueError(f"signal requires calibration inputs for module {module!r}")
+        if cfg.signal == "both_ends_zero" and cfg.slices > rows:
+            raise ValueError(f"module {module!r}: slices must be in [1, {rows}], got {cfg.slices}")
 
-    if cfg.signal == "activation_sq":
-        scores = _activation_stat(calib.inputs[module], module, width, square=True)
-    else:
-        scores = np.empty(width)
-        for start in range(0, width, _COLUMN_BLOCK):
-            # the last block ends at the last column, overlapping the one before
-            cols = slice(max(min(start, width - _COLUMN_BLOCK), 0), start + _COLUMN_BLOCK)
-            delta = weight_delta[:, cols].astype(np.float64)
+    scores = [np.empty(width) for _ in signals]
+    updates = [
+        (cfg, stats, out)
+        for (cfg, stats), out in zip(signals, scores)
+        if cfg.signal != "activation_sq"
+    ]
+    for start in range(0, width if updates else 0, _COLUMN_BLOCK):
+        # the last block ends at the last column, overlapping the one before
+        cols = slice(max(min(start, width - _COLUMN_BLOCK), 0), start + _COLUMN_BLOCK)
+        delta = weight_delta[:, cols].astype(np.float64)
+        both_ends = {}
+        for cfg, stats, out in updates:
             if cfg.signal == "magnitude":
-                scores[cols] = delta.mean(axis=0)
-            elif cfg.signal == "both_ends":
-                scores[cols] = map_both_ends(delta, stats, cfg).mean(axis=0)
-            elif cfg.signal == "mid":
-                scores[cols] = map_mid(delta, stats, cfg).mean(axis=0)
-            else:  # both_ends_zero
-                try:
-                    zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
-                except ValueError as exc:  # slices beyond the module's rows
-                    raise ValueError(f"module {module!r}: {exc}") from None
-                scores[cols] = map_both_ends_zero(delta, stats, cfg).mean(axis=0) * (zbar + 1.0)
+                out[cols] = delta.mean(axis=0)
+            elif cfg.signal == "both_ends_zero":
+                kept = delta > cfg.zero_epsilon
+                # counted before the quadratic, while the mask is in cache
+                zbar = _mean_band_zeros(kept, cfg.slices)
+                q = _restricted_quadratic(
+                    delta, stats.min_positive, stats.median_positive, stats.max,
+                    cfg.y_min, cfg.y_max, kept,
+                )
+                out[cols] = q.mean(axis=0) * (zbar + 1.0)
+            else:  # both_ends, mid
+                anchors = _both_ends_anchors(stats, cfg)
+                if anchors not in both_ends:
+                    both_ends[anchors] = _restricted_quadratic(delta, *anchors)
+                q = both_ends[anchors]
+                if cfg.signal == "mid":
+                    q = (cfg.y_min + cfg.y_max) - q
+                out[cols] = q.mean(axis=0)
 
-    if cfg.multiply_activation:
-        scores = scores * _activation_stat(calib.inputs[module], module, width, square=False)
-    return np.maximum(scores, _SCORE_FLOOR)
+    floored = []
+    for (cfg, _), out in zip(signals, scores):
+        if cfg.signal == "activation_sq":
+            out = _activation_stat(calib.inputs[module], module, width, square=True)
+        if cfg.multiply_activation:
+            out = out * _activation_stat(calib.inputs[module], module, width, square=False)
+        floored.append(np.maximum(out, _SCORE_FLOOR))
+    return floored
 
 
 def importance_all(

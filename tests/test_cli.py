@@ -718,6 +718,9 @@ class TestDeterminism:
                  "--out", base / "art.dqt"),
                 ("eval", "--post", run / "ckpt_step000200.dqt", "--artifact", base / "art.dqt",
                  "--calib", run / "calib.dqt", "--out", base / "eval.json"),
+                ("ablate", "--pre", run / "ckpt_step000000.dqt", "--post", run / "ckpt_step000200.dqt",
+                 "--calib", run / "calib.dqt", "--out", base / "ablation.csv"),
+                ("curve", "--run", run, "--out", base / "curve.csv"),
             ):
                 res = subprocess.run(
                     CLI + [str(a) for a in args], capture_output=True, text=True, env=env
