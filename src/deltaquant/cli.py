@@ -93,9 +93,12 @@ def _fraction(text: str) -> float:
 
 _COMMON = [Opt("--config", None, "flat key=value config file")]
 
+# ablate names its signals with --signals and protects per --fractions row
+_SIGNAL = Opt("--signal", "map.signal",
+              "importance signal: magnitude, both-ends, both-ends-zero, mid, activation-sq")
+_PROTECT = Opt("--protect", "quant.protect_fraction", "fraction of channels kept in float32")
+
 _MAP_OPTS = [
-    Opt("--signal", "map.signal",
-        "importance signal: magnitude, both-ends, both-ends-zero, mid, activation-sq"),
     Opt("--y-min", "map.y_min", "mapping output at the median update"),
     Opt("--y-max", "map.y_max", "mapping output at both ends"),
     Opt("--zero-epsilon", "map.zero_epsilon", "updates at or below this count as zero"),
@@ -107,7 +110,6 @@ _MAP_OPTS = [
 _QUANT_OPTS = [
     Opt("--bits", "quant.bits", "code width (3 or 4)"),
     Opt("--group-size", "quant.group_size", "input channels per quantization group"),
-    Opt("--protect", "quant.protect_fraction", "fraction of channels kept in float32"),
 ]
 
 _SEARCH_OPTS = [
@@ -192,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     configs = {cls: cls() for cls in _CONFIGS.values()}
     texts = {cls: config_to_text(cfg) for cls, cfg in configs.items()}
     for name, (_, description, opts) in _COMMANDS.items():
-        p = sub.add_parser(name, help=description, description=description)
+        # no abbreviations, so that ablate's unknown --signal cannot resolve to --signals
+        p = sub.add_parser(name, help=description, description=description, allow_abbrev=False)
         for opt in opts:
             switch, default = False, opt.default
             if opt.field:
@@ -292,8 +295,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         step = int(path.stem[len("ckpt_step"):])
         snapshots.append((step, load_container(path)))
     calib = _load_calib(calib_path)
-    final_ref = snapshots[-1][1]
-    points, slope = pseudo_ft_curve(snapshots, final_ref, calib, ns.map, ns.search, ns.quant)
+    points, slope = pseudo_ft_curve(snapshots, calib, ns.map, ns.search, ns.quant)
     Path(ns.out).write_text(curve_csv(points, slope))
     print(f"wrote {ns.out}")
     return 0
@@ -305,7 +307,7 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[Opt]]]
         _COMMON + _TRAIN_OPTS + [Opt("--out", "io.out", "output directory", required=True)],
     ),
     "importance": (cmd_importance, "turn a checkpoint pair into per-channel importance scores",
-        _COMMON + _MAP_OPTS + [
+        _COMMON + [_SIGNAL] + _MAP_OPTS + [
             Opt("--pre", "io.pre", "pre-fine-tuned checkpoint (.dqt)", required=True),
             Opt("--post", "io.post", "post-fine-tuned checkpoint (.dqt)", required=True),
             Opt("--calib", "io.calib", "calibration container (.dqt)"),
@@ -313,7 +315,7 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[Opt]]]
         ],
     ),
     "quantize": (cmd_quantize, "search channel scales and write a packed quantized artifact",
-        _COMMON + _QUANT_OPTS + _SEARCH_OPTS + [
+        _COMMON + _QUANT_OPTS + [_PROTECT] + _SEARCH_OPTS + [
             Opt("--post", "io.post", "checkpoint to quantize (.dqt)", required=True),
             Opt("--importance", "io.importance", "importance container", required=True),
             Opt("--calib", "io.calib", "calibration container", required=True),
@@ -343,7 +345,7 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[Opt]]]
         ],
     ),
     "curve": (cmd_curve, "quantization loss versus pseudo-fine-tuning step",
-        _COMMON + _MAP_OPTS + _QUANT_OPTS + _SEARCH_OPTS + [
+        _COMMON + [_SIGNAL] + _MAP_OPTS + _QUANT_OPTS + _SEARCH_OPTS + [
             Opt("--run", "io.run", "train-toy output directory", required=True),
             Opt("--out", "io.out", "curve CSV to write", required=True),
         ],

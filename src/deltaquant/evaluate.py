@@ -59,10 +59,11 @@ class AblationRow:
     end_to_end_mse: float
 
 
-def _heldout_reference(post_ckpt: TensorMap, seed: int, rows: int):
-    """The float model, a fresh seeded batch, and the model's outputs on it."""
+def _heldout_reference(post_ckpt: TensorMap):
+    """The float model, the seeded held-out batch, and the model's outputs on it."""
     model = model_from_map(post_ckpt)
-    batch = np.random.default_rng(seed).standard_normal((rows, model.in_dim), dtype=np.float32)
+    rng = np.random.default_rng(_HELDOUT_SEED)
+    batch = rng.standard_normal((_HELDOUT_ROWS, model.in_dim), dtype=np.float32)
     return model, batch, forward_activations(model.layers, batch)[-1]
 
 
@@ -84,11 +85,8 @@ def layer_report(
     post_ckpt: TensorMap,
     artifact: dict[str, QuantizedTensor],
     calib: CalibrationSet,
-    *,
-    heldout_seed: int = _HELDOUT_SEED,
-    heldout_rows: int = _HELDOUT_ROWS,
 ) -> EvalReport:
-    """Per-module and end-to-end error report for a quantized artifact."""
+    """Per-module errors of an artifact, and end to end on the held-out batch ``config`` records."""
     if not artifact:
         raise ValueError("empty artifact")
     for module in post_ckpt.modules("weight"):
@@ -120,7 +118,7 @@ def layer_report(
             "searched_mse": loss(dequantize(unprotected)),
             "protected_mse": loss(protected_recon),
         }
-    reference = _heldout_reference(post_ckpt, heldout_seed, heldout_rows)
+    reference = _heldout_reference(post_ckpt)
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))
     return EvalReport(
@@ -132,8 +130,8 @@ def layer_report(
         config={
             "bits": str(first.bits),
             "group_size": str(first.group_size),
-            "heldout_seed": str(heldout_seed),
-            "heldout_rows": str(heldout_rows),
+            "heldout_seed": str(_HELDOUT_SEED),
+            "heldout_rows": str(_HELDOUT_ROWS),
         },
     )
 
@@ -165,18 +163,16 @@ def ablate_signals(
     signals: list[MappingConfig],
     fractions: list[float],
     qcfg: QuantConfig,
-    *,
-    heldout_seed: int = _HELDOUT_SEED,
-    heldout_rows: int = _HELDOUT_ROWS,
 ) -> list[AblationRow]:
     """Mixed-precision protection sweep: plain RTN plus channel protection.
 
     No scale search is involved; the protection mask is the only thing a
     signal changes, so rows isolate the value of each signal. Per-module
     numbers are weight-space reconstruction MSE, which never rises with the
-    protected fraction; output-level divergence is reported end to end,
-    where channel errors may interfere. Rows are emitted in input order,
-    signals outer, fractions inner.
+    protected fraction; output-level divergence is reported end to end, on
+    ``layer_report``'s held-out batch, where channel errors may interfere.
+    Each fraction, not ``qcfg.protect_fraction``, sets its row's protection.
+    Rows are emitted in input order, signals outer, fractions inner.
 
     Cost of a sweep: one delta pass and one global-stats pass per distinct
     ``zero_epsilon``. Per module: one float64 cast of each column block of
@@ -217,7 +213,7 @@ def ablate_signals(
         weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
         recon = dequantize(rtn_quantize(weight, qcfg))
         weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
-    reference = _heldout_reference(post, heldout_seed, heldout_rows)
+    reference = _heldout_reference(post)
     ascending = sorted(range(len(fractions)), key=lambda i: fractions[i])
     rows: list = [None] * (len(signals) * len(fractions))
     recon_full = {m: np.empty_like(plain[m]) for m in modules}
@@ -264,7 +260,6 @@ def ablation_csv(rows: list[AblationRow]) -> str:
 
 def pseudo_ft_curve(
     snapshots: list[tuple[int, TensorMap]],
-    final_ref: TensorMap,
     calib: CalibrationSet,
     mapping_cfg: MappingConfig,
     scfg: SearchConfig,
@@ -273,20 +268,21 @@ def pseudo_ft_curve(
     """Mean searched loss as a function of the training step.
 
     For each snapshot past step 0, importance is derived from the updates
-    between step 0 and that snapshot and the final checkpoint is quantized
-    with it. Steps whose deltas are all zero yield NaN instead of failing.
-    Returns the (step, loss) points and the least-squares slope over the
-    finite points (NaN when fewer than two).
+    between step 0 and that snapshot, and the highest-step snapshot is
+    quantized with it. A point is the mean search ``best_loss``, which
+    ``qcfg.protect_fraction`` never changes, or NaN where a step's deltas are
+    all zero. Returns the points and their least-squares slope (NaN when
+    fewer than two points are finite).
     """
     by_step = sorted(snapshots, key=lambda pair: pair[0])
     if len(by_step) < 2 or by_step[0][0] != 0:
         raise ValueError("need at least two snapshots including step 0")
-    base = by_step[0][1]
+    base, final = by_step[0][1], by_step[-1][1]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:
             imps = importance_all(base, snap, mapping_cfg, calib)
-            _, report = quantize_model(final_ref, imps, calib, scfg, qcfg)
+            _, report = quantize_model(final, imps, calib, scfg, qcfg)
             loss = float(np.mean([r.best_loss for r in report]))
         except DegenerateDeltasError:
             loss = math.nan

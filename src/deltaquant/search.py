@@ -46,8 +46,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if not self.alpha_lo < self.alpha_hi:
-            raise ValueError("alpha_lo must be < alpha_hi")
+        if not -np.inf < self.alpha_lo < self.alpha_hi < np.inf:
+            raise ValueError("need finite alpha_lo < alpha_hi")
         if self.max_calib_rows < 1:
             raise ValueError("max_calib_rows must be >= 1")
 

@@ -50,10 +50,10 @@ class MappingConfig:
         object.__setattr__(self, "signal", self.signal.replace("-", "_"))
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal {self.signal!r}; expected one of {SIGNALS}")
-        if not (self.y_max > self.y_min > 0):
-            raise ValueError("need y_max > y_min > 0")
-        if not self.zero_epsilon >= 0:
-            raise ValueError("zero_epsilon must be >= 0")
+        if not (np.inf > self.y_max > self.y_min > 0):
+            raise ValueError("need finite y_max > y_min > 0")
+        if not np.inf > self.zero_epsilon >= 0:
+            raise ValueError("zero_epsilon must be finite and >= 0")
         if self.slices < 1:
             raise ValueError("slices must be >= 1")
 
@@ -387,12 +387,19 @@ def importance_all(
 
 
 def importances_to_map(scores: dict[str, np.ndarray], cfg: MappingConfig) -> TensorMap:
-    """Serialize importance scores as a container map with ``cfg`` as meta."""
+    """Serialize importance scores as a float32 container map with ``cfg`` as meta.
+
+    A score that overflows float32 raises ValueError naming its module.
+    """
     if not scores:
         raise ValueError("no importance vectors to save")
     tmap = TensorMap(meta=config_to_text(cfg))
     for module in sorted(scores):
-        tmap[f"{module}.importance"] = scores[module].astype(np.float32)
+        with np.errstate(over="ignore"):
+            stored = scores[module].astype(np.float32)
+        if not np.isfinite(stored).all():
+            raise ValueError(f"importance scores of module {module!r} are not finite in float32")
+        tmap[f"{module}.importance"] = stored
     return tmap
 
 

@@ -65,8 +65,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not np.inf > self.learning_rate > 0:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.snapshot_every < 1:

@@ -3,19 +3,16 @@
 The mapping, the global statistics and the update deltas the direct way:
 both quadratic branches are evaluated over every element and one is picked
 with ``np.where``, zero updates are pinned with a second ``np.where``, the
-positive deltas are selected with a boolean index, and each checkpoint is
-cast to float32 before subtracting. ``signals`` evaluates each element once
-in place; the signal tests compare its outputs with these byte for byte.
+positive deltas are selected with a boolean index, zero updates are counted
+band by band with a float64 ``<=``, and each checkpoint is cast to float32
+before subtracting. ``signals`` evaluates each element once in place; the
+signal tests compare its outputs with these byte for byte.
 """
 
 import numpy as np
 
 from deltaquant.container import TensorMap
-from deltaquant.signals import (
-    DegenerateDeltasError,
-    DeltaStats,
-    count_zeros_per_channel,
-)
+from deltaquant.signals import DegenerateDeltasError, DeltaStats
 
 COLUMN_BLOCK = 64
 
@@ -42,6 +39,12 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
         zero_count=int(vals.size - positives.size),
         total_count=int(vals.size),
     )
+
+
+def count_zeros_per_channel(delta, zero_epsilon, slices):
+    zeros = np.asarray(delta, dtype=np.float64) <= np.float64(zero_epsilon)
+    counts = [band.sum(axis=0) for band in np.array_split(zeros, slices)]
+    return np.sum(counts, axis=0) / slices
 
 
 def restricted_quadratic(delta, lo, mid, hi, y_min, y_max):

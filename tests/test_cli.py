@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from deltaquant import cli
+from deltaquant.container import load_container
+from deltaquant.evaluate import curve_csv, pseudo_ft_curve
 from deltaquant.quant import QuantConfig
 from deltaquant.search import SearchConfig
 from deltaquant.signals import MappingConfig
-from deltaquant.toy import TrainConfig
+from deltaquant.toy import CalibrationSet, TrainConfig
 
 CLI = [sys.executable, "-m", "deltaquant.cli"]
 
@@ -184,6 +186,18 @@ class TestImportance:
         )
         assert res.returncode == 1
         assert "'layer0'" in res.stderr and "slices must be in [1, 16]" in res.stderr
+        assert not imp.exists()
+
+    def test_scores_beyond_float32_are_runtime_error(self, tmp_path):
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", out / "ckpt_step000300.dqt", "--y-max", "1e39", "--out", imp,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "'layer1'" in res.stderr and "float32" in res.stderr
+        assert "Warning" not in res.stderr
         assert not imp.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):
@@ -481,6 +495,22 @@ class TestCurve:
         for line in lines[1:]:
             assert line.split(",")[1] != "nan"
 
+    def test_final_checkpoint_is_the_highest_step(self, tmp_path):
+        # from 1,000,000 steps on, the six-digit names stop sorting by step
+        out = train_run(tmp_path, steps=300)
+        (out / "ckpt_step000200.dqt").rename(out / "ckpt_step999900.dqt")
+        (out / "ckpt_step000300.dqt").rename(out / "ckpt_step1000000.dqt")
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--bits", "3", "--group-size", "4", "--out", csv)
+        assert res.returncode == 0, res.stderr
+        snapshots = [
+            (int(p.stem[len("ckpt_step"):]), load_container(p)) for p in out.glob("ckpt_step*.dqt")
+        ]
+        calib = CalibrationSet.from_tensor_map(load_container(out / "calib.dqt"))
+        qcfg = QuantConfig(bits=3, group_size=4)
+        want = curve_csv(*pseudo_ft_curve(snapshots, calib, MappingConfig(), SearchConfig(), qcfg))
+        assert csv.read_text() == want
+
 
 class TestConfigAndHelp:
     def test_config_file_supplies_values(self, tmp_path):
@@ -538,8 +568,8 @@ class TestConfigAndHelp:
     @pytest.mark.parametrize(
         "cls,opts",
         [
-            (MappingConfig, cli._MAP_OPTS),
-            (QuantConfig, cli._QUANT_OPTS),
+            (MappingConfig, [cli._SIGNAL, *cli._MAP_OPTS]),
+            (QuantConfig, [*cli._QUANT_OPTS, cli._PROTECT]),
             (SearchConfig, cli._SEARCH_OPTS),
             (TrainConfig, cli._TRAIN_OPTS),
         ],
@@ -583,7 +613,7 @@ class TestValuesCheckedBeforeInputs:
             ("train-toy", ["--steps", "0"], "train.learning_rate = -1", "--lr"),
             ("importance", ["--y-min", "20"], "map.slices = 0", "--slices"),
             ("quantize", ["--bits", "5"], "search.grid_points = 1", "--grid-points"),
-            ("ablate", ["--protect", "2"], "map.zero_epsilon = nan", "--zero-epsilon"),
+            ("ablate", ["--group-size", "0"], "map.zero_epsilon = nan", "--zero-epsilon"),
             ("curve", ["--alpha-hi", "-1"], "quant.group_size = x", "--group-size"),
         ],
     )
@@ -620,11 +650,41 @@ class TestValuesCheckedBeforeInputs:
         assert res.returncode == 2, res.stderr
         assert flag in res.stderr
 
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("train-toy", "--lr", "inf"),
+            ("importance", "--y-max", "inf"),
+            ("importance", "--zero-epsilon", "inf"),
+            ("quantize", "--alpha-hi", "inf"),
+            ("ablate", "--zero-epsilon", "inf"),
+            ("curve", "--y-max", "inf"),
+        ],
+    )
+    def test_infinite_value_is_usage_error(self, tmp_path, command, flag, value):
+        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
+        assert res.returncode == 2, res.stderr
+        assert f"{flag} {value}" in res.stderr and "finite" in res.stderr
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("ablate", "--signal", "mid"), ("ablate", "--protect", "0.1"),
+         ("curve", "--protect", "0.1")],
+    )
+    def test_flag_that_changes_no_output_is_unknown(self, tmp_path, command, flag, value):
+        # ablate's signals come from --signals and its protection from --fractions;
+        # curve reports search losses, which protection never changes
+        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
+        assert res.returncode == 2, res.stderr
+        assert f"unrecognized arguments: {flag} {value}" in res.stderr
+        shown = run_cli(command, "--help").stdout
+        assert re.search(re.escape(flag) + r"\b", shown) is None
+
 
 class TestHelpDefaults:
     @pytest.mark.parametrize(
         "command,count",
-        [("train-toy", 5), ("importance", 6), ("quantize", 7), ("ablate", 9), ("curve", 13)],
+        [("train-toy", 5), ("importance", 6), ("quantize", 7), ("ablate", 7), ("curve", 12)],
     )
     def test_help_default_is_the_dataclass_default(self, command, count):
         env = dict(os.environ, COLUMNS="400")  # no wrapped help lines

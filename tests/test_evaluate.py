@@ -32,6 +32,8 @@ from deltaquant.toy import (
 )
 
 QCFG = QuantConfig(bits=3, group_size=4)
+# the held-out batch of every end-to-end number, as ``eval.json`` records it
+HELDOUT = {"heldout_seed": 1013, "heldout_rows": 64}
 
 
 @pytest.fixture(scope="module")
@@ -261,9 +263,7 @@ class TestSweepProperties:
         cfgs = [MappingConfig(signal=sig) for sig in signals]
         qcfg = QuantConfig(bits=3, group_size=group_size)
         try:
-            rows = ablate_signals(
-                pre, post, calib, cfgs, fractions, qcfg, heldout_seed=seed % 1000, heldout_rows=5
-            )
+            rows = ablate_signals(pre, post, calib, cfgs, fractions, qcfg)
         except DegenerateDeltasError:
             return
         assert [(r.signal, r.fraction) for r in rows] == [
@@ -338,22 +338,20 @@ class TestAblationOracle:
         cfgs = [MappingConfig(signal=sig, zero_epsilon=eps) for sig, eps in sweep]
         fractions = [0.0, *inner, 1.0]
         qcfg = QuantConfig(bits=bits, group_size=group_size)
-        held = {"heldout_seed": seed % 1000, "heldout_rows": 5}
         try:
-            want = ablation_csv(ablate_oracle(pre, post, calib, cfgs, fractions, qcfg, **held))
+            want = ablation_csv(ablate_oracle(pre, post, calib, cfgs, fractions, qcfg, **HELDOUT))
         except DegenerateDeltasError:
             with pytest.raises(DegenerateDeltasError):
-                ablate_signals(pre, post, calib, cfgs, fractions, qcfg, **held)
+                ablate_signals(pre, post, calib, cfgs, fractions, qcfg)
             return
-        got = ablation_csv(ablate_signals(pre, post, calib, cfgs, fractions, qcfg, **held))
+        got = ablation_csv(ablate_signals(pre, post, calib, cfgs, fractions, qcfg))
         _assert_csv_matches_oracle(got, want)
 
     def test_toy_run_matches_oracle(self, toy_run):
         cfgs = [MappingConfig(signal=sig) for sig in SIGNALS]
         args = (toy_run["pre"], toy_run["post"], toy_run["calib"], cfgs, [0.0, 0.05, 0.3, 1.0], QCFG)
-        held = {"heldout_seed": 1013, "heldout_rows": 64}
         _assert_csv_matches_oracle(
-            ablation_csv(ablate_signals(*args)), ablation_csv(ablate_oracle(*args, **held))
+            ablation_csv(ablate_signals(*args)), ablation_csv(ablate_oracle(*args, **HELDOUT))
         )
 
     @pytest.mark.parametrize("signal", SIGNALS)
@@ -403,32 +401,37 @@ class TestCurve:
         snaps = toy_run["snaps"]
         doctored = [snaps[0], (1, snaps[0][1]), snaps[-1]]
         points, slope = pseudo_ft_curve(
-            doctored, toy_run["post"], toy_run["calib"],
-            MappingConfig(), SearchConfig(), QCFG,
+            doctored, toy_run["calib"], MappingConfig(), SearchConfig(), QCFG
         )
         assert math.isnan(points[0][1])
         assert math.isfinite(points[1][1])
 
     def test_full_run_curve_and_slope(self, toy_run):
         points, slope = pseudo_ft_curve(
-            toy_run["snaps"], toy_run["post"], toy_run["calib"],
-            MappingConfig(), SearchConfig(), QCFG,
+            toy_run["snaps"], toy_run["calib"], MappingConfig(), SearchConfig(), QCFG
         )
         assert [s for s, _ in points] == [100, 200, 300]
         assert all(math.isfinite(l) for _, l in points)
         assert math.isfinite(slope)
 
+    def test_quantizes_the_highest_step_in_any_order(self, toy_run):
+        snaps, calib = toy_run["snaps"], toy_run["calib"]
+        args = (calib, MappingConfig(), SearchConfig(), QCFG)
+        points, slope = pseudo_ft_curve(snaps[::-1], *args)
+        assert (points, slope) == pseudo_ft_curve(snaps, *args)
+        imps = importance_all(snaps[0][1], snaps[1][1], MappingConfig(), calib)
+        _, report = quantize_model(snaps[-1][1], imps, calib, SearchConfig(), QCFG)
+        assert points[0] == (snaps[1][0], float(np.mean([r.best_loss for r in report])))
+
     def test_requires_step_zero(self, toy_run):
         with pytest.raises(ValueError):
             pseudo_ft_curve(
-                toy_run["snaps"][1:], toy_run["post"], toy_run["calib"],
-                MappingConfig(), SearchConfig(), QCFG,
+                toy_run["snaps"][1:], toy_run["calib"], MappingConfig(), SearchConfig(), QCFG
             )
 
     def test_csv_shape(self, toy_run):
         points, slope = pseudo_ft_curve(
-            toy_run["snaps"], toy_run["post"], toy_run["calib"],
-            MappingConfig(), SearchConfig(), QCFG,
+            toy_run["snaps"], toy_run["calib"], MappingConfig(), SearchConfig(), QCFG
         )
         lines = curve_csv(points, slope).strip().split("\n")
         assert lines[0] == "step,mean_loss,slope"

@@ -273,6 +273,9 @@ class TestSearchScale:
             SearchConfig(grid_points=1)
         with pytest.raises(ValueError):
             SearchConfig(alpha_lo=1.0, alpha_hi=0.5)
+        for lo, hi in ((0.0, float("inf")), (float("-inf"), 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SearchConfig(alpha_lo=lo, alpha_hi=hi)
 
 
 class TestQuantizeModel:

@@ -1,5 +1,7 @@
 """Delta statistics, quadratic mappings, zero counting, importance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,9 @@ class TestMappings:
             MappingConfig(signal="sideways")
         with pytest.raises(ValueError, match="zero_epsilon"):
             MappingConfig(zero_epsilon=float("nan"))
+        for field in ("y_max", "zero_epsilon"):
+            with pytest.raises(ValueError, match="finite"):
+                MappingConfig(**{field: math.inf})
 
     def test_default_output_anchors(self):
         assert CFG.y_min == 1.0
@@ -582,6 +587,11 @@ class TestImportanceAll:
         tmap = importances_to_map({"a": np.ones(3)}, cfg)
         assert config_from_text(MappingConfig, tmap.meta) == cfg
         assert importances_from_map(tmap)["a"].tolist() == [1.0, 1.0, 1.0]
+
+    def test_scores_beyond_float32_name_the_module(self):
+        scores = {"a": np.ones(3), "b": np.array([1.0, 1e39, 2.0])}
+        with pytest.raises(ValueError, match="'b'.*float32"):
+            importances_to_map(scores, MappingConfig())
 
     def test_hyphenated_signal_names_read_as_underscores(self):
         assert MappingConfig(signal="both-ends-zero") == MappingConfig()

@@ -160,6 +160,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
 
+    def test_infinite_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=float("inf"))
+
     def test_loss_decreases(self):
         model = init_model([8, 16, 8], seed=0)
         cfg = TrainConfig(steps=200, data_seed=1)
