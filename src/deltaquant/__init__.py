@@ -52,16 +52,12 @@ from .signals import (
     DeltaStats,
     MappingConfig,
     compute_delta,
-    count_zeros_per_channel,
     global_delta_stats,
     importance,
     importance_all,
     importances,
     importances_from_map,
     importances_to_map,
-    map_both_ends,
-    map_both_ends_zero,
-    map_mid,
 )
 from .toy import (
     CalibrationSet,

@@ -9,9 +9,10 @@ median. Variants: the reflected mapping that protects intermediate
 magnitudes instead, a zero-aware mapping that pins exactly-zero updates to
 the minimum score and fits the left branch on positive updates only, and a
 zero-count amplifier that multiplies a channel's mean score by one plus
-its (optionally band-averaged) count of zero updates. Activation-based
-signals serve as baselines; their statistics are derived from the
-calibration rows where a signal reads them.
+its count of zero updates (optionally divided by ``slices``).
+Activation-based signals serve as baselines; their statistics are derived
+from the calibration rows where a signal reads them. ``importances`` is the
+one evaluator of every signal.
 """
 
 from __future__ import annotations
@@ -137,16 +138,16 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
 
 
 def _restricted_quadratic(
-    delta, lo: float, mid: float, hi: float, y_min: float, y_max: float,
+    delta: np.ndarray, lo: float, mid: float, hi: float, y_min: float, y_max: float,
     kept: np.ndarray | None = None,
 ) -> np.ndarray:
     """Two-branch quadratic: y_max at both ends, y_min at the median.
 
-    delta may be a scalar or an ndarray; values outside [lo, hi] are
-    clamped. With a ``kept`` mask, the updates it leaves out score y_min.
-    A collapsed left branch (mid == lo) returns y_max at its point; a
-    collapsed right branch is never reached, because clamping keeps every
-    update at or below hi == mid.
+    delta is a float64 matrix; values outside [lo, hi] are clamped. With a
+    ``kept`` mask, the updates it leaves out score y_min. A collapsed left
+    branch (mid == lo) returns y_max at its point; a collapsed right branch
+    is never reached, because clamping keeps every update at or below
+    hi == mid.
 
     Each element is evaluated once, in place: t = d - mid splits into
     min(t, 0) and max(t, 0), each divided by its own branch width. Exactly
@@ -154,8 +155,7 @@ def _restricted_quadratic(
     x + 0 == x, so the sum squared equals the selected branch's square bit
     for bit. A pinned update is set to t = 0, which maps to exactly y_min.
     """
-    d = np.asarray(delta, dtype=np.float64)
-    t = np.clip(d, lo, hi, out=np.empty_like(d))
+    t = np.clip(delta, lo, hi, out=np.empty_like(delta))
     t -= mid
     # a collapsed left branch scores y_max at its one point, the median
     at_mid = None if mid - lo > 0 else t == 0
@@ -177,85 +177,6 @@ def _restricted_quadratic(
     if at_mid is not None:
         np.copyto(q, y_max, where=at_mid)
     return q
-
-
-def _as_input_kind(values: np.ndarray, original) -> float | np.ndarray:
-    if np.isscalar(original) or np.ndim(original) == 0:
-        return float(values)
-    return values
-
-
-def _both_ends_anchors(stats: DeltaStats, cfg: MappingConfig) -> tuple[float, ...]:
-    """The quadratic arguments of ``map_both_ends``; ``mid`` reflects the same values."""
-    return (
-        stats.min_including_zeros, stats.median_positive, stats.max, cfg.y_min, cfg.y_max
-    )
-
-
-def map_both_ends(delta, stats: DeltaStats, cfg: MappingConfig):
-    """Both-ends quadratic with no special zero handling.
-
-    The left anchor is the global minimum including zeros, so when any
-    zero update exists f(0) = y_max. Accepts scalars or arrays.
-    """
-    out = _restricted_quadratic(delta, *_both_ends_anchors(stats, cfg))
-    return _as_input_kind(out, delta)
-
-
-def map_both_ends_zero(delta, stats: DeltaStats, cfg: MappingConfig):
-    """Zero-excluded both-ends quadratic.
-
-    Exactly-zero updates (<= cfg.zero_epsilon) score y_min; the left
-    branch is anchored at the smallest positive update instead of zero,
-    so f(min_positive) = f(max) = y_max and f(median) = y_min.
-    """
-    d = np.asarray(delta, dtype=np.float64)
-    out = _restricted_quadratic(
-        d, stats.min_positive, stats.median_positive, stats.max,
-        cfg.y_min, cfg.y_max, d > cfg.zero_epsilon,
-    )
-    return _as_input_kind(out, delta)
-
-
-def map_mid(delta, stats: DeltaStats, cfg: MappingConfig):
-    """Reflection of the both-ends mapping: protects intermediate updates.
-
-    map_mid(d) + map_both_ends(d) == y_min + y_max for every d.
-    """
-    out = (cfg.y_min + cfg.y_max) - np.asarray(
-        map_both_ends(delta, stats, cfg), dtype=np.float64
-    )
-    return _as_input_kind(out, delta)
-
-
-def count_zeros_per_channel(
-    delta: np.ndarray, zero_epsilon: float = 0.0, slices: int = 1
-) -> np.ndarray:
-    """Mean per-band zero-update count for each input channel.
-
-    Rows are split into ``slices`` contiguous bands (sizes differ by at
-    most one; later bands may be smaller) and the zero count of each
-    channel is averaged across bands. With slices=1 this is the plain
-    per-channel zero count.
-    """
-    delta = np.asarray(delta)
-    if delta.ndim != 2:
-        raise ValueError("delta must be a [out, in] matrix")
-    rows = delta.shape[0]
-    if slices < 1 or slices > rows:
-        raise ValueError(f"slices must be in [1, {rows}], got {slices}")
-    # compared in float64, like the threshold of global_delta_stats
-    zeros = np.less_equal(delta, zero_epsilon, signature=(np.float64, np.float64, None))
-    return _mean_band_zeros(~zeros, slices)
-
-
-def _mean_band_zeros(kept: np.ndarray, slices: int) -> np.ndarray:
-    """Per column, the mean over ``slices`` row bands of the entries ``kept`` leaves out.
-
-    The bands of ``count_zeros_per_channel``; integer counts add exactly.
-    """
-    zeros = sum(band.shape[0] - band.sum(axis=0) for band in np.array_split(kept, slices))
-    return zeros / slices
 
 
 def _activation_stat(x: np.ndarray, module: str, width: int, *, square: bool) -> np.ndarray:
@@ -289,13 +210,14 @@ def importance(
     both_ends        column mean of the both-ends quadratic
     mid              column mean of the reflected quadratic
     both_ends_zero   column mean of the zero-excluded quadratic times
-                     (mean zero count per band + 1)
+                     (zero-update count / slices + 1)
 
     With ``multiply_activation`` the result is further scaled by the mean
     absolute calibration input. Both statistics are derived from
     ``calib.inputs[module]``; empty, misshaped or non-finite rows raise
-    ValueError naming the module. Scores are clamped to a tiny positive
-    floor so they can serve as scaling-factor bases.
+    ValueError naming the module, as does a score that overflows float64.
+    Scores are clamped to a tiny positive floor so they can serve as
+    scaling-factor bases.
     """
     return importances(module, weight_delta, [(cfg, stats)], calib)[0]
 
@@ -310,10 +232,10 @@ def importances(
 
     Each column block of the updates is cast to float64 once and serves
     every pair. Pairs that share the both-ends quadratic's anchors evaluate
-    it once per block, and ``mid`` reflects its values elementwise, which
-    gives the bits of ``map_mid``. ``both_ends_zero`` compares each update
-    with ``zero_epsilon`` once: the one mask both pins the zero updates in
-    the quadratic and gives each band's zero count.
+    it once per block, and ``mid`` reflects its values elementwise.
+    ``both_ends_zero`` compares each update with ``zero_epsilon`` once: the
+    one mask both pins the zero updates in the quadratic and gives each
+    column's zero count, which is divided by ``slices``.
     """
     weight_delta = np.asarray(weight_delta)
     if weight_delta.ndim != 2:
@@ -331,39 +253,46 @@ def importances(
         for (cfg, stats), out in zip(signals, scores)
         if cfg.signal != "activation_sq"
     ]
-    for start in range(0, width if updates else 0, _COLUMN_BLOCK):
-        # the last block ends at the last column, overlapping the one before
-        cols = slice(max(min(start, width - _COLUMN_BLOCK), 0), start + _COLUMN_BLOCK)
-        delta = weight_delta[:, cols].astype(np.float64)
-        both_ends = {}
-        for cfg, stats, out in updates:
-            if cfg.signal == "magnitude":
-                out[cols] = delta.mean(axis=0)
-            elif cfg.signal == "both_ends_zero":
-                kept = delta > cfg.zero_epsilon
-                # counted before the quadratic, while the mask is in cache
-                zbar = _mean_band_zeros(kept, cfg.slices)
-                q = _restricted_quadratic(
-                    delta, stats.min_positive, stats.median_positive, stats.max,
-                    cfg.y_min, cfg.y_max, kept,
-                )
-                out[cols] = q.mean(axis=0) * (zbar + 1.0)
-            else:  # both_ends, mid
-                anchors = _both_ends_anchors(stats, cfg)
-                if anchors not in both_ends:
-                    both_ends[anchors] = _restricted_quadratic(delta, *anchors)
-                q = both_ends[anchors]
-                if cfg.signal == "mid":
-                    q = (cfg.y_min + cfg.y_max) - q
-                out[cols] = q.mean(axis=0)
+    # an overflow becomes inf, which the check below reports with the module
+    with np.errstate(over="ignore"):
+        for start in range(0, width if updates else 0, _COLUMN_BLOCK):
+            # the last block ends at the last column, overlapping the one before
+            cols = slice(max(min(start, width - _COLUMN_BLOCK), 0), start + _COLUMN_BLOCK)
+            delta = weight_delta[:, cols].astype(np.float64)
+            both_ends = {}
+            for cfg, stats, out in updates:
+                if cfg.signal == "magnitude":
+                    out[cols] = delta.mean(axis=0)
+                elif cfg.signal == "both_ends_zero":
+                    kept = delta > cfg.zero_epsilon
+                    # counted before the quadratic, while the mask is in cache
+                    zbar = (rows - kept.sum(axis=0)) / cfg.slices
+                    q = _restricted_quadratic(
+                        delta, stats.min_positive, stats.median_positive, stats.max,
+                        cfg.y_min, cfg.y_max, kept,
+                    )
+                    out[cols] = q.mean(axis=0) * (zbar + 1.0)
+                else:  # both_ends, mid
+                    anchors = (
+                        stats.min_including_zeros, stats.median_positive, stats.max,
+                        cfg.y_min, cfg.y_max,
+                    )
+                    if anchors not in both_ends:
+                        both_ends[anchors] = _restricted_quadratic(delta, *anchors)
+                    q = both_ends[anchors]
+                    if cfg.signal == "mid":
+                        q = (cfg.y_min + cfg.y_max) - q
+                    out[cols] = q.mean(axis=0)
 
-    floored = []
-    for (cfg, _), out in zip(signals, scores):
-        if cfg.signal == "activation_sq":
-            out = _activation_stat(calib.inputs[module], module, width, square=True)
-        if cfg.multiply_activation:
-            out = out * _activation_stat(calib.inputs[module], module, width, square=False)
-        floored.append(np.maximum(out, _SCORE_FLOOR))
+        floored = []
+        for (cfg, _), out in zip(signals, scores):
+            if cfg.signal == "activation_sq":
+                out = _activation_stat(calib.inputs[module], module, width, square=True)
+            if cfg.multiply_activation:
+                out = out * _activation_stat(calib.inputs[module], module, width, square=False)
+            if not np.isfinite(out).all():
+                raise ValueError(f"importance scores of module {module!r} are not finite")
+            floored.append(np.maximum(out, _SCORE_FLOOR))
     return floored
 
 

@@ -17,8 +17,13 @@ import numpy as np
 
 from .container import TensorMap
 
-# parameter cap for the finite-difference gradient check
+# the finite-difference gradient check: parameter cap, worst relative error
+# that passes, parameters sampled, central-difference step, sampling seed
 _FDIFF_PARAM_LIMIT = 1000
+_FDIFF_TOLERANCE = 1e-3
+_FDIFF_SAMPLES = 64
+_FDIFF_STEP = 1e-3
+_FDIFF_SEED = 0
 
 
 class TrainingDivergedError(Exception):
@@ -287,19 +292,16 @@ def finite_diff_check(
     inputs: np.ndarray,
     targets: np.ndarray | None = None,
     *,
-    tolerance: float = 1e-3,
-    num_samples: int = 64,
-    step: float = 1e-3,
-    seed: int = 0,
     grad_fn=None,
 ) -> FiniteDiffReport:
     """Compare analytic gradients against central finite differences.
 
-    Samples parameters across all layers, perturbs each by +-step, and
-    reports the worst relative error (absolute where both gradients are
-    below 1e-6). The rectifier activation pattern is frozen at the base
-    point, so the difference quotient stays inside the smooth piece whose
-    derivative the analytic path computes. ``grad_fn`` defaults to
+    Samples up to 64 parameters across all layers, perturbs each by
+    +-1e-3, and reports the worst relative error (absolute where both
+    gradients are below 1e-6); the check passes at or below 1e-3. The
+    rectifier activation pattern is frozen at the base point, so the
+    difference quotient stays inside the smooth piece whose derivative the
+    analytic path computes. ``grad_fn`` defaults to
     :func:`gradients` and exists so tests can inject deliberately
     corrupted gradients.
     """
@@ -321,8 +323,8 @@ def finite_diff_check(
     for layer in model.layers:
         slots.extend((layer.name, "weight", j) for j in range(layer.weight.size))
         slots.extend((layer.name, "bias", j) for j in range(layer.bias.size))
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(slots), size=min(num_samples, len(slots)), replace=False)
+    rng = np.random.default_rng(_FDIFF_SEED)
+    picked = rng.choice(len(slots), size=min(_FDIFF_SAMPLES, len(slots)), replace=False)
 
     by_name = {layer.name: layer for layer in model.layers}
     max_err = 0.0
@@ -332,12 +334,12 @@ def finite_diff_check(
         layer = by_name[lname]
         param = getattr(layer, pname)
         old = param.flat[j]
-        param.flat[j] = old + np.float32(step)
+        param.flat[j] = old + np.float32(_FDIFF_STEP)
         loss_plus = _loss_f64_frozen(model, inputs, targets, masks)
-        param.flat[j] = old - np.float32(step)
+        param.flat[j] = old - np.float32(_FDIFF_STEP)
         loss_minus = _loss_f64_frozen(model, inputs, targets, masks)
         param.flat[j] = old
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        numeric = (loss_plus - loss_minus) / (2.0 * _FDIFF_STEP)
         analytic = float(grads[lname][0 if pname == "weight" else 1].reshape(-1)[j])
         denom = max(abs(analytic), abs(numeric))
         err = abs(analytic - numeric) if denom < 1e-6 else abs(analytic - numeric) / denom
@@ -347,7 +349,7 @@ def finite_diff_check(
     return FiniteDiffReport(
         max_rel_error=max_err,
         num_checked=len(picked),
-        tolerance=tolerance,
-        passed=max_err <= tolerance,
+        tolerance=_FDIFF_TOLERANCE,
+        passed=max_err <= _FDIFF_TOLERANCE,
         worst=worst,
     )

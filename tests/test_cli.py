@@ -177,7 +177,7 @@ class TestImportance:
         assert not imp.exists()
 
     def test_too_many_slices_names_the_module(self, tmp_path):
-        # layer0 of the 8,16,8 model has 16 rows, fewer than the 100 bands asked for
+        # layer0 of the 8,16,8 model has 16 rows, fewer than the 100 slices asked for
         out = train_run(tmp_path)
         imp = tmp_path / "imp.dqt"
         res = run_cli(
@@ -198,6 +198,19 @@ class TestImportance:
         assert res.returncode == 1, res.stderr
         assert "'layer1'" in res.stderr and "float32" in res.stderr
         assert "Warning" not in res.stderr
+        assert not imp.exists()
+
+    def test_scores_beyond_float64_name_the_module(self, tmp_path):
+        # a column mean of scores near 1e308 overflows float64 before any float32 cast
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli(
+            "importance", "--pre", out / "ckpt_step000000.dqt",
+            "--post", out / "ckpt_step000300.dqt", "--y-max", "1e308", "--out", imp,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "'layer0'" in res.stderr
+        assert "overflow encountered" not in res.stderr
         assert not imp.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):

@@ -1,11 +1,14 @@
-"""No module of the package imports another module's private names."""
+"""No module of the package imports another module's private names, and
+every public name has a use."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deltaquant"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "deltaquant"
 
 
 def private_imports(source: str) -> list[str]:
@@ -43,3 +46,30 @@ def test_no_module_imports_private_names():
         if (names := private_imports(path.read_text()))
     }
     assert found == {}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name ``source`` reads, bare or as an attribute; definitions do not count."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_is_used_or_documented():
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set().union(
+        *(referenced_names(path.read_text()) for path in PACKAGE.glob("*.py") if path != init)
+    )
+    readme = (ROOT / "README.md").read_text()
+    unused = sorted(
+        name for name in exported - used if not re.search(rf"\b{name}\b", readme)
+    )
+    assert unused == []

@@ -1,28 +1,24 @@
 """Delta statistics, quadratic mappings, zero counting, importance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaquant import signals
 from deltaquant.container import CompatibilityError, TensorMap, config_from_text
 from deltaquant.signals import (
     DegenerateDeltasError,
     DeltaStats,
     MappingConfig,
     compute_delta,
-    count_zeros_per_channel,
     global_delta_stats,
     importance,
     importance_all,
     importances_from_map,
     importances_to_map,
-    map_both_ends,
-    map_both_ends_zero,
-    map_mid,
 )
 from deltaquant.toy import CalibrationSet, TrainConfig, forward, init_model, train
 import signals_oracle
@@ -32,6 +28,27 @@ CFG = MappingConfig()  # defaults: both_ends_zero, y 1..10
 
 def _weight_map(arrays: dict[str, np.ndarray]) -> TensorMap:
     return TensorMap({f"{k}.weight": np.asarray(v, np.float32) for k, v in arrays.items()})
+
+
+def _mapped(signal: str, deltas, stats: DeltaStats, cfg: MappingConfig = CFG) -> np.ndarray:
+    """Each update's ``signal`` score: the importance of a one-row [1, k] matrix.
+
+    Under both_ends_zero an update at or below epsilon is also counted as a
+    zero, so it scores 2 * y_min.
+    """
+    row = np.reshape(np.asarray(deltas, dtype=np.float64), (1, -1))
+    return importance("m", row, stats, replace(cfg, signal=signal))
+
+
+# every update above epsilon clamps to the median and scores y_min = 1 exactly,
+# so a both_ends_zero score is the zero-update count / slices + 1
+_FLAT = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0, total_count=1)
+
+
+def _zero_counts(delta, zero_epsilon: float = 0.0, slices: int = 1) -> np.ndarray:
+    """Per-channel zero-update count divided by ``slices``, read off ``importance``."""
+    cfg = MappingConfig(zero_epsilon=zero_epsilon, slices=slices)
+    return importance("m", delta, _FLAT, cfg) - 1.0
 
 
 def _random_stats(rng) -> DeltaStats:
@@ -214,38 +231,39 @@ class TestMappings:
     ST2 = DeltaStats(min_positive=1.0, median_positive=3.0, max=7.0, zero_count=2, total_count=9)
 
     def test_both_ends_endpoint_identities(self):
-        assert map_both_ends(self.ST.median_positive, self.ST, CFG) == 1.0
-        assert map_both_ends(self.ST.max, self.ST, CFG) == 10.0
+        ends = [self.ST.median_positive, self.ST.max]
+        assert _mapped("both_ends", ends, self.ST).tolist() == [1.0, 10.0]
 
     def test_both_ends_right_branch_hand_value(self):
         # 1 + 9 * ((4-2)/(6-2))^2
-        assert map_both_ends(4.0, self.ST, CFG) == pytest.approx(3.25, abs=1e-12)
+        assert _mapped("both_ends", 4.0, self.ST)[0] == pytest.approx(3.25, abs=1e-12)
 
     def test_both_ends_zero_at_zero(self):
-        assert map_both_ends_zero(0.0, self.ST2, CFG) == 1.0
+        # y_min, times (1 + 1) for the one zero update of the column
+        assert _mapped("both_ends_zero", 0.0, self.ST2)[0] == 2.0
 
     def test_both_ends_zero_at_min_positive(self):
-        assert map_both_ends_zero(self.ST2.min_positive, self.ST2, CFG) == pytest.approx(
+        assert _mapped("both_ends_zero", self.ST2.min_positive, self.ST2)[0] == pytest.approx(
             10.0, abs=1e-9
         )
 
     def test_both_ends_zero_left_branch_hand_value(self):
         # 1 + 9 * ((3-2)/(3-1))^2
-        assert map_both_ends_zero(2.0, self.ST2, CFG) == pytest.approx(3.25, abs=1e-12)
+        assert _mapped("both_ends_zero", 2.0, self.ST2)[0] == pytest.approx(3.25, abs=1e-12)
 
     def test_mid_reflects_endpoints(self):
-        assert map_mid(self.ST.median_positive, self.ST, CFG) == 10.0
-        assert map_mid(self.ST.max, self.ST, CFG) == 1.0
+        ends = [self.ST.median_positive, self.ST.max]
+        assert _mapped("mid", ends, self.ST).tolist() == [10.0, 1.0]
 
     def test_mid_reflects_hand_value(self):
-        assert map_mid(4.0, self.ST, CFG) == pytest.approx(7.75, abs=1e-12)
+        assert _mapped("mid", 4.0, self.ST)[0] == pytest.approx(7.75, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reflection_identity(self, seed):
         rng = np.random.default_rng(seed)
         stats = _random_stats(rng)
         deltas = rng.uniform(0, stats.max, size=200)
-        total = map_mid(deltas, stats, CFG) + map_both_ends(deltas, stats, CFG)
+        total = _mapped("mid", deltas, stats) + _mapped("both_ends", deltas, stats)
         assert np.abs(total - (CFG.y_min + CFG.y_max)).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
@@ -253,8 +271,8 @@ class TestMappings:
         rng = np.random.default_rng(100 + seed)
         stats = _random_stats(rng)
         deltas = rng.uniform(0, stats.max, size=500)
-        for fn in (map_both_ends, map_both_ends_zero, map_mid):
-            vals = fn(deltas, stats, CFG)
+        for signal in ("both_ends", "both_ends_zero", "mid"):
+            vals = _mapped(signal, deltas, stats)
             assert (vals >= CFG.y_min - 1e-12).all()
             assert (vals <= CFG.y_max + 1e-12).all()
 
@@ -262,19 +280,19 @@ class TestMappings:
         stats = self.ST2
         left = np.linspace(stats.min_positive, stats.median_positive, 500)
         right = np.linspace(stats.median_positive, stats.max, 500)
-        lv = map_both_ends_zero(left, stats, CFG)
-        rv = map_both_ends_zero(right, stats, CFG)
+        lv = _mapped("both_ends_zero", left, stats)
+        rv = _mapped("both_ends_zero", right, stats)
         assert (np.diff(lv) < 0).all()
         assert (np.diff(rv) > 0).all()
 
     def test_out_of_range_deltas_clamped(self):
-        assert map_both_ends(100.0, self.ST, CFG) == 10.0
-        assert map_both_ends_zero(-1.0, self.ST2, CFG) == 1.0
+        assert _mapped("both_ends", 100.0, self.ST)[0] == 10.0
+        # below epsilon, so also counted as a zero
+        assert _mapped("both_ends_zero", -1.0, self.ST2)[0] == 2.0
 
     def test_collapsed_branch_returns_y_max(self):
         stats = DeltaStats(5.0, 5.0, 5.0, zero_count=2, total_count=3)
-        assert map_both_ends_zero(5.0, stats, CFG) == 10.0
-        assert map_both_ends_zero(0.0, stats, CFG) == 1.0
+        assert _mapped("both_ends_zero", [5.0, 0.0], stats).tolist() == [10.0, 2.0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -298,37 +316,33 @@ class TestMappings:
 
 class TestZeroCounting:
     def test_all_zero_matrix(self):
-        assert np.array_equal(
-            count_zeros_per_channel(np.zeros((4, 3), np.float32)), [4.0, 4.0, 4.0]
-        )
+        assert np.array_equal(_zero_counts(np.zeros((4, 3), np.float32)), [4.0, 4.0, 4.0])
 
     def test_no_zeros(self):
-        assert np.array_equal(
-            count_zeros_per_channel(np.ones((4, 3), np.float32)), [0.0, 0.0, 0.0]
-        )
+        assert np.array_equal(_zero_counts(np.ones((4, 3), np.float32)), [0.0, 0.0, 0.0])
 
     def test_two_band_hand_count(self):
         delta = np.ones((4, 2), np.float32)
         delta[0, 0] = 0.0
         delta[1, 0] = 0.0
-        assert np.array_equal(count_zeros_per_channel(delta, slices=2), [1.0, 0.0])
+        assert np.array_equal(_zero_counts(delta, slices=2), [1.0, 0.0])
 
     def test_slices_beyond_rows_rejected(self):
-        with pytest.raises(ValueError):
-            count_zeros_per_channel(np.zeros((4, 2), np.float32), slices=5)
+        with pytest.raises(ValueError, match=r"'m': slices must be in \[1, 4\]"):
+            _zero_counts(np.zeros((4, 2), np.float32), slices=5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_single_slice_equals_exhaustive_count(self, seed):
         rng = np.random.default_rng(seed)
         delta = rng.choice([0.0, 1.0], size=(8, 8)).astype(np.float32)
-        got = count_zeros_per_channel(delta, slices=1)
+        got = _zero_counts(delta, slices=1)
         for c in range(8):
             assert got[c] == sum(1 for r in range(8) if delta[r, c] == 0)
 
     def test_threshold_compared_in_float64_like_global_stats(self):
         # float32(0.1) lies above the float64 epsilon 0.1, so neither counts it as zero
         delta = np.float32([[0.1], [0.2]])
-        assert np.array_equal(count_zeros_per_channel(delta, 0.1), [0.0])
+        assert np.array_equal(_zero_counts(delta, 0.1), [0.0])
         stats = global_delta_stats(_weight_map({"a": delta}), zero_epsilon=0.1)
         assert stats.zero_count == 0
 
@@ -336,8 +350,8 @@ class TestZeroCounting:
     def test_even_bands_scale_back_to_total(self, slices):
         rng = np.random.default_rng(slices)
         delta = rng.choice([0.0, 1.0], size=(8, 8)).astype(np.float32)
-        mean_counts = count_zeros_per_channel(delta, slices=slices)
-        totals = count_zeros_per_channel(delta, slices=1)
+        mean_counts = _zero_counts(delta, slices=slices)
+        totals = _zero_counts(delta, slices=1)
         assert np.allclose(mean_counts * slices, totals)
 
 
@@ -440,10 +454,10 @@ class TestImportance:
         d = delta.astype(np.float64)
         whole = {
             "magnitude": lambda: d.mean(axis=0),
-            "both_ends": lambda: map_both_ends(d, stats, cfg).mean(axis=0),
-            "mid": lambda: map_mid(d, stats, cfg).mean(axis=0),
-            "both_ends_zero": lambda: map_both_ends_zero(d, stats, cfg).mean(axis=0)
-            * (count_zeros_per_channel(d, 0.0, 2) + 1.0),
+            "both_ends": lambda: signals_oracle.map_both_ends(d, stats, cfg).mean(axis=0),
+            "mid": lambda: signals_oracle.map_mid(d, stats, cfg).mean(axis=0),
+            "both_ends_zero": lambda: signals_oracle.map_both_ends_zero(d, stats, cfg).mean(axis=0)
+            * (signals_oracle.count_zeros_per_channel(d, 0.0, 2) + 1.0),
         }[signal]()
         got = importance("m", delta, stats, cfg)
         assert got.tobytes() == np.maximum(whole, 1e-12).tobytes()
@@ -593,6 +607,12 @@ class TestImportanceAll:
         with pytest.raises(ValueError, match="'b'.*float32"):
             importances_to_map(scores, MappingConfig())
 
+    @pytest.mark.parametrize("signal", ["both_ends", "both_ends_zero", "mid"])
+    def test_scores_beyond_float64_name_the_module(self, signal):
+        pre, post = self._trained_pair()
+        with pytest.raises(ValueError, match="'layer0'.* not finite"):
+            importance_all(pre, post, MappingConfig(signal=signal, y_max=1e308))
+
     def test_hyphenated_signal_names_read_as_underscores(self):
         assert MappingConfig(signal="both-ends-zero") == MappingConfig()
         with pytest.raises(ValueError, match="unknown signal"):
@@ -631,6 +651,7 @@ class TestImportanceAll:
 
 
 UPDATE_SIGNALS = ["magnitude", "both_ends", "both_ends_zero", "mid"]
+# the reference mappings of signals_oracle, each named after its signal
 MAPPINGS = ["map_both_ends", "map_both_ends_zero", "map_mid"]
 
 
@@ -686,9 +707,6 @@ class TestTwoBranchOracle:
         )
         got = importance("m", delta, stats, cfg)
         assert got.tobytes() == signals_oracle.update_importance(delta, stats, cfg).tobytes()
-        for name in MAPPINGS:
-            want = getattr(signals_oracle, name)(delta, stats, cfg)
-            assert getattr(signals, name)(delta, stats, cfg).tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -729,12 +747,15 @@ class TestTwoBranchOracle:
     @pytest.mark.parametrize("name", MAPPINGS)
     @pytest.mark.parametrize("kind", [float, np.float32, np.float64, np.array])
     def test_scalar_and_0d_inputs_return_floats(self, name, kind):
+        """A scalar or 0-d update, scored as a [1, 1] matrix, gives the oracle's float."""
         stats = DeltaStats(0.5, 2.0, 6.0, zero_count=1, total_count=10)
         cfg = MappingConfig(y_min=0.1, y_max=0.3)
+        signal = name.removeprefix("map_")
         for value in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0):
-            got = getattr(signals, name)(kind(value), stats, cfg)
-            assert type(got) is float
-            assert got == getattr(signals_oracle, name)(kind(value), stats, cfg)
+            want = getattr(signals_oracle, name)(kind(value), stats, cfg)
+            if signal == "both_ends_zero" and value <= cfg.zero_epsilon:
+                want *= 2.0  # the update is also counted as a zero
+            assert _mapped(signal, kind(value), stats, cfg).tolist() == [want]
 
     @pytest.mark.parametrize("anchors", [(2.0, 2.0, 6.0), (0.5, 2.0, 2.0), (2.0, 2.0, 2.0)],
                              ids=["mid=lo<hi", "lo<mid=hi", "lo=mid=hi"])
@@ -747,13 +768,12 @@ class TestTwoBranchOracle:
         delta = np.float32(values + extra).reshape(4, 3)
         for epsilon in (0.0, 0.25 * lo):
             cfg = MappingConfig(zero_epsilon=epsilon)
+            # no value is at or below epsilon, so each scores its mapping alone
+            row = np.array([values])
             for name in MAPPINGS:
-                want = getattr(signals_oracle, name)(delta, stats, cfg)
-                assert getattr(signals, name)(delta, stats, cfg).tobytes() == want.tobytes()
-                for value in values:
-                    assert getattr(signals, name)(value, stats, cfg) == getattr(
-                        signals_oracle, name
-                    )(value, stats, cfg)
+                want = getattr(signals_oracle, name)(row, stats, cfg)
+                got = _mapped(name.removeprefix("map_"), row, stats, cfg)
+                assert got.tobytes() == want.ravel().tobytes()
             for signal in UPDATE_SIGNALS:
                 cfg = MappingConfig(signal=signal, zero_epsilon=epsilon, slices=2)
                 want = signals_oracle.update_importance(delta, stats, cfg)

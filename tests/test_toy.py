@@ -219,13 +219,13 @@ class TestFiniteDiff:
         model = init_model([6, 4], seed=0)
         x = np.random.default_rng(2).standard_normal((32, 6), dtype=np.float32)
         t = np.random.default_rng(3).standard_normal((32, 4), dtype=np.float32)
-        report = finite_diff_check(model, x, t, tolerance=1e-3)
+        report = finite_diff_check(model, x, t)
         assert report.passed, report
         assert report.max_rel_error < 1e-3
 
     def test_zero_inputs_zero_gradients(self):
         model = init_model([5, 7, 3], seed=1)
-        report = finite_diff_check(model, np.zeros((8, 5), np.float32), tolerance=1e-3)
+        report = finite_diff_check(model, np.zeros((8, 5), np.float32))
         assert report.passed
         assert report.max_rel_error < 1e-6
 
@@ -240,14 +240,14 @@ class TestFiniteDiff:
             grads["layer0"] = (dw * 2.0, db)
             return loss, grads
 
-        report = finite_diff_check(model, x, t, tolerance=1e-3, grad_fn=corrupted)
+        report = finite_diff_check(model, x, t, grad_fn=corrupted)
         assert not report.passed
 
     def test_two_layer_relu_model(self):
         model = init_model([6, 10, 4], seed=7)
         x = np.random.default_rng(11).standard_normal((24, 6), dtype=np.float32)
         t = np.random.default_rng(12).standard_normal((24, 4), dtype=np.float32)
-        report = finite_diff_check(model, x, t, tolerance=1e-3)
+        report = finite_diff_check(model, x, t)
         assert report.passed, report
 
     def test_samples_at_least_fifty(self):
