@@ -102,7 +102,7 @@ _MAP_OPTS = [
     Opt("--y-min", "map.y_min", "mapping output at the median update"),
     Opt("--y-max", "map.y_max", "mapping output at both ends"),
     Opt("--zero-epsilon", "map.zero_epsilon", "updates at or below this count as zero"),
-    Opt("--slices", "map.slices", "row bands for averaged zero counting"),
+    Opt("--slices", "map.slices", "divides each channel's zero-update count"),
     Opt("--multiply-activation", "map.multiply_activation",
         "multiply importance by mean absolute activation (needs --calib)"),
 ]

@@ -103,20 +103,20 @@ def layer_report(
             raise ValueError(f"missing calibration inputs for module {module!r}")
         loss = ModuleLoss(post_ckpt[weight_name], calib.inputs[module], module)
         qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
-        out_features, in_features = q.shape
         # the artifact's codes do not depend on its mask: stripping the
         # protection decodes the scaled search candidate it was built from
         unprotected = replace(
-            q,
-            protected=np.zeros(in_features, dtype=bool),
-            protected_values=np.zeros((out_features, 0), dtype=np.float32),
+            q, protected=np.zeros_like(q.protected), protected_values=q.protected_values[:, :0]
         )
-        protected_recon = dequantize(q)
-        recon_full[module] = protected_recon
+        recon = dequantize(unprotected)
+        searched_mse = loss(recon)
+        # the overwrite that ends dequantize(q): one decode serves both errors
+        recon[:, q.protected] = q.protected_values
+        recon_full[module] = recon
         per_module[module] = {
             "rtn_mse": loss.quantized(qcfg),
-            "searched_mse": loss(dequantize(unprotected)),
-            "protected_mse": loss(protected_recon),
+            "searched_mse": searched_mse,
+            "protected_mse": loss(recon),
         }
     reference = _heldout_reference(post_ckpt)
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)

@@ -184,6 +184,16 @@ def _slabs(shape: tuple[int, int], group_size: int):
                 yield slice(r0, r0 + step), slice(c0, c1), groups, width
 
 
+def checked_channel_scale(channel_scale: np.ndarray, in_features: int) -> np.ndarray:
+    """``channel_scale`` as float32, checked to hold ``in_features`` positive finite entries."""
+    cscale = np.ascontiguousarray(channel_scale, dtype=np.float32)
+    if cscale.shape != (in_features,):
+        raise ValueError("channel_scale length must match in_features")
+    if not np.isfinite(cscale).all() or (cscale <= 0).any():
+        raise ValueError("channel_scale entries must be positive and finite")
+    return cscale
+
+
 def rtn_quantize(
     weight: np.ndarray,
     cfg: QuantConfig,
@@ -207,11 +217,7 @@ def rtn_quantize(
     if channel_scale is None:
         cscale = np.ones(in_features, dtype=np.float32)
     else:
-        cscale = np.ascontiguousarray(channel_scale, dtype=np.float32)
-        if cscale.shape != (in_features,):
-            raise ValueError("channel_scale length must match in_features")
-        if not np.isfinite(cscale).all() or (cscale <= 0).any():
-            raise ValueError("channel_scale entries must be positive and finite")
+        cscale = checked_channel_scale(channel_scale, in_features)
 
     if protected is None:
         mask = np.zeros(in_features, dtype=bool)
@@ -225,8 +231,10 @@ def rtn_quantize(
     scales = np.empty((out_features, n_groups), dtype=np.float32)
     zero_points = np.empty((out_features, n_groups), dtype=np.uint8)
     for rows, cols, groups, width in _slabs(weight.shape, cfg.group_size):
-        with np.errstate(over="ignore"):  # an overflow to inf is rejected per slab
-            scaled = weight[rows, cols] * cscale[cols]
+        scaled = weight[rows, cols]
+        if channel_scale is not None:  # x * 1 == x: an unscaled weight skips the multiply
+            with np.errstate(over="ignore"):  # an overflow to inf is rejected per slab
+                scaled = scaled * cscale[cols]
         c, scales[rows, groups], zero_points[rows, groups] = _quantize_groups(
             scaled.reshape(len(scaled), -1, width), cfg.bits
         )
@@ -252,15 +260,17 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     verbatim from the stored float32 columns.
     """
     recon = np.empty(q.codes.shape, dtype=np.float32)
-    for rows, cols, groups, width in _slabs(q.codes.shape, q.group_size):
-        codes = q.codes[rows, cols]
-        # code minus zero point is a small integer, exact in float32, and
-        # its product with a 19-bit-mantissa scale is exact too
-        diff = codes.reshape(len(codes), -1, width).astype(np.float32)
-        diff -= q.zero_points[rows, groups, None]
-        diff *= q.scales[rows, groups, None]
-        recon[rows, cols] = diff.reshape(len(codes), -1)
-    recon /= q.channel_scale
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        for rows, cols, groups, width in _slabs(q.codes.shape, q.group_size):
+            codes = q.codes[rows, cols]
+            # code minus zero point is a small integer, exact in float32, and
+            # its product with a 19-bit-mantissa scale is exact unless it overflows
+            diff = codes.reshape(len(codes), -1, width).astype(np.float32)
+            diff -= q.zero_points[rows, groups, None]
+            diff *= q.scales[rows, groups, None]
+            recon[rows, cols] = diff.reshape(len(codes), -1)
+        if (q.channel_scale != 1).any():  # x / 1 == x: an all-ones scale skips the division
+            recon /= q.channel_scale
     recon[:, q.protected] = q.protected_values
     if not np.isfinite(recon).all():
         raise ValueError("dequantization produced non-finite values")

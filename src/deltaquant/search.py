@@ -11,9 +11,14 @@ the best candidate can never lose to it.
 
 One ``ModuleLoss`` per module serves every candidate. It validates the
 calibration rows once; ``loss(recon)`` scores any reconstruction and
-``loss.quantized(qcfg, scale)`` scores round-to-nearest of the scaled
-weight, which ``search_scale``, ``quant_loss`` and the evaluation report
-share. With at least ``in_features`` calibration rows it scores through
+``loss.quantized_many(qcfg, scales)`` scores round-to-nearest of the weight
+under each of several channel scales: ``search_scale`` scores plain RTN and
+the whole grid in one call, ``quant_loss`` and the evaluation report one
+scale through ``loss.quantized``. Candidates are quantized and decoded in
+batches of up to ``_BATCH_WEIGHTS`` weights, one call each per batch, which
+spares small modules most of the fixed per-call cost; each candidate keeps
+its own loss product, so every loss has the bits it has when scored alone.
+With at least ``in_features`` calibration rows it scores through
 the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the rows
 directly. The choice depends only on the shapes, and both forms give the
 same loss up to float64 rounding.
@@ -32,8 +37,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import TensorMap
-from .quant import QuantConfig, QuantizedTensor, dequantize, rtn_quantize, select_protected
+from .quant import (
+    QuantConfig,
+    QuantizedTensor,
+    checked_channel_scale,
+    dequantize,
+    rtn_quantize,
+    select_protected,
+)
 from .toy import CalibrationSet
+
+# weights per batch of search candidates quantized and decoded by one call each
+_BATCH_WEIGHTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,10 @@ class ModuleLoss:
     with fewer rows ``X`` is kept and the direct form used. The choice
     depends only on the shapes. The two forms agree up to float64 rounding
     (about 1e-15 relative). ``module`` names the errors.
+
+    ``quantized_many`` scores channel-scale candidates in batches: one
+    quantize and one decode per batch of up to ``_BATCH_WEIGHTS`` weights,
+    then one loss product per candidate.
     """
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
@@ -113,13 +132,63 @@ class ModuleLoss:
         # numpy's own row reduction: a BLAS dot would split the sum by thread count
         return float(np.einsum("ij,ij->i", err @ self.gram, err).sum() / self.outputs)
 
-    def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
-        """Loss of round-to-nearest quantization of the weight scaled by ``scale``.
+    def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
+        """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.
 
-        The columns are multiplied by ``scale`` (default all ones), quantized
-        without protection, decoded, and divided by ``scale`` again.
+        For each channel scale (``None`` for none) the columns are multiplied
+        by it, quantized without protection, decoded, and divided by it
+        again. Candidates go in batches of at most ``_BATCH_WEIGHTS``
+        weights, at least one each. A batch of several stacks its scaled
+        weights into one ``[K * out, in]`` matrix for one ``rtn_quantize``
+        and one ``dequantize`` call; groups are coded per row and decoding
+        is elementwise, so each candidate's row block, divided by its own
+        scale, has the bits it has alone, and is scored by its own loss
+        product. The scales are checked in order, and the candidates before
+        the first invalid one are scored before its error is raised. A
+        batch quantizes all its candidates before it decodes any, so there
+        an overflow of a product wins over one of a division.
         """
-        return self(dequantize(rtn_quantize(self.weight, qcfg, channel_scale=scale)))
+        in_features = self.weight.shape[1]
+        checked: list = []
+        error = None
+        for scale in scales:
+            try:
+                checked.append(None if scale is None else checked_channel_scale(scale, in_features))
+            except ValueError as exc:
+                error = exc
+                break
+        per_batch = max(1, _BATCH_WEIGHTS // self.weight.size)
+        losses = []
+        for start in range(0, len(checked), per_batch):
+            losses += self._batch_losses(qcfg, checked[start : start + per_batch])
+        if error is not None:
+            raise error
+        return losses
+
+    def _batch_losses(self, qcfg: QuantConfig, batch: list) -> list[float]:
+        """Losses of one batch of checked channel scales, in order."""
+        if len(batch) == 1:
+            # a lone candidate is scaled slab by slab inside rtn_quantize and
+            # divided inside dequantize: faster than a whole-matrix product
+            return [self(dequantize(rtn_quantize(self.weight, qcfg, channel_scale=batch[0])))]
+        stacked = np.empty((len(batch), *self.weight.shape), dtype=np.float32)
+        with np.errstate(over="ignore"):  # rtn_quantize rejects an overflow to inf
+            for block, scale in zip(stacked, batch):
+                np.multiply(self.weight, np.float32(1) if scale is None else scale, out=block)
+        recon = dequantize(rtn_quantize(stacked.reshape(-1, stacked.shape[2]), qcfg))
+        losses = []
+        for block, scale in zip(recon.reshape(stacked.shape), batch):
+            if scale is not None:
+                with np.errstate(over="ignore"):  # an overflow to inf is rejected next
+                    block /= scale
+                if not np.isfinite(block).all():
+                    raise ValueError("dequantization produced non-finite values")
+            losses.append(self(block))
+        return losses
+
+    def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
+        """``quantized_many(qcfg, [scale])[0]``: the loss of one channel scale."""
+        return self.quantized_many(qcfg, [scale])[0]
 
 
 def quant_loss(
@@ -170,19 +239,18 @@ def search_scale(
 
     base = normalize_scale(scores)
     ones = np.ones(in_features, dtype=np.float32)
-    rtn_loss = loss.quantized(qcfg)
+    # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
+    alphas = scfg.alphas()
+    scales = {alpha: (base**alpha).astype(np.float32) for alpha in alphas if alpha != 0.0}
+    rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales.values()])
+    scored = dict(zip(scales, zip(scales.values(), losses)))
 
     best_alpha = None
     best_loss = np.inf
     best_scale = ones
     curve: list[tuple[float, float]] = []
-    for alpha in scfg.alphas():
-        if alpha == 0.0:
-            # base**0.0 is exactly one: this is the candidate rtn_loss scored
-            s32, value = ones, rtn_loss
-        else:
-            s32 = (base**alpha).astype(np.float32)
-            value = loss.quantized(qcfg, s32)
+    for alpha in alphas:
+        s32, value = scored.get(alpha, (ones, rtn_loss))
         curve.append((alpha, value))
         if value < best_loss:
             best_alpha = alpha

@@ -19,8 +19,14 @@ from deltaquant.evaluate import (
     layer_report,
     pseudo_ft_curve,
 )
-from deltaquant.quant import QuantConfig, protected_count, protection_order, select_protected
-from deltaquant.search import SearchConfig, quant_loss, quantize_model
+from deltaquant.quant import (
+    QuantConfig,
+    dequantize,
+    protected_count,
+    protection_order,
+    select_protected,
+)
+from deltaquant.search import ModuleLoss, SearchConfig, quant_loss, quantize_model
 from deltaquant.signals import SIGNALS, DegenerateDeltasError, MappingConfig, importance_all
 from deltaquant.toy import (
     CalibrationSet,
@@ -67,7 +73,8 @@ class TestLayerReport:
             assert stats["searched_mse"] == by_module[module].best_loss
 
     def test_searched_mse_decodes_protected_artifact(self, toy_run, searched_artifact):
-        # searched_mse strips the protection instead of re-quantizing
+        # searched_mse strips the protection instead of re-quantizing, and
+        # protected_mse restores it in place of a second decode
         _, _, imps = searched_artifact
         qcfg = QuantConfig(bits=3, group_size=4, protect_fraction=0.25)
         artifact, _ = quantize_model(toy_run["post"], imps, toy_run["calib"], SearchConfig(), qcfg)
@@ -78,6 +85,7 @@ class TestLayerReport:
             weight = toy_run["post"][f"{module}.weight"]
             x = toy_run["calib"].inputs[module]
             assert stats["searched_mse"] == quant_loss(weight, x, q.channel_scale, QCFG)
+            assert stats["protected_mse"] == ModuleLoss(weight, x)(dequantize(q))
 
     def test_non_finite_calibration_rejected(self, toy_run, searched_artifact):
         artifact, _, _ = searched_artifact

@@ -41,6 +41,14 @@ def _mixed_rows(w):
     return w
 
 
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the error or numpy warning it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
 class TestRtnQuantize:
     def test_worked_row(self):
         w = np.array([[0.0, 0.5, 1.0, 1.5]], np.float32)
@@ -246,6 +254,44 @@ class TestChannelScale:
         w = np.ones((2, 2), np.float32)
         with pytest.raises(ValueError, match="positive"):
             rtn_quantize(w, QuantConfig(), channel_scale=np.array([1.0, 0.0], np.float32))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        out_features=st.integers(1, 6),
+        in_features=st.integers(1, 24),
+        group_size=st.integers(1, 8),
+        bits=st.sampled_from([3, 4]),
+        data=st.data(),
+    )
+    def test_unscaled_skips_are_exact(self, out_features, in_features, group_size, bits, data):
+        # rtn_quantize without a scale skips the multiply, dequantize skips the
+        # division by an all-ones scale; x * 1 == x / 1 == x down to the bytes
+        edges = [-0.0, 1e-45, -1e-45, 1e-40, -1.1e-38, np.finfo(np.float32).max,
+                 -np.finfo(np.float32).max, 3.4e38, -1.7e38]
+        values = data.draw(st.lists(
+            st.sampled_from(edges) | st.floats(width=32, allow_nan=False, allow_infinity=False),
+            min_size=out_features * in_features, max_size=out_features * in_features,
+        ))
+        w = np.array(values, np.float32).reshape(out_features, in_features)
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        ones = np.ones(in_features, np.float32)
+        skipped = _outcome(rtn_quantize, w, cfg)
+        multiplied = _outcome(rtn_quantize, w, cfg, channel_scale=ones)
+        if isinstance(skipped, tuple):
+            assert skipped == multiplied
+            return
+        for field in ("codes", "scales", "zero_points", "channel_scale"):
+            assert getattr(skipped, field).tobytes() == getattr(multiplied, field).tobytes()
+        groups = np.arange(in_features) // group_size
+        with np.errstate(over="ignore"):  # codes near the float32 maximum may decode to inf
+            divided = skipped.codes.astype(np.float32) - skipped.zero_points[:, groups]
+            divided *= skipped.scales[:, groups]
+            divided /= ones
+        if np.isfinite(divided).all():
+            assert dequantize(skipped).tobytes() == divided.tobytes()
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                dequantize(skipped)
 
 
 class TestProtection:

@@ -1,12 +1,14 @@
 """Quantization loss, scale normalization, alpha grid search."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaquant import search
 from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
     ModuleLoss,
@@ -161,6 +163,127 @@ class TestModuleLoss:
             assert other.gram is None
             other_loss = other(np.pad(recon, pad))
         assert other_loss == pytest.approx(loss, rel=1e-12)
+
+
+def _failing_candidate(kind):
+    """(weight, calibration rows, bad scale, message) of a candidate failing in ``kind`` way.
+
+    Scales within 10% of one pass on the weight; the bad scale fails with
+    the message that scoring it alone raises.
+    """
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((4, 8)).astype(np.float32)
+    x = rng.standard_normal((16, 8)).astype(np.float32)
+    bad = np.ones(8, np.float32)
+    if kind == "length":
+        return w, x, np.ones(9, np.float32), "channel_scale length must match in_features"
+    if kind in ("zero", "negative", "nan", "inf"):
+        bad[2] = {"zero": 0.0, "negative": -1.0, "nan": np.nan, "inf": np.inf}[kind]
+        return w, x, bad, "channel_scale entries must be positive and finite"
+    if kind == "product":
+        w[1, 2] = 1e38
+        bad[2] = 10.0
+        return w, x, bad, "weight times channel_scale contains non-finite values"
+    # a product that rounds up to a whole quantization step, divided by a tiny scale
+    w[0, 0], w[0, 1] = np.float32(0.56) * np.finfo(np.float32).max, -1.0
+    bad[:2] = 1e-10, 2.2e29
+    return w, x, bad, "dequantization produced non-finite values"
+
+
+_FAILURES = ["length", "zero", "negative", "nan", "inf", "product", "division"]
+
+
+class TestBatchedScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        out_features=st.integers(1, 9),
+        in_features=st.integers(2, 24),
+        group_size=st.integers(1, 10),
+        bits=st.sampled_from([3, 4]),
+        rows=st.sampled_from(["below", "at_least"]),
+        candidates=st.integers(1, 7),
+        per_batch=st.integers(1, 8),
+        unscaled_first=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_losses_equal_one_at_a_time(
+        self, out_features, in_features, group_size, bits, rows, candidates, per_batch,
+        unscaled_first, seed,
+    ):
+        # per_batch from 1 up gives batches of one, of several, and a ragged last batch
+        n = in_features - 1 if rows == "below" else in_features + 3
+        rng = np.random.default_rng(seed)
+        w = (rng.standard_normal((out_features, in_features)) * 10.0 ** rng.uniform(-3, 3))
+        w = w.astype(np.float32)
+        x = rng.standard_normal((n, in_features)).astype(np.float32)
+        scales = [
+            np.exp(rng.uniform(-2, 2, in_features)).astype(np.float32) for _ in range(candidates)
+        ]
+        if unscaled_first:
+            scales[0] = None
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_BATCH_WEIGHTS", per_batch * w.size)
+            losses = ModuleLoss(w, x).quantized_many(cfg, scales)
+        ones = np.ones(in_features, np.float32)
+        assert losses == [quant_loss(w, x, ones if s is None else s, cfg) for s in scales]
+
+    @pytest.mark.parametrize("kind", _FAILURES)
+    @pytest.mark.parametrize("position", range(7))
+    def test_error_at_any_position_in_a_batch(self, monkeypatch, kind, position):
+        w, x, bad, message = _failing_candidate(kind)
+        with pytest.raises(ValueError, match=message):
+            quant_loss(w, x, bad, QCFG)
+        # four candidates per batch: positions 0-3 fall in the first, 4-6 in the second
+        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * w.size)
+        rng = np.random.default_rng(position)
+        scales = [np.exp(rng.uniform(-0.1, 0.1, 8)).astype(np.float32) for _ in range(6)]
+        ModuleLoss(w, x).quantized_many(QCFG, scales)
+        scales.insert(position, bad)
+        with pytest.raises(ValueError, match=message):
+            ModuleLoss(w, x).quantized_many(QCFG, scales)
+
+    @pytest.mark.parametrize("kind", ["length", "zero", "nan"])
+    def test_invalid_scale_is_raised_after_earlier_candidates(self, monkeypatch, kind):
+        # as one at a time: an earlier candidate's overflow wins over a later invalid scale
+        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
+        w, x, overflow, message = _failing_candidate("product")
+        invalid = _failing_candidate(kind)[2]
+        with pytest.raises(ValueError, match=message):
+            ModuleLoss(w, x).quantized_many(QCFG, [None, overflow, invalid])
+
+    def test_product_overflow_wins_within_a_batch(self, monkeypatch):
+        # a batch quantizes all its candidates before decoding any: a later
+        # candidate's product overflow wins over an earlier one's division overflow
+        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
+        w, x, division, _ = _failing_candidate("division")
+        w[1, 2] = 1e38
+        product = np.ones(8, np.float32)
+        product[2] = 10.0
+        with pytest.raises(ValueError, match="dequantization produced non-finite"):
+            ModuleLoss(w, x).quantized_many(QCFG, [division])
+        with pytest.raises(ValueError, match="weight times channel_scale"):
+            ModuleLoss(w, x).quantized_many(QCFG, [division, product])
+        with pytest.raises(ValueError, match="dequantization produced non-finite"):
+            ModuleLoss(w, x).quantized_many(QCFG, [None] * 3 + [division, product])
+
+    @pytest.mark.parametrize("shape, fewest, most", [((64, 256), 1, 2), ((512, 512), 20, 20)])
+    def test_search_quantizes_once_per_batch(self, monkeypatch, shape, fewest, most):
+        # 20 candidates of 64 x 256 fit in two batches; one of 512 x 512 fills a batch
+        calls = Counter()
+        for name in ("rtn_quantize", "dequantize"):
+            def counted(*args, _name=name, _original=getattr(search, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(search, name, counted)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(shape).astype(np.float32)
+        x = rng.standard_normal((16, shape[1])).astype(np.float32)
+        scores = np.exp(rng.uniform(-1.0, 2.0, shape[1]))
+        search_scale(w, scores, x, SearchConfig(), QuantConfig())
+        assert fewest <= calls["rtn_quantize"] <= most
+        assert calls["dequantize"] == calls["rtn_quantize"]
 
 
 class TestNormalizeScale:
