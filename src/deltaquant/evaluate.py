@@ -25,7 +25,7 @@ from .quant import (
     protection_order,
     rtn_quantize,
 )
-from .search import ModuleLoss, SearchConfig, quantize_model
+from .search import ModuleLoss, SearchConfig, module_losses, search_loss
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
@@ -99,9 +99,15 @@ def layer_report(
         weight_name = f"{module}.weight"
         if weight_name not in post_ckpt:
             raise ValueError(f"checkpoint is missing {weight_name!r}")
+        weight = post_ckpt[weight_name]
+        if q.shape != weight.shape:
+            raise ValueError(
+                f"artifact module {module!r} is {list(q.shape)}, its checkpoint weight "
+                f"{list(weight.shape)}"
+            )
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
-        loss = ModuleLoss(post_ckpt[weight_name], calib.inputs[module], module)
+        loss = ModuleLoss(weight, calib.inputs[module], module)
         qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
         # the artifact's codes do not depend on its mask: stripping the
         # protection decodes the scaled search candidate it was built from
@@ -268,25 +274,33 @@ def pseudo_ft_curve(
     """Mean searched loss as a function of the training step.
 
     For each snapshot past step 0, importance is derived from the updates
-    between step 0 and that snapshot, and the highest-step snapshot is
-    quantized with it. A point is the mean search ``best_loss``, which
-    ``qcfg.protect_fraction`` never changes, or NaN where a step's deltas are
-    all zero. Returns the points and their least-squares slope (NaN when
-    fewer than two points are finite).
+    between step 0 and that snapshot, and the scale of every module of the
+    highest-step snapshot is searched with it. A point is the mean search
+    ``best_loss``, which ``qcfg.protect_fraction`` never changes, or NaN where
+    a step's deltas are all zero. Returns the points and their least-squares
+    slope (NaN when fewer than two points are finite).
+
+    Cost: one ``ModuleLoss`` and one plain-RTN score per module for the whole
+    curve; each snapshot adds an importance pass and one ``quantized_many``
+    call per module for its alpha grid. No artifact is quantized.
     """
     by_step = sorted(snapshots, key=lambda pair: pair[0])
     if len(by_step) < 2 or by_step[0][0] != 0:
         raise ValueError("need at least two snapshots including step 0")
     base, final = by_step[0][1], by_step[-1][1]
+    # every snapshot's importance covers the modules of step 0
+    modules = module_losses(final, base.modules("weight"), calib, scfg)
+    losses = {m: (loss, loss.quantized(qcfg)) for m, loss in modules}
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:
             imps = importance_all(base, snap, mapping_cfg, calib)
-            _, report = quantize_model(final, imps, calib, scfg, qcfg)
-            loss = float(np.mean([r.best_loss for r in report]))
+            best = [search_loss(loss, imps[m], scfg, qcfg, m, rtn).best_loss
+                    for m, (loss, rtn) in losses.items()]
+            point = float(np.mean(best))
         except DegenerateDeltasError:
-            loss = math.nan
-        points.append((step, loss))
+            point = math.nan
+        points.append((step, point))
     finite = [(s, l) for s, l in points if math.isfinite(l)]
     if len(finite) >= 2:
         xs = np.array([s for s, _ in finite], dtype=np.float64)

@@ -30,6 +30,10 @@ from .container import TensorMap, config_from_text
 
 # scale mantissa width: 19 bits + 4-bit codes keeps products exact in f32
 _SCALE_MANTISSA_BITS = 19
+# smallest group scale, the smallest normal float32: a subnormal scale would
+# lose mantissa bits, and a zero one divide by zero
+_MIN_SCALE = 2.0**-126
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 _MAX_RESCALE_ITERS = 64
 # widths the artifact stores: 1 (protection mask), 3 and 4 (codes, zero points)
 _PACK_WIDTHS = (1, 3, 4)
@@ -88,10 +92,12 @@ class QuantizedTensor:
 
 
 def _round_scale(x: np.ndarray, rounding) -> np.ndarray:
-    """Round positive values onto the reduced-mantissa float grid with ``rounding``."""
+    """Round positive values onto the reduced-mantissa grid with ``rounding``, at least 2^-126."""
     m, e = np.frexp(np.asarray(x, dtype=np.float64))
     step = 2.0 ** _SCALE_MANTISSA_BITS
-    return np.ldexp(rounding(m * step) / step, e)
+    scale = np.ldexp(rounding(m * step) / step, e)
+    # in place: one more table per slab left the heap 1.4 MiB higher over repeated passes
+    return np.maximum(scale, _MIN_SCALE, out=scale)
 
 
 def _quantize_groups(
@@ -115,6 +121,13 @@ def _quantize_groups(
     A non-finite value raises ValueError. Min and max propagate NaN and
     +-inf, so the [rows, groups] tables are finite exactly when every value
     of the slab is, and only the tables are checked.
+
+    Scales are at least ``_MIN_SCALE`` (2^-126), the smallest normal
+    float32, so a code times a scale stays exact; a group at that floor
+    cannot step down, and keeps its span below ``k``. A group whose largest
+    decoded magnitude, code minus zero point times scale, would overflow
+    float32 raises ValueError, so every stored scale is finite and every
+    group decodes.
     """
     k = (1 << bits) - 1
     # min and max of a width-major copy: numpy reduces a leading axis over
@@ -137,11 +150,16 @@ def _quantize_groups(
         cmax = np.clip(np.rint(hi / s64) + zeros, 0, k)
         cmin = np.clip(np.rint(lo / s64) + zeros, 0, k)
         span = np.maximum(cmax - zeros, 0) + np.maximum(zeros - cmin, 0)
-        unstable = ~const & (cmax != cmin) & (span != k)
+        unstable = ~const & (cmax != cmin) & (span != k) & (s64 > _MIN_SCALE)
         if not unstable.any():
             break
         bumped = _round_scale(s64 * (1.0 - 2.0**-20), np.floor)
         scales = np.where(unstable, bumped, s64).astype(np.float32)
+    # no code is more than k from its zero point: the exact test runs only
+    # on slabs whose largest scale times k overflows
+    if k * s64.max() > _FLOAT32_MAX:
+        if (np.maximum(cmax - zeros, zeros - cmin) * s64 > _FLOAT32_MAX).any():
+            raise ValueError("a group of the weight decodes beyond the float32 range")
 
     # codes of the last scales tried, in place in one float64 slab
     codes = values.astype(np.float64)

@@ -14,7 +14,9 @@ calibration rows once; ``loss(recon)`` scores any reconstruction and
 ``loss.quantized_many(qcfg, scales)`` scores round-to-nearest of the weight
 under each of several channel scales: ``search_scale`` scores plain RTN and
 the whole grid in one call, ``quant_loss`` and the evaluation report one
-scale through ``loss.quantized``. Candidates are quantized and decoded in
+scale through ``loss.quantized``. ``search_loss`` searches on a built loss,
+so that the pseudo-fine-tuning curve scores plain RTN once per module and
+only each snapshot's grid. Candidates are quantized and decoded in
 batches of up to ``_BATCH_WEIGHTS`` weights, one call each per batch, which
 spares small modules most of the fixed per-call cost; each candidate keeps
 its own loss product, so every loss has the bits it has when scored alone.
@@ -229,6 +231,14 @@ def search_scale(
     unscaled loss for reference. ``module`` names the result and the errors.
     """
     loss = ModuleLoss(weight, np.asarray(calib_inputs)[: scfg.max_calib_rows], module)
+    return search_loss(loss, importance, scfg, qcfg, module)
+
+
+def search_loss(
+    loss: ModuleLoss, importance: np.ndarray, scfg: SearchConfig, qcfg: QuantConfig,
+    module: str = "", rtn_loss: float | None = None,
+) -> SearchResult:
+    """``search_scale`` on a built ``loss``; plain RTN is scored only when ``rtn_loss`` is None."""
     in_features = loss.weight.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
     where = f" for module {module!r}" if module else ""
@@ -242,7 +252,10 @@ def search_scale(
     # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
     alphas = scfg.alphas()
     scales = {alpha: (base**alpha).astype(np.float32) for alpha in alphas if alpha != 0.0}
-    rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales.values()])
+    if rtn_loss is None:
+        rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales.values()])
+    else:
+        losses = loss.quantized_many(qcfg, list(scales.values()))
     scored = dict(zip(scales, zip(scales.values(), losses)))
 
     best_alpha = None
@@ -266,6 +279,27 @@ def search_scale(
     )
 
 
+def module_losses(post_ckpt: TensorMap, importances, calib: CalibrationSet, scfg: SearchConfig):
+    """Yield ``(module, ModuleLoss)`` per module, on its first ``max_calib_rows`` rows.
+
+    ``importances`` names the modules that have importance vectors. The first
+    module only one of it and the checkpoint holds, or without calibration
+    inputs, raises ValueError naming it.
+    """
+    modules = post_ckpt.modules("weight")
+    if not modules:
+        raise ValueError("checkpoint contains no '.weight' tensors")
+    unmatched = sorted(set(importances) ^ set(modules))
+    if unmatched:
+        missing_from = "checkpoint" if unmatched[0] in importances else "importance vectors"
+        raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
+    for module in modules:
+        if module not in calib.inputs:
+            raise ValueError(f"missing calibration inputs for module {module!r}")
+        rows = np.asarray(calib.inputs[module])[: scfg.max_calib_rows]
+        yield module, ModuleLoss(post_ckpt[f"{module}.weight"], rows, module)
+
+
 def quantize_model(
     post_ckpt: TensorMap,
     importances: dict[str, np.ndarray],
@@ -279,21 +313,12 @@ def quantize_model(
     importance, then quantize with both applied. Modules are processed in
     sorted name order; the report carries one full loss curve per module.
     """
-    modules = post_ckpt.modules("weight")
-    if not modules:
-        raise ValueError("checkpoint contains no '.weight' tensors")
-    unmatched = sorted(set(importances) ^ set(modules))
-    if unmatched:
-        missing_from = "checkpoint" if unmatched[0] in importances else "importance vectors"
-        raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
-    for module in modules:
-        if module not in calib.inputs:
-            raise ValueError(f"missing calibration inputs for module {module!r}")
-        weight = post_ckpt[f"{module}.weight"]
-        inputs = calib.inputs[module]
-        result = search_scale(weight, importances[module], inputs, scfg, qcfg, module)
+    for module, loss in module_losses(post_ckpt, importances, calib, scfg):
+        result = search_loss(loss, importances[module], scfg, qcfg, module)
+        weight = loss.weight
+        del loss  # its rows are freed before the artifact is quantized and the next loss built
         mask = select_protected(importances[module], qcfg.protect_fraction)
         artifact[module] = rtn_quantize(weight, qcfg, channel_scale=result.scale, protected=mask)
         report.append(result)

@@ -24,6 +24,8 @@ _FDIFF_TOLERANCE = 1e-3
 _FDIFF_SAMPLES = 64
 _FDIFF_STEP = 1e-3
 _FDIFF_SEED = 0
+# training steps whose inputs are drawn, and teacher targets computed, at once
+_CHUNK_STEPS = 10
 
 
 class TrainingDivergedError(Exception):
@@ -173,13 +175,13 @@ def gradients(
     out = acts[-1]
     diff = out - targets
     loss = float(np.mean(diff.astype(np.float64) ** 2))
-    grad = (diff * np.float32(2.0 / diff.size)).astype(np.float32)
+    grad = diff * np.float32(2.0 / diff.size)
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         dw = grad.T @ acts[i]
         db = grad.sum(axis=0)
-        grads[layer.name] = (dw.astype(np.float32), db.astype(np.float32))
+        grads[layer.name] = (dw, db)
         if i > 0:
             grad = (grad @ layer.weight) * (acts[i] > 0)
     return loss, grads
@@ -234,6 +236,12 @@ def train(
 
     Returns the trained model and checkpoint snapshots, always including
     step 0 (the pre-update weights) and the final step.
+
+    Cost: inputs are drawn, and the teacher run, once per chunk of
+    ``_CHUNK_STEPS`` (10) steps, the last chunk possibly shorter. Each step
+    slices its batch and targets from them and runs the student forward and
+    backward once. One draw per chunk yields the values of one draw per
+    step, and the tests check that no snapshot depends on the chunk length.
     """
     model = copy.deepcopy(model)
     teacher = _teacher_for(model, cfg.data_seed)
@@ -243,9 +251,13 @@ def train(
 
     snapshots: list[tuple[int, TensorMap]] = [(0, checkpoint_map(model, 0, extra))]
     for step in range(1, cfg.steps + 1):
-        batch = rng.standard_normal((cfg.batch_size, model.in_dim), dtype=np.float32)
-        targets = forward_activations(teacher.layers, batch)[-1]
-        loss, grads = gradients(model, batch, targets)
+        row = (step - 1) % _CHUNK_STEPS * cfg.batch_size
+        if row == 0:
+            rows = min(_CHUNK_STEPS, cfg.steps + 1 - step) * cfg.batch_size
+            inputs = rng.standard_normal((rows, model.in_dim), dtype=np.float32)
+            targets = forward_activations(teacher.layers, inputs)[-1]
+        batch = slice(row, row + cfg.batch_size)
+        loss, grads = gradients(model, inputs[batch], targets[batch])
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         for layer in model.layers:

@@ -2,21 +2,26 @@
 
 One value at a time in Python floats, mirroring the documented quantizer:
 per row-group min/max extended to zero, scale rounded up onto the
-19-bit-mantissa grid (stepped down one ulp while the achieved code span
-cannot regenerate it), collapsed groups stored in the canonical constant
-form. Shared by the quantizer and loss tests as their oracle.
+19-bit-mantissa grid and floored at 2^-126 (stepped down one ulp while the
+achieved code span cannot regenerate it and the floor allows), collapsed
+groups stored in the canonical constant form, and a group whose decoded
+values would overflow float32 rejected with ValueError. Shared by the
+quantizer and loss tests as their oracle.
 """
 
 import math
 
 import numpy as np
 
+MIN_SCALE = 2.0**-126
+FLT_MAX = float(np.finfo(np.float32).max)
+
 
 def _round19(value, up):
     m, e = math.frexp(value)
     step = 2.0**19
     m = (math.ceil(m * step) if up else math.floor(m * step)) / step
-    return np.float32(math.ldexp(m, e))
+    return np.float32(max(math.ldexp(m, e), MIN_SCALE))
 
 
 def _constant_group(value, width):
@@ -39,9 +44,11 @@ def quantize_group(grp, bits):
         z = int(min(max(round(-lo_e / float(s)), 0), k))
         codes = [int(min(max(round(v / float(s)) + z, 0), k)) for v in grp]
         cmax, cmin = max(codes), min(codes)
-        if cmax == cmin or max(cmax - z, 0) + max(z - cmin, 0) == k:
+        if cmax == cmin or max(cmax - z, 0) + max(z - cmin, 0) == k or s == MIN_SCALE:
             break
         s = _round19(float(s) * (1 - 2.0**-20), up=False)
+    if max(cmax - z, z - cmin) * float(s) > FLT_MAX:
+        raise ValueError("a group of the weight decodes beyond the float32 range")
     if cmax == cmin:
         return _constant_group(np.float32(cmax - z) * s, len(grp))
     return codes, s, z

@@ -310,6 +310,29 @@ class TestQuantizeAndEval:
         assert "layer0" in res.stderr and "re-run quantize" in res.stderr
         assert not ev.exists()
 
+    def test_artifact_of_other_shapes_is_runtime_error(self, tmp_path):
+        from deltaquant.container import save_container
+        from deltaquant.quant import artifact_to_map, rtn_quantize
+        from deltaquant.toy import init_model
+
+        out = train_run(tmp_path, steps=100)
+        # an 8-32-8 model's artifact against the run's 8-16-8 checkpoint
+        wide = init_model([8, 32, 8], seed=7)
+        cfg = QuantConfig(bits=3, group_size=4)
+        art = tmp_path / "art_wide.dqt"
+        save_container(
+            artifact_to_map({l.name: rtn_quantize(l.weight, cfg) for l in wide.layers}), art
+        )
+        ev = tmp_path / "eval_wide.json"
+        res = run_cli(
+            "eval", "--post", out / "ckpt_step000100.dqt", "--artifact", art,
+            "--calib", out / "calib.dqt", "--out", ev,
+        )
+        assert res.returncode == 1
+        assert "module 'layer0' is [32, 8]" in res.stderr
+        assert "broadcast" not in res.stderr
+        assert not ev.exists()
+
     def test_corrupt_artifact_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
 

@@ -24,9 +24,16 @@ from deltaquant.quant import (
     dequantize,
     protected_count,
     protection_order,
+    rtn_quantize,
     select_protected,
 )
-from deltaquant.search import ModuleLoss, SearchConfig, quant_loss, quantize_model
+from deltaquant.search import (
+    ModuleLoss,
+    SearchConfig,
+    quant_loss,
+    quantize_model,
+    search_scale,
+)
 from deltaquant.signals import SIGNALS, DegenerateDeltasError, MappingConfig, importance_all
 from deltaquant.toy import (
     CalibrationSet,
@@ -137,6 +144,13 @@ class TestLayerReport:
         partial = {k: v for k, v in artifact.items() if k != "layer1"}
         with pytest.raises(ValueError, match="layer1"):
             layer_report(toy_run["post"], partial, toy_run["calib"])
+
+    def test_artifact_of_other_shapes_names_the_module(self, toy_run):
+        # an 8-32-8 model's artifact against the 8-16-8 checkpoint
+        wide = init_model([8, 32, 8], seed=1)
+        artifact = {layer.name: rtn_quantize(layer.weight, QCFG) for layer in wide.layers}
+        with pytest.raises(ValueError, match="module 'layer0' is \\[32, 8\\]"):
+            layer_report(toy_run["post"], artifact, toy_run["calib"])
 
     def test_empty_artifact_rejected(self, toy_run):
         with pytest.raises(ValueError, match="empty"):
@@ -436,6 +450,95 @@ class TestCurve:
             pseudo_ft_curve(
                 toy_run["snaps"][1:], toy_run["calib"], MappingConfig(), SearchConfig(), QCFG
             )
+
+    @staticmethod
+    def _run(snapshots):
+        model = init_model([8, 16, 8], seed=1)
+        _, snaps = train(model, TrainConfig(steps=10 * (snapshots - 1), snapshot_every=10))
+        batch = np.random.default_rng(33).standard_normal((64, 8), dtype=np.float32)
+        _, calib = forward(model_from_map(snaps[-1][1]), batch)
+        return snaps, calib
+
+    @pytest.mark.parametrize("snapshots", [3, 11])
+    def test_one_loss_and_one_rtn_score_per_module(self, monkeypatch, snapshots):
+        snaps, calib = self._run(snapshots)
+        assert len(snaps) == snapshots
+        calls = collections.Counter()
+        init, many = ModuleLoss.__init__, ModuleLoss.quantized_many
+
+        def counted_init(self, *args, **kwargs):
+            calls["losses"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_many(self, qcfg, scales):
+            calls["quantized_many"] += 1
+            calls["rtn"] += sum(scale is None for scale in scales)
+            return many(self, qcfg, scales)
+
+        monkeypatch.setattr(ModuleLoss, "__init__", counted_init)
+        monkeypatch.setattr(ModuleLoss, "quantized_many", counted_many)
+        points, _ = pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
+        assert all(math.isfinite(l) for _, l in points)
+        modules = len(snaps[-1][1].modules("weight"))
+        # plain RTN once per module, then one grid call per module and snapshot
+        assert calls == {
+            "losses": modules, "rtn": modules, "quantized_many": modules * snapshots
+        }
+
+    @pytest.mark.parametrize(
+        "scfg", [SearchConfig(), SearchConfig(grid_points=7, alpha_lo=0.1, max_calib_rows=16)]
+    )
+    def test_points_are_the_mean_searched_loss(self, scfg):
+        snaps, calib = self._run(4)
+        final = snaps[-1][1]
+        points, _ = pseudo_ft_curve(snaps, calib, MappingConfig(), scfg, QCFG)
+        want = []
+        for step, snap in snaps[1:]:
+            imps = importance_all(snaps[0][1], snap, MappingConfig(), calib)
+            best = [
+                search_scale(final[f"{m}.weight"], imps[m], calib.inputs[m], scfg, QCFG, m).best_loss
+                for m in final.modules("weight")
+            ]
+            want.append((step, float(np.mean(best))))
+        assert points == want
+
+    def test_missing_calibration_names_the_module(self):
+        snaps, calib = self._run(3)
+        del calib.inputs["layer1"]
+        with pytest.raises(ValueError, match="missing calibration inputs for module 'layer1'"):
+            pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
+
+    def test_importance_of_other_length_names_the_module(self):
+        # step 0 and step 10 of an 8-16-8 run, then a final 8-12-8 checkpoint
+        snaps, _ = self._run(3)
+        narrow = init_model([8, 12, 8], seed=1)
+        _, calib = forward(narrow, np.ones((16, 8), np.float32))
+        final = (20, train(narrow, TrainConfig(steps=1))[1][-1][1])
+        with pytest.raises(ValueError, match="importance length .* module 'layer1'"):
+            pseudo_ft_curve(snaps[:2] + [final], calib, MappingConfig(), SearchConfig(), QCFG)
+
+    def test_module_sets_that_differ_name_the_module(self):
+        snaps, _ = self._run(3)
+        deep = init_model([8, 16, 8, 8], seed=1)
+        _, calib = forward(deep, np.ones((16, 8), np.float32))
+        final = (20, train(deep, TrainConfig(steps=1))[1][-1][1])
+        with pytest.raises(ValueError, match="'layer2' is missing from the importance vectors"):
+            pseudo_ft_curve(snaps[:2] + [final], calib, MappingConfig(), SearchConfig(), QCFG)
+
+    def test_non_positive_importance_names_the_module(self, monkeypatch):
+        snaps, calib = self._run(3)
+        def negative(pre, post, *_):
+            return {m: -np.ones(pre[f"{m}.weight"].shape[1]) for m in pre.modules("weight")}
+
+        monkeypatch.setattr(evaluate, "importance_all", negative)
+        with pytest.raises(ValueError, match="strictly positive for module 'layer0'"):
+            pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
+
+    def test_checkpoint_without_modules_rejected(self):
+        snaps, calib = self._run(3)
+        empty = (20, TensorMap(meta=dict(snaps[-1][1].meta)))
+        with pytest.raises(ValueError, match="no '.weight' tensors"):
+            pseudo_ft_curve(snaps[:2] + [empty], calib, MappingConfig(), SearchConfig(), QCFG)
 
     def test_csv_shape(self, toy_run):
         points, slope = pseudo_ft_curve(

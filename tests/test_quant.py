@@ -22,6 +22,9 @@ from deltaquant.quant import (
 from quant_oracle import oracle_reconstruct, rtn_oracle
 
 
+FLT_MAX = np.finfo(np.float32).max
+
+
 def _rand_weight(rng, shape, scale=1.0):
     return (rng.standard_normal(shape) * scale).astype(np.float32)
 
@@ -152,6 +155,56 @@ class TestRtnQuantize:
         assert np.array_equal(q1.codes, q2.codes)
         assert np.array_equal(q1.scales, q2.scales)
         assert np.array_equal(q1.zero_points, q2.zero_points)
+
+    @pytest.mark.parametrize(
+        "values,bits,raises",
+        [
+            ([-0.0, 1e-45], 3, False),  # a scale that rounded to 0 divided 0 by 0
+            ([-0.0, 1e-45], 4, False),
+            ([FLT_MAX, np.float32(0.99999) * FLT_MAX], 3, True),  # stored an inf scale
+            ([FLT_MAX, 0.0], 3, True),  # quantized, then failed to decode
+            ([FLT_MAX, 0.0], 4, True),
+        ],
+    )
+    def test_float32_range_ends(self, values, bits, raises):
+        w = np.array([values], np.float32)
+        cfg = QuantConfig(bits=bits, group_size=2)
+        if raises:
+            with pytest.raises(ValueError, match="beyond the float32 range"):
+                rtn_quantize(w, cfg)
+            return
+        q = rtn_quantize(w, cfg)
+        assert q.scales.min() >= 2.0**-126
+        assert np.array_equal(rtn_quantize(dequantize(q), cfg).codes, q.codes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 3),
+        cols=st.integers(1, 12),
+        group_size=st.integers(1, 8),
+        bits=st.sampled_from([3, 4]),
+        data=st.data(),
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_total_on_finite_float32(self, rows, cols, group_size, bits, data):
+        # subnormals, signed zeros and values near the float32 maximum
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+        w = np.array(values, np.float32).reshape(rows, cols)
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        got = _outcome(rtn_quantize, w, cfg)
+        want = _outcome(rtn_oracle, w, np.ones(cols, np.float32), bits, group_size)
+        if isinstance(got, tuple):
+            assert got == (ValueError, "a group of the weight decodes beyond the float32 range")
+            assert want == got
+            return
+        assert np.array_equal(got.codes, want[0])
+        assert got.scales.tobytes() == want[1].tobytes()
+        assert np.array_equal(got.zero_points, want[2])
+        again = rtn_quantize(dequantize(got), cfg)
+        assert np.array_equal(again.codes, got.codes)
+        assert again.scales.tobytes() == got.scales.tobytes()
+        assert np.array_equal(again.zero_points, got.zero_points)
 
     @pytest.mark.parametrize("bits", [3, 4])
     @pytest.mark.parametrize("shape,group_size", [((13, 23), 5), ((37, 10), 4), ((6, 70), 32)])

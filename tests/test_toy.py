@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deltaquant import toy
 from deltaquant.container import save_container
 from deltaquant.toy import (
     TrainConfig,
@@ -198,6 +199,41 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="step"):
                 train(model, TrainConfig(steps=200, learning_rate=1e12))
+
+
+class TestChunkInvariance:
+    """Training draws inputs and runs the teacher once per chunk of steps.
+
+    A chunk of one step is the per-step loop; every snapshot must keep its
+    bits under the default chunk, including a short last chunk. A BLAS whose
+    float32 GEMM gives a many-row product other row bits than a batch-row
+    one fails here.
+    """
+
+    @pytest.mark.parametrize("steps,every", [(2000, 200), (7, 3), (23, 5)])
+    def test_snapshots_independent_of_chunk(self, monkeypatch, steps, every):
+        model = init_model([64, 256, 64], seed=0)
+        cfg = TrainConfig(steps=steps, snapshot_every=every)
+        _, chunked = train(model, cfg)
+        monkeypatch.setattr(toy, "_CHUNK_STEPS", 1)
+        _, per_step = train(model, cfg)
+        assert [s for s, _ in chunked] == [s for s, _ in per_step]
+        for (_, a), (_, b) in zip(chunked, per_step):
+            assert a.meta == b.meta
+            assert sorted(a.names()) == sorted(b.names())
+            for name in a.names():
+                assert a[name].tobytes() == b[name].tobytes(), name
+
+    def test_divergence_step_independent_of_chunk(self, monkeypatch):
+        model = init_model([4, 8, 4], seed=0)
+        steps = []
+        for chunk in (toy._CHUNK_STEPS, 1):
+            monkeypatch.setattr(toy, "_CHUNK_STEPS", chunk)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDivergedError) as info:
+                    train(model, TrainConfig(steps=200, learning_rate=1e12))
+            steps.append(info.value.step)
+        assert steps[0] == steps[1]
 
 
 class TestCheckpointMaps:
