@@ -53,7 +53,6 @@ from .signals import (
     MappingConfig,
     compute_delta,
     global_delta_stats,
-    importance,
     importance_all,
     importances,
     importances_from_map,
@@ -61,13 +60,11 @@ from .signals import (
 )
 from .toy import (
     CalibrationSet,
-    FiniteDiffReport,
     LinearLayer,
     ToyModel,
     TrainConfig,
     TrainingDivergedError,
     checkpoint_map,
-    finite_diff_check,
     forward,
     gradients,
     init_model,

@@ -120,7 +120,8 @@ _SEARCH_OPTS = [
 ]
 
 _TRAIN_OPTS = [
-    Opt("--dims", "train.dims", "comma-separated layer widths", "8,16,8", _comma_list(int, 2)),
+    Opt("--dims", "train.dims", "comma-separated layer widths", "8,16,8",
+        _comma_list(_int_at_least(1), 2)),
     Opt("--steps", "train.steps", "gradient-descent steps"),
     Opt("--lr", "train.learning_rate", "learning rate"),
     Opt("--batch-size", "train.batch_size", "rows per training batch"),

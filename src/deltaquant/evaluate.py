@@ -25,7 +25,7 @@ from .quant import (
     protection_order,
     rtn_quantize,
 )
-from .search import ModuleLoss, SearchConfig, module_losses, search_loss
+from .search import ModuleLoss, SearchConfig, module_losses, search_scale
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
@@ -289,14 +289,14 @@ def pseudo_ft_curve(
         raise ValueError("need at least two snapshots including step 0")
     base, final = by_step[0][1], by_step[-1][1]
     # every snapshot's importance covers the modules of step 0
-    modules = module_losses(final, base.modules("weight"), calib, scfg)
-    losses = {m: (loss, loss.quantized(qcfg)) for m, loss in modules}
+    losses = [(loss, loss.quantized(qcfg))
+              for loss in module_losses(final, base.modules("weight"), calib, scfg)]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:
             imps = importance_all(base, snap, mapping_cfg, calib)
-            best = [search_loss(loss, imps[m], scfg, qcfg, m, rtn).best_loss
-                    for m, (loss, rtn) in losses.items()]
+            best = [search_scale(loss, imps[loss.module], scfg, qcfg, rtn).best_loss
+                    for loss, rtn in losses]
             point = float(np.mean(best))
         except DegenerateDeltasError:
             point = math.nan

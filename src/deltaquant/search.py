@@ -13,17 +13,16 @@ One ``ModuleLoss`` per module serves every candidate. It validates the
 calibration rows once; ``loss(recon)`` scores any reconstruction and
 ``loss.quantized_many(qcfg, scales)`` scores round-to-nearest of the weight
 under each of several channel scales: ``search_scale`` scores plain RTN and
-the whole grid in one call, ``quant_loss`` and the evaluation report one
-scale through ``loss.quantized``. ``search_loss`` searches on a built loss,
-so that the pseudo-fine-tuning curve scores plain RTN once per module and
-only each snapshot's grid. Candidates are quantized and decoded in
-batches of up to ``_BATCH_WEIGHTS`` weights, one call each per batch, which
-spares small modules most of the fixed per-call cost; each candidate keeps
-its own loss product, so every loss has the bits it has when scored alone.
-With at least ``in_features`` calibration rows it scores through
-the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the rows
-directly. The choice depends only on the shapes, and both forms give the
-same loss up to float64 rounding.
+the whole grid in one call, or only the grid when given the RTN loss, as
+the pseudo-fine-tuning curve does for each snapshot; ``quant_loss`` and the
+evaluation report score one scale through ``loss.quantized``. Candidates
+are quantized and decoded in batches of up to ``_BATCH_WEIGHTS`` weights,
+one call each per batch, which spares small modules most of the fixed
+per-call cost; each candidate keeps its own loss product, so every loss
+has the bits it has when scored alone. With at least ``in_features``
+calibration rows it scores through the Gram matrix ``H = X.T @ X``, with
+fewer it multiplies by the rows directly. The choice depends only on the
+shapes, and both forms give the same loss up to float64 rounding.
 
 Importance vectors are normalized by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
@@ -97,7 +96,8 @@ class ModuleLoss:
     which costs ``out * in**2`` instead of ``n * in * out`` per candidate;
     with fewer rows ``X`` is kept and the direct form used. The choice
     depends only on the shapes. The two forms agree up to float64 rounding
-    (about 1e-15 relative). ``module`` names the errors.
+    (about 1e-15 relative). ``module`` names the search result and the
+    errors, those of the quantizer included.
 
     ``quantized_many`` scores channel-scale candidates in batches: one
     quantize and one decode per batch of up to ``_BATCH_WEIGHTS`` weights,
@@ -106,6 +106,7 @@ class ModuleLoss:
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
         self.weight = np.ascontiguousarray(weight, dtype=np.float32)
+        self.module = module
         x = np.asarray(calib_inputs)
         where = f" for module {module!r}" if module else ""
         if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
@@ -148,7 +149,8 @@ class ModuleLoss:
         product. The scales are checked in order, and the candidates before
         the first invalid one are scored before its error is raised. A
         batch quantizes all its candidates before it decodes any, so there
-        an overflow of a product wins over one of a division.
+        an overflow of a product wins over one of a division. With a
+        ``module`` name, an error reads ``module '<name>': <message>``.
         """
         in_features = self.weight.shape[1]
         checked: list = []
@@ -161,10 +163,15 @@ class ModuleLoss:
                 break
         per_batch = max(1, _BATCH_WEIGHTS // self.weight.size)
         losses = []
-        for start in range(0, len(checked), per_batch):
-            losses += self._batch_losses(qcfg, checked[start : start + per_batch])
-        if error is not None:
-            raise error
+        try:
+            for start in range(0, len(checked), per_batch):
+                losses += self._batch_losses(qcfg, checked[start : start + per_batch])
+            if error is not None:
+                raise error
+        except ValueError as exc:
+            if not self.module:
+                raise
+            raise ValueError(f"module {self.module!r}: {exc}") from exc
         return losses
 
     def _batch_losses(self, qcfg: QuantConfig, batch: list) -> list[float]:
@@ -217,31 +224,20 @@ def normalize_scale(raw: np.ndarray) -> np.ndarray:
 
 
 def search_scale(
-    weight: np.ndarray,
-    importance: np.ndarray,
-    calib_inputs: np.ndarray,
-    scfg: SearchConfig,
-    qcfg: QuantConfig,
-    module: str = "",
+    loss: ModuleLoss, importance: np.ndarray, scfg: SearchConfig, qcfg: QuantConfig,
+    rtn_loss: float | None = None,
 ) -> SearchResult:
-    """Grid-search the scaling exponent that minimizes the loss.
+    """Grid-search the scaling exponent that minimizes ``loss``.
 
     Evaluates every alpha on the endpoint-inclusive grid with
     s = normalize(I)^alpha; ties go to the smaller alpha. Also reports the
-    unscaled loss for reference. ``module`` names the result and the errors.
+    unscaled loss for reference, scored with the grid in one
+    ``quantized_many`` call unless ``rtn_loss`` gives it. ``loss.module``
+    names the result and the errors.
     """
-    loss = ModuleLoss(weight, np.asarray(calib_inputs)[: scfg.max_calib_rows], module)
-    return search_loss(loss, importance, scfg, qcfg, module)
-
-
-def search_loss(
-    loss: ModuleLoss, importance: np.ndarray, scfg: SearchConfig, qcfg: QuantConfig,
-    module: str = "", rtn_loss: float | None = None,
-) -> SearchResult:
-    """``search_scale`` on a built ``loss``; plain RTN is scored only when ``rtn_loss`` is None."""
     in_features = loss.weight.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
-    where = f" for module {module!r}" if module else ""
+    where = f" for module {loss.module!r}" if loss.module else ""
     if scores.shape != (in_features,):
         raise ValueError(f"importance length must match in_features{where}")
     if (scores <= 0).any():
@@ -270,7 +266,7 @@ def search_loss(
             best_loss = value
             best_scale = s32
     return SearchResult(
-        module=module,
+        module=loss.module,
         alpha_star=float(best_alpha),
         scale=best_scale,
         loss_curve=curve,
@@ -280,7 +276,7 @@ def search_loss(
 
 
 def module_losses(post_ckpt: TensorMap, importances, calib: CalibrationSet, scfg: SearchConfig):
-    """Yield ``(module, ModuleLoss)`` per module, on its first ``max_calib_rows`` rows.
+    """Yield the ``ModuleLoss`` of each module, on its first ``max_calib_rows`` rows.
 
     ``importances`` names the modules that have importance vectors. The first
     module only one of it and the checkpoint holds, or without calibration
@@ -297,7 +293,7 @@ def module_losses(post_ckpt: TensorMap, importances, calib: CalibrationSet, scfg
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
         rows = np.asarray(calib.inputs[module])[: scfg.max_calib_rows]
-        yield module, ModuleLoss(post_ckpt[f"{module}.weight"], rows, module)
+        yield ModuleLoss(post_ckpt[f"{module}.weight"], rows, module)
 
 
 def quantize_model(
@@ -315,9 +311,9 @@ def quantize_model(
     """
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
-    for module, loss in module_losses(post_ckpt, importances, calib, scfg):
-        result = search_loss(loss, importances[module], scfg, qcfg, module)
-        weight = loss.weight
+    for loss in module_losses(post_ckpt, importances, calib, scfg):
+        module, weight = loss.module, loss.weight
+        result = search_scale(loss, importances[module], scfg, qcfg)
         del loss  # its rows are freed before the artifact is quantized and the next loss built
         mask = select_protected(importances[module], qcfg.protect_fraction)
         artifact[module] = rtn_quantize(weight, qcfg, channel_scale=result.scale, protected=mask)

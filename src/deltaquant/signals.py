@@ -196,14 +196,13 @@ def _activation_stat(x: np.ndarray, module: str, width: int, *, square: bool) ->
     return stat.astype(np.float64)
 
 
-def importance(
+def importances(
     module: str,
     weight_delta: np.ndarray,
-    stats: DeltaStats,
-    cfg: MappingConfig,
+    signals: list[tuple[MappingConfig, DeltaStats]],
     calib: CalibrationSet | None = None,
-) -> np.ndarray:
-    """Per-input-channel importance of one module under a chosen signal.
+) -> list[np.ndarray]:
+    """Per-input-channel importance of one module under each (config, statistics) pair.
 
     magnitude        mean |update| down each column
     activation_sq    mean squared calibration input per channel
@@ -212,23 +211,12 @@ def importance(
     both_ends_zero   column mean of the zero-excluded quadratic times
                      (zero-update count / slices + 1)
 
-    With ``multiply_activation`` the result is further scaled by the mean
+    With ``multiply_activation`` a score is further scaled by the mean
     absolute calibration input. Both statistics are derived from
     ``calib.inputs[module]``; empty, misshaped or non-finite rows raise
     ValueError naming the module, as does a score that overflows float64.
     Scores are clamped to a tiny positive floor so they can serve as
     scaling-factor bases.
-    """
-    return importances(module, weight_delta, [(cfg, stats)], calib)[0]
-
-
-def importances(
-    module: str,
-    weight_delta: np.ndarray,
-    signals: list[tuple[MappingConfig, DeltaStats]],
-    calib: CalibrationSet | None = None,
-) -> list[np.ndarray]:
-    """``importance`` of one module under each (config, statistics) pair.
 
     Each column block of the updates is cast to float64 once and serves
     every pair. Pairs that share the both-ends quadratic's anchors evaluate
@@ -310,7 +298,7 @@ def importance_all(
     deltas = compute_delta(pre, post)
     stats = global_delta_stats(deltas, cfg.zero_epsilon)
     return {
-        module: importance(module, deltas[f"{module}.weight"], stats, cfg, calib)
+        module: importances(module, deltas[f"{module}.weight"], [(cfg, stats)], calib)[0]
         for module in deltas.modules("weight")
     }
 

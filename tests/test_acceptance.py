@@ -22,9 +22,10 @@ from deltaquant.quant import (
     rtn_quantize,
     unpack_codes,
 )
-from deltaquant.search import SearchConfig, quant_loss, search_scale
-from deltaquant.signals import DeltaStats, MappingConfig, global_delta_stats, importance
-from deltaquant.toy import TrainConfig, finite_diff_check, forward, init_model, model_from_map, train
+from deltaquant.search import ModuleLoss, SearchConfig, quant_loss, search_scale
+from deltaquant.signals import DeltaStats, MappingConfig, global_delta_stats, importances
+from deltaquant.toy import TrainConfig, forward, init_model, model_from_map, train
+from gradient_check import finite_diff_check
 
 CLI = [sys.executable, "-m", "deltaquant.cli"]
 
@@ -47,7 +48,7 @@ def _report(n: int, description: str):
 def _mapped(signal, deltas, stats, cfg):
     """Each update's ``signal`` score: the importance of a one-row [1, k] matrix."""
     row = np.reshape(np.asarray(deltas, dtype=np.float64), (1, -1))
-    return importance("m", row, stats, dataclasses.replace(cfg, signal=signal))
+    return importances("m", row, [(dataclasses.replace(cfg, signal=signal), stats)])[0]
 
 
 def test_criterion_1_mapping_endpoints():
@@ -127,13 +128,13 @@ def test_criterion_2_importance_oracle_equivalence():
         stats = global_delta_stats(TensorMap({"m.weight": delta.astype(np.float32)}))
         for slices in (1, 2, 4):
             cfg = MappingConfig(slices=slices)
-            got = importance("m", delta, stats, cfg)
+            got = importances("m", delta, [(cfg, stats)])[0]
             want = _oracle_importance(delta, stats, cfg)
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
         # every positive update clamps to the median of these anchors and maps
         # to y_min = 1 exactly, so each score is the channel's zero count + 1
         flat = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0, total_count=64)
-        raw = importance("m", delta, flat, MappingConfig()) - 1.0
+        raw = importances("m", delta, [(MappingConfig(), flat)])[0] - 1.0
         exhaustive = [sum(1 for r in range(8) if delta[r, c] == 0) for c in range(8)]
         assert raw.tolist() == exhaustive
     _report(2, "zero-count importance matches double-loop oracle, slices in {1,2,4}")
@@ -205,7 +206,7 @@ def test_criterion_5_search_optimality():
         w = rng.standard_normal((8, 8)).astype(np.float32)
         x = rng.standard_normal((16, 8)).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, 8))
-        res = search_scale(w, scores, x, scfg, qcfg)
+        res = search_scale(ModuleLoss(w, x), scores, scfg, qcfg)
 
         base = scores / np.sqrt(scores.max() * scores.min())
         best_alpha, best_loss = None, np.inf
@@ -218,7 +219,7 @@ def test_criterion_5_search_optimality():
         assert res.best_loss <= res.rtn_loss + 1e-9
 
         for factor in (0.25, 4.0, 1024.0):  # exact float rescalings
-            res2 = search_scale(w, scores * factor, x, scfg, qcfg)
+            res2 = search_scale(ModuleLoss(w, x), scores * factor, scfg, qcfg)
             assert res2.alpha_star == res.alpha_star
             assert np.array_equal(res2.scale, res.scale)
     _report(5, "grid argmin matches re-evaluation, never-worse, rescaling invariance")

@@ -64,7 +64,8 @@ class TestTrainToy:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
-                                            ("--seed", "-1")])
+                                            ("--seed", "-1"), ("--dims", "8,0,8"),
+                                            ("--dims", "8,-3,8")])
     def test_out_of_range_value_is_usage_error_and_writes_nothing(self, tmp_path, flag, value):
         out = tmp_path / "x"
         res = run_cli("train-toy", "--steps", "10", flag, value, "--out", out)
@@ -397,6 +398,24 @@ class TestQuantizeAndEval:
         assert res.returncode == 1, res.stderr
         assert "'layer0'" in res.stderr and message in res.stderr
         assert not ev.exists()
+
+    def test_weight_that_decodes_beyond_float32_names_the_module(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
+        post = load_container(out / "ckpt_step000300.dqt")
+        post["layer1.weight"][0, :2] = [np.finfo(np.float32).max, 0.0]
+        bad = tmp_path / "post_max.dqt"
+        save_container(post, bad)
+        art = tmp_path / "art_max.dqt"
+        res = run_cli(
+            "quantize", "--post", bad, "--importance", imp, "--calib", out / "calib.dqt",
+            "--group-size", "2", "--out", art,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "'layer1'" in res.stderr
+        assert not art.exists()
+        assert not art.with_suffix(".report.jsonl").exists()
 
     def test_importance_for_unknown_module_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
@@ -828,3 +847,100 @@ class TestDeterminism:
         assert sorted(outs["1"]) == sorted(outs["2"])
         differ = [name for name in sorted(outs["1"]) if outs["1"][name] != outs["2"][name]]
         assert differ == []
+
+
+def _tensor_bytes(path):
+    """Every tensor of a container, by name; the meta text is left out."""
+    tmap = load_container(path)
+    return {name: tmap[name].tobytes() for name in tmap.names()}
+
+
+def _value_options(command):
+    """Flags of ``command`` that set a value: neither ``--config`` nor a path."""
+    return {
+        opt.flag for opt in cli._COMMANDS[command][2]
+        if opt.key is not None and not opt.key.startswith("io.")
+    }
+
+
+@pytest.fixture(scope="module")
+def audit_run(tmp_path_factory):
+    """An 8-16-8 toy run and its default importance container, made in process."""
+    base = tmp_path_factory.mktemp("audit")
+    run = base / "run"
+    assert cli.main(["train-toy", "--dims", "8,16,8", "--steps", "300", "--seed", "7",
+                     "--data-seed", "3", "--snapshot-every", "100", "--out", str(run)]) == 0
+    imp = base / "imp.dqt"
+    assert cli.main(["importance", "--pre", str(run / "ckpt_step000000.dqt"),
+                     "--post", str(run / "ckpt_step000300.dqt"), "--out", str(imp)]) == 0
+    return base, run, imp
+
+
+class TestEveryOptionReachesAnOutput:
+    """Each value option, set alone to a value other than its default, changes
+    an output byte that its meta echo does not account for."""
+
+    def test_importance(self, audit_run):
+        # toy training moves every weight; the zero-update count, which --slices
+        # divides, needs updates that fine-tuning left at zero, as here in layer1
+        from deltaquant.container import save_container
+
+        base, run, _ = audit_run
+        pre = load_container(run / "ckpt_step000000.dqt")
+        post = load_container(run / "ckpt_step000300.dqt")
+        post["layer1.weight"][::2] = pre["layer1.weight"][::2]
+        sparse = base / "post_sparse.dqt"
+        save_container(post, sparse)
+        changes = {
+            "--signal": "magnitude", "--y-min": "2", "--y-max": "20",
+            "--zero-epsilon": "0.001", "--slices": "2", "--multiply-activation": None,
+        }
+        assert set(changes) == _value_options("importance")
+
+        def scores(*args):
+            out = base / "imp_audit.dqt"
+            assert cli.main(["importance", "--pre", str(run / "ckpt_step000000.dqt"),
+                             "--post", str(sparse), "--calib", str(run / "calib.dqt"),
+                             "--out", str(out), *args]) == 0
+            return _tensor_bytes(out)
+
+        default = scores()
+        for flag, value in changes.items():
+            assert scores(flag, *([] if value is None else [value])) != default, flag
+
+    def test_quantize(self, audit_run):
+        base, run, imp = audit_run
+        changes = {
+            "--bits": "4", "--group-size": "4", "--protect": "0.25", "--grid-points": "5",
+            "--alpha-lo": "0.1", "--alpha-hi": "0.5", "--max-calib-rows": "16",
+        }
+        assert set(changes) == _value_options("quantize")
+
+        def outputs(*args):
+            art = base / "art_audit.dqt"
+            assert cli.main(["quantize", "--post", str(run / "ckpt_step000300.dqt"),
+                             "--importance", str(imp), "--calib", str(run / "calib.dqt"),
+                             "--out", str(art), *args]) == 0
+            module_lines = art.with_suffix(".report.jsonl").read_text().splitlines()[1:]
+            return _tensor_bytes(art), module_lines
+
+        default = outputs()
+        for flag, value in changes.items():
+            assert outputs(flag, value) != default, flag
+
+    def test_train_toy(self, audit_run):
+        base = audit_run[0]
+        changes = {
+            "--dims": "8,12,8", "--steps": "200", "--lr": "0.1", "--batch-size": "16",
+            "--seed": "1", "--data-seed": "2", "--snapshot-every": "150", "--calib-rows": "64",
+        }
+        assert set(changes) == _value_options("train-toy")
+
+        def files(*args):
+            out = base / f"train{'_'.join(args)}"
+            assert cli.main(["train-toy", "--out", str(out), *args]) == 0
+            return {path.name: _tensor_bytes(path) for path in sorted(out.iterdir())}
+
+        default = files()
+        for flag, value in changes.items():
+            assert files(flag, value) != default, flag

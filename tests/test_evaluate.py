@@ -496,7 +496,10 @@ class TestCurve:
         for step, snap in snaps[1:]:
             imps = importance_all(snaps[0][1], snap, MappingConfig(), calib)
             best = [
-                search_scale(final[f"{m}.weight"], imps[m], calib.inputs[m], scfg, QCFG, m).best_loss
+                search_scale(
+                    ModuleLoss(final[f"{m}.weight"], calib.inputs[m][: scfg.max_calib_rows], m),
+                    imps[m], scfg, QCFG,
+                ).best_loss
                 for m in final.modules("weight")
             ]
             want.append((step, float(np.mean(best))))

@@ -57,19 +57,34 @@ def referenced_names(source: str) -> set[str]:
     }
 
 
-def test_every_export_is_used_or_documented():
-    init = PACKAGE / "__init__.py"
-    exported = {
+INIT = PACKAGE / "__init__.py"
+
+
+def exported_names() -> set[str]:
+    """Every name the package's ``__init__`` imports from its modules."""
+    return {
         alias.name
-        for node in ast.walk(ast.parse(init.read_text()))
+        for node in ast.walk(ast.parse(INIT.read_text()))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def test_every_export_is_used_or_documented():
+    exported = exported_names()
     used = set().union(
-        *(referenced_names(path.read_text()) for path in PACKAGE.glob("*.py") if path != init)
+        *(referenced_names(path.read_text()) for path in PACKAGE.glob("*.py") if path != INIT)
     )
     readme = (ROOT / "README.md").read_text()
     unused = sorted(
         name for name in exported - used if not re.search(rf"\b{name}\b", readme)
     )
     assert unused == []
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # a README mention does not count: an export that only tests call belongs in tests/
+    callers = [path for path in PACKAGE.glob("*.py") if path != INIT]
+    callers += (ROOT / "bench").glob("*.py")
+    used = set().union(*(referenced_names(path.read_text()) for path in callers))
+    assert sorted(exported_names() - used) == []

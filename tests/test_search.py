@@ -107,7 +107,7 @@ class TestQuantLoss:
         with pytest.raises(ValueError, match="non-finite"):
             ModuleLoss(w, x)
         with pytest.raises(ValueError, match="non-finite"):
-            search_scale(w, scores, x, SearchConfig(), QCFG)
+            search_scale(ModuleLoss(w, x), scores, SearchConfig(), QCFG)
 
 
 class TestModuleLoss:
@@ -243,6 +243,14 @@ class TestBatchedScoring:
         with pytest.raises(ValueError, match=message):
             ModuleLoss(w, x).quantized_many(QCFG, scales)
 
+    @pytest.mark.parametrize("kind", _FAILURES)
+    def test_error_of_a_named_loss_names_the_module(self, kind):
+        w, x, bad, message = _failing_candidate(kind)
+        with pytest.raises(ValueError, match=f"^module 'layer3': {message}"):
+            ModuleLoss(w, x, "layer3").quantized_many(QCFG, [None, bad])
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ModuleLoss(w, x).quantized_many(QCFG, [None, bad])
+
     @pytest.mark.parametrize("kind", ["length", "zero", "nan"])
     def test_invalid_scale_is_raised_after_earlier_candidates(self, monkeypatch, kind):
         # as one at a time: an earlier candidate's overflow wins over a later invalid scale
@@ -281,7 +289,7 @@ class TestBatchedScoring:
         w = rng.standard_normal(shape).astype(np.float32)
         x = rng.standard_normal((16, shape[1])).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, shape[1]))
-        search_scale(w, scores, x, SearchConfig(), QuantConfig())
+        search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig())
         assert fewest <= calls["rtn_quantize"] <= most
         assert calls["dequantize"] == calls["rtn_quantize"]
 
@@ -320,7 +328,7 @@ def _instance(seed, n_in=8, n_out=8, rows=16):
 class TestSearchScale:
     def test_constant_importance_reduces_to_rtn(self):
         w, x, _ = _instance(0)
-        res = search_scale(w, np.full(8, 3.0), x, SearchConfig(), QCFG)
+        res = search_scale(ModuleLoss(w, x), np.full(8, 3.0), SearchConfig(), QCFG)
         assert res.alpha_star == 0.0
         assert res.best_loss == res.rtn_loss
         assert np.array_equal(res.scale, np.ones(8, np.float32))
@@ -330,7 +338,7 @@ class TestSearchScale:
         # alpha = 0 reuses the unscaled loss instead of quantizing again
         w, x, scores = _instance(4)
         scfg = SearchConfig(grid_points=5, alpha_lo=alpha_lo, alpha_hi=alpha_hi)
-        res = search_scale(w, scores, x, scfg, QCFG)
+        res = search_scale(ModuleLoss(w, x), scores, scfg, QCFG)
         base = scores / np.sqrt(scores.max() * scores.min())
         for alpha, loss in res.loss_curve:
             assert loss == quant_loss(w, x, (base**alpha).astype(np.float32), QCFG)
@@ -349,7 +357,7 @@ class TestSearchScale:
     def test_argmin_matches_independent_reevaluation(self, seed):
         w, x, scores = _instance(seed)
         scfg = SearchConfig(grid_points=12)
-        res = search_scale(w, scores, x, scfg, QCFG)
+        res = search_scale(ModuleLoss(w, x), scores, scfg, QCFG)
         base = scores / np.sqrt(scores.max() * scores.min())
         best_alpha, best_loss = None, np.inf
         for alpha in scfg.alphas():
@@ -362,14 +370,14 @@ class TestSearchScale:
     @pytest.mark.parametrize("seed", range(6))
     def test_never_worse_than_rtn(self, seed):
         w, x, scores = _instance(seed + 50)
-        res = search_scale(w, scores, x, SearchConfig(), QCFG)
+        res = search_scale(ModuleLoss(w, x), scores, SearchConfig(), QCFG)
         assert res.best_loss <= res.rtn_loss + 1e-9
 
     @pytest.mark.parametrize("factor", [0.25, 2.0, 64.0])
     def test_argmin_invariant_to_rescaling(self, factor):
         w, x, scores = _instance(7)
-        res1 = search_scale(w, scores, x, SearchConfig(), QCFG)
-        res2 = search_scale(w, scores * factor, x, SearchConfig(), QCFG)
+        res1 = search_scale(ModuleLoss(w, x), scores, SearchConfig(), QCFG)
+        res2 = search_scale(ModuleLoss(w, x), scores * factor, SearchConfig(), QCFG)
         assert res1.alpha_star == res2.alpha_star
         assert np.array_equal(res1.scale, res2.scale)
         assert res1.loss_curve == res2.loss_curve
@@ -378,18 +386,18 @@ class TestSearchScale:
         # an exactly representable weight has zero loss everywhere on the grid
         w = np.zeros((4, 8), np.float32)
         _, x, scores = _instance(3)
-        res = search_scale(w, scores, x, SearchConfig(), QCFG)
+        res = search_scale(ModuleLoss(w, x), scores, SearchConfig(), QCFG)
         assert res.alpha_star == 0.0
 
     def test_curve_length_matches_grid(self):
         w, x, scores = _instance(9)
-        res = search_scale(w, scores, x, SearchConfig(grid_points=20), QCFG)
+        res = search_scale(ModuleLoss(w, x), scores, SearchConfig(grid_points=20), QCFG)
         assert len(res.loss_curve) == 20
 
     def test_non_positive_importance_rejected(self):
         w, x, scores = _instance(1)
         with pytest.raises(ValueError):
-            search_scale(w, scores * 0.0, x, SearchConfig(), QCFG)
+            search_scale(ModuleLoss(w, x), scores * 0.0, SearchConfig(), QCFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

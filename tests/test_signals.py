@@ -15,8 +15,8 @@ from deltaquant.signals import (
     MappingConfig,
     compute_delta,
     global_delta_stats,
-    importance,
     importance_all,
+    importances,
     importances_from_map,
     importances_to_map,
 )
@@ -37,7 +37,7 @@ def _mapped(signal: str, deltas, stats: DeltaStats, cfg: MappingConfig = CFG) ->
     zero, so it scores 2 * y_min.
     """
     row = np.reshape(np.asarray(deltas, dtype=np.float64), (1, -1))
-    return importance("m", row, stats, replace(cfg, signal=signal))
+    return importances("m", row, [(replace(cfg, signal=signal), stats)])[0]
 
 
 # every update above epsilon clamps to the median and scores y_min = 1 exactly,
@@ -46,9 +46,9 @@ _FLAT = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0, total_count=1)
 
 
 def _zero_counts(delta, zero_epsilon: float = 0.0, slices: int = 1) -> np.ndarray:
-    """Per-channel zero-update count divided by ``slices``, read off ``importance``."""
+    """Per-channel zero-update count divided by ``slices``, read off ``importances``."""
     cfg = MappingConfig(zero_epsilon=zero_epsilon, slices=slices)
-    return importance("m", delta, _FLAT, cfg) - 1.0
+    return importances("m", delta, [(cfg, _FLAT)])[0] - 1.0
 
 
 def _random_stats(rng) -> DeltaStats:
@@ -421,12 +421,12 @@ class TestImportance:
     def test_worked_column_example(self):
         # column [0, mid, max, 0]: mean f = (1+1+10+1)/4, Z = 2, I = 3.25 * 3
         col = np.array([[0.0], [1.0], [2.0], [0.0]])
-        scores = importance("m", col, self.ST, CFG)
+        scores = importances("m", col, [(CFG, self.ST)])[0]
         assert scores[0] == pytest.approx(9.75, abs=1e-12)
 
     def test_all_zero_column_forced_value(self):
         col = np.zeros((5, 1))
-        scores = importance("m", col, self.ST, CFG)
+        scores = importances("m", col, [(CFG, self.ST)])[0]
         assert scores[0] == pytest.approx(6.0, abs=1e-12)  # y_min * (N + 1)
 
     @pytest.mark.parametrize("signal", ["magnitude", "both_ends", "both_ends_zero", "mid"])
@@ -439,7 +439,7 @@ class TestImportance:
             delta[0, 0] = 0.5
         stats = global_delta_stats(_weight_map({"m": delta}))
         cfg = MappingConfig(signal=signal)
-        got = importance("m", delta, stats, cfg)
+        got = importances("m", delta, [(cfg, stats)])[0]
         want = _loop_importance(delta.astype(np.float32).astype(np.float64), stats, cfg)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -459,7 +459,7 @@ class TestImportance:
             "both_ends_zero": lambda: signals_oracle.map_both_ends_zero(d, stats, cfg).mean(axis=0)
             * (signals_oracle.count_zeros_per_channel(d, 0.0, 2) + 1.0),
         }[signal]()
-        got = importance("m", delta, stats, cfg)
+        got = importances("m", delta, [(cfg, stats)])[0]
         assert got.tobytes() == np.maximum(whole, 1e-12).tobytes()
 
     @pytest.mark.parametrize("slices", [1, 2, 4])
@@ -469,15 +469,15 @@ class TestImportance:
         delta[rng.uniform(size=(8, 8)) < 0.4] = 0.0
         stats = global_delta_stats(_weight_map({"m": delta}))
         cfg = MappingConfig(slices=slices)
-        got = importance("m", delta, stats, cfg)
+        got = importances("m", delta, [(cfg, stats)])[0]
         want = _loop_importance(delta.astype(np.float32).astype(np.float64), stats, cfg)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_activation_signals_need_calibration(self):
         with pytest.raises(ValueError, match="calibration"):
-            importance("m", np.ones((4, 4)), self.ST, MappingConfig(signal="activation_sq"))
+            importances("m", np.ones((4, 4)), [(MappingConfig(signal="activation_sq"), self.ST)])
         with pytest.raises(ValueError, match="calibration"):
-            importance("m", np.ones((4, 4)), self.ST, MappingConfig(multiply_activation=True))
+            importances("m", np.ones((4, 4)), [(MappingConfig(multiply_activation=True), self.ST)])
 
     def test_activation_sq_and_multiply_match_oracle(self):
         model = init_model([8, 8], seed=0)
@@ -495,7 +495,7 @@ class TestImportance:
             MappingConfig(signal="activation_sq"),
             MappingConfig(signal="both_ends_zero", multiply_activation=True),
         ):
-            got = importance("m", delta, stats, cfg, calib)
+            got = importances("m", delta, [(cfg, stats)], calib)[0]
             want = _loop_importance(
                 delta.astype(np.float32).astype(np.float64),
                 stats,
@@ -520,7 +520,7 @@ class TestImportance:
                 (MappingConfig(signal="magnitude", multiply_activation=True),
                  np.abs(x64).mean(axis=0)),
             ):
-                got = importance(module, ones, self.ST, cfg, calib)
+                got = importances(module, ones, [(cfg, self.ST)], calib)[0]
                 want = np.maximum(want.astype(np.float32).astype(np.float64), 1e-12)
                 assert got.tobytes() == want.tobytes()
 
@@ -540,12 +540,12 @@ class TestImportance:
             message = r"calibration inputs of module 'm' must be \[n >= 1, 4\]"
         cfg = MappingConfig(signal=signal, multiply_activation=multiply)
         with pytest.raises(ValueError, match=message):
-            importance("m", np.ones((4, 4)), self.ST, cfg, CalibrationSet(inputs={"m": x}))
+            importances("m", np.ones((4, 4)), [(cfg, self.ST)], CalibrationSet(inputs={"m": x}))[0]
 
     def test_scores_strictly_positive_even_for_dead_channels(self):
         stats = self.ST
         cfg = MappingConfig(signal="magnitude")
-        scores = importance("m", np.zeros((4, 4)), stats, cfg)
+        scores = importances("m", np.zeros((4, 4)), [(cfg, stats)])[0]
         assert scores.dtype == np.float64
         assert (scores > 0).all()
 
@@ -705,7 +705,7 @@ class TestTwoBranchOracle:
             signal=signal, y_min=y_min, y_max=y_min + y_span, zero_epsilon=epsilon,
             slices=min(slices, rows),
         )
-        got = importance("m", delta, stats, cfg)
+        got = importances("m", delta, [(cfg, stats)])[0]
         assert got.tobytes() == signals_oracle.update_importance(delta, stats, cfg).tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -777,4 +777,4 @@ class TestTwoBranchOracle:
             for signal in UPDATE_SIGNALS:
                 cfg = MappingConfig(signal=signal, zero_epsilon=epsilon, slices=2)
                 want = signals_oracle.update_importance(delta, stats, cfg)
-                assert importance("m", delta, stats, cfg).tobytes() == want.tobytes()
+                assert importances("m", delta, [(cfg, stats)])[0].tobytes() == want.tobytes()

@@ -10,13 +10,13 @@ from deltaquant.toy import (
     TrainingDivergedError,
     _teacher_for,
     checkpoint_map,
-    finite_diff_check,
     forward,
     gradients,
     init_model,
     model_from_map,
     train,
 )
+from gradient_check import finite_diff_check
 
 
 def _model_bytes(model) -> bytes:
