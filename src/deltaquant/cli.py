@@ -285,16 +285,16 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
 
 def cmd_curve(ns: argparse.Namespace) -> int:
     run_dir = Path(ns.run)
-    ckpts = sorted(run_dir.glob("ckpt_step*.dqt"))
+    ckpts = {path: path.stem[len("ckpt_step"):] for path in sorted(run_dir.glob("ckpt_step*.dqt"))}
+    stray = [path for path, step in ckpts.items() if not step.isdecimal()]
+    if stray:
+        raise UsageError(f"{stray[0]} is not a snapshot: expected ckpt_step<N>.dqt")
     if len(ckpts) < 2:
         raise UsageError(f"{run_dir} holds fewer than two ckpt_step*.dqt files")
     calib_path = run_dir / "calib.dqt"
     if not calib_path.exists():
         raise UsageError(f"{run_dir} is missing calib.dqt")
-    snapshots = []
-    for path in ckpts:
-        step = int(path.stem[len("ckpt_step"):])
-        snapshots.append((step, load_container(path)))
+    snapshots = [(int(step), load_container(path)) for path, step in ckpts.items()]
     calib = _load_calib(calib_path)
     points, slope = pseudo_ft_curve(snapshots, calib, ns.map, ns.search, ns.quant)
     Path(ns.out).write_text(curve_csv(points, slope))

@@ -148,8 +148,8 @@ def config_from_text(cls, text: dict[str, str]):
     return cls(**values)
 
 
-def _align_up(n: int, alignment: int = ALIGNMENT) -> int:
-    return (n + alignment - 1) // alignment * alignment
+def _align_up(n: int) -> int:
+    return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
 def _validate_for_save(tmap: TensorMap) -> None:

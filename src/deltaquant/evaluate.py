@@ -25,7 +25,7 @@ from .quant import (
     protection_order,
     rtn_quantize,
 )
-from .search import ModuleLoss, SearchConfig, module_losses, search_scale
+from .search import SearchConfig, module_losses, search_scale
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
@@ -89,25 +89,16 @@ def layer_report(
     """Per-module errors of an artifact, and end to end on the held-out batch ``config`` records."""
     if not artifact:
         raise ValueError("empty artifact")
-    for module in post_ckpt.modules("weight"):
-        if module not in artifact:
-            raise ValueError(f"artifact does not cover module {module!r}")
     per_module: dict[str, dict[str, float]] = {}
     recon_full: dict[str, np.ndarray] = {}
-    for module in sorted(artifact):
+    for loss in module_losses(post_ckpt, artifact, calib, None, "artifact"):
+        module = loss.module
         q = artifact[module]
-        weight_name = f"{module}.weight"
-        if weight_name not in post_ckpt:
-            raise ValueError(f"checkpoint is missing {weight_name!r}")
-        weight = post_ckpt[weight_name]
-        if q.shape != weight.shape:
+        if q.shape != loss.weight.shape:
             raise ValueError(
                 f"artifact module {module!r} is {list(q.shape)}, its checkpoint weight "
-                f"{list(weight.shape)}"
+                f"{list(loss.weight.shape)}"
             )
-        if module not in calib.inputs:
-            raise ValueError(f"missing calibration inputs for module {module!r}")
-        loss = ModuleLoss(weight, calib.inputs[module], module)
         qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
         # the artifact's codes do not depend on its mask: stripping the
         # protection decodes the scaled search candidate it was built from
@@ -290,7 +281,7 @@ def pseudo_ft_curve(
     base, final = by_step[0][1], by_step[-1][1]
     # every snapshot's importance covers the modules of step 0
     losses = [(loss, loss.quantized(qcfg))
-              for loss in module_losses(final, base.modules("weight"), calib, scfg)]
+              for loss in module_losses(final, base.modules("weight"), calib, scfg.max_calib_rows)]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:

@@ -86,10 +86,6 @@ class QuantizedTensor:
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
 
-    @property
-    def n_groups(self) -> int:
-        return self.scales.shape[1]
-
 
 def _round_scale(x: np.ndarray, rounding) -> np.ndarray:
     """Round positive values onto the reduced-mantissa grid with ``rounding``, at least 2^-126."""

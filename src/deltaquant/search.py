@@ -62,17 +62,18 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if not -np.inf < self.alpha_lo < self.alpha_hi < np.inf:
+        # every k * span of alphas() finite: 0 * inf is NaN, a larger product inf
+        span = self.alpha_hi - self.alpha_lo
+        if not (self.alpha_lo < self.alpha_hi and np.isfinite((self.grid_points - 1) * span)):
             raise ValueError("need finite alpha_lo < alpha_hi")
         if self.max_calib_rows < 1:
             raise ValueError("max_calib_rows must be >= 1")
 
     def alphas(self) -> list[float]:
+        """``grid_points`` alphas from ``alpha_lo`` to exactly ``alpha_hi``, evenly spaced."""
         span = self.alpha_hi - self.alpha_lo
-        return [
-            self.alpha_lo + k * span / (self.grid_points - 1)
-            for k in range(self.grid_points)
-        ]
+        last = self.grid_points - 1
+        return [self.alpha_lo + k * span / last for k in range(last)] + [self.alpha_hi]
 
 
 @dataclass
@@ -240,8 +241,8 @@ def search_scale(
     where = f" for module {loss.module!r}" if loss.module else ""
     if scores.shape != (in_features,):
         raise ValueError(f"importance length must match in_features{where}")
-    if (scores <= 0).any():
-        raise ValueError(f"importance scores must be strictly positive{where}")
+    if not ((scores > 0) & (scores < np.inf)).all():  # NaN fails both comparisons
+        raise ValueError(f"importance scores must be finite and strictly positive{where}")
 
     base = normalize_scale(scores)
     ones = np.ones(in_features, dtype=np.float32)
@@ -275,24 +276,28 @@ def search_scale(
     )
 
 
-def module_losses(post_ckpt: TensorMap, importances, calib: CalibrationSet, scfg: SearchConfig):
-    """Yield the ``ModuleLoss`` of each module, on its first ``max_calib_rows`` rows.
+def module_losses(
+    post_ckpt: TensorMap, others, calib: CalibrationSet, max_rows: int | None,
+    others_name: str = "importance vectors",
+):
+    """Yield the ``ModuleLoss`` of each module, on its first ``max_rows`` rows (all for None).
 
-    ``importances`` names the modules that have importance vectors. The first
-    module only one of it and the checkpoint holds, or without calibration
-    inputs, raises ValueError naming it.
+    ``others`` names the modules of the map the losses are paired with, and
+    ``others_name`` names that map in errors. The first module only one of
+    it and the checkpoint holds, or without calibration inputs, raises
+    ValueError naming it.
     """
     modules = post_ckpt.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
-    unmatched = sorted(set(importances) ^ set(modules))
+    unmatched = sorted(set(others) ^ set(modules))
     if unmatched:
-        missing_from = "checkpoint" if unmatched[0] in importances else "importance vectors"
+        missing_from = "checkpoint" if unmatched[0] in others else others_name
         raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
     for module in modules:
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
-        rows = np.asarray(calib.inputs[module])[: scfg.max_calib_rows]
+        rows = np.asarray(calib.inputs[module])[:max_rows]
         yield ModuleLoss(post_ckpt[f"{module}.weight"], rows, module)
 
 
@@ -311,7 +316,7 @@ def quantize_model(
     """
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
-    for loss in module_losses(post_ckpt, importances, calib, scfg):
+    for loss in module_losses(post_ckpt, importances, calib, scfg.max_calib_rows):
         module, weight = loss.module, loss.weight
         result = search_scale(loss, importances[module], scfg, qcfg)
         del loss  # its rows are freed before the artifact is quantized and the next loss built

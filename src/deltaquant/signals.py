@@ -72,11 +72,6 @@ class DeltaStats:
     median_positive: float
     max: float
     zero_count: int
-    total_count: int
-
-    @property
-    def zero_fraction(self) -> float:
-        return self.zero_count / self.total_count
 
     @property
     def min_including_zeros(self) -> float:
@@ -120,8 +115,7 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
     positives = np.compress(
         np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None)), vals
     )
-    total = vals.size
-    zeros = total - positives.size
+    zeros = vals.size - positives.size
     if positives.size == 0:
         raise DegenerateDeltasError(
             "degenerate deltas: all weight updates are zero"
@@ -133,7 +127,6 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
         median_positive=float(positives[middle]),
         max=float(positives.max()),
         zero_count=int(zeros),
-        total_count=int(total),
     )
 
 

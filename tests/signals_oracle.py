@@ -37,7 +37,6 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
         median_positive=float(positives[middle]),
         max=float(positives.max()),
         zero_count=int(vals.size - positives.size),
-        total_count=int(vals.size),
     )
 
 

@@ -58,7 +58,7 @@ def test_criterion_1_mapping_endpoints():
         min_pos = float(rng.uniform(1e-4, 0.3))
         mid = min_pos + float(rng.uniform(0.05, 1.5))
         hi = mid + float(rng.uniform(0.05, 2.5))
-        stats = DeltaStats(min_pos, mid, hi, zero_count=int(rng.integers(0, 5)), total_count=64)
+        stats = DeltaStats(min_pos, mid, hi, zero_count=int(rng.integers(0, 5)))
 
         ends = _mapped("both_ends_zero", [0.0, mid, min_pos, hi], stats, cfg)
         at_zero, at_mid, at_min, at_hi = ends
@@ -133,7 +133,7 @@ def test_criterion_2_importance_oracle_equivalence():
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
         # every positive update clamps to the median of these anchors and maps
         # to y_min = 1 exactly, so each score is the channel's zero count + 1
-        flat = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0, total_count=64)
+        flat = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0)
         raw = importances("m", delta, [(MappingConfig(), flat)])[0] - 1.0
         exhaustive = [sum(1 for r in range(8) if delta[r, c] == 0) for c in range(8)]
         assert raw.tolist() == exhaustive

@@ -566,6 +566,15 @@ class TestCurve:
         want = curve_csv(*pseudo_ft_curve(snapshots, calib, MappingConfig(), SearchConfig(), qcfg))
         assert csv.read_text() == want
 
+    def test_stray_snapshot_name_is_usage_error(self, tmp_path):
+        out = train_run(tmp_path, steps=100)
+        (out / "ckpt_stepbak.dqt").write_bytes(b"not a container")
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--out", csv)
+        assert res.returncode == 2, res.stderr
+        assert "ckpt_stepbak.dqt" in res.stderr
+        assert not csv.exists()
+
 
 class TestConfigAndHelp:
     def test_config_file_supplies_values(self, tmp_path):

@@ -140,10 +140,14 @@ class TestLayerReport:
             layer_report(toy_run["post"], artifact, CalibrationSet())
 
     def test_module_coverage_gap_rejected(self, toy_run, searched_artifact):
+        # each error names the module and the side that lacks it
         artifact, _, _ = searched_artifact
         partial = {k: v for k, v in artifact.items() if k != "layer1"}
-        with pytest.raises(ValueError, match="layer1"):
+        with pytest.raises(ValueError, match="module 'layer1' is missing from the artifact"):
             layer_report(toy_run["post"], partial, toy_run["calib"])
+        extra = {**artifact, "layer9": artifact["layer1"]}
+        with pytest.raises(ValueError, match="module 'layer9' is missing from the checkpoint"):
+            layer_report(toy_run["post"], extra, toy_run["calib"])
 
     def test_artifact_of_other_shapes_names_the_module(self, toy_run):
         # an 8-32-8 model's artifact against the 8-16-8 checkpoint

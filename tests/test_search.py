@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltaquant import search
@@ -353,6 +353,24 @@ class TestSearchScale:
         assert alphas[0] == 0.0
         assert alphas[-1] == 1.0
 
+    @given(
+        ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2,
+                      unique=True),
+        points=st.integers(2, 64),
+    )
+    @example(ends=[0.2, 0.9], points=7)  # 0.2 + 6 * 0.7 / 6 is 0.8999999999999999
+    @example(ends=[-1e308, 1e308], points=3)  # the span overflows
+    @example(ends=[-1e308, 0.7e308], points=4)  # 2 * span overflows
+    def test_grid_runs_from_lo_to_exactly_hi(self, ends, points):
+        lo, hi = sorted(ends)
+        if not np.isfinite((points - 1) * (hi - lo)):
+            with pytest.raises(ValueError, match="finite"):
+                SearchConfig(grid_points=points, alpha_lo=lo, alpha_hi=hi)
+            return
+        alphas = SearchConfig(grid_points=points, alpha_lo=lo, alpha_hi=hi).alphas()
+        assert (alphas[0], alphas[-1], len(alphas)) == (lo, hi, points)
+        assert np.isfinite(alphas).all()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_argmin_matches_independent_reevaluation(self, seed):
         w, x, scores = _instance(seed)
@@ -455,6 +473,13 @@ class TestQuantizeModel:
         post, imps, calib = self._setup()
         del calib.inputs["layer0"]
         with pytest.raises(ValueError, match="layer0"):
+            quantize_model(post, imps, calib, SearchConfig(), QCFG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_importance_named(self, bad):
+        post, imps, calib = self._setup()
+        imps["layer1"][3] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive for module 'layer1'"):
             quantize_model(post, imps, calib, SearchConfig(), QCFG)
 
     def test_non_finite_calibration_named(self):

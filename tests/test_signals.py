@@ -42,7 +42,7 @@ def _mapped(signal: str, deltas, stats: DeltaStats, cfg: MappingConfig = CFG) ->
 
 # every update above epsilon clamps to the median and scores y_min = 1 exactly,
 # so a both_ends_zero score is the zero-update count / slices + 1
-_FLAT = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0, total_count=1)
+_FLAT = DeltaStats(5e-31, 1e-30, 1e-30, zero_count=0)
 
 
 def _zero_counts(delta, zero_epsilon: float = 0.0, slices: int = 1) -> np.ndarray:
@@ -61,7 +61,6 @@ def _random_stats(rng) -> DeltaStats:
         median_positive=mid,
         max=hi,
         zero_count=int(rng.integers(0, 10)),
-        total_count=100,
     )
 
 
@@ -134,7 +133,6 @@ def _sorted_stats_oracle(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaS
         median_positive=float(positives[(positives.size - 1) // 2]),
         max=float(positives[-1]),
         zero_count=int(vals.size - positives.size),
-        total_count=int(vals.size),
     )
 
 
@@ -146,8 +144,6 @@ class TestGlobalStats:
         assert stats.median_positive == 2.0
         assert stats.max == 3.0
         assert stats.zero_count == 1
-        assert stats.total_count == 4
-        assert stats.zero_fraction == 0.25
 
     def test_all_zero_is_degenerate(self):
         with pytest.raises(DegenerateDeltasError, match="degenerate"):
@@ -218,17 +214,17 @@ class TestGlobalStats:
         assert global_delta_stats(deltas, eps) == want
 
     def test_min_including_zeros(self):
-        with_zeros = DeltaStats(1.0, 2.0, 3.0, zero_count=1, total_count=4)
-        without = DeltaStats(1.0, 2.0, 3.0, zero_count=0, total_count=3)
+        with_zeros = DeltaStats(1.0, 2.0, 3.0, zero_count=1)
+        without = DeltaStats(1.0, 2.0, 3.0, zero_count=0)
         assert with_zeros.min_including_zeros == 0.0
         assert without.min_including_zeros == 1.0
 
 
 class TestMappings:
     # stats with zeros present, so the no-zero-handling left anchor is 0
-    ST = DeltaStats(min_positive=0.5, median_positive=2.0, max=6.0, zero_count=1, total_count=10)
+    ST = DeltaStats(min_positive=0.5, median_positive=2.0, max=6.0, zero_count=1)
     # stats for the zero-excluded variant example
-    ST2 = DeltaStats(min_positive=1.0, median_positive=3.0, max=7.0, zero_count=2, total_count=9)
+    ST2 = DeltaStats(min_positive=1.0, median_positive=3.0, max=7.0, zero_count=2)
 
     def test_both_ends_endpoint_identities(self):
         ends = [self.ST.median_positive, self.ST.max]
@@ -291,7 +287,7 @@ class TestMappings:
         assert _mapped("both_ends_zero", -1.0, self.ST2)[0] == 2.0
 
     def test_collapsed_branch_returns_y_max(self):
-        stats = DeltaStats(5.0, 5.0, 5.0, zero_count=2, total_count=3)
+        stats = DeltaStats(5.0, 5.0, 5.0, zero_count=2)
         assert _mapped("both_ends_zero", [5.0, 0.0], stats).tolist() == [10.0, 2.0]
 
     def test_config_validation(self):
@@ -416,7 +412,7 @@ def _loop_importance(delta, stats, cfg, mean_abs=None, mean_square=None):
 
 
 class TestImportance:
-    ST = DeltaStats(min_positive=0.5, median_positive=1.0, max=2.0, zero_count=2, total_count=4)
+    ST = DeltaStats(min_positive=0.5, median_positive=1.0, max=2.0, zero_count=2)
 
     def test_worked_column_example(self):
         # column [0, mid, max, 0]: mean f = (1+1+10+1)/4, Z = 2, I = 3.25 * 3
@@ -575,9 +571,12 @@ class TestImportanceAll:
 
     def test_zero_fraction_is_reported(self):
         pre, post = self._trained_pair()
-        stats = global_delta_stats(compute_delta(pre, post))
+        deltas = compute_delta(pre, post)
+        stats = global_delta_stats(deltas)
         # report-only: real fine-tuned models exceed 1%, the toy run may not
-        assert 0.0 <= stats.zero_fraction <= 1.0
+        total = sum(deltas[name].size for name in deltas.names())
+        assert stats.zero_count == _sorted_stats_oracle(deltas).zero_count
+        assert 0.0 <= stats.zero_count / total <= 1.0
 
     def test_container_round_trip_preserves_scores_and_meta(self):
         pre, post = self._trained_pair()
@@ -661,7 +660,7 @@ def _anchor_stats(draw):
     lo = float(np.float32(draw(st.floats(1e-4, 1.0))))
     mid = float(np.float32(lo + draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0]))))
     hi = float(np.float32(mid + draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0]))))
-    return DeltaStats(lo, mid, hi, zero_count=draw(st.sampled_from([0, 3])), total_count=100)
+    return DeltaStats(lo, mid, hi, zero_count=draw(st.sampled_from([0, 3])))
 
 
 def _update_matrix(rng, shape, stats, epsilon):
@@ -748,7 +747,7 @@ class TestTwoBranchOracle:
     @pytest.mark.parametrize("kind", [float, np.float32, np.float64, np.array])
     def test_scalar_and_0d_inputs_return_floats(self, name, kind):
         """A scalar or 0-d update, scored as a [1, 1] matrix, gives the oracle's float."""
-        stats = DeltaStats(0.5, 2.0, 6.0, zero_count=1, total_count=10)
+        stats = DeltaStats(0.5, 2.0, 6.0, zero_count=1)
         cfg = MappingConfig(y_min=0.1, y_max=0.3)
         signal = name.removeprefix("map_")
         for value in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0):
@@ -762,7 +761,7 @@ class TestTwoBranchOracle:
     @pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
     def test_collapsed_branches_match_oracle(self, anchors, zeros):
         lo, mid, hi = anchors
-        stats = DeltaStats(lo, mid, hi, zero_count=3 if zeros else 0, total_count=12)
+        stats = DeltaStats(lo, mid, hi, zero_count=3 if zeros else 0)
         values = [0.5 * lo, lo, (lo + mid) / 2, mid, (mid + hi) / 2, hi, 2 * hi]
         extra = [0.0] * 5 if zeros else [lo, mid, hi, mid, lo]
         delta = np.float32(values + extra).reshape(4, 3)
