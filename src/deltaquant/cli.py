@@ -289,12 +289,17 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     stray = [path for path, step in ckpts.items() if not step.isdecimal()]
     if stray:
         raise UsageError(f"{stray[0]} is not a snapshot: expected ckpt_step<N>.dqt")
+    steps: dict[int, Path] = {}
+    for path, step in ckpts.items():
+        first = steps.setdefault(int(step), path)
+        if first != path:
+            raise UsageError(f"{first} and {path} are snapshots of the same step {int(step)}")
     if len(ckpts) < 2:
         raise UsageError(f"{run_dir} holds fewer than two ckpt_step*.dqt files")
     calib_path = run_dir / "calib.dqt"
     if not calib_path.exists():
         raise UsageError(f"{run_dir} is missing calib.dqt")
-    snapshots = [(int(step), load_container(path)) for path, step in ckpts.items()]
+    snapshots = [(step, load_container(path)) for step, path in steps.items()]
     calib = _load_calib(calib_path)
     points, slope = pseudo_ft_curve(snapshots, calib, ns.map, ns.search, ns.quant)
     Path(ns.out).write_text(curve_csv(points, slope))

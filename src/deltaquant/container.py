@@ -4,13 +4,13 @@ Layout: 4-byte magic ``DQTC``, u32 LE version (= 1), u64 LE header length,
 a UTF-8 JSON header, then a data region starting at the first multiple of
 64 at or past the header end. The header maps tensor names to
 dtype/shape/offset/nbytes records (offsets relative to the data region,
-each a multiple of 64) plus string-to-string metadata. Tensor records are
-serialized in lexicographic name order and padding bytes are zero, so
-identical maps always produce identical files.
+each a multiple of 64) plus string-to-string metadata; other record keys
+are ignored. Tensor records are serialized in lexicographic name order and
+padding bytes are zero, so identical maps always produce identical files.
 
 Only rank-0/1/2 tensors are supported, stored row-major little-endian.
 float32 carries model weights and statistics; uint8 carries packed code
-buffers, which record their logical element count in an ``elements`` field.
+buffers, whose readers derive the number of values from other tensors' shapes.
 
 ``config_to_text``/``config_from_text`` give config dataclasses one text
 form, for container metadata and command-line and config-file values.
@@ -49,19 +49,15 @@ class TensorMap:
     """Named collection of dense tensors plus string metadata.
 
     ``entries`` maps names to numpy arrays (float32 or uint8, rank <= 2).
-    uint8 entries are packed buffers and must have a logical element count
-    registered in ``elements``.
     """
 
     def __init__(
         self,
         entries: dict[str, np.ndarray] | None = None,
         meta: dict[str, str] | None = None,
-        elements: dict[str, int] | None = None,
     ) -> None:
         self.entries: dict[str, np.ndarray] = dict(entries or {})
         self.meta: dict[str, str] = dict(meta or {})
-        self.elements: dict[str, int] = dict(elements or {})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.entries[name]
@@ -83,11 +79,6 @@ class TensorMap:
         suffix = f".{field}"
         return sorted(n[: -len(suffix)] for n in self.entries if n.endswith(suffix))
 
-    def put_packed(self, name: str, buf: np.ndarray, elements: int) -> None:
-        """Store a packed uint8 buffer together with its logical length."""
-        self.entries[name] = np.ascontiguousarray(buf, dtype=np.uint8)
-        self.elements[name] = int(elements)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMap):
             return NotImplemented
@@ -98,8 +89,6 @@ class TensorMap:
             if arr.dtype != brr.dtype or arr.shape != brr.shape:
                 return False
             if arr.tobytes() != brr.tobytes():
-                return False
-            if self.elements.get(name) != other.elements.get(name):
                 return False
         return True
 
@@ -166,8 +155,6 @@ def _validate_for_save(tmap: TensorMap) -> None:
             raise ContainerError(f"tensor {name!r} has rank {arr.ndim}; rank <= 2 required")
         if arr.dtype not in _DTYPE_TO_TAG:
             raise ContainerError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        if arr.dtype == np.uint8 and name not in tmap.elements:
-            raise ContainerError(f"packed tensor {name!r} is missing its element count")
 
 
 def save_container(tmap: TensorMap, path: str | Path) -> None:
@@ -183,15 +170,12 @@ def save_container(tmap: TensorMap, path: str | Path) -> None:
     for name in names:
         arr = np.ascontiguousarray(tmap.entries[name])
         data = arr.tobytes()
-        rec = {
+        records[name] = {
             "dtype": _DTYPE_TO_TAG[arr.dtype],
             "shape": [int(d) for d in arr.shape],
             "offset": offset,
             "nbytes": len(data),
         }
-        if arr.dtype == np.uint8:
-            rec["elements"] = int(tmap.elements[name])
-        records[name] = rec
         blobs.append((offset, data))
         offset = _align_up(offset + len(data))
 
@@ -306,11 +290,6 @@ def load_container(path: str | Path) -> TensorMap:
                 tmap.entries[name] = buf.view(dtype).reshape(shape)
             except ValueError as exc:  # a zero-size shape may still have a dimension numpy rejects
                 raise ContainerError(f"tensor {name!r}: invalid shape {shape!r}") from exc
-            if dtype == np.uint8:
-                elements = rec.get("elements", nbytes)
-                if type(elements) is not int or elements < 0:
-                    raise ContainerError(f"tensor {name!r}: invalid element count")
-                tmap.elements[name] = elements
     region_end = 0
     for offset, nbytes, name in sorted((r["offset"], r["nbytes"], n) for n, r in tensors.items()):
         if nbytes and offset < region_end:

@@ -378,7 +378,8 @@ def artifact_to_map(
     Codes and zero points are packed at the artifact's code width, the
     protection mask at width 1; scales, channel scales and protected
     columns stay float32. The meta records one code width and group size,
-    so every module must share them.
+    so every module must share them, and a ``meta`` value for either key
+    must equal theirs.
     """
     if not artifact:
         raise ValueError("empty artifact")
@@ -389,18 +390,16 @@ def artifact_to_map(
                 f"module {module!r} has bits {q.bits} and group_size {q.group_size}, "
                 f"unlike the first module ({first.bits} and {first.group_size})"
             )
-    base_meta = {"bits": str(first.bits), "group_size": str(first.group_size)}
-    if meta:
-        base_meta.update(meta)
-    tmap = TensorMap(meta=base_meta)
+    meta = dict(meta or {})
+    for key, value in (("bits", first.bits), ("group_size", first.group_size)):
+        if meta.setdefault(key, str(value)) != str(value):
+            raise ValueError(f"meta {key} {meta[key]!r} contradicts the modules' {key} {value}")
+    tmap = TensorMap(meta=meta)
     for module in sorted(artifact):
         q = artifact[module]
-        for field, values, bits in (
-            ("codes", q.codes, q.bits),
-            ("zeros", q.zero_points, q.bits),
-            ("protected", q.protected, 1),
-        ):
-            tmap.put_packed(f"{module}.{field}", pack_codes(values, bits), values.size)
+        tmap[f"{module}.codes"] = pack_codes(q.codes, q.bits)
+        tmap[f"{module}.zeros"] = pack_codes(q.zero_points, q.bits)
+        tmap[f"{module}.protected"] = pack_codes(q.protected, 1)
         tmap[f"{module}.scales"] = q.scales.astype(np.float32)
         tmap[f"{module}.channel_scale"] = q.channel_scale.astype(np.float32)
         tmap[f"{module}.protected_values"] = q.protected_values.astype(np.float32)
@@ -409,15 +408,12 @@ def artifact_to_map(
 
 def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: int) -> np.ndarray:
     """Decode the packed ``<module>.<field>`` stream of ``count`` values."""
-    name = f"{module}.{field}"
-    buf = tmap[name]
+    buf = tmap[f"{module}.{field}"]
     if buf.dtype != np.uint8:
         raise ValueError(
             f"{field} of module {module!r} is {buf.dtype}, not a packed stream "
             "(an older artifact format); re-run quantize"
         )
-    if tmap.elements.get(name) != count:
-        raise ValueError(f"corrupt packing length for module {module!r} ({field})")
     try:
         return unpack_codes(buf, count, bits)
     except ValueError as exc:

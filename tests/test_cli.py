@@ -299,7 +299,6 @@ class TestQuantizeAndEval:
         out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
         tmap = load_container(art)
         tmap["layer0.zeros"] = np.zeros((16, 2), np.float32)
-        del tmap.elements["layer0.zeros"]
         old = tmp_path / "art_f32_zeros.dqt"
         save_container(tmap, old)
         ev = tmp_path / "eval_old.json"
@@ -573,6 +572,17 @@ class TestCurve:
         res = run_cli("curve", "--run", out, "--out", csv)
         assert res.returncode == 2, res.stderr
         assert "ckpt_stepbak.dqt" in res.stderr
+        assert not csv.exists()
+
+    def test_two_snapshots_of_one_step_is_usage_error(self, tmp_path):
+        out = train_run(tmp_path, steps=100)
+        assert (out / "ckpt_step000000.dqt").exists()
+        # not a container either: the names alone must stop the run
+        (out / "ckpt_step0.dqt").write_bytes(b"not a container")
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--out", csv)
+        assert res.returncode == 2, res.stderr
+        assert "ckpt_step000000.dqt" in res.stderr and "ckpt_step0.dqt" in res.stderr
         assert not csv.exists()
 
 

@@ -40,7 +40,7 @@ def _crafted(path, header: bytes) -> None:
 
 def _valid_container(path) -> bytes:
     tmap = _map_ab()
-    tmap.put_packed("codes", np.arange(5, dtype=np.uint8), elements=9)
+    tmap["codes"] = np.arange(5, dtype=np.uint8)
     save_container(tmap, path)
     return path.read_bytes()
 
@@ -83,12 +83,14 @@ class TestRoundTrip:
 
     def test_packed_u8_round_trip(self, tmp_path):
         path = tmp_path / "p.dqt"
-        tmap = TensorMap()
-        tmap.put_packed("codes", np.arange(7, dtype=np.uint8), elements=13)
+        tmap = TensorMap({"codes": np.arange(7, dtype=np.uint8)})
         save_container(tmap, path)
+        header = json.loads(path.read_bytes()[16:].split(b"\x00")[0])
+        assert header["tensors"]["codes"] == {"dtype": "u8", "shape": [7], "offset": 0, "nbytes": 7}
         loaded = load_container(path)
-        assert loaded.elements["codes"] == 13
+        assert loaded["codes"].dtype == np.uint8
         assert loaded["codes"].tobytes() == bytes(range(7))
+        assert loaded == tmap
 
     def test_empty_tensor_shares_offset_with_next(self, tmp_path):
         path = tmp_path / "e.dqt"
@@ -172,6 +174,14 @@ class TestLoadValidation:
         with pytest.raises(ContainerError, match="overlap"):
             load_container(path)
 
+    @pytest.mark.parametrize("elements", [30, True, "x"])
+    def test_extra_record_key_ignored(self, tmp_path, elements):
+        # older files record an ``elements`` count on each u8 tensor
+        path = tmp_path / "old.dqt"
+        rec = {"dtype": "u8", "shape": [4], "offset": 0, "nbytes": 4, "elements": elements}
+        _crafted(path, json.dumps({"meta": {}, "tensors": {"w": rec}}).encode())
+        assert load_container(path) == TensorMap({"w": np.zeros(4, np.uint8)})
+
     def test_nbytes_shape_mismatch(self, tmp_path):
         header = b'{"meta":{},"tensors":{"w":{"dtype":"f32","shape":[2],"offset":0,"nbytes":4}}}'
         body = b"DQTC" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
@@ -193,8 +203,6 @@ class TestLoadValidation:
              "invalid shape"),
             ({"w": {"dtype": "f32", "shape": [4], "offset": False, "nbytes": 16}},
              "invalid offset"),
-            ({"w": {"dtype": "u8", "shape": [4], "offset": 0, "nbytes": 4, "elements": True}},
-             "element count"),
             ({"a": {"dtype": "f32", "shape": [16], "offset": 0, "nbytes": 64},
               "b": {"dtype": "f32", "shape": [4], "offset": 0, "nbytes": 16}},
              "data overlaps"),
@@ -202,7 +210,7 @@ class TestLoadValidation:
               "b": {"dtype": "f32", "shape": [4], "offset": 64, "nbytes": 16}},
              "data overlaps"),
         ],
-        ids=["int64-overflow", "huge-empty-dim", "bool-dim", "bool-offset", "bool-elements",
+        ids=["int64-overflow", "huge-empty-dim", "bool-dim", "bool-offset",
              "same-offset", "inside-region"],
     )
     def test_crafted_header_rejected(self, tmp_path, tensors, message):
@@ -272,12 +280,6 @@ class TestSaveValidation:
         with pytest.raises(ContainerError, match="dtype"):
             save_container(tmap, tmp_path / "f64.dqt")
 
-    def test_packed_without_elements_rejected(self, tmp_path):
-        tmap = TensorMap()
-        tmap["codes"] = np.zeros(2, dtype=np.uint8)
-        with pytest.raises(ContainerError, match="element count"):
-            save_container(tmap, tmp_path / "pe.dqt")
-
 
 class TestCompatibility:
     def test_identical_maps_pass(self):
@@ -297,7 +299,7 @@ class TestCompatibility:
 
     def test_dtype_mismatch(self):
         a = TensorMap({"w": np.zeros(4, np.float32)})
-        b = TensorMap({"w": np.zeros(4, np.uint8)}, elements={"w": 4})
+        b = TensorMap({"w": np.zeros(4, np.uint8)})
         with pytest.raises(CompatibilityError, match="dtype mismatch"):
             check_compatible(a, b)
 

@@ -1,10 +1,11 @@
 """RTN group quantization, packing bijection, channel protection."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deltaquant import quant
@@ -502,7 +503,58 @@ class TestSelectProtected:
             select_protected(self.SCORES, 1.5)
 
 
+def _assert_same_modules(got, want):
+    """Every field equal in dtype and value, and a bit-equal dequantization."""
+    for field in dataclasses.fields(want):
+        a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+    assert dequantize(got).tobytes() == dequantize(want).tobytes()
+
+
 class TestArtifactContainer:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        out_features=st.integers(1, 7),
+        in_features=st.integers(1, 37),
+        group_size=st.integers(1, 16),
+        bits=st.sampled_from([3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_file_round_trip_derives_packed_lengths(
+        self, tmp_path, out_features, in_features, group_size, bits, seed, data
+    ):
+        # ragged last groups and code counts that do not fill whole packed blocks
+        rng = np.random.default_rng(seed)
+        mask = data.draw(st.lists(st.booleans(), min_size=in_features, max_size=in_features))
+        q = rtn_quantize(
+            _rand_weight(rng, (out_features, in_features)),
+            QuantConfig(bits=bits, group_size=group_size),
+            channel_scale=np.exp(rng.uniform(-1, 1, in_features)).astype(np.float32),
+            protected=np.array(mask),
+        )
+        path = tmp_path / "artifact.dqt"
+        save_container(artifact_to_map({"m": q}), path)
+        _assert_same_modules(artifact_from_map(load_container(path))["m"], q)
+
+    def test_artifact_with_element_counts_loads(self):
+        # written by the earlier format, whose u8 records also carry an
+        # ``elements`` count; the reader ignores it and derives the counts
+        path = Path(__file__).parent / "data" / "artifact_elements_format.dqt"
+        assert path.read_bytes().count(b'"elements"') == 3
+        protected = np.zeros(10, bool)
+        protected[[2, 7]] = True
+        want = rtn_quantize(
+            np.random.default_rng(20).standard_normal((3, 10)).astype(np.float32),
+            QuantConfig(bits=3, group_size=4),
+            channel_scale=np.linspace(0.5, 2.0, 10, dtype=np.float32),
+            protected=protected,
+        )
+        loaded = artifact_from_map(load_container(path))
+        assert list(loaded) == ["layer0"]
+        _assert_same_modules(loaded["layer0"], want)
+
     def test_round_trip_preserves_reconstruction(self, tmp_path):
         rng = np.random.default_rng(11)
         artifact = {}
@@ -534,7 +586,7 @@ class TestArtifactContainer:
         tmap = artifact_to_map({"m": q})
         assert tmap.meta["bits"] == "4"
         assert tmap.meta["group_size"] == "2"
-        assert tmap.elements["m.codes"] == 8
+        assert tmap["m.codes"].shape == (4,)  # 8 4-bit codes
 
     @pytest.mark.parametrize(
         "cfg_b", [QuantConfig(bits=4, group_size=4), QuantConfig(group_size=2)]
@@ -549,12 +601,22 @@ class TestArtifactContainer:
         with pytest.raises(ValueError, match="module 'b'"):
             artifact_to_map(artifact)
 
-    def test_corrupt_packing_length_rejected(self, tmp_path):
+    def test_corrupt_packing_length_rejected(self):
+        # 8 3-bit codes fill 3 bytes; the tables fix the count, not the buffer
         w = _rand_weight(np.random.default_rng(0), (2, 4))
         tmap = artifact_to_map({"m": rtn_quantize(w, QuantConfig(bits=3, group_size=4))})
-        tmap.elements["m.codes"] = 5  # lie about the logical count
-        with pytest.raises(ValueError, match="packing length"):
+        tmap["m.codes"] = np.append(tmap["m.codes"], np.uint8(0))
+        with pytest.raises(ValueError, match="corrupt codes of module 'm'.*length mismatch"):
             artifact_from_map(tmap)
+
+    @pytest.mark.parametrize("key, value", [("bits", "4"), ("group_size", "5")])
+    def test_meta_contradicting_modules_rejected(self, key, value):
+        w = _rand_weight(np.random.default_rng(3), (3, 8))
+        q = rtn_quantize(w, QuantConfig(bits=3, group_size=4))
+        with pytest.raises(ValueError, match=f"{key} '{value}'.*{key} {getattr(q, key)}"):
+            artifact_to_map({"m": q}, {key: value})
+        same = {"bits": "3", "group_size": "4", "protect_fraction": "0.0"}
+        assert artifact_to_map({"m": q}, same).meta == same
 
     def test_worked_packed_zero_points(self):
         w = np.array(
@@ -567,14 +629,13 @@ class TestArtifactContainer:
         # 3-bit stream 1 | 3 << 3 | 0 << 6 | 7 << 9 == 0x000E19
         assert tmap["m.zeros"].dtype == np.uint8
         assert tmap["m.zeros"].tolist() == [0x19, 0x0E, 0x00]
-        assert tmap.elements["m.zeros"] == 4
         assert np.array_equal(artifact_from_map(tmap)["m"].zero_points, q.zero_points)
 
     def test_short_protected_buffer_rejected(self):
         w = _rand_weight(np.random.default_rng(1), (2, 16))
         q = rtn_quantize(w, QuantConfig(bits=3, group_size=8), protected=np.ones(16, bool))
         tmap = artifact_to_map({"m": q})
-        tmap.put_packed("m.protected", tmap["m.protected"][:1], 16)
+        tmap["m.protected"] = tmap["m.protected"][:1]
         with pytest.raises(ValueError, match="'m'"):
             artifact_from_map(tmap)
 
@@ -583,7 +644,6 @@ class TestArtifactContainer:
         q = rtn_quantize(w, QuantConfig(bits=3, group_size=4))
         tmap = artifact_to_map({"m": q})
         tmap["m.zeros"] = q.zero_points.astype(np.float32)
-        del tmap.elements["m.zeros"]
         with pytest.raises(ValueError, match="'m'.*re-run quantize"):
             artifact_from_map(tmap)
 
