@@ -47,7 +47,7 @@ class EvalReport:
     config: dict[str, str]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass
@@ -280,8 +280,8 @@ def pseudo_ft_curve(
         raise ValueError("need at least two snapshots including step 0")
     base, final = by_step[0][1], by_step[-1][1]
     # every snapshot's importance covers the modules of step 0
-    losses = [(loss, loss.quantized(qcfg))
-              for loss in module_losses(final, base.modules("weight"), calib, scfg.max_calib_rows)]
+    losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
+        final, base.modules("weight"), calib, scfg.max_calib_rows, "step-0 checkpoint")]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:

@@ -147,33 +147,22 @@ class ModuleLoss:
         and one ``dequantize`` call; groups are coded per row and decoding
         is elementwise, so each candidate's row block, divided by its own
         scale, has the bits it has alone, and is scored by its own loss
-        product. The scales are checked in order, and the candidates before
-        the first invalid one are scored before its error is raised. A
-        batch quantizes all its candidates before it decodes any, so there
-        an overflow of a product wins over one of a division. With a
+        product. Every scale is checked before any candidate is scored, so
+        an invalid scale raises its own error first. Batches run in order,
+        and a batch quantizes all its candidates before it decodes any, so
+        there an overflow of a product wins over one of a division. With a
         ``module`` name, an error reads ``module '<name>': <message>``.
         """
         in_features = self.weight.shape[1]
-        checked: list = []
-        error = None
-        for scale in scales:
-            try:
-                checked.append(None if scale is None else checked_channel_scale(scale, in_features))
-            except ValueError as exc:
-                error = exc
-                break
         per_batch = max(1, _BATCH_WEIGHTS // self.weight.size)
-        losses = []
         try:
-            for start in range(0, len(checked), per_batch):
-                losses += self._batch_losses(qcfg, checked[start : start + per_batch])
-            if error is not None:
-                raise error
+            checked = [None if s is None else checked_channel_scale(s, in_features) for s in scales]
+            return [value for start in range(0, len(checked), per_batch)
+                    for value in self._batch_losses(qcfg, checked[start : start + per_batch])]
         except ValueError as exc:
             if not self.module:
                 raise
             raise ValueError(f"module {self.module!r}: {exc}") from exc
-        return losses
 
     def _batch_losses(self, qcfg: QuantConfig, batch: list) -> list[float]:
         """Losses of one batch of checked channel scales, in order."""
@@ -246,31 +235,22 @@ def search_scale(
 
     base = normalize_scale(scores)
     ones = np.ones(in_features, dtype=np.float32)
-    # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
     alphas = scfg.alphas()
-    scales = {alpha: (base**alpha).astype(np.float32) for alpha in alphas if alpha != 0.0}
+    # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
+    scales = [(base**alpha).astype(np.float32) for alpha in alphas if alpha != 0.0]
     if rtn_loss is None:
-        rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales.values()])
+        rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales])
     else:
-        losses = loss.quantized_many(qcfg, list(scales.values()))
-    scored = dict(zip(scales, zip(scales.values(), losses)))
-
-    best_alpha = None
-    best_loss = np.inf
-    best_scale = ones
-    curve: list[tuple[float, float]] = []
-    for alpha in alphas:
-        s32, value = scored.get(alpha, (ones, rtn_loss))
-        curve.append((alpha, value))
-        if value < best_loss:
-            best_alpha = alpha
-            best_loss = value
-            best_scale = s32
+        losses = loss.quantized_many(qcfg, scales)
+    scored = iter(zip(scales, losses))
+    candidates = [(a, *(next(scored) if a != 0.0 else (ones, rtn_loss))) for a in alphas]
+    # every loss is finite, and min keeps the first of equal losses: ties go to the smaller alpha
+    alpha_star, best_scale, best_loss = min(candidates, key=lambda c: c[2])
     return SearchResult(
         module=loss.module,
-        alpha_star=float(best_alpha),
+        alpha_star=float(alpha_star),
         scale=best_scale,
-        loss_curve=curve,
+        loss_curve=[(alpha, value) for alpha, _, value in candidates],
         rtn_loss=rtn_loss,
         best_loss=float(best_loss),
     )

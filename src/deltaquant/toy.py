@@ -190,7 +190,8 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
-    """Rebuild a ToyModel from a checkpoint TensorMap."""
+    """Rebuild a ToyModel from a checkpoint; a missing bias reads as zeros, a misshaped or
+    non-finite one raises ValueError naming it."""
     modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
@@ -199,6 +200,8 @@ def model_from_map(tmap: TensorMap) -> ToyModel:
         weight = tmap[f"{name}.weight"]
         bias_name = f"{name}.bias"
         bias = tmap[bias_name] if bias_name in tmap else np.zeros(weight.shape[0], np.float32)
+        if bias.shape != (weight.shape[0],) or not np.isfinite(bias).all():
+            raise ValueError(f"{bias_name!r} must hold {weight.shape[0]} finite values")
         layers.append(LinearLayer(name=name, weight=weight.copy(), bias=bias.copy()))
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.weight.shape[0] != nxt.weight.shape[1]:

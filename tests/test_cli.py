@@ -471,6 +471,45 @@ class TestQuantizeAndEval:
         assert not art.exists()
         assert not art.with_suffix(".report.jsonl").exists()
 
+    @pytest.mark.parametrize("score", [-1.0, 0.0])
+    def test_non_positive_importance_is_runtime_error(self, tmp_path, score):
+        from deltaquant.container import save_container
+
+        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
+        tmap = load_container(imp)
+        tmap["layer1.importance"][3] = score
+        bad = tmp_path / "imp_non_positive.dqt"
+        save_container(tmap, bad)
+        art = tmp_path / "art_non_positive.dqt"
+        res = run_cli(
+            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
+            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
+        )
+        assert res.returncode == 1, res.stderr
+        assert "non-positive importance scores for module 'layer1'" in res.stderr
+        assert not art.exists()
+        assert not art.with_suffix(".report.jsonl").exists()
+
+    def test_non_finite_bias_is_runtime_error(self, tmp_path):
+        from deltaquant.container import save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
+        post = load_container(out / "ckpt_step000300.dqt")
+        post["layer0.bias"][1] = np.nan
+        bad = tmp_path / "post_nan_bias.dqt"
+        save_container(post, bad)
+        calib = out / "calib.dqt"
+        runs = {
+            "eval": ("--artifact", art, "--calib", calib),
+            "ablate": ("--pre", out / "ckpt_step000000.dqt", "--calib", calib),
+        }
+        for command, args in runs.items():
+            dest = tmp_path / f"{command}_nan_bias.out"
+            res = run_cli(command, "--post", bad, *args, "--out", dest)
+            assert res.returncode == 1, (command, res.stderr)
+            assert "'layer0.bias' must hold 16 finite values" in res.stderr, command
+            assert not dest.exists(), command
+
     def test_bad_calibration_statistics_is_runtime_error(self, tmp_path):
         # the activation statistics are derived from the rows, so a NaN row
         # or a width mismatch fails every command that reads them
@@ -564,6 +603,19 @@ class TestCurve:
         qcfg = QuantConfig(bits=3, group_size=4)
         want = curve_csv(*pseudo_ft_curve(snapshots, calib, MappingConfig(), SearchConfig(), qcfg))
         assert csv.read_text() == want
+
+    def test_extra_module_of_the_final_snapshot_names_step_0(self, tmp_path):
+        from deltaquant.container import save_container
+
+        out = train_run(tmp_path, steps=100)
+        final = load_container(out / "ckpt_step000100.dqt")
+        final["layerX.weight"] = np.ones((8, 8), np.float32)
+        save_container(final, out / "ckpt_step000100.dqt")
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--out", csv)
+        assert res.returncode == 1, res.stderr
+        assert "module 'layerX' is missing from the step-0 checkpoint" in res.stderr
+        assert not csv.exists()
 
     def test_stray_snapshot_name_is_usage_error(self, tmp_path):
         out = train_run(tmp_path, steps=100)

@@ -132,6 +132,11 @@ class TestLayerReport:
         parsed = json.loads(j1)
         assert set(parsed) == {"per_module", "end_to_end", "config"}
 
+    def test_non_finite_value_is_not_written_as_json(self):
+        report = evaluate.EvalReport({}, {"output_mse_fp32_vs_quant": math.nan}, {})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json()
+
     def test_missing_calibration_rejected(self, toy_run, searched_artifact):
         artifact, _, _ = searched_artifact
         from deltaquant.toy import CalibrationSet
@@ -529,7 +534,7 @@ class TestCurve:
         deep = init_model([8, 16, 8, 8], seed=1)
         _, calib = forward(deep, np.ones((16, 8), np.float32))
         final = (20, train(deep, TrainConfig(steps=1))[1][-1][1])
-        with pytest.raises(ValueError, match="'layer2' is missing from the importance vectors"):
+        with pytest.raises(ValueError, match="'layer2' is missing from the step-0 checkpoint"):
             pseudo_ft_curve(snaps[:2] + [final], calib, MappingConfig(), SearchConfig(), QCFG)
 
     def test_non_positive_importance_names_the_module(self, monkeypatch):

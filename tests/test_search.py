@@ -252,13 +252,22 @@ class TestBatchedScoring:
             ModuleLoss(w, x).quantized_many(QCFG, [None, bad])
 
     @pytest.mark.parametrize("kind", ["length", "zero", "nan"])
-    def test_invalid_scale_is_raised_after_earlier_candidates(self, monkeypatch, kind):
-        # as one at a time: an earlier candidate's overflow wins over a later invalid scale
+    def test_invalid_scale_is_raised_before_any_candidate(self, monkeypatch, kind):
+        # every scale is checked first: a later invalid scale wins over an
+        # earlier candidate's overflow, and no candidate is quantized
         monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
-        w, x, overflow, message = _failing_candidate("product")
-        invalid = _failing_candidate(kind)[2]
-        with pytest.raises(ValueError, match=message):
-            ModuleLoss(w, x).quantized_many(QCFG, [None, overflow, invalid])
+        calls = Counter()
+
+        def counted(*args, _original=search.rtn_quantize, **kwargs):
+            calls["rtn_quantize"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(search, "rtn_quantize", counted)
+        w, x, overflow, _ = _failing_candidate("product")
+        _, _, invalid, message = _failing_candidate(kind)
+        with pytest.raises(ValueError, match=f"^module 'layer2': {message}"):
+            ModuleLoss(w, x, "layer2").quantized_many(QCFG, [None, overflow, invalid])
+        assert calls["rtn_quantize"] == 0
 
     def test_product_overflow_wins_within_a_batch(self, monkeypatch):
         # a batch quantizes all its candidates before decoding any: a later
@@ -399,6 +408,48 @@ class TestSearchScale:
         assert res1.alpha_star == res2.alpha_star
         assert np.array_equal(res1.scale, res2.scale)
         assert res1.loss_curve == res2.loss_curve
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.integers(2, 25),
+        zero_at=st.sampled_from(["below", "low_end", "inside"]),
+        lo_steps=st.integers(1, 24),
+        step=st.floats(0.01, 0.5),
+        exact_weight=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_selection_is_the_first_minimum_of_the_curve(
+        self, points, zero_at, lo_steps, step, exact_weight, seed
+    ):
+        if zero_at == "inside":
+            # alpha = 0 is grid point k: with quarter steps, k * span / last is
+            # exactly k / 4, so lo + k * span / last is exactly 0
+            points = max(points, 3)
+            k = 1 + lo_steps % (points - 2)
+            lo, hi = -k / 4, (points - 1 - k) / 4
+        else:
+            lo = 0.0 if zero_at == "low_end" else step
+            hi = lo + step * lo_steps
+        scfg = SearchConfig(grid_points=points, alpha_lo=lo, alpha_hi=hi)
+        w, x, scores = _instance(seed)
+        if exact_weight:  # zero loss at every alpha: every candidate ties
+            w = np.zeros_like(w)
+        loss = ModuleLoss(w, x, "layer0")
+        res = search_scale(loss, scores, scfg, QCFG)
+        alphas = [alpha for alpha, _ in res.loss_curve]
+        values = [value for _, value in res.loss_curve]
+        assert alphas == scfg.alphas()
+        assert (0.0 in alphas) == (zero_at != "below")
+        first = values.index(min(values))
+        assert (res.alpha_star, res.best_loss) == res.loss_curve[first]
+        base = scores / np.sqrt(scores.max() * scores.min())
+        assert np.array_equal(res.scale, (base**res.alpha_star).astype(np.float32))
+        assert all(value == res.rtn_loss for alpha, value in res.loss_curve if alpha == 0.0)
+        given = search_scale(loss, scores, scfg, QCFG, rtn_loss=res.rtn_loss)
+        assert (given.alpha_star, given.best_loss, given.rtn_loss, given.loss_curve) == (
+            res.alpha_star, res.best_loss, res.rtn_loss, res.loss_curve
+        )
+        assert np.array_equal(given.scale, res.scale)
 
     def test_ties_go_to_smaller_alpha(self):
         # an exactly representable weight has zero loss everywhere on the grid
