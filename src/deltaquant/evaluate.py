@@ -278,10 +278,11 @@ def pseudo_ft_curve(
     by_step = sorted(snapshots, key=lambda pair: pair[0])
     if len(by_step) < 2 or by_step[0][0] != 0:
         raise ValueError("need at least two snapshots including step 0")
-    base, final = by_step[0][1], by_step[-1][1]
+    (_, base), (final_step, final) = by_step[0], by_step[-1]
     # every snapshot's importance covers the modules of step 0
     losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
-        final, base.modules("weight"), calib, scfg.max_calib_rows, "step-0 checkpoint")]
+        final, base.modules("weight"), calib, scfg.max_calib_rows, "step-0 checkpoint",
+        f"step-{final_step} checkpoint")]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:

@@ -89,10 +89,10 @@ class SearchResult:
 class ModuleLoss:
     """Output-error loss of reconstructions of one weight on fixed calibration rows.
 
-    Built once per module: the weight is kept as float32 and the rows are
-    validated and cast to float64 here, not per candidate. With ``n`` rows
-    and ``E = recon - weight`` the loss is ``mean((X @ E.T)**2)`` over
-    ``n * out`` outputs. When ``n >= in_features`` only the Gram matrix
+    Built once per module: the weight is checked finite and kept as float32,
+    and the rows are validated and cast to float64 here, not per candidate.
+    With ``n`` rows and ``E = recon - weight`` the loss is
+    ``mean((X @ E.T)**2)`` over ``n * out`` outputs. When ``n >= in_features`` only the Gram matrix
     ``H = X.T @ X`` is kept and the loss is ``sum((E @ H) * E) / (n * out)``,
     which costs ``out * in**2`` instead of ``n * in * out`` per candidate;
     with fewer rows ``X`` is kept and the direct form used. The choice
@@ -108,6 +108,11 @@ class ModuleLoss:
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
         self.weight = np.ascontiguousarray(weight, dtype=np.float32)
         self.module = module
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every value is; no mask temporary is allocated
+        if not np.isfinite(self.weight.sum(dtype=np.float64)):
+            tensor = f" {module + '.weight'!r}" if module else ""
+            raise ValueError(f"weight{tensor} contains non-finite values")
         x = np.asarray(calib_inputs)
         where = f" for module {module!r}" if module else ""
         if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
@@ -115,8 +120,6 @@ class ModuleLoss:
         if x.shape[0] < 1:
             raise ValueError(f"need at least one calibration row{where}")
         x64 = np.asarray(x, dtype=np.float32).astype(np.float64)
-        # a float64 sum of float32 values cannot overflow, so it is finite
-        # exactly when every value is; no mask temporary is allocated
         if not np.isfinite(x64.sum()):
             raise ValueError(f"calibration inputs{where} contain non-finite values")
         self.outputs = x64.shape[0] * self.weight.shape[0]
@@ -258,21 +261,21 @@ def search_scale(
 
 def module_losses(
     post_ckpt: TensorMap, others, calib: CalibrationSet, max_rows: int | None,
-    others_name: str = "importance vectors",
+    others_name: str = "importance vectors", post_name: str = "checkpoint",
 ):
     """Yield the ``ModuleLoss`` of each module, on its first ``max_rows`` rows (all for None).
 
-    ``others`` names the modules of the map the losses are paired with, and
-    ``others_name`` names that map in errors. The first module only one of
-    it and the checkpoint holds, or without calibration inputs, raises
-    ValueError naming it.
+    ``others`` names the modules of the map the losses are paired with;
+    ``others_name`` and ``post_name`` name that map and the checkpoint in
+    errors. The first module only one of them holds, or without calibration
+    inputs, raises ValueError naming it; so does a non-finite weight.
     """
     modules = post_ckpt.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     unmatched = sorted(set(others) ^ set(modules))
     if unmatched:
-        missing_from = "checkpoint" if unmatched[0] in others else others_name
+        missing_from = post_name if unmatched[0] in others else others_name
         raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
     for module in modules:
         if module not in calib.inputs:

@@ -165,7 +165,7 @@ def gradients(
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        dw = grad.T @ acts[i]
+        dw = (acts[i].T @ grad).T  # [out, in] in the memory order of a column-major weight
         db = grad.sum(axis=0)
         grads[layer.name] = (dw, db)
         if i > 0:
@@ -223,8 +223,9 @@ def train(
 ) -> tuple[ToyModel, list[tuple[int, TensorMap]]]:
     """Gradient-descent the model against a seeded synthetic teacher.
 
-    Returns the trained model and checkpoint snapshots, always including
-    step 0 (the pre-update weights) and the final step.
+    Returns the trained model, whose weights are column-major, and row-major
+    checkpoint snapshots, always including step 0 (the pre-update weights)
+    and the final step.
 
     Cost: inputs are drawn, and the teacher run, once per chunk of
     ``_CHUNK_STEPS`` (10) steps, the last chunk possibly shorter. Each step
@@ -234,6 +235,8 @@ def train(
     """
     model = copy.deepcopy(model)
     teacher = _teacher_for(model, cfg.data_seed)
+    for layer in model.layers + teacher.layers:  # column-major: acts @ weight.T is untransposed
+        layer.weight = np.asfortranarray(layer.weight)
     rng = np.random.default_rng(cfg.data_seed)
     lr = np.float32(cfg.learning_rate)
     extra = {"data_seed": str(cfg.data_seed)}

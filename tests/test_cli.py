@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -510,6 +511,34 @@ class TestQuantizeAndEval:
             assert "'layer0.bias' must hold 16 finite values" in res.stderr, command
             assert not dest.exists(), command
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_names_the_tensor(self, tmp_path, bad):
+        # quantize, eval and curve each read the weight once, as a ModuleLoss
+        from deltaquant.container import save_container
+
+        out, imp, art, _, _ = full_pipeline(tmp_path, bits=3)
+        post = load_container(out / "ckpt_step000300.dqt")
+        post["layer0.weight"][2, 3] = bad
+        bad_run = tmp_path / "bad_run"
+        shutil.copytree(out, bad_run)
+        save_container(post, bad_run / "ckpt_step000300.dqt")
+        calib = out / "calib.dqt"
+        runs = {
+            "quantize": ("--post", bad_run / "ckpt_step000300.dqt", "--importance", imp,
+                         "--calib", calib, "--bits", "3", "--group-size", "4"),
+            "eval": ("--post", bad_run / "ckpt_step000300.dqt", "--artifact", art,
+                     "--calib", calib),
+            "curve": ("--run", bad_run),
+        }
+        for command, args in runs.items():
+            dest = tmp_path / f"{command}_bad_weight.out"
+            res = run_cli(command, *args, "--out", dest)
+            assert res.returncode == 1, (command, res.stderr)
+            assert "weight 'layer0.weight' contains non-finite values" in res.stderr, command
+            assert "channel_scale" not in res.stderr, command
+            assert not dest.exists(), command
+        assert not (tmp_path / "quantize_bad_weight.report.jsonl").exists()
+
     def test_bad_calibration_statistics_is_runtime_error(self, tmp_path):
         # the activation statistics are derived from the rows, so a NaN row
         # or a width mismatch fails every command that reads them
@@ -615,6 +644,19 @@ class TestCurve:
         res = run_cli("curve", "--run", out, "--out", csv)
         assert res.returncode == 1, res.stderr
         assert "module 'layerX' is missing from the step-0 checkpoint" in res.stderr
+        assert not csv.exists()
+
+    def test_extra_module_of_step_0_names_the_final_snapshot(self, tmp_path):
+        from deltaquant.container import save_container
+
+        out = train_run(tmp_path, steps=200)
+        base = load_container(out / "ckpt_step000000.dqt")
+        base["layerX.weight"] = np.ones((8, 8), np.float32)
+        save_container(base, out / "ckpt_step000000.dqt")
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--out", csv)
+        assert res.returncode == 1, res.stderr
+        assert "module 'layerX' is missing from the step-200 checkpoint" in res.stderr
         assert not csv.exists()
 
     def test_stray_snapshot_name_is_usage_error(self, tmp_path):

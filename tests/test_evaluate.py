@@ -1,6 +1,7 @@
 """Eval reports, ablation table, pseudo-fine-tuning curve."""
 
 import collections
+import copy
 import json
 import math
 
@@ -164,6 +165,14 @@ class TestLayerReport:
     def test_empty_artifact_rejected(self, toy_run):
         with pytest.raises(ValueError, match="empty"):
             layer_report(toy_run["post"], {}, toy_run["calib"])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_checkpoint_weight_names_the_tensor(self, toy_run, searched_artifact, bad):
+        artifact, _, _ = searched_artifact
+        post = copy.deepcopy(toy_run["post"])
+        post["layer0.weight"][2, 3] = bad
+        with pytest.raises(ValueError, match="'layer0.weight' contains non-finite values"):
+            layer_report(post, artifact, toy_run["calib"])
 
 
 class TestAblation:
@@ -536,6 +545,12 @@ class TestCurve:
         final = (20, train(deep, TrainConfig(steps=1))[1][-1][1])
         with pytest.raises(ValueError, match="'layer2' is missing from the step-0 checkpoint"):
             pseudo_ft_curve(snaps[:2] + [final], calib, MappingConfig(), SearchConfig(), QCFG)
+
+    def test_module_missing_from_the_final_snapshot_names_its_step(self):
+        snaps, calib = self._run(3)
+        snaps[0][1]["layerX.weight"] = np.ones((8, 8), np.float32)
+        with pytest.raises(ValueError, match="'layerX' is missing from the step-20 checkpoint"):
+            pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
 
     def test_non_positive_importance_names_the_module(self, monkeypatch):
         snaps, calib = self._run(3)

@@ -109,6 +109,19 @@ class TestQuantLoss:
         with pytest.raises(ValueError, match="non-finite"):
             search_scale(ModuleLoss(w, x), scores, SearchConfig(), QCFG)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_before_any_candidate(self, bad):
+        # the weight check names the tensor; the product check of the
+        # quantizer would blame a channel scale that is not at fault
+        w, x, _ = _instance(0)
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match="^weight contains non-finite values$"):
+            ModuleLoss(w, x)
+        with pytest.raises(ValueError, match="^weight 'layer0.weight' contains non-finite"):
+            ModuleLoss(w, x, "layer0")
+        with pytest.raises(ValueError, match="^weight contains non-finite values$"):
+            quant_loss(w, x, np.ones(8, np.float32), QCFG)
+
 
 class TestModuleLoss:
     @settings(max_examples=60, deadline=None)
@@ -537,6 +550,13 @@ class TestQuantizeModel:
         post, imps, calib = self._setup()
         calib.inputs["layer1"][0, 0] = np.nan
         with pytest.raises(ValueError, match="layer1.*non-finite"):
+            quantize_model(post, imps, calib, SearchConfig(), QCFG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_named(self, bad):
+        post, imps, calib = self._setup()
+        post["layer1.weight"][2, 3] = bad
+        with pytest.raises(ValueError, match="'layer1.weight' contains non-finite values"):
             quantize_model(post, imps, calib, SearchConfig(), QCFG)
 
     def test_searched_beats_or_ties_unscaled_3bit(self):

@@ -1,5 +1,10 @@
 """Toy model: init, forward capture, training, gradient checking."""
 
+import copy
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -189,10 +194,12 @@ class TestTrain:
             assert st1 == st2 and m1 == m2
 
     def test_input_model_not_mutated(self):
+        # training holds its own copy column-major; the caller's stays row-major
         model = init_model([4, 4], seed=0)
         before = _model_bytes(model)
         train(model, TrainConfig(steps=20))
         assert _model_bytes(model) == before
+        assert all(layer.weight.flags.c_contiguous for layer in model.layers)
 
     def test_divergence_reports_step(self):
         model = init_model([4, 8, 4], seed=0)
@@ -234,6 +241,69 @@ class TestChunkInvariance:
                     train(model, TrainConfig(steps=200, learning_rate=1e12))
             steps.append(info.value.step)
         assert steps[0] == steps[1]
+
+
+def _fortran_copy(model):
+    fortran = copy.deepcopy(model)
+    for layer in fortran.layers:
+        layer.weight = np.asfortranarray(layer.weight)
+    return fortran
+
+
+class TestMemoryLayout:
+    """Training holds the weights column-major; what it hands out is row-major.
+
+    Only values are compared across layouts: BLAS may pick another kernel
+    for the other transpose, and with it other last bits.
+    """
+
+    def test_snapshots_are_row_major_float32(self):
+        _, snaps = train(init_model([16, 32, 16], seed=0), TrainConfig(steps=20, snapshot_every=10))
+        assert [step for step, _ in snaps] == [0, 10, 20]
+        for _, snap in snaps:
+            for name in snap.names():
+                assert snap[name].dtype == np.float32, name
+                assert snap[name].flags.c_contiguous, name
+
+    def test_gradients_agree_across_memory_order(self):
+        model = init_model([16, 32, 16], seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((64, 16), dtype=np.float32)
+        t = rng.standard_normal((64, 16), dtype=np.float32)
+        loss_c, grads_c = gradients(model, x, t)
+        loss_f, grads_f = gradients(_fortran_copy(model), x, t)
+        np.testing.assert_allclose(loss_f, loss_c, rtol=1e-6)
+        assert grads_f.keys() == grads_c.keys()
+        for name, pair in grads_c.items():
+            for got, want in zip(grads_f[name], pair):
+                # an entry summed from cancelling float32 terms keeps the
+                # absolute error of its largest terms, not a relative one
+                np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+    def test_gradient_check_passes_on_column_major_weights(self):
+        model = _fortran_copy(init_model([6, 10, 4], seed=7))
+        x = np.random.default_rng(11).standard_normal((24, 6), dtype=np.float32)
+        t = np.random.default_rng(12).standard_normal((24, 4), dtype=np.float32)
+        report = finite_diff_check(model, x, t)
+        assert report.passed, report
+
+    def test_train_toy_outputs_independent_of_blas_threads(self, tmp_path):
+        files = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads_{threads or 'default'}"
+            res = subprocess.run(
+                [sys.executable, "-m", "deltaquant.cli", "train-toy", "--dims", "64,256,64",
+                 "--steps", "200", "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert "calib.dqt" in files[0] and "ckpt_step000200.dqt" in files[0]
+        assert files[0] == files[1]
 
 
 class TestCheckpointMaps:
