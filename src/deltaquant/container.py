@@ -8,7 +8,9 @@ each a multiple of 64) plus string-to-string metadata; other record keys
 are ignored. Tensor records are serialized in lexicographic name order and
 padding bytes are zero, so identical maps always produce identical files.
 
-Only rank-0/1/2 tensors are supported, stored row-major little-endian.
+Rank-0, rank-1 and rank-2 tensors are supported and reload with their exact
+shape (a rank-0 record's shape is ``[]``). Each is stored row-major
+little-endian, written straight from its array with no staging copy.
 float32 carries model weights and statistics; uint8 carries packed code
 buffers, whose readers derive the number of values from other tensors' shapes.
 
@@ -141,14 +143,22 @@ def _align_up(n: int) -> int:
     return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _validate_for_save(tmap: TensorMap) -> None:
-    if not isinstance(tmap.meta, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in tmap.meta.items()
+def _check_meta(meta) -> None:
+    if not isinstance(meta, dict) or any(
+        not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
     ):
         raise ContainerError("meta must map strings to strings")
+
+
+def _check_name(name) -> None:
+    if not isinstance(name, str) or not name or not name.isascii():
+        raise ContainerError(f"invalid tensor name {name!r}: must be non-empty ASCII")
+
+
+def _validate_for_save(tmap: TensorMap) -> None:
+    _check_meta(tmap.meta)
     for name, arr in tmap.entries.items():
-        if not isinstance(name, str) or not name or not name.isascii():
-            raise ContainerError(f"invalid tensor name {name!r}: must be non-empty ASCII")
+        _check_name(name)
         if not isinstance(arr, np.ndarray):
             raise ContainerError(f"tensor {name!r} is not a numpy array")
         if arr.ndim > 2:
@@ -160,44 +170,33 @@ def _validate_for_save(tmap: TensorMap) -> None:
 def save_container(tmap: TensorMap, path: str | Path) -> None:
     """Write ``tmap`` to ``path`` in the container format.
 
-    Deterministic: the same map always yields byte-identical files.
+    Deterministic: the same map always yields byte-identical files. Each
+    tensor is written from its own row-major array; no staging copy is made.
     """
     _validate_for_save(tmap)
-    names = sorted(tmap.entries)
+    arrays = {name: np.asarray(tmap.entries[name], order="C") for name in sorted(tmap.entries)}
     records: dict[str, dict] = {}
-    blobs: list[tuple[int, bytes]] = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(tmap.entries[name])
-        data = arr.tobytes()
+    for name, arr in arrays.items():
         records[name] = {
             "dtype": _DTYPE_TO_TAG[arr.dtype],
-            "shape": [int(d) for d in arr.shape],
+            "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(data),
+            "nbytes": arr.nbytes,
         }
-        blobs.append((offset, data))
-        offset = _align_up(offset + len(data))
-
+        offset = _align_up(offset + arr.nbytes)
     header = json.dumps(
         {"meta": tmap.meta, "tensors": records},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    data_start = _align_up(16 + len(header))
 
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        if blobs:
-            f.write(b"\x00" * (data_start - 16 - len(header)))
-            pos = 0
-            for off, data in blobs:
-                f.write(b"\x00" * (off - pos))
-                f.write(data)
-                pos = off + len(data)
+        f.write(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header)
+        for arr in arrays.values():
+            # the data region and every offset in it start on an ALIGNMENT boundary
+            f.write(b"\x00" * (-f.tell() % ALIGNMENT))
+            f.write(arr)
 
 
 def _reject_duplicate_keys(pairs):
@@ -238,10 +237,7 @@ def load_container(path: str | Path) -> TensorMap:
             raise ContainerError("header must contain 'meta' and 'tensors'")
         meta = header["meta"]
         tensors = header["tensors"]
-        if not isinstance(meta, dict) or any(
-            not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
-        ):
-            raise ContainerError("meta must map strings to strings")
+        _check_meta(meta)
         if not isinstance(tensors, dict):
             raise ContainerError("tensor table must be a JSON object")
 
@@ -249,8 +245,7 @@ def load_container(path: str | Path) -> TensorMap:
         tmap = TensorMap(meta=meta)
         for name in sorted(tensors):
             rec = tensors[name]
-            if not name or not name.isascii():
-                raise ContainerError(f"invalid tensor name {name!r}")
+            _check_name(name)
             if not isinstance(rec, dict):
                 raise ContainerError(f"tensor record for {name!r} must be an object")
             dtype_tag = rec.get("dtype")

@@ -82,16 +82,20 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """Element-wise |post - pre| of every '.weight' tensor.
 
     Raises ValueError naming the tensor when either checkpoint holds a
-    non-finite value there, so no NaN importance can be derived from it.
+    non-finite value there, or when the update of finite weights overflows
+    float32, so no NaN or inf importance can be derived from it.
     """
     check_compatible(pre, post)
     out = TensorMap()
     for module in pre.modules("weight"):
         name = f"{module}.weight"
-        delta = np.subtract(post[name], pre[name], dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are reported below
+            delta = np.subtract(post[name], pre[name], dtype=np.float32)
         np.abs(delta, out=delta)
         # max propagates NaN and inf without allocating a mask
         if not np.isfinite(delta.max(initial=0.0)):
+            if np.isfinite(pre[name]).all() and np.isfinite(post[name]).all():
+                raise ValueError(f"weight update in {name!r} overflows float32")
             raise ValueError(f"non-finite weight update in {name!r}")
         out[name] = delta
     return out

@@ -190,8 +190,9 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
-    """Rebuild a ToyModel from a checkpoint; a missing bias reads as zeros, a misshaped or
-    non-finite one raises ValueError naming it."""
+    """Rebuild a ToyModel from a checkpoint's tensors; a missing bias reads as zeros, a
+    misshaped or non-finite one raises ValueError naming it. The meta is not read, so the
+    rebuilt model's seed is 0."""
     modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
@@ -209,8 +210,7 @@ def model_from_map(tmap: TensorMap) -> ToyModel:
                 f"layer shapes do not chain: {prev.name} -> {nxt.name}"
             )
     dims = (layers[0].weight.shape[1],) + tuple(l.weight.shape[0] for l in layers)
-    seed = int(tmap.meta.get("seed", "0"))
-    return ToyModel(layers=layers, dims=dims, seed=seed)
+    return ToyModel(layers=layers, dims=dims, seed=0)
 
 
 def _teacher_for(model: ToyModel, data_seed: int) -> ToyModel:

@@ -565,6 +565,22 @@ class TestQuantizeAndEval:
                 assert "layer0" in res.stderr
                 assert not dst.exists()
 
+    def test_eval_ignores_checkpoint_meta(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, ev = full_pipeline(tmp_path, bits=3)
+        post = load_container(out / "ckpt_step000300.dqt")
+        post.meta["seed"] = "run-7"
+        run7 = tmp_path / "post_run7.dqt"
+        save_container(post, run7)
+        ev2 = tmp_path / "eval_run7.json"
+        res = run_cli(
+            "eval", "--post", run7, "--artifact", art, "--calib", out / "calib.dqt",
+            "--out", ev2,
+        )
+        assert res.returncode == 0, res.stderr
+        assert ev2.read_bytes() == ev.read_bytes()
+
     def test_eval_crosscheck_against_report(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=4)
         by_module = {

@@ -5,8 +5,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from deltaquant.container import (
     ALIGNMENT,
@@ -118,6 +119,36 @@ class TestRoundTrip:
         header = json.loads(raw[16 : 16 + hlen])
         for rec in header["tensors"].values():
             assert rec["offset"] % ALIGNMENT == 0
+
+
+# rank 0-2, every dimension 0-5, so zero-size tensors are drawn too
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+_ARRAYS = st.sampled_from([np.float32, np.uint8]).flatmap(lambda dt: hnp.arrays(dt, _SHAPES))
+_NAMES = st.text(st.characters(codec="ascii"), min_size=1, max_size=6)
+_MAPS = st.builds(
+    TensorMap,
+    st.dictionaries(_NAMES, _ARRAYS, max_size=4),
+    st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
+)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tmap=_MAPS, transpose=st.booleans())
+    @example(tmap=TensorMap({"s": np.array(1.5, np.float32)}, {"k": "v"}), transpose=False)
+    def test_save_load_save_is_exact(self, tmp_path, tmap, transpose):
+        if transpose:  # non-contiguous views are written in row-major order
+            tmap = TensorMap({n: a.T for n, a in tmap.entries.items()}, tmap.meta)
+        first, second = tmp_path / "first.dqt", tmp_path / "second.dqt"
+        save_container(tmap, first)
+        loaded = load_container(first)
+        assert loaded == tmap
+        assert {n: a.shape for n, a in loaded.entries.items()} == {
+            n: a.shape for n, a in tmap.entries.items()
+        }
+        save_container(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestLoadValidation:

@@ -106,20 +106,28 @@ class TestComputeDelta:
         assert deltas.names() == ["m.weight"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("side", ["pre", "post"])
+    @pytest.mark.parametrize("side", ["pre", "post", "both"])
     def test_non_finite_update_rejected(self, bad, side):
         rng = np.random.default_rng(1)
         clean = rng.standard_normal((3, 4)).astype(np.float32)
         poisoned = clean.copy()
         poisoned[1, 2] = bad
         maps = {"pre": clean, "post": clean + 0.5}
-        maps[side] = poisoned
+        for key in maps if side == "both" else [side]:
+            maps[key] = poisoned  # on both sides, inf - inf is NaN
         pre = _weight_map({"m": maps["pre"], "n": clean})
         post = _weight_map({"m": maps["post"], "n": clean})
-        with pytest.raises(ValueError, match="m.weight"):
+        with pytest.raises(ValueError, match="non-finite weight update in 'm.weight'"):
             compute_delta(pre, post)
         with pytest.raises(ValueError, match="non-finite"):
             importance_all(pre, post, MappingConfig())
+
+    def test_overflowing_update_of_finite_weights_rejected(self):
+        pre = _weight_map({"m": [[0.0, -3e38]], "n": [[1.0, 2.0]]})
+        post = _weight_map({"m": [[1.0, 3e38]], "n": [[1.0, 2.0]]})
+        for fn in (compute_delta, lambda a, b: importance_all(a, b, MappingConfig())):
+            with pytest.raises(ValueError, match="weight update in 'm.weight' overflows float32"):
+                fn(pre, post)
 
 
 def _sorted_stats_oracle(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaStats:
