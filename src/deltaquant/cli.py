@@ -217,11 +217,16 @@ def _load_calib(path: str) -> CalibrationSet:
 
 def cmd_train_toy(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
+    paths = {step: out_dir / f"ckpt_step{step:06d}.dqt" for step in ns.train.snapshot_steps}
+    # curve reads every snapshot in the directory, so one this run does not overwrite joins its run
+    stale = sorted(set(out_dir.glob("ckpt_step*.dqt")) - set(paths.values()))
+    if stale:
+        raise UsageError(f"{stale[0]} is not a snapshot of this run: remove it or use another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(ns.dims, seed=ns.seed)
     final, snapshots = train(model, ns.train)
     for step, snap in snapshots:
-        path = out_dir / f"ckpt_step{step:06d}.dqt"
+        path = paths[step]
         save_container(snap, path)
         print(f"wrote {path}")
     batch = np.random.default_rng((ns.train.data_seed, 101)).standard_normal(

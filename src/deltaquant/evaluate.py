@@ -21,9 +21,8 @@ from .quant import (
     QuantConfig,
     QuantizedTensor,
     dequantize,
-    protected_count,
-    protection_order,
     rtn_quantize,
+    select_protected,
 )
 from .search import SearchConfig, module_losses, search_scale
 from .signals import (
@@ -142,17 +141,6 @@ def _column_sq_err(recon: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return err.sum(axis=0)
 
 
-def _copy_columns(dst: np.ndarray, src: np.ndarray, cols: np.ndarray) -> None:
-    """``dst[:, cols] = src[:, cols]`` for a C-contiguous ``dst``.
-
-    Indexing the flattened arrays with sorted flat indices is several times
-    faster than a two-axis column gather and scatter.
-    """
-    rows, width = dst.shape
-    flat = (np.arange(rows)[:, None] * width + np.sort(cols)).ravel()
-    dst.reshape(-1)[flat] = src.reshape(-1)[flat]
-
-
 def ablate_signals(
     pre: TensorMap,
     post: TensorMap,
@@ -169,22 +157,20 @@ def ablate_signals(
     protected fraction; output-level divergence is reported end to end, on
     ``layer_report``'s held-out batch, where channel errors may interfere.
     Each fraction, not ``qcfg.protect_fraction``, sets its row's protection.
-    Rows are emitted in input order, signals outer, fractions inner.
+    Rows are emitted in input order, signals outer, fractions inner, and
+    each row is built on its own, so it does not depend on the other rows.
 
-    Cost of a sweep: one delta pass and one global-stats pass per distinct
-    ``zero_epsilon``. Per module: one float64 cast of each column block of
-    the updates, shared by every signal; one quantize, one dequantize and
-    the float64 per-column sums of the squared error; per signal, one sort
-    (``protection_order``). Each fraction's mask is a prefix of that order,
-    so the fractions are walked in ascending order over one float32
-    reconstruction buffer per module. Per row and module: one sum of the
-    column error sums with the protected columns zeroed, and a copy of the
-    newly protected float columns into the buffer, which is exactly what
-    decoding the protected tensor gives (the channel scale is all ones and
-    the mask never changes the codes). Plus one held-out forward pass per
-    row. The error sum runs over the columns in channel order, so it
-    depends only on the protected set and cannot rise when a column joins
-    it.
+    Cost of a sweep: one delta pass, one global-stats pass per distinct
+    ``zero_epsilon`` and one importance pass per module for every signal at
+    once. Per module: one quantize, one dequantize and the float64
+    per-column sums of the squared error. Per row and module: one
+    ``select_protected`` mask, a masked select of the float columns into
+    the plain reconstruction (which is exactly what decoding the protected
+    tensor gives: the channel scale is all ones and the mask never changes
+    the codes) and one sum of the column error sums with the protected
+    columns zeroed; plus one held-out forward pass per row. The masks of
+    ascending fractions nest and the sum runs over the columns in channel
+    order, so ``mse`` cannot rise with the fraction.
     """
     if not signals:
         raise ValueError("need at least one signal")
@@ -193,16 +179,9 @@ def ablate_signals(
         raise ValueError(f"fractions must lie in [0, 1], got {bad[0]!r}")
     modules = post.modules("weight")
     deltas = compute_delta(pre, post)
-    stats_by_epsilon = {}
-    for cfg_sig in signals:
-        eps = cfg_sig.zero_epsilon
-        if eps not in stats_by_epsilon:
-            stats_by_epsilon[eps] = global_delta_stats(deltas, eps)
-    requests = [(cfg_sig, stats_by_epsilon[cfg_sig.zero_epsilon]) for cfg_sig in signals]
-    orders = {
-        m: [protection_order(s) for s in importances(m, deltas[f"{m}.weight"], requests, calib)]
-        for m in modules
-    }
+    stats = {eps: global_delta_stats(deltas, eps) for eps in {c.zero_epsilon for c in signals}}
+    requests = [(c, stats[c.zero_epsilon]) for c in signals]
+    scores = {m: importances(m, deltas[f"{m}.weight"], requests, calib) for m in modules}
     # dropped before the reconstructions so that the two peaks do not add up
     del deltas
     weights, plain, col_err = {}, {}, {}
@@ -211,32 +190,22 @@ def ablate_signals(
         recon = dequantize(rtn_quantize(weight, qcfg))
         weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
     reference = _heldout_reference(post)
-    ascending = sorted(range(len(fractions)), key=lambda i: fractions[i])
-    rows: list = [None] * (len(signals) * len(fractions))
-    recon_full = {m: np.empty_like(plain[m]) for m in modules}
+    rows = []
     for s, cfg_sig in enumerate(signals):
-        for module in modules:
-            np.copyto(recon_full[module], plain[module])
-        err_left = {m: col_err[m].copy() for m in modules}
-        protected = dict.fromkeys(modules, 0)
-        for i in ascending:
-            per_module: dict[str, float] = {}
+        for fraction in fractions:
+            recon, per_module = {}, {}
             for module in modules:
                 weight = weights[module]
-                n = protected_count(fractions[i], weight.shape[1])
-                new = orders[module][s][protected[module]:n]
-                _copy_columns(recon_full[module], weight, new)
-                err_left[module][new] = 0.0
-                protected[module] = n
-                per_module[module] = float(err_left[module].sum() / weight.size)
-            e2e_mse, _ = _end_to_end(reference, recon_full)
-            rows[s * len(fractions) + i] = AblationRow(
+                mask = select_protected(scores[module][s], fraction)
+                recon[module] = np.where(mask, weight, plain[module])
+                per_module[module] = float(np.where(mask, 0.0, col_err[module]).sum() / weight.size)
+            rows.append(AblationRow(
                 signal=cfg_sig.signal,
-                fraction=float(fractions[i]),
+                fraction=float(fraction),
                 per_module=per_module,
                 mean_mse=float(np.mean([per_module[m] for m in modules])),
-                end_to_end_mse=e2e_mse,
-            )
+                end_to_end_mse=_end_to_end(reference, recon)[0],
+            ))
     return rows
 
 

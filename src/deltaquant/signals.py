@@ -81,13 +81,17 @@ class DeltaStats:
 def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """Element-wise |post - pre| of every '.weight' tensor.
 
-    Raises ValueError naming the tensor when either checkpoint holds a
-    non-finite value there, or when the update of finite weights overflows
-    float32, so no NaN or inf importance can be derived from it.
+    Raises ValueError when the checkpoints hold no '.weight' tensor, and
+    naming the tensor when either checkpoint holds a non-finite value there,
+    or when the update of finite weights overflows float32, so no NaN or inf
+    importance can be derived from it.
     """
     check_compatible(pre, post)
+    modules = pre.modules("weight")
+    if not modules:
+        raise ValueError("checkpoint contains no '.weight' tensors")
     out = TensorMap()
-    for module in pre.modules("weight"):
+    for module in modules:
         name = f"{module}.weight"
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are reported below
             delta = np.subtract(post[name], pre[name], dtype=np.float32)

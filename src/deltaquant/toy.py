@@ -65,6 +65,11 @@ class TrainConfig:
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
+    @property
+    def snapshot_steps(self) -> set[int]:
+        """The steps ``train`` snapshots: 0, every ``snapshot_every``-th and the last."""
+        return {0, self.steps, *range(self.snapshot_every, self.steps, self.snapshot_every)}
+
 
 @dataclass
 class CalibrationSet:
@@ -241,6 +246,7 @@ def train(
     lr = np.float32(cfg.learning_rate)
     extra = {"data_seed": str(cfg.data_seed)}
 
+    snapshot_steps = cfg.snapshot_steps
     snapshots: list[tuple[int, TensorMap]] = [(0, checkpoint_map(model, 0, extra))]
     for step in range(1, cfg.steps + 1):
         row = (step - 1) % _CHUNK_STEPS * cfg.batch_size
@@ -256,6 +262,6 @@ def train(
             dw, db = grads[layer.name]
             layer.weight -= lr * dw
             layer.bias -= lr * db
-        if step % cfg.snapshot_every == 0 or step == cfg.steps:
+        if step in snapshot_steps:
             snapshots.append((step, checkpoint_map(model, step, extra)))
     return model, snapshots

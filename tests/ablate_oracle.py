@@ -4,10 +4,14 @@ Every (signal, fraction) row is built the direct way: importance is
 recomputed per signal through ``importance_all``, each module's protected
 tensor is decoded with ``dequantize``, its error against the float weight
 is taken in float64, and the held-out batch runs through ``forward``.
-``ablate_signals`` shares this work across rows and sums per-column errors
-instead of taking one mean over each error map; the ablation tests compare
-its CSV with this one byte for byte on every field except ``mse``, which
-they hold to a relative bound of 1e-12 (an exact 0 stays 0).
+``ablate_signals`` builds each row on its own as well, but shares the
+per-checkpoint work: one importance pass for every signal, and one
+quantize, dequantize and per-column error sum per module, from which a
+row takes the protected float columns and zeroes their error sums under
+the same ``select_protected`` mask. Summing column errors is not taking
+one mean over each error map, so the ablation tests compare its CSV with
+this one byte for byte on every field except ``mse``, which they hold to
+a relative bound of 1e-12 (an exact 0 stays 0).
 """
 
 from dataclasses import replace

@@ -55,10 +55,21 @@ class TestTrainToy:
         assert res.returncode == 2
 
     def test_rerun_byte_identical(self, tmp_path):
-        a = train_run(tmp_path, "a", steps=150)
-        b = train_run(tmp_path, "b", steps=150)
-        for pa in sorted(a.iterdir()):
-            assert pa.read_bytes() == (b / pa.name).read_bytes()
+        # into the same directory, whose snapshots the rerun overwrites
+        out = train_run(tmp_path, steps=150)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        train_run(tmp_path, steps=150)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_snapshot_the_run_does_not_write_is_usage_error(self, tmp_path):
+        # curve would read the longer earlier run's steps 200 and 300 with this run's
+        out = train_run(tmp_path, steps=300)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("train-toy", "--dims", "8,16,8", "--steps", "100", "--seed", "2",
+                      "--snapshot-every", "100", "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert "ckpt_step000200.dqt is not a snapshot of this run" in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_bad_steps_is_usage_error(self, tmp_path):
         res = run_cli("train-toy", "--steps", "0", "--out", tmp_path / "x")
@@ -221,6 +232,20 @@ class TestImportance:
             "--post", tmp_path / "nope2.dqt", "--out", tmp_path / "imp.dqt",
         )
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("command", ["importance", "ablate"])
+    def test_checkpoint_without_weights_is_runtime_error(self, tmp_path, command, capsys):
+        from deltaquant.container import TensorMap, save_container
+
+        ckpt, calib = tmp_path / "bias_only.dqt", tmp_path / "calib.dqt"
+        save_container(TensorMap({"layer0.bias": np.zeros(4, np.float32)}), ckpt)
+        save_container(CalibrationSet({"layer0": np.ones((2, 4), np.float32)}).to_tensor_map(),
+                       calib)
+        out = tmp_path / "out"
+        args = [command, "--pre", ckpt, "--post", ckpt, "--calib", calib, "--out", out]
+        assert cli.main([str(a) for a in args]) == 1
+        assert capsys.readouterr().err == "error: checkpoint contains no '.weight' tensors\n"
+        assert not out.exists()
 
 
 def full_pipeline(tmp_path, bits=3, extra_quant=()):
@@ -397,6 +422,43 @@ class TestQuantizeAndEval:
         )
         assert res.returncode == 1, res.stderr
         assert "'layer0'" in res.stderr and message in res.stderr
+        assert not ev.exists()
+
+    def test_calibration_without_rows_names_the_module(self, audit_run, capsys):
+        from deltaquant.container import save_container
+
+        base, run, imp = audit_run
+        calib = load_container(run / "calib.dqt")
+        calib["layer1.calib_inputs"] = calib["layer1.calib_inputs"][:0]
+        no_rows = base / "calib_no_rows.dqt"
+        save_container(calib, no_rows)
+        art = base / "art_no_rows.dqt"
+        assert cli.main(["quantize", "--post", str(run / "ckpt_step000300.dqt"),
+                         "--importance", str(imp), "--calib", str(no_rows),
+                         "--out", str(art)]) == 1
+        assert "need at least one calibration row for module 'layer1'" in capsys.readouterr().err
+        assert not art.exists()
+
+    def test_layers_that_do_not_chain_name_the_modules(self, tmp_path, capsys):
+        # each module is consistent on its own, but layer1 reads 12 inputs, not layer0's 16
+        from deltaquant.container import TensorMap, save_container
+        from deltaquant.quant import artifact_to_map, rtn_quantize
+
+        rng = np.random.default_rng(0)
+        post = TensorMap({"layer0.weight": rng.standard_normal((16, 8), dtype=np.float32),
+                          "layer1.weight": rng.standard_normal((8, 12), dtype=np.float32)})
+        cfg = QuantConfig(bits=3, group_size=4)
+        artifact = {m: rtn_quantize(post[f"{m}.weight"], cfg) for m in ("layer0", "layer1")}
+        calib = CalibrationSet({"layer0": rng.standard_normal((4, 8), dtype=np.float32),
+                                "layer1": rng.standard_normal((4, 12), dtype=np.float32)})
+        paths = {name: tmp_path / f"{name}.dqt" for name in ("post", "art", "calib")}
+        save_container(post, paths["post"])
+        save_container(artifact_to_map(artifact), paths["art"])
+        save_container(calib.to_tensor_map(), paths["calib"])
+        ev = tmp_path / "eval.json"
+        assert cli.main(["eval", "--post", str(paths["post"]), "--artifact", str(paths["art"]),
+                         "--calib", str(paths["calib"]), "--out", str(ev)]) == 1
+        assert "layer shapes do not chain: layer0 -> layer1" in capsys.readouterr().err
         assert not ev.exists()
 
     def test_weight_that_decodes_beyond_float32_names_the_module(self, tmp_path):
@@ -684,6 +746,23 @@ class TestCurve:
         assert "ckpt_stepbak.dqt" in res.stderr
         assert not csv.exists()
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [(["ckpt_step000000.dqt", "calib.dqt"], "fewer than two ckpt_step*.dqt files"),
+         (["ckpt_step000000.dqt", "ckpt_step000100.dqt"], "is missing calib.dqt")],
+        ids=["one-snapshot", "no-calib"],
+    )
+    def test_incomplete_run_is_usage_error(self, tmp_path, names, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in names:
+            (run / name).write_bytes(b"not a container")  # the run is checked before any read
+        out = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", run, "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr
+        assert not out.exists()
+
     def test_two_snapshots_of_one_step_is_usage_error(self, tmp_path):
         out = train_run(tmp_path, steps=100)
         assert (out / "ckpt_step000000.dqt").exists()
@@ -721,6 +800,21 @@ class TestConfigAndHelp:
             res = run_cli("train-toy", "--config", cfg, "--out", tmp_path / "x")
             assert res.returncode == 2
             assert key in res.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("train.steps 120\n", ":1: expected 'key = value'")],
+        ids=["missing-file", "line-without-equals"],
+    )
+    def test_unusable_config_file_is_usage_error(self, tmp_path, text, message):
+        cfg = tmp_path / "dq.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x"
+        res = run_cli("train-toy", "--config", cfg, "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["train-toy", "importance", "quantize", "eval", "ablate", "curve"]
@@ -799,6 +893,9 @@ class TestValuesCheckedBeforeInputs:
             ("quantize", ["--bits", "5"], "search.grid_points = 1", "--grid-points"),
             ("ablate", ["--group-size", "0"], "map.zero_epsilon = nan", "--zero-epsilon"),
             ("curve", ["--alpha-hi", "-1"], "quant.group_size = x", "--group-size"),
+            ("quantize", ["--max-calib-rows", "0"], "search.max_calib_rows = 0",
+             "--max-calib-rows"),
+            ("train-toy", ["--lr", "0"], "train.snapshot_every = 0", "--snapshot-every"),
         ],
     )
     def test_rejected_config_value_is_usage_error(

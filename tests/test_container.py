@@ -240,9 +240,11 @@ class TestLoadValidation:
             ({"a": {"dtype": "f32", "shape": [32], "offset": 0, "nbytes": 128},
               "b": {"dtype": "f32", "shape": [4], "offset": 64, "nbytes": 16}},
              "data overlaps"),
+            ([], "tensor table must be a JSON object"),
+            ({"w": 16}, "tensor record for 'w' must be an object"),
         ],
         ids=["int64-overflow", "huge-empty-dim", "bool-dim", "bool-offset",
-             "same-offset", "inside-region"],
+             "same-offset", "inside-region", "list-table", "number-record"],
     )
     def test_crafted_header_rejected(self, tmp_path, tensors, message):
         path = tmp_path / "crafted.dqt"
@@ -311,6 +313,35 @@ class TestSaveValidation:
         with pytest.raises(ContainerError, match="dtype"):
             save_container(tmap, tmp_path / "f64.dqt")
 
+    @pytest.mark.parametrize(
+        "tmap, message",
+        [(TensorMap(meta={"seed": 7}), "meta must map strings to strings"),
+         (TensorMap({"w": [1.0, 2.0]}), "tensor 'w' is not a numpy array")],
+        ids=["int-meta", "list-tensor"],
+    )
+    def test_invalid_map_writes_nothing(self, tmp_path, tmap, message):
+        path = tmp_path / "bad.dqt"
+        with pytest.raises(ContainerError, match=message):
+            save_container(tmap, path)
+        assert not path.exists()
+
+
+class TestEquality:
+    @pytest.mark.parametrize(
+        "change",
+        [lambda m: m.meta.update(seed="43"),
+         lambda m: m.entries.update(c=np.zeros(0, np.float32)),
+         lambda m: m.entries.update(b=m["b"].view(np.int32)),
+         lambda m: m.entries.update(a=m["a"].reshape(2, 8)),
+         lambda m: m["b"].__setitem__(3, 0.5)],
+        ids=["meta", "names", "dtype", "shape", "bytes"],
+    )
+    def test_maps_that_differ_are_unequal(self, change):
+        changed = _map_ab()
+        change(changed)
+        assert changed != _map_ab() and _map_ab() != changed
+        assert _map_ab() == _map_ab()
+
 
 class TestCompatibility:
     def test_identical_maps_pass(self):
@@ -321,6 +352,8 @@ class TestCompatibility:
         b = TensorMap()
         with pytest.raises(CompatibilityError, match="layer0.w"):
             check_compatible(a, b)
+        with pytest.raises(CompatibilityError, match="missing tensor 'layer0.w' in first map"):
+            check_compatible(b, a)
 
     def test_shape_mismatch(self):
         a = TensorMap({"w": np.zeros((4, 4), np.float32)})

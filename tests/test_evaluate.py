@@ -309,6 +309,10 @@ class TestSweepProperties:
         assert [(r.signal, r.fraction) for r in rows] == [
             (cfg.signal, f) for cfg in cfgs for f in fractions
         ]
+        # every row is built on its own: a one-row sweep gives its bits, mse included
+        pairs = [(cfg, f) for cfg in cfgs for f in fractions]
+        for row, (cfg, f) in zip(rows, pairs):
+            assert row == ablate_signals(pre, post, calib, [cfg], [f], qcfg)[0]
         for s in range(len(cfgs)):
             by_fraction = sorted(rows[s * len(fractions):(s + 1) * len(fractions)],
                                  key=lambda r: r.fraction)

@@ -719,6 +719,22 @@ class TestArtifactContainer:
             artifact_from_map(tmap)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: rtn_quantize(np.zeros(4, np.float32), QuantConfig()),
+      r"weight must be a \[out, in\] matrix"),
+     (lambda: rtn_quantize(np.zeros((2, 4), np.float32), QuantConfig(group_size=4),
+                           protected=np.zeros(3, bool)),
+      "protected mask length must match in_features"),
+     (lambda: unpack_codes(np.zeros(0, np.uint8), -1, 3), "count must be >= 0"),
+     (lambda: artifact_to_map({}), "empty artifact")],
+    ids=["rtn-1d-weight", "rtn-mask-length", "unpack-negative-count", "empty-artifact"],
+)
+def test_malformed_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestQuantConfig:
     def test_bits_range(self):
         for bits in (0, 2, 5, 8, 9):

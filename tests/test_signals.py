@@ -144,6 +144,21 @@ def _sorted_stats_oracle(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaS
     )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: compute_delta(TensorMap(), TensorMap()), "checkpoint contains no '.weight' tensors"),
+     (lambda: global_delta_stats(TensorMap()), "deltas map is empty"),
+     (lambda: importances("m", np.ones(4), [(CFG, _FLAT)]),
+      r"weight_delta must be a \[out, in\] matrix"),
+     (lambda: importances_to_map({}, CFG), "no importance vectors to save")],
+    ids=["delta-of-no-weights", "stats-of-no-deltas", "importances-1d-delta",
+         "no-scores-to-save"],
+)
+def test_malformed_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestGlobalStats:
     def test_sort_and_index_oracle(self):
         deltas = _weight_map({"m": np.array([[0.0, 1.0], [2.0, 3.0]])})

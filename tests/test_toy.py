@@ -183,8 +183,9 @@ class TestTrain:
 
     def test_snapshots_cover_start_and_end(self):
         model = init_model([4, 6, 4], seed=1)
-        _, snaps = train(model, TrainConfig(steps=250, snapshot_every=100))
-        assert [s for s, _ in snaps] == [0, 100, 200, 250]
+        cfg = TrainConfig(steps=250, snapshot_every=100)
+        _, snaps = train(model, cfg)
+        assert [s for s, _ in snaps] == sorted(cfg.snapshot_steps) == [0, 100, 200, 250]
 
     def test_deterministic_snapshots(self):
         cfg = TrainConfig(steps=50, data_seed=3)
