@@ -293,6 +293,14 @@ def load_container(path: str | Path) -> TensorMap:
     return tmap
 
 
+def check_weight_shape(weight: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``weight`` is a matrix with rows and columns."""
+    if np.ndim(weight) != 2 or not np.size(weight):
+        raise ValueError(
+            f"{name} has shape {list(np.shape(weight))}; it needs at least one row and one column"
+        )
+
+
 def check_compatible(a: TensorMap, b: TensorMap) -> None:
     """Verify that two maps are checkpoint-compatible.
 

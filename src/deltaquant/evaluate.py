@@ -93,27 +93,34 @@ def layer_report(
     for loss in module_losses(post_ckpt, artifact, calib, None, "artifact"):
         module = loss.module
         q = artifact[module]
-        if q.shape != loss.weight.shape:
+        if q.shape != loss.shape:
             raise ValueError(
                 f"artifact module {module!r} is {list(q.shape)}, its checkpoint weight "
-                f"{list(loss.weight.shape)}"
+                f"{list(loss.shape)}"
             )
-        qcfg = QuantConfig(bits=q.bits, group_size=q.group_size)
+        # plain RTN first: its candidate error is freed before the artifact's is made
+        rtn_mse = loss.quantized(QuantConfig(bits=q.bits, group_size=q.group_size))
         # the artifact's codes do not depend on its mask: stripping the
         # protection decodes the scaled search candidate it was built from
         unprotected = replace(
             q, protected=np.zeros_like(q.protected), protected_values=q.protected_values[:, :0]
         )
         recon = dequantize(unprotected)
-        searched_mse = loss(recon)
-        # the overwrite that ends dequantize(q): one decode serves both errors
+        err_t = loss.error(recon)
+        searched_mse = loss.error_loss(err_t)
+        # the overwrite that ends dequantize(q), in both layouts: one decode
+        # and one transpose serve both errors, which differ only there
         recon[:, q.protected] = q.protected_values
+        err_t[q.protected] = np.subtract(
+            q.protected_values.T, loss.weight_t[q.protected], dtype=np.float64
+        )
         recon_full[module] = recon
         per_module[module] = {
-            "rtn_mse": loss.quantized(qcfg),
+            "rtn_mse": rtn_mse,
             "searched_mse": searched_mse,
-            "protected_mse": loss(recon),
+            "protected_mse": loss.error_loss(err_t),
         }
+        del err_t  # freed before the next module's loss is built
     reference = _heldout_reference(post_ckpt)
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))

@@ -3,10 +3,17 @@
 Weights are quantized per output row in groups of consecutive input
 channels. Each group stores an unsigned code per weight plus one scale and
 one zero-point; the quantization range is the group's min/max extended to
-include zero so the zero-point always fits the unsigned code range. Both
-directions work on slabs: the full groups as one ``[rows, groups,
-group_size]`` view, a ragged last group as a second ``[rows, 1, tail]``
-view, each in row chunks of ``_CHUNK_ELEMENTS`` weights.
+include zero so the zero-point always fits the unsigned code range.
+
+One tile kernel codes every group, on ``[groups, group_size, columns]``
+tiles of the in-major (``[in, out]``) weight: the full groups first, then a
+ragged last group, each tile at most ``_CHUNK_ELEMENTS`` weights. A group's
+min and max then reduce over contiguous planes, and its scale and zero
+point broadcast along the contiguous column axis. ``rtn_quantize`` runs the
+kernel on tiles of ``weight.T`` and stores codes and tables in row-major
+order; ``candidate_errors`` runs it on a search candidate and decodes each
+tile straight into the float64 in-major error, with no codes kept.
+``dequantize`` decodes the same tiles in row-major order.
 
 Two representation details keep quantize(dequantize(q)) an exact identity:
 scales are rounded up onto a 19-bit-mantissa grid (so every code-times-
@@ -37,8 +44,11 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _MAX_RESCALE_ITERS = 64
 # widths the artifact stores: 1 (protection mask), 3 and 4 (codes, zero points)
 _PACK_WIDTHS = (1, 3, 4)
-# weights per row chunk of a slab (a 512 KiB float64 code temporary)
-_CHUNK_ELEMENTS = 1 << 16
+# weights per tile (a 1 MiB float64 code temporary; twice that for a tile of
+# one full-width group, see _tiles)
+_CHUNK_ELEMENTS = 1 << 17
+# side of the square blocks a transposing copy moves at a time
+_TRANSPOSE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -92,31 +102,77 @@ def _round_scale(x: np.ndarray, rounding) -> np.ndarray:
     m, e = np.frexp(np.asarray(x, dtype=np.float64))
     step = 2.0 ** _SCALE_MANTISSA_BITS
     scale = np.ldexp(rounding(m * step) / step, e)
-    # in place: one more table per slab left the heap 1.4 MiB higher over repeated passes
+    # in place: one more table per tile left the heap 1.4 MiB higher over repeated passes
     return np.maximum(scale, _MIN_SCALE, out=scale)
 
 
-def _quantize_groups(
+def transposed(a: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of ``a.T``, copied by 128 x 128 blocks.
+
+    A block of each side stays in cache, where numpy's copy of a whole
+    transposed matrix walks one side a row apart: 1.1 ms against 1.5-4.0 ms
+    per million float32 weights at 512 x 2048 and 2048 x 512, measured on
+    a 2-core host.
+    """
+    rows, cols = a.shape
+    out = np.empty((cols, rows), a.dtype)
+    b = _TRANSPOSE_BLOCK
+    for r in range(0, rows, b):
+        for c in range(0, cols, b):
+            out[c : c + b, r : r + b] = a[r : r + b, c : c + b].T
+    return out
+
+
+def _tiles(shape: tuple[int, int], group_size: int, stack: int = 1):
+    """Yield (outs, ins, groups, width) tiles covering a [out, in] weight.
+
+    ``ins`` is a range of whole groups of input channels of ``width`` each:
+    the full groups first, then the ragged last group. The budget is
+    ``_CHUNK_ELEMENTS // stack`` weights, ``stack`` candidates of one weight
+    sharing it. A tile spans every output channel while one group of them
+    holds at most twice the budget, so that the in-major rows it reads and
+    writes stay whole (a 2048-wide weight measured about 1.2x faster per
+    candidate than in 1024-wide tiles), else as many as fit the budget (at
+    least one); then as many groups as fit.
+    """
+    out_features, in_features = shape
+    budget = max(1, _CHUNK_ELEMENTS // stack)
+    full = in_features - in_features % group_size
+    for c0, c1, width in ((0, full, group_size), (full, in_features, in_features - full)):
+        if c1 > c0:
+            whole = width * out_features <= 2 * budget
+            cols = out_features if whole else max(1, budget // width)
+            step = width * max(1, budget // (width * cols))
+            for i0 in range(c0, c1, step):
+                ins = slice(i0, min(i0 + step, c1))
+                groups = slice(i0 // group_size, -(-ins.stop // group_size))
+                for o0 in range(0, out_features, cols):
+                    yield slice(o0, o0 + cols), ins, groups, width
+
+
+def _code_groups(
     values: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a [rows, groups, width] slab, one group per (row, group) pair.
+    """Quantize a [groups, width, columns] tile, one group per (group, column) pair.
 
-    Returns (codes u8 [rows, groups, width], scales f32 [rows, groups],
-    zero_points u8 [rows, groups]). The scale is chosen so that
-    re-quantizing the reconstruction reproduces codes, scales, and
-    zero-points bit-exactly: the achieved code span must regenerate the
-    stored scale, and when a double rounding leaves the span one short the
-    scale is stepped down one grid ulp and the group re-coded.
+    Returns (steps f64 [groups, width, columns], scales f32 [groups,
+    columns], zero_points f64 [groups, columns]): a weight's code is its
+    step plus its group's zero point, and it decodes as step times scale.
+    The scale is chosen so that re-quantizing the reconstruction reproduces
+    codes, scales, and zero-points bit-exactly: the achieved code span must
+    regenerate the stored scale, and when a double rounding leaves the span
+    one short the scale is stepped down one grid ulp and the group re-coded.
 
     Coding ``clip(rint(v / s) + z, 0, k)`` is monotone in ``v``, so a
     group's largest and smallest codes are the codes of its max and min.
-    The rescale loop therefore runs once per slab on [rows, groups] tables
-    (a stable group keeps its scale while others step), and the codes are
-    computed once, after it, from the final scales.
+    The rescale loop therefore runs once per tile on [groups, columns]
+    tables (a stable group keeps its scale while others step), and the
+    steps are computed once, after it, from the final scales, as
+    ``clip(rint(v / s), -z, k - z)``: the same integers minus ``z``.
 
     A non-finite value raises ValueError. Min and max propagate NaN and
-    +-inf, so the [rows, groups] tables are finite exactly when every value
-    of the slab is, and only the tables are checked.
+    +-inf, so the tables are finite exactly when every value of the tile
+    is, and only the tables are checked.
 
     Scales are at least ``_MIN_SCALE`` (2^-126), the smallest normal
     float32, so a code times a scale stays exact; a group at that floor
@@ -126,12 +182,10 @@ def _quantize_groups(
     group decodes.
     """
     k = (1 << bits) - 1
-    # min and max of a width-major copy: numpy reduces a leading axis over
-    # whole [rows, groups] planes, a short last axis one group at a time
-    planes = np.moveaxis(values, -1, 0).copy()
-    lo = np.minimum.reduce(planes).astype(np.float64)
-    hi = np.maximum.reduce(planes).astype(np.float64)
-    del planes  # freed before the float64 code slab is allocated
+    # the width axis is the middle one: each min and max combines whole
+    # contiguous [columns] rows, not a short run per group
+    lo = np.minimum.reduce(values, axis=1).astype(np.float64)
+    hi = np.maximum.reduce(values, axis=1).astype(np.float64)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("weight times channel_scale contains non-finite values")
     const = hi == lo
@@ -143,8 +197,10 @@ def _quantize_groups(
     for _ in range(_MAX_RESCALE_ITERS):
         s64 = scales.astype(np.float64)
         zeros = np.clip(np.rint(-lo_ext / s64), 0, k)
-        cmax = np.clip(np.rint(hi / s64) + zeros, 0, k)
-        cmin = np.clip(np.rint(lo / s64) + zeros, 0, k)
+        top = np.rint(hi / s64) + zeros
+        bottom = np.rint(lo / s64) + zeros
+        cmax = np.clip(top, 0, k)
+        cmin = np.clip(bottom, 0, k)
         span = np.maximum(cmax - zeros, 0) + np.maximum(zeros - cmin, 0)
         unstable = ~const & (cmax != cmin) & (span != k) & (s64 > _MIN_SCALE)
         if not unstable.any():
@@ -152,20 +208,24 @@ def _quantize_groups(
         bumped = _round_scale(s64 * (1.0 - 2.0**-20), np.floor)
         scales = np.where(unstable, bumped, s64).astype(np.float32)
     # no code is more than k from its zero point: the exact test runs only
-    # on slabs whose largest scale times k overflows
+    # on tiles whose largest scale times k overflows
     if k * s64.max() > _FLOAT32_MAX:
         if (np.maximum(cmax - zeros, zeros - cmin) * s64 > _FLOAT32_MAX).any():
             raise ValueError("a group of the weight decodes beyond the float32 range")
 
-    # codes of the last scales tried, in place in one float64 slab
-    codes = values.astype(np.float64)
-    codes /= s64[..., None]
-    np.rint(codes, out=codes)
-    codes += zeros[..., None]
-    np.clip(codes, 0, k, out=codes)
+    # steps of the last scales tried, in place in one float64 tile.
+    # rint(v / s) is monotone in v, so a bound is applied only when the max
+    # or min of a group that does not collapse crosses it (collapsed groups
+    # are overwritten below)
+    collapsed = const | (cmax == cmin)
+    steps = values / s64[:, None]
+    np.rint(steps, out=steps)
+    if (bottom[~collapsed] < 0).any():
+        np.maximum(steps, -zeros[:, None], out=steps)
+    if (top[~collapsed] > k).any():
+        np.minimum(steps, (k - zeros)[:, None], out=steps)
 
     # canonical constant form: reconstructs the group constant exactly
-    collapsed = const | (cmax == cmin)
     if collapsed.any():
         value = np.where(
             const,
@@ -177,25 +237,29 @@ def _quantize_groups(
         scales = np.where(is_zero, np.float32(1.0), np.where(nonzero, value, scales))
         scales = scales.astype(np.float32)
         zeros = np.where(collapsed, 0, zeros)
-        codes[is_zero] = 0
-        codes[nonzero] = 1
-    return codes.astype(np.uint8), scales, zeros.astype(np.uint8)
+        # code 1 (0 for a zero constant) at zero point 0
+        np.copyto(steps, nonzero[:, None], where=collapsed[:, None])
+    return steps, scales, zeros
 
 
-def _slabs(shape: tuple[int, int], group_size: int):
-    """Yield (rows, cols, groups, width) index slabs covering a [out, in] weight.
+def _coded_tiles(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | None):
+    """Yield (outs, ins, groups, steps, scales, zeros) of every tile of a scaled in-major weight.
 
-    The full groups come first, then the ragged last group, each in row
-    chunks of at most ``_CHUNK_ELEMENTS`` weights (one row if a row is longer).
+    ``weight_t`` is float32 [in, out]; ``cscale`` is a float32 [K, in]
+    stack of channel scales, or None for one unscaled candidate. Each tile
+    of ``weight_t`` is multiplied by the K scales in float32 and coded by
+    ``_code_groups`` as one [K * groups, width, columns] stack.
     """
-    out_features, in_features = shape
-    full = in_features - in_features % group_size
-    for c0, c1, width in ((0, full, group_size), (full, in_features, in_features - full)):
-        if c1 > c0:
-            step = max(1, _CHUNK_ELEMENTS // (c1 - c0))
-            groups = slice(c0 // group_size, -(-c1 // group_size))
-            for r0 in range(0, out_features, step):
-                yield slice(r0, r0 + step), slice(c0, c1), groups, width
+    stack = 1 if cscale is None else len(cscale)
+    in_features, out_features = weight_t.shape
+    for outs, ins, groups, width in _tiles((out_features, in_features), cfg.group_size, stack):
+        block = weight_t[ins, outs]
+        if cscale is None:  # x * 1 == x: an unscaled weight skips the multiply
+            tile = block
+        else:
+            with np.errstate(over="ignore"):  # an overflow to inf is rejected per tile
+                tile = block * cscale[:, ins, None]
+        yield outs, ins, groups, *_code_groups(tile.reshape(-1, width, block.shape[1]), cfg.bits)
 
 
 def checked_channel_scale(channel_scale: np.ndarray, in_features: int) -> np.ndarray:
@@ -244,15 +308,13 @@ def rtn_quantize(
     codes = np.empty((out_features, in_features), dtype=np.uint8)
     scales = np.empty((out_features, n_groups), dtype=np.float32)
     zero_points = np.empty((out_features, n_groups), dtype=np.uint8)
-    for rows, cols, groups, width in _slabs(weight.shape, cfg.group_size):
-        scaled = weight[rows, cols]
-        if channel_scale is not None:  # x * 1 == x: an unscaled weight skips the multiply
-            with np.errstate(over="ignore"):  # an overflow to inf is rejected per slab
-                scaled = scaled * cscale[cols]
-        c, scales[rows, groups], zero_points[rows, groups] = _quantize_groups(
-            scaled.reshape(len(scaled), -1, width), cfg.bits
-        )
-        codes[rows, cols] = c.reshape(len(scaled), -1)
+    # tiles of the in-major view weight.T, stored through the same views of the outputs
+    scale_stack = None if channel_scale is None else cscale[None]
+    for outs, ins, groups, steps, tile_scales, zeros in _coded_tiles(weight.T, cfg, scale_stack):
+        steps += zeros[:, None]
+        codes.T[ins, outs] = steps.reshape(-1, steps.shape[2])
+        scales.T[groups, outs] = tile_scales
+        zero_points.T[groups, outs] = zeros
 
     return QuantizedTensor(
         bits=cfg.bits,
@@ -275,20 +337,58 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     """
     recon = np.empty(q.codes.shape, dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        for rows, cols, groups, width in _slabs(q.codes.shape, q.group_size):
-            codes = q.codes[rows, cols]
+        for outs, ins, groups, width in _tiles(q.codes.shape, q.group_size):
+            codes = q.codes[outs, ins]
             # code minus zero point is a small integer, exact in float32, and
             # its product with a 19-bit-mantissa scale is exact unless it overflows
             diff = codes.reshape(len(codes), -1, width).astype(np.float32)
-            diff -= q.zero_points[rows, groups, None]
-            diff *= q.scales[rows, groups, None]
-            recon[rows, cols] = diff.reshape(len(codes), -1)
+            diff -= q.zero_points[outs, groups, None]
+            diff *= q.scales[outs, groups, None]
+            recon[outs, ins] = diff.reshape(len(codes), -1)
         if (q.channel_scale != 1).any():  # x / 1 == x: an all-ones scale skips the division
             recon /= q.channel_scale
     recon[:, q.protected] = q.protected_values
     if not np.isfinite(recon).all():
         raise ValueError("dequantization produced non-finite values")
     return recon
+
+
+def candidate_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list) -> np.ndarray:
+    """In-major errors ``recon - weight`` of round-to-nearest under each channel scale.
+
+    ``weight_t`` is the float32 ``[in, out]`` transpose of a finite weight
+    and ``channel_scales`` a list of checked float32 scales (``None`` for
+    none). Returns float64 ``[K, in, out]``, candidate k's error
+    ``dequantize(rtn_quantize(weight, cfg, channel_scale=s_k)).T - weight_t``
+    bit for bit, without codes or a row-major reconstruction: each tile of
+    all K candidates is scaled, coded, decoded and divided back in float32
+    exactly as those calls do, then subtracted in float64.
+
+    Errors are those of the two calls. A scaled value or a decoded group
+    outside the float32 range raises as soon as its tile is coded; a
+    division by a channel scale that overflows raises only after every
+    candidate is coded, so a product overflow wins over it.
+    """
+    if len(channel_scales) == 1 and channel_scales[0] is None:
+        cscale = None  # a lone unscaled candidate skips the multiply and the division
+    else:  # x * 1 == x and x / 1 == x: ones stand in for no scale
+        ones = np.ones(len(weight_t), dtype=np.float32)
+        cscale = np.stack([ones if s is None else s for s in channel_scales])
+    err_t = np.empty((len(channel_scales), *weight_t.shape), dtype=np.float64)
+    finite = True
+    for outs, ins, _, steps, scales, _ in _coded_tiles(weight_t, cfg, cscale):
+        decoded = np.multiply(steps, scales[:, None], dtype=np.float32)
+        if cscale is not None:
+            with np.errstate(over="ignore"):  # an overflow to inf is rejected at the end
+                decoded /= cscale[:, ins].reshape(-1, steps.shape[1], 1)
+            finite = finite and bool(np.isfinite(decoded).all())
+        # a float64 copy, then a float64 subtraction: faster than one mixed-type ufunc
+        err = err_t[:, ins, outs]
+        err[...] = decoded.reshape(err.shape)
+        err -= weight_t[ins, outs]
+    if not finite:
+        raise ValueError("dequantization produced non-finite values")
+    return err_t
 
 
 def _block(bits: int) -> tuple[int, int]:

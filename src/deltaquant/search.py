@@ -9,20 +9,24 @@ is searched on an endpoint-inclusive uniform grid (default 20 points over
 [0, 1]), so alpha = 0 always reproduces plain unscaled quantization and
 the best candidate can never lose to it.
 
-One ``ModuleLoss`` per module serves every candidate. It validates the
-calibration rows once; ``loss(recon)`` scores any reconstruction and
-``loss.quantized_many(qcfg, scales)`` scores round-to-nearest of the weight
-under each of several channel scales: ``search_scale`` scores plain RTN and
-the whole grid in one call, or only the grid when given the RTN loss, as
-the pseudo-fine-tuning curve does for each snapshot; ``quant_loss`` and the
-evaluation report score one scale through ``loss.quantized``. Candidates
-are quantized and decoded in batches of up to ``_BATCH_WEIGHTS`` weights,
-one call each per batch, which spares small modules most of the fixed
-per-call cost; each candidate keeps its own loss product, so every loss
-has the bits it has when scored alone. With at least ``in_features``
-calibration rows it scores through the Gram matrix ``H = X.T @ X``, with
-fewer it multiplies by the rows directly. The choice depends only on the
-shapes, and both forms give the same loss up to float64 rounding.
+One ``ModuleLoss`` per module serves every candidate. It keeps the weight
+only as an in-major (``[in, out]``) float32 copy, transposed once, and
+validates the calibration rows once; ``loss(recon)`` scores any
+reconstruction and ``loss.quantized_many(qcfg, scales)`` scores
+round-to-nearest of the weight under each of several channel scales:
+``search_scale`` scores plain RTN and the whole grid in one call, or only
+the grid when given the RTN loss, as the pseudo-fine-tuning curve does for
+each snapshot; ``quant_loss`` and the evaluation report score one scale
+through ``loss.quantized``. ``quant.candidate_errors`` codes candidates
+tile by tile on that copy, straight into their float64 in-major errors, in
+batches of up to ``_BATCH_WEIGHTS`` weights stacked on a leading axis,
+which spares small modules most of the fixed per-call cost; each candidate
+keeps its own contiguous error and its own loss product, so every loss has
+the bits it has when scored alone, and the bits ``loss(recon)`` gives its
+reconstruction. With at least ``in_features`` calibration rows it scores
+through the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the
+rows directly. The choice depends only on the shapes, and both forms give
+the same loss up to float64 rounding.
 
 Importance vectors are normalized by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
@@ -37,19 +41,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap
+from .container import TensorMap, check_weight_shape
 from .quant import (
     QuantConfig,
     QuantizedTensor,
+    candidate_errors,
     checked_channel_scale,
-    dequantize,
     rtn_quantize,
     select_protected,
+    transposed,
 )
 from .toy import CalibrationSet
 
-# weights per batch of search candidates quantized and decoded by one call each
-_BATCH_WEIGHTS = 1 << 18
+# weights per batch of search candidates coded by one candidate_errors call:
+# one tile budget of the quantizer, so a small module's batch is one tile
+# (twice that left toy-cli's eval stage 1.5 ms slower in some runs)
+_BATCH_WEIGHTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -89,40 +96,46 @@ class SearchResult:
 class ModuleLoss:
     """Output-error loss of reconstructions of one weight on fixed calibration rows.
 
-    Built once per module: the weight is checked finite and kept as float32,
-    and the rows are validated and cast to float64 here, not per candidate.
-    With ``n`` rows and ``E = recon - weight`` the loss is
-    ``mean((X @ E.T)**2)`` over ``n * out`` outputs. When ``n >= in_features`` only the Gram matrix
-    ``H = X.T @ X`` is kept and the loss is ``sum((E @ H) * E) / (n * out)``,
-    which costs ``out * in**2`` instead of ``n * in * out`` per candidate;
-    with fewer rows ``X`` is kept and the direct form used. The choice
-    depends only on the shapes. The two forms agree up to float64 rounding
-    (about 1e-15 relative). ``module`` names the search result and the
-    errors, those of the quantizer included.
+    Built once per module: the weight is checked finite and kept only as its
+    float32 in-major transpose ``weight_t`` (``[in, out]``), copied once by
+    ``transposed``, and the rows are validated and cast to float64 here, not
+    per candidate. Every loss is taken on an in-major float64 error
+    ``E_t = recon.T - weight_t``: with ``n`` rows it is
+    ``mean((X @ E_t)**2)`` over ``n * out`` outputs. When
+    ``n >= in_features`` only the Gram matrix ``H = X.T @ X`` is kept and
+    the loss is ``sum((H @ E_t) * E_t) / (n * out)``, which costs
+    ``out * in**2`` instead of ``n * in * out`` per candidate; with fewer
+    rows ``X`` is kept and the direct form used. The choice depends only on
+    the shapes. The two forms agree up to float64 rounding (about 1e-15
+    relative). ``module`` names the search result and the errors, those of
+    the quantizer included.
 
-    ``quantized_many`` scores channel-scale candidates in batches: one
-    quantize and one decode per batch of up to ``_BATCH_WEIGHTS`` weights,
+    ``quantized_many`` scores channel-scale candidates in batches of up to
+    ``_BATCH_WEIGHTS`` weights: one ``candidate_errors`` call per batch,
     then one loss product per candidate.
     """
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
+        weight = np.asarray(weight, dtype=np.float32)
         self.module = module
+        tensor = f" {module + '.weight'!r}" if module else ""
+        check_weight_shape(weight, f"weight{tensor}")
+        self.shape = weight.shape
+        self.weight_t = transposed(weight)
         # a float64 sum of float32 values cannot overflow, so it is finite
         # exactly when every value is; no mask temporary is allocated
-        if not np.isfinite(self.weight.sum(dtype=np.float64)):
-            tensor = f" {module + '.weight'!r}" if module else ""
+        if not np.isfinite(self.weight_t.sum(dtype=np.float64)):
             raise ValueError(f"weight{tensor} contains non-finite values")
         x = np.asarray(calib_inputs)
         where = f" for module {module!r}" if module else ""
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
+        if x.ndim != 2 or x.shape[1] != self.shape[1]:
             raise ValueError(f"calibration inputs{where} must be [n, in_features]")
         if x.shape[0] < 1:
             raise ValueError(f"need at least one calibration row{where}")
         x64 = np.asarray(x, dtype=np.float32).astype(np.float64)
         if not np.isfinite(x64.sum()):
             raise ValueError(f"calibration inputs{where} contain non-finite values")
-        self.outputs = x64.shape[0] * self.weight.shape[0]
+        self.outputs = x64.shape[0] * self.shape[0]
         if x64.shape[0] >= x64.shape[1]:
             self.gram, self.x64 = x64.T @ x64, None
         else:
@@ -130,14 +143,24 @@ class ModuleLoss:
 
     def __call__(self, recon: np.ndarray) -> float:
         """Mean squared difference between reconstructed and original outputs."""
-        # subtracting in float64 without keeping a float64 copy of the weight:
-        # a persistent copy measurably slowed the next stage's allocations
-        err = np.subtract(recon, self.weight, dtype=np.float64)
+        return self.error_loss(self.error(recon))
+
+    def error(self, recon: np.ndarray) -> np.ndarray:
+        """The float64 in-major error ``recon.T - weight_t`` of a [out, in] reconstruction."""
+        recon = np.asarray(recon)
+        if recon.shape != self.shape:
+            raise ValueError(f"reconstruction must be {list(self.shape)}")
+        # a float32 transpose, then one contiguous float64 subtraction: faster
+        # than subtracting block by block with a cast in each
+        return np.subtract(transposed(recon), self.weight_t, dtype=np.float64)
+
+    def error_loss(self, err_t: np.ndarray) -> float:
+        """The loss of the float64 in-major error ``err_t``: ``self(recon)`` of its ``recon``."""
         if self.gram is None:
-            out_err = self.x64 @ err.T
+            out_err = self.x64 @ err_t
             return float(np.mean(out_err * out_err))
-        # numpy's own row reduction: a BLAS dot would split the sum by thread count
-        return float(np.einsum("ij,ij->i", err @ self.gram, err).sum() / self.outputs)
+        # numpy's own reduction: a BLAS dot would split the sum by thread count
+        return float(np.einsum("ij,ij->", self.gram @ err_t, err_t) / self.outputs)
 
     def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
         """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.
@@ -145,48 +168,27 @@ class ModuleLoss:
         For each channel scale (``None`` for none) the columns are multiplied
         by it, quantized without protection, decoded, and divided by it
         again. Candidates go in batches of at most ``_BATCH_WEIGHTS``
-        weights, at least one each. A batch of several stacks its scaled
-        weights into one ``[K * out, in]`` matrix for one ``rtn_quantize``
-        and one ``dequantize`` call; groups are coded per row and decoding
-        is elementwise, so each candidate's row block, divided by its own
-        scale, has the bits it has alone, and is scored by its own loss
-        product. Every scale is checked before any candidate is scored, so
-        an invalid scale raises its own error first. Batches run in order,
-        and a batch quantizes all its candidates before it decodes any, so
-        there an overflow of a product wins over one of a division. With a
+        weights, at least one each. ``candidate_errors`` codes a batch on a
+        leading candidate axis; groups and decoding are per candidate, so
+        each candidate's contiguous ``[in, out]`` error has the bits it has
+        alone, and is scored by its own loss product. Every scale is checked
+        before any candidate is scored, so an invalid scale raises its own
+        error first. Batches run in order, and a batch codes all its
+        candidates before it reports a division overflow, so there an
+        overflow of a product wins over one of a division. With a
         ``module`` name, an error reads ``module '<name>': <message>``.
         """
-        in_features = self.weight.shape[1]
-        per_batch = max(1, _BATCH_WEIGHTS // self.weight.size)
+        in_features = self.shape[1]
+        per_batch = max(1, _BATCH_WEIGHTS // self.weight_t.size)
         try:
             checked = [None if s is None else checked_channel_scale(s, in_features) for s in scales]
-            return [value for start in range(0, len(checked), per_batch)
-                    for value in self._batch_losses(qcfg, checked[start : start + per_batch])]
+            batches = [checked[i : i + per_batch] for i in range(0, len(checked), per_batch)]
+            return [self.error_loss(err_t) for batch in batches
+                    for err_t in candidate_errors(self.weight_t, qcfg, batch)]
         except ValueError as exc:
             if not self.module:
                 raise
             raise ValueError(f"module {self.module!r}: {exc}") from exc
-
-    def _batch_losses(self, qcfg: QuantConfig, batch: list) -> list[float]:
-        """Losses of one batch of checked channel scales, in order."""
-        if len(batch) == 1:
-            # a lone candidate is scaled slab by slab inside rtn_quantize and
-            # divided inside dequantize: faster than a whole-matrix product
-            return [self(dequantize(rtn_quantize(self.weight, qcfg, channel_scale=batch[0])))]
-        stacked = np.empty((len(batch), *self.weight.shape), dtype=np.float32)
-        with np.errstate(over="ignore"):  # rtn_quantize rejects an overflow to inf
-            for block, scale in zip(stacked, batch):
-                np.multiply(self.weight, np.float32(1) if scale is None else scale, out=block)
-        recon = dequantize(rtn_quantize(stacked.reshape(-1, stacked.shape[2]), qcfg))
-        losses = []
-        for block, scale in zip(recon.reshape(stacked.shape), batch):
-            if scale is not None:
-                with np.errstate(over="ignore"):  # an overflow to inf is rejected next
-                    block /= scale
-                if not np.isfinite(block).all():
-                    raise ValueError("dequantization produced non-finite values")
-            losses.append(self(block))
-        return losses
 
     def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
         """``quantized_many(qcfg, [scale])[0]``: the loss of one channel scale."""
@@ -228,7 +230,7 @@ def search_scale(
     ``quantized_many`` call unless ``rtn_loss`` gives it. ``loss.module``
     names the result and the errors.
     """
-    in_features = loss.weight.shape[1]
+    in_features = loss.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
     where = f" for module {loss.module!r}" if loss.module else ""
     if scores.shape != (in_features,):
@@ -300,11 +302,13 @@ def quantize_model(
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
     for loss in module_losses(post_ckpt, importances, calib, scfg.max_calib_rows):
-        module, weight = loss.module, loss.weight
+        module = loss.module
         result = search_scale(loss, importances[module], scfg, qcfg)
         del loss  # its rows are freed before the artifact is quantized and the next loss built
         mask = select_protected(importances[module], qcfg.protect_fraction)
-        artifact[module] = rtn_quantize(weight, qcfg, channel_scale=result.scale, protected=mask)
+        artifact[module] = rtn_quantize(
+            post_ckpt[f"{module}.weight"], qcfg, channel_scale=result.scale, protected=mask
+        )
         report.append(result)
     return artifact, report
 

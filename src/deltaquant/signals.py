@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap, check_compatible, config_from_text, config_to_text
+from .container import (
+    TensorMap,
+    check_compatible,
+    check_weight_shape,
+    config_from_text,
+    config_to_text,
+)
 from .toy import CalibrationSet
 
 SIGNALS = ("magnitude", "both_ends", "both_ends_zero", "mid", "activation_sq")
@@ -82,8 +88,9 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """Element-wise |post - pre| of every '.weight' tensor.
 
     Raises ValueError when the checkpoints hold no '.weight' tensor, and
-    naming the tensor when either checkpoint holds a non-finite value there,
-    or when the update of finite weights overflows float32, so no NaN or inf
+    naming the tensor when it is not a matrix of at least one row and one
+    column, when either checkpoint holds a non-finite value there, or when
+    the update of finite weights overflows float32, so no NaN or inf
     importance can be derived from it.
     """
     check_compatible(pre, post)
@@ -93,6 +100,7 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     out = TensorMap()
     for module in modules:
         name = f"{module}.weight"
+        check_weight_shape(post[name], f"weight {name!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are reported below
             delta = np.subtract(post[name], pre[name], dtype=np.float32)
         np.abs(delta, out=delta)

@@ -247,6 +247,42 @@ class TestImportance:
         assert capsys.readouterr().err == "error: checkpoint contains no '.weight' tensors\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize("command", ["importance", "ablate", "quantize", "eval"])
+    def test_empty_weight_names_the_tensor(self, tmp_path, command, shape, capsys):
+        # importance and ablate read it through compute_delta, quantize and eval as a ModuleLoss
+        from deltaquant.container import TensorMap, save_container
+        from deltaquant.quant import artifact_to_map, rtn_quantize
+
+        a = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
+        empty = np.zeros(shape, np.float32)
+        files = {
+            "pre": TensorMap({"a.weight": a, "b.weight": empty}),
+            "post": TensorMap({"a.weight": a + 0.5, "b.weight": empty}),
+            "calib": CalibrationSet({"a": np.ones((3, 4), np.float32),
+                                     "b": np.ones((3, shape[1]), np.float32)}).to_tensor_map(),
+            "imp": TensorMap({"a.importance": np.ones(4, np.float32),
+                              "b.importance": np.ones(shape[1], np.float32)}),
+            "art": artifact_to_map({m: rtn_quantize(a, QuantConfig(group_size=4)) for m in "ab"}),
+        }
+        path = {name: tmp_path / f"{name}.dqt" for name in files}
+        for name, tmap in files.items():
+            save_container(tmap, path[name])
+        args = {
+            "importance": ["--pre", path["pre"], "--post", path["post"], "--calib", path["calib"]],
+            "ablate": ["--pre", path["pre"], "--post", path["post"], "--calib", path["calib"]],
+            "quantize": ["--post", path["post"], "--importance", path["imp"],
+                         "--calib", path["calib"], "--group-size", "4"],
+            "eval": ["--post", path["post"], "--artifact", path["art"], "--calib", path["calib"]],
+        }[command]
+        out = tmp_path / "out"
+        assert cli.main([str(a) for a in [command, *args, "--out", out]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: weight 'b.weight' has shape {list(shape)}; "
+            "it needs at least one row and one column\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted(path.values())
+
 
 def full_pipeline(tmp_path, bits=3, extra_quant=()):
     out = train_run(tmp_path, f"run_b{bits}", steps=300)
@@ -1073,6 +1109,38 @@ class TestDeterminism:
         assert sorted(outs["1"]) == sorted(outs["2"])
         differ = [name for name in sorted(outs["1"]) if outs["1"][name] != outs["2"][name]]
         assert differ == []
+
+
+    def test_quantize_independent_of_blas_threads(self, tmp_path):
+        # the loss products multiply by the in-major error untransposed; on odd
+        # shapes big enough for OpenBLAS to thread, layer0 (199 inputs, 151
+        # rows) takes the direct form and layer1 (97 inputs) the Gram form
+        run = tmp_path / "run"
+        for args in (
+            ("train-toy", "--dims", "199,97,47", "--steps", "50", "--snapshot-every", "50",
+             "--calib-rows", "151", "--out", run),
+            ("importance", "--pre", run / "ckpt_step000000.dqt",
+             "--post", run / "ckpt_step000050.dqt", "--out", tmp_path / "imp.dqt"),
+        ):
+            res = run_cli(*args)
+            assert res.returncode == 0, res.stderr
+        outs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            art = tmp_path / f"threads_{threads or 'default'}.dqt"
+            res = subprocess.run(
+                CLI + [str(a) for a in (
+                    "quantize", "--post", run / "ckpt_step000050.dqt",
+                    "--importance", tmp_path / "imp.dqt", "--calib", run / "calib.dqt",
+                    "--group-size", "32", "--out", art)],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            outs.append((art.read_bytes(), art.with_suffix(".report.jsonl").read_bytes()))
+        assert outs[0] == outs[1]
 
 
 def _tensor_bytes(path):

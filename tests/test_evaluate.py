@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import json
 import math
 
@@ -94,6 +95,16 @@ class TestLayerReport:
             x = toy_run["calib"].inputs[module]
             assert stats["searched_mse"] == quant_loss(weight, x, q.channel_scale, QCFG)
             assert stats["protected_mse"] == ModuleLoss(weight, x)(dequantize(q))
+        # stored columns that are not the checkpoint's (another checkpoint of
+        # the same shapes) are scored as stored, not as exact
+        moved = {m: dataclasses.replace(q, protected_values=q.protected_values + 0.5)
+                 for m, q in artifact.items()}
+        ev = layer_report(toy_run["post"], moved, toy_run["calib"])
+        for module, stats in ev.per_module.items():
+            weight = toy_run["post"][f"{module}.weight"]
+            loss = ModuleLoss(weight, toy_run["calib"].inputs[module])
+            assert stats["protected_mse"] == loss(dequantize(moved[module]))
+            assert stats["protected_mse"] > 0.0
 
     def test_non_finite_calibration_rejected(self, toy_run, searched_artifact):
         artifact, _, _ = searched_artifact

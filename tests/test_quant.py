@@ -178,6 +178,20 @@ class TestRtnQuantize:
         assert q.scales.min() >= 2.0**-126
         assert np.array_equal(rtn_quantize(dequantize(q), cfg).codes, q.codes)
 
+    @pytest.mark.parametrize("bits", [3, 4])
+    def test_code_past_the_range_is_clipped(self, bits):
+        # scale 1 and zero point 4 (8 at 4 bits): rint(3.5) + 4 is one code
+        # past 7, so 3.5 takes the top code, as the scalar oracle's clip does
+        half = (1 << bits) / 2 - 0.5
+        w = np.array([[-half, half, 0.25]], np.float32)
+        cfg = QuantConfig(bits=bits, group_size=2)
+        q = rtn_quantize(w, cfg)
+        codes, scales, zeros = rtn_oracle(w, np.ones(3, np.float32), bits, 2)
+        assert q.codes[0, 1] == (1 << bits) - 1
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zero_points, zeros)
+
     @settings(max_examples=300, deadline=None)
     @given(
         rows=st.integers(1, 3),
@@ -210,10 +224,11 @@ class TestRtnQuantize:
     @pytest.mark.parametrize("bits", [3, 4])
     @pytest.mark.parametrize("shape,group_size", [((13, 23), 5), ((37, 10), 4), ((6, 70), 32)])
     def test_row_chunked_slabs_match_scalar_oracle(self, monkeypatch, shape, group_size, bits):
-        # a 24-weight budget splits both slabs of each shape into row chunks
+        # a 24-weight budget splits the full groups and the ragged group of
+        # each shape into tiles of a few groups and output channels each
         monkeypatch.setattr(quant, "_CHUNK_ELEMENTS", 24)
         assert shape[1] % group_size
-        assert len(list(quant._slabs(shape, group_size))) > 3
+        assert len(list(quant._tiles(shape, group_size))) > 3
         rng = np.random.default_rng(shape[0] * 100 + bits)
         w = _mixed_rows(_rand_weight(rng, shape, scale=3.0))
         scale = np.exp(rng.uniform(-1, 1, shape[1])).astype(np.float32)

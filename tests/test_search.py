@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltaquant import search
+from deltaquant import quant, search
 from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
     ModuleLoss,
@@ -122,6 +122,21 @@ class TestQuantLoss:
         with pytest.raises(ValueError, match="^weight contains non-finite values$"):
             quant_loss(w, x, np.ones(8, np.float32), QCFG)
 
+    @pytest.mark.parametrize("shape", [(0, 8), (4, 0), (8,), (2, 2, 2)])
+    def test_weight_that_is_not_a_matrix_rejected(self, shape):
+        # an empty weight would divide by zero when batching the candidates
+        x = np.ones((3, shape[1] if len(shape) == 2 else 8), np.float32)
+        message = rf"has shape \[{', '.join(map(str, shape))}\]; it needs at least one row"
+        with pytest.raises(ValueError, match=f"^weight {message}"):
+            ModuleLoss(np.zeros(shape, np.float32), x)
+        with pytest.raises(ValueError, match=f"^weight 'layer1.weight' {message}"):
+            ModuleLoss(np.zeros(shape, np.float32), x, "layer1")
+
+    def test_reconstruction_of_another_shape_rejected(self):
+        w, x, _ = _instance(0)
+        with pytest.raises(ValueError, match=r"^reconstruction must be \[8, 8\]$"):
+            ModuleLoss(w, x)(w[:, :7])
+
 
 class TestModuleLoss:
     @settings(max_examples=60, deadline=None)
@@ -206,6 +221,88 @@ def _failing_candidate(kind):
 _FAILURES = ["length", "zero", "negative", "nan", "inf", "product", "division"]
 
 
+def _weight_of_kind(rng, kind, shape):
+    """A float32 weight whose groups are of ``kind``; every kind also has ragged tails."""
+    w = rng.standard_normal(shape)
+    if kind == "constant":  # equal values along each row: every group is constant
+        w = np.repeat(w[:, :1], shape[1], axis=1)
+    elif kind == "collapsed":  # nearly equal, same sign: codes collapse without a constant
+        w = 1.0 + 1e-7 * w
+    elif kind == "half_steps":  # ties: [-3.5, 3.5] codes 3.5 one past the range at 3 bits
+        w = rng.integers(-4, 4, shape) + 0.5
+    elif kind == "subnormal":
+        w = w * 1e-41
+    elif kind == "near_max":  # products, decodes and divisions near the float32 maximum
+        w = np.where(rng.random(shape) < 0.3, np.sign(w) * 3.3e38, w)
+    return w.astype(np.float32)
+
+
+def _outcome(fn):
+    """fn()'s value, or the message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCandidatePath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        out_features=st.integers(1, 9),
+        in_features=st.integers(2, 24),
+        group_size=st.integers(1, 10),
+        bits=st.sampled_from([3, 4]),
+        kind=st.sampled_from(
+            ["random", "constant", "collapsed", "half_steps", "subnormal", "near_max"]
+        ),
+        rows=st.sampled_from(["below", "at_least"]),
+        per_batch=st.integers(1, 4),
+        chunk=st.sampled_from([8, 40, quant._CHUNK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equals_public_path(
+        self, out_features, in_features, group_size, bits, kind, rows, per_batch, chunk, seed,
+        data,
+    ):
+        # quantized_many scores each candidate as the public quantize, decode
+        # and loss calls do, bit for bit, alone (per_batch 1) or stacked, on
+        # one tile or many; a failing candidate raises what those calls raise
+        rng = np.random.default_rng(seed)
+        w = _weight_of_kind(rng, kind, (out_features, in_features))
+        n = in_features - 1 if rows == "below" else in_features + 2
+        x = rng.standard_normal((n, in_features)).astype(np.float32)
+        scaled = data.draw(st.lists(st.booleans(), min_size=1, max_size=6), label="scaled")
+        scales = [np.exp(rng.uniform(-3, 3, in_features)).astype(np.float32) if on else None
+                  for on in scaled]
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quant, "_CHUNK_ELEMENTS", chunk)
+            public = [
+                _outcome(lambda s=s: rtn_quantize(w, cfg, channel_scale=s)) for s in scales
+            ]
+            public = [
+                q if isinstance(q, str) else _outcome(lambda q=q: ModuleLoss(w, x)(dequantize(q)))
+                for q in public
+            ]
+            mp.setattr(search, "_BATCH_WEIGHTS", per_batch * w.size)
+            got = _outcome(lambda: ModuleLoss(w, x).quantized_many(cfg, scales))
+        if not any(isinstance(p, str) for p in public):
+            assert got == public
+            return
+        # the first batch with a failure raises; within it a quantizer error
+        # wins over a division one, and alone a candidate raises its own
+        batches = [public[i : i + per_batch] for i in range(0, len(public), per_batch)]
+        failed = next(b for b in batches if any(isinstance(p, str) for p in b))
+        messages = [p for p in failed if isinstance(p, str)]
+        division = "dequantization produced non-finite values"
+        coding = [m for m in messages if m != division]
+        assert got in (coding or messages)
+        if per_batch == 1:
+            assert got == messages[0]
+
+
 class TestBatchedScoring:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -271,16 +368,16 @@ class TestBatchedScoring:
         monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
         calls = Counter()
 
-        def counted(*args, _original=search.rtn_quantize, **kwargs):
-            calls["rtn_quantize"] += 1
+        def counted(*args, _original=search.candidate_errors, **kwargs):
+            calls["candidate_errors"] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(search, "rtn_quantize", counted)
+        monkeypatch.setattr(search, "candidate_errors", counted)
         w, x, overflow, _ = _failing_candidate("product")
         _, _, invalid, message = _failing_candidate(kind)
         with pytest.raises(ValueError, match=f"^module 'layer2': {message}"):
             ModuleLoss(w, x, "layer2").quantized_many(QCFG, [None, overflow, invalid])
-        assert calls["rtn_quantize"] == 0
+        assert calls["candidate_errors"] == 0
 
     def test_product_overflow_wins_within_a_batch(self, monkeypatch):
         # a batch quantizes all its candidates before decoding any: a later
@@ -297,23 +394,23 @@ class TestBatchedScoring:
         with pytest.raises(ValueError, match="dequantization produced non-finite"):
             ModuleLoss(w, x).quantized_many(QCFG, [None] * 3 + [division, product])
 
-    @pytest.mark.parametrize("shape, fewest, most", [((64, 256), 1, 2), ((512, 512), 20, 20)])
+    @pytest.mark.parametrize("shape, fewest, most", [((64, 128), 1, 2), ((512, 512), 20, 20)])
     def test_search_quantizes_once_per_batch(self, monkeypatch, shape, fewest, most):
-        # 20 candidates of 64 x 256 fit in two batches; one of 512 x 512 fills a batch
-        calls = Counter()
-        for name in ("rtn_quantize", "dequantize"):
-            def counted(*args, _name=name, _original=getattr(search, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        # 20 candidates of 64 x 128 fit in two batches; one of 512 x 512 fills a batch
+        batches = []
 
-            monkeypatch.setattr(search, name, counted)
+        def counted(weight_t, qcfg, channel_scales, _original=search.candidate_errors):
+            batches.append(len(channel_scales))
+            return _original(weight_t, qcfg, channel_scales)
+
+        monkeypatch.setattr(search, "candidate_errors", counted)
         rng = np.random.default_rng(5)
         w = rng.standard_normal(shape).astype(np.float32)
         x = rng.standard_normal((16, shape[1])).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, shape[1]))
         search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig())
-        assert fewest <= calls["rtn_quantize"] <= most
-        assert calls["dequantize"] == calls["rtn_quantize"]
+        assert fewest <= len(batches) <= most
+        assert sum(batches) == 20
 
 
 class TestNormalizeScale:
