@@ -21,8 +21,9 @@ from .quant import (
     QuantConfig,
     QuantizedTensor,
     dequantize,
+    protected_prefix,
+    protection_order,
     rtn_quantize,
-    select_protected,
 )
 from .search import SearchConfig, module_losses, search_scale
 from .signals import (
@@ -33,7 +34,7 @@ from .signals import (
     importance_all,
     importances,
 )
-from .toy import CalibrationSet, forward_activations, model_from_map
+from .toy import CalibrationSet, LinearLayer, forward_activations, model_from_map
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -58,19 +59,37 @@ class AblationRow:
     end_to_end_mse: float
 
 
+def _heldout_outputs(layers: list[LinearLayer], batch: np.ndarray, weights: str) -> np.ndarray:
+    """The outputs of ``layers`` on ``batch``.
+
+    A finite weight can still overflow float32 activations: that raises
+    ValueError naming the first layer whose activations are not finite and
+    ``weights``, the weights it ran, instead of numpy's warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = forward_activations(layers, batch)
+    for layer, act in zip(layers, acts[1:]):
+        if not np.isfinite(act).all():
+            raise ValueError(
+                f"held-out activations of module {layer.name!r} are not finite "
+                f"with the {weights} weights"
+            )
+    return acts[-1]
+
+
 def _heldout_reference(post_ckpt: TensorMap):
     """The float model, the seeded held-out batch, and the model's outputs on it."""
     model = model_from_map(post_ckpt)
     rng = np.random.default_rng(_HELDOUT_SEED)
     batch = rng.standard_normal((_HELDOUT_ROWS, model.in_dim), dtype=np.float32)
-    return model, batch, forward_activations(model.layers, batch)[-1]
+    return model, batch, _heldout_outputs(model.layers, batch, "checkpoint")
 
 
 def _end_to_end(reference, recon: dict[str, np.ndarray]) -> tuple[float, float]:
     """Output MSE and relative Frobenius error of ``recon`` weights on the held-out batch."""
     model, batch, ref = reference
     layers = [replace(layer, weight=recon[layer.name]) for layer in model.layers]
-    quant = forward_activations(layers, batch)[-1]
+    quant = _heldout_outputs(layers, batch, "reconstructed")
     ref = ref.astype(np.float64)
     sq_err = np.square(quant.astype(np.float64) - ref)
     mse = float(np.mean(sq_err))
@@ -106,21 +125,20 @@ def layer_report(
             q, protected=np.zeros_like(q.protected), protected_values=q.protected_values[:, :0]
         )
         recon = dequantize(unprotected)
-        err_t = loss.error(recon)
-        searched_mse = loss.error_loss(err_t)
-        # the overwrite that ends dequantize(q), in both layouts: one decode
-        # and one transpose serve both errors, which differ only there
-        recon[:, q.protected] = q.protected_values
-        err_t[q.protected] = np.subtract(
-            q.protected_values.T, loss.weight_t[q.protected], dtype=np.float64
+        # the overwrite that ends dequantize(q), in both layouts: one decode,
+        # one transpose and one loss product serve both errors, which differ
+        # only in the protected rows
+        searched_mse, protected_mse = loss.protected_losses(
+            loss.error(recon), q.protected,
+            np.subtract(q.protected_values.T, loss.weight_t[q.protected], dtype=np.float64),
         )
+        recon[:, q.protected] = q.protected_values
         recon_full[module] = recon
         per_module[module] = {
             "rtn_mse": rtn_mse,
             "searched_mse": searched_mse,
-            "protected_mse": loss.error_loss(err_t),
+            "protected_mse": protected_mse,
         }
-        del err_t  # freed before the next module's loss is built
     reference = _heldout_reference(post_ckpt)
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))
@@ -170,14 +188,16 @@ def ablate_signals(
     Cost of a sweep: one delta pass, one global-stats pass per distinct
     ``zero_epsilon`` and one importance pass per module for every signal at
     once. Per module: one quantize, one dequantize and the float64
-    per-column sums of the squared error. Per row and module: one
-    ``select_protected`` mask, a masked select of the float columns into
-    the plain reconstruction (which is exactly what decoding the protected
-    tensor gives: the channel scale is all ones and the mask never changes
-    the codes) and one sum of the column error sums with the protected
-    columns zeroed; plus one held-out forward pass per row. The masks of
-    ascending fractions nest and the sum runs over the columns in channel
-    order, so ``mse`` cannot rise with the fraction.
+    per-column sums of the squared error; per signal and module, one
+    ``protection_order`` sort. Per row and module: that order's
+    ``protected_prefix`` mask (the ``select_protected`` mask of the row's
+    fraction), a masked select of the float columns into the plain
+    reconstruction (which is exactly what decoding the protected tensor
+    gives: the channel scale is all ones and the mask never changes the
+    codes) and one sum of the column error sums with the protected columns
+    zeroed; plus one held-out forward pass per row. The masks of ascending
+    fractions nest and the sum runs over the columns in channel order, so
+    ``mse`` cannot rise with the fraction.
     """
     if not signals:
         raise ValueError("need at least one signal")
@@ -196,6 +216,8 @@ def ablate_signals(
         weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
         recon = dequantize(rtn_quantize(weight, qcfg))
         weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
+    # one sort per (signal, module): every row's mask is a prefix of it
+    orders = {m: [protection_order(score) for score in scores[m]] for m in modules}
     reference = _heldout_reference(post)
     rows = []
     for s, cfg_sig in enumerate(signals):
@@ -203,7 +225,7 @@ def ablate_signals(
             recon, per_module = {}, {}
             for module in modules:
                 weight = weights[module]
-                mask = select_protected(scores[module][s], fraction)
+                mask = protected_prefix(orders[module][s], fraction)
                 recon[module] = np.where(mask, weight, plain[module])
                 per_module[module] = float(np.where(mask, 0.0, col_err[module]).sum() / weight.size)
             rows.append(AblationRow(

@@ -457,17 +457,19 @@ def protected_count(fraction: float, channels: int) -> int:
     return int(round(fraction * channels))
 
 
+def protected_prefix(order: np.ndarray, fraction: float) -> np.ndarray:
+    """Mark the first round(fraction * n) channels of an n-channel ``protection_order``."""
+    mask = np.zeros(order.size, dtype=bool)
+    mask[order[: protected_count(fraction, order.size)]] = True
+    return mask
+
+
 def select_protected(scores: np.ndarray, fraction: float) -> np.ndarray:
     """Mark the round(fraction * n) highest-importance channels of a score array.
 
     Ties break toward the lower channel index.
     """
-    n = np.shape(scores)[0]
-    n_protect = protected_count(fraction, n)
-    mask = np.zeros(n, dtype=bool)
-    if n_protect:
-        mask[protection_order(scores)[:n_protect]] = True
-    return mask
+    return protected_prefix(protection_order(scores), fraction)
 
 
 def artifact_to_map(

@@ -112,7 +112,10 @@ class ModuleLoss:
 
     ``quantized_many`` scores channel-scale candidates in batches of up to
     ``_BATCH_WEIGHTS`` weights: one ``candidate_errors`` call per batch,
-    then one loss product per candidate.
+    then one loss product per candidate. ``protected_losses`` scores an
+    error before and after ``|P|`` of its rows are replaced from one loss
+    product and a rank-``|P|`` update, so the evaluation report pays two
+    loss products per module, plus that update when channels are protected.
     """
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
@@ -156,11 +159,42 @@ class ModuleLoss:
 
     def error_loss(self, err_t: np.ndarray) -> float:
         """The loss of the float64 in-major error ``err_t``: ``self(recon)`` of its ``recon``."""
+        return self._reduce(self._basis() @ err_t, err_t)
+
+    def protected_losses(
+        self, err_t: np.ndarray, protected: np.ndarray, rows: np.ndarray
+    ) -> tuple[float, float]:
+        """The losses of ``err_t`` before and after the rows of the boolean mask
+        ``protected`` become the float64 ``rows``.
+
+        ``err_t`` is patched in place. The first loss is ``error_loss(err_t)``
+        bit for bit; the second updates the same product by the change ``D``
+        of the protected rows, adding the protected columns of the Gram
+        matrix (of the rows, on the direct path) times ``D`` to it, at a
+        cost proportional to their number. It agrees with ``error_loss`` of
+        the patched error up to float64 rounding of that sum, and an exactly
+        zero patched row adds exactly zero on the Gram path. With no
+        protected row both losses are the first and no update is made.
+        """
+        product = self._basis() @ err_t
+        searched = self._reduce(product, err_t)
+        if not protected.any():
+            return searched, searched
+        change = rows - err_t[protected]
+        err_t[protected] = rows
+        product += self._basis()[:, protected] @ change
+        return searched, self._reduce(product, err_t)
+
+    def _basis(self) -> np.ndarray:
+        """What multiplies an error into the loss product: the Gram matrix, else the rows."""
+        return self.x64 if self.gram is None else self.gram
+
+    def _reduce(self, product: np.ndarray, err_t: np.ndarray) -> float:
+        """The loss of ``err_t`` from its product with ``_basis()``."""
         if self.gram is None:
-            out_err = self.x64 @ err_t
-            return float(np.mean(out_err * out_err))
+            return float(np.mean(product * product))
         # numpy's own reduction: a BLAS dot would split the sum by thread count
-        return float(np.einsum("ij,ij->", self.gram @ err_t, err_t) / self.outputs)
+        return float(np.einsum("ij,ij->", product, err_t) / self.outputs)
 
     def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
         """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.

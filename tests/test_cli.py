@@ -417,6 +417,25 @@ class TestQuantizeAndEval:
             assert "layer0" in res.stderr and field in res.stderr
             assert not ev.exists()
 
+    def test_overflowing_protected_value_names_the_module(self, tmp_path):
+        from deltaquant.container import load_container, save_container
+
+        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
+        tmap = load_container(art)
+        # finite, so every load check passes, but layer0's float32 outputs overflow
+        tmap["layer0.protected_values"][0, 0] = 2.75e38
+        bad = tmp_path / "art_overflow.dqt"
+        save_container(tmap, bad)
+        ev = tmp_path / "eval_overflow.json"
+        res = run_cli(
+            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
+            "--calib", out / "calib.dqt", "--out", ev,
+        )
+        assert res.returncode == 1
+        assert "module 'layer0'" in res.stderr and "not finite" in res.stderr
+        assert "Warning" not in res.stderr
+        assert not ev.exists()
+
     def test_misshaped_artifact_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
 

@@ -83,8 +83,14 @@ class TestLayerReport:
 
     def test_searched_mse_decodes_protected_artifact(self, toy_run, searched_artifact):
         # searched_mse strips the protection instead of re-quantizing, and
-        # protected_mse restores it in place of a second decode
-        _, _, imps = searched_artifact
+        # protected_mse updates its loss product in place of a second decode
+        # and a second product, so it sums in another order than a full
+        # product of the decoded artifact: equal up to float64 rounding
+        artifact, _, imps = searched_artifact
+        ev = layer_report(toy_run["post"], artifact, toy_run["calib"])
+        for stats in ev.per_module.values():
+            # nothing protected: no update, the searched loss itself
+            assert stats["protected_mse"] == stats["searched_mse"]
         qcfg = QuantConfig(bits=3, group_size=4, protect_fraction=0.25)
         artifact, _ = quantize_model(toy_run["post"], imps, toy_run["calib"], SearchConfig(), qcfg)
         ev = layer_report(toy_run["post"], artifact, toy_run["calib"])
@@ -94,7 +100,8 @@ class TestLayerReport:
             weight = toy_run["post"][f"{module}.weight"]
             x = toy_run["calib"].inputs[module]
             assert stats["searched_mse"] == quant_loss(weight, x, q.channel_scale, QCFG)
-            assert stats["protected_mse"] == ModuleLoss(weight, x)(dequantize(q))
+            full = ModuleLoss(weight, x)(dequantize(q))
+            assert abs(stats["protected_mse"] - full) <= 1e-12 * max(full, stats["searched_mse"])
         # stored columns that are not the checkpoint's (another checkpoint of
         # the same shapes) are scored as stored, not as exact
         moved = {m: dataclasses.replace(q, protected_values=q.protected_values + 0.5)
@@ -103,8 +110,23 @@ class TestLayerReport:
         for module, stats in ev.per_module.items():
             weight = toy_run["post"][f"{module}.weight"]
             loss = ModuleLoss(weight, toy_run["calib"].inputs[module])
-            assert stats["protected_mse"] == loss(dequantize(moved[module]))
+            full = loss(dequantize(moved[module]))
+            assert abs(stats["protected_mse"] - full) <= 1e-12 * max(full, stats["searched_mse"])
             assert stats["protected_mse"] > 0.0
+
+    def test_two_loss_products_per_module(self, toy_run, searched_artifact, monkeypatch):
+        # plain RTN through error_loss; the searched and protected losses
+        # from one product in protected_losses
+        counts = collections.Counter()
+        for name in ("error_loss", "protected_losses"):
+            def counted(self, *args, _fn=getattr(ModuleLoss, name), _name=name):
+                counts[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(ModuleLoss, name, counted)
+        artifact, _, _ = searched_artifact
+        layer_report(toy_run["post"], artifact, toy_run["calib"])
+        assert counts == {"error_loss": len(artifact), "protected_losses": len(artifact)}
 
     def test_non_finite_calibration_rejected(self, toy_run, searched_artifact):
         artifact, _, _ = searched_artifact
@@ -184,6 +206,23 @@ class TestLayerReport:
         post["layer0.weight"][2, 3] = bad
         with pytest.raises(ValueError, match="'layer0.weight' contains non-finite values"):
             layer_report(post, artifact, toy_run["calib"])
+
+    def test_overflowing_heldout_forward_names_the_module(self, toy_run, searched_artifact):
+        # finite weights whose float32 held-out activations overflow raise a
+        # ValueError naming the module, not numpy's overflow warning (an
+        # error under the test suite's warning filter)
+        artifact, _, _ = searched_artifact
+        post = copy.deepcopy(toy_run["post"])
+        post["layer1.weight"][3] = 3e38
+        with pytest.raises(ValueError, match="module 'layer1' are not finite with the checkpoint"):
+            layer_report(post, artifact, toy_run["calib"])
+        q = artifact["layer0"]
+        protected = np.zeros_like(q.protected)
+        protected[0] = True
+        big = {**artifact, "layer0": dataclasses.replace(
+            q, protected=protected, protected_values=np.full((q.shape[0], 1), 3e38, np.float32))}
+        with pytest.raises(ValueError, match="module 'layer0' are not finite with the reconstructed"):
+            layer_report(toy_run["post"], big, toy_run["calib"])
 
 
 class TestAblation:
@@ -435,6 +474,8 @@ class TestAblationOracle:
             count(namespace, "global_delta_stats")
         count(evaluate, "rtn_quantize")
         count(evaluate, "dequantize")
+        # one sort per (signal, module), whatever the number of fractions
+        count(evaluate, "protection_order")
         epsilons = [0.0, 1e-4, 0.0, 1e-4, 1e-3]
         cfgs = [MappingConfig(signal=sig, zero_epsilon=e) for sig, e in zip(SIGNALS, epsilons)]
         rows = ablate_signals(
@@ -448,6 +489,7 @@ class TestAblationOracle:
             "global_delta_stats": len(set(epsilons)),
             "rtn_quantize": modules,
             "dequantize": modules,
+            "protection_order": len(cfgs) * modules,
         }
 
 

@@ -192,6 +192,48 @@ class TestModuleLoss:
             other_loss = other(np.pad(recon, pad))
         assert other_loss == pytest.approx(loss, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        out_features=st.integers(1, 12),
+        in_features=st.integers(2, 24),
+        rows=st.sampled_from(["below", "equal", "above"]),
+        protect=st.floats(0.0, 1.0),
+        move=st.sampled_from([0.0, 1e-4, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(out_features=5, in_features=7, rows="below", protect=1.0, move=0.0, seed=0)
+    @example(out_features=5, in_features=7, rows="above", protect=1.0, move=0.0, seed=0)
+    def test_protected_losses_update_the_searched_product(
+        self, out_features, in_features, rows, protect, move, seed
+    ):
+        n = {"below": in_features - 1, "equal": in_features, "above": 2 * in_features}[rows]
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((out_features, in_features)).astype(np.float32)
+        x = rng.standard_normal((n, in_features)).astype(np.float32)
+        recon = (w + 0.1 * rng.standard_normal(w.shape)).astype(np.float32)
+        # protected columns as an artifact stores them: the weight's own
+        # (move 0), nudged, or another checkpoint's
+        mask = rng.random(in_features) < protect
+        values = (w[:, mask] + move * rng.standard_normal((out_features, mask.sum()))).astype(
+            np.float32
+        )
+        patched = recon.copy()
+        patched[:, mask] = values
+        loss = ModuleLoss(w, x)
+        err_t = loss.error(recon)
+        searched, protected = loss.protected_losses(
+            err_t, mask, np.subtract(values.T, loss.weight_t[mask], dtype=np.float64)
+        )
+        assert searched == loss.error_loss(loss.error(recon))
+        assert np.array_equal(err_t, loss.error(patched))
+        if not mask.any():
+            assert protected == searched
+        # the update sums in another order than the full product; a bound
+        # relative to the full loss alone would fail where protection
+        # removes nearly all of the searched loss
+        full = loss(patched)
+        assert abs(protected - full) <= 1e-12 * max(full, searched)
+
 
 def _failing_candidate(kind):
     """(weight, calibration rows, bad scale, message) of a candidate failing in ``kind`` way.
