@@ -225,14 +225,21 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(ns.dims, seed=ns.seed)
     final, snapshots = train(model, ns.train)
+    batch = np.random.default_rng((ns.train.data_seed, 101)).standard_normal(
+        (ns.calib_rows, ns.dims[0]), dtype=np.float32
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, before any write
+        output, calib = forward(final, batch)
+    outputs = [calib.inputs[layer.name] for layer in final.layers[1:]] + [output]
+    for layer, acts in zip(final.layers, outputs):
+        if not np.isfinite(acts).all():
+            raise ValueError(
+                f"activations of module {layer.name!r} on the calibration batch are not finite"
+            )
     for step, snap in snapshots:
         path = paths[step]
         save_container(snap, path)
         print(f"wrote {path}")
-    batch = np.random.default_rng((ns.train.data_seed, 101)).standard_normal(
-        (ns.calib_rows, ns.dims[0]), dtype=np.float32
-    )
-    _, calib = forward(final, batch)
     calib_path = out_dir / "calib.dqt"
     meta = {"data_seed": str(ns.train.data_seed), "rows": str(ns.calib_rows)}
     save_container(calib.to_tensor_map(meta=meta), calib_path)

@@ -125,12 +125,10 @@ def layer_report(
             q, protected=np.zeros_like(q.protected), protected_values=q.protected_values[:, :0]
         )
         recon = dequantize(unprotected)
-        # the overwrite that ends dequantize(q), in both layouts: one decode,
-        # one transpose and one loss product serve both errors, which differ
-        # only in the protected rows
+        # one decode and one loss product serve both errors, which differ
+        # only in the protected columns; the overwrite ends dequantize(q)
         searched_mse, protected_mse = loss.protected_losses(
-            loss.error(recon), q.protected,
-            np.subtract(q.protected_values.T, loss.weight_t[q.protected], dtype=np.float64),
+            recon, q.protected, q.protected_values
         )
         recon[:, q.protected] = q.protected_values
         recon_full[module] = recon

@@ -11,8 +11,9 @@ ragged last group, each tile at most ``_CHUNK_ELEMENTS`` weights. A group's
 min and max then reduce over contiguous planes, and its scale and zero
 point broadcast along the contiguous column axis. ``rtn_quantize`` runs the
 kernel on tiles of ``weight.T`` and stores codes and tables in row-major
-order; ``candidate_errors`` runs it on a search candidate and decodes each
-tile straight into the float64 in-major error, with no codes kept.
+order; ``candidate_errors`` runs it on batches of search candidates and
+decodes each tile straight into their float64 in-major errors, with no
+codes kept.
 ``dequantize`` decodes the same tiles in row-major order.
 
 Two representation details keep quantize(dequantize(q)) an exact identity:
@@ -123,26 +124,24 @@ def transposed(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tiles(shape: tuple[int, int], group_size: int, stack: int = 1):
+def _tiles(shape: tuple[int, int], group_size: int):
     """Yield (outs, ins, groups, width) tiles covering a [out, in] weight.
 
     ``ins`` is a range of whole groups of input channels of ``width`` each:
-    the full groups first, then the ragged last group. The budget is
-    ``_CHUNK_ELEMENTS // stack`` weights, ``stack`` candidates of one weight
-    sharing it. A tile spans every output channel while one group of them
-    holds at most twice the budget, so that the in-major rows it reads and
+    the full groups first, then the ragged last group. A tile spans every
+    output channel while one group of them holds at most twice
+    ``_CHUNK_ELEMENTS`` weights, so that the in-major rows it reads and
     writes stay whole (a 2048-wide weight measured about 1.2x faster per
     candidate than in 1024-wide tiles), else as many as fit the budget (at
     least one); then as many groups as fit.
     """
     out_features, in_features = shape
-    budget = max(1, _CHUNK_ELEMENTS // stack)
     full = in_features - in_features % group_size
     for c0, c1, width in ((0, full, group_size), (full, in_features, in_features - full)):
         if c1 > c0:
-            whole = width * out_features <= 2 * budget
-            cols = out_features if whole else max(1, budget // width)
-            step = width * max(1, budget // (width * cols))
+            whole = width * out_features <= 2 * _CHUNK_ELEMENTS
+            cols = out_features if whole else max(1, _CHUNK_ELEMENTS // width)
+            step = width * max(1, _CHUNK_ELEMENTS // (width * cols))
             for i0 in range(c0, c1, step):
                 ins = slice(i0, min(i0 + step, c1))
                 groups = slice(i0 // group_size, -(-ins.stop // group_size))
@@ -250,9 +249,8 @@ def _coded_tiles(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | No
     of ``weight_t`` is multiplied by the K scales in float32 and coded by
     ``_code_groups`` as one [K * groups, width, columns] stack.
     """
-    stack = 1 if cscale is None else len(cscale)
     in_features, out_features = weight_t.shape
-    for outs, ins, groups, width in _tiles((out_features, in_features), cfg.group_size, stack):
+    for outs, ins, groups, width in _tiles((out_features, in_features), cfg.group_size):
         block = weight_t[ins, outs]
         if cscale is None:  # x * 1 == x: an unscaled weight skips the multiply
             tile = block
@@ -262,7 +260,7 @@ def _coded_tiles(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | No
         yield outs, ins, groups, *_code_groups(tile.reshape(-1, width, block.shape[1]), cfg.bits)
 
 
-def checked_channel_scale(channel_scale: np.ndarray, in_features: int) -> np.ndarray:
+def _checked_channel_scale(channel_scale: np.ndarray, in_features: int) -> np.ndarray:
     """``channel_scale`` as float32, checked to hold ``in_features`` positive finite entries."""
     cscale = np.ascontiguousarray(channel_scale, dtype=np.float32)
     if cscale.shape != (in_features,):
@@ -295,7 +293,7 @@ def rtn_quantize(
     if channel_scale is None:
         cscale = np.ones(in_features, dtype=np.float32)
     else:
-        cscale = checked_channel_scale(channel_scale, in_features)
+        cscale = _checked_channel_scale(channel_scale, in_features)
 
     if protected is None:
         mask = np.zeros(in_features, dtype=bool)
@@ -353,21 +351,35 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return recon
 
 
-def candidate_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list) -> np.ndarray:
-    """In-major errors ``recon - weight`` of round-to-nearest under each channel scale.
+def candidate_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list):
+    """Yield the in-major error ``recon - weight`` of round-to-nearest under each channel scale.
 
-    ``weight_t`` is the float32 ``[in, out]`` transpose of a finite weight
-    and ``channel_scales`` a list of checked float32 scales (``None`` for
-    none). Returns float64 ``[K, in, out]``, candidate k's error
+    ``weight_t`` is the float32 ``[in, out]`` transpose of a finite weight;
+    every scale of ``channel_scales`` (``None`` for none) is checked before
+    any is coded. Candidate k's error is the float64 ``[in, out]``
     ``dequantize(rtn_quantize(weight, cfg, channel_scale=s_k)).T - weight_t``
-    bit for bit, without codes or a row-major reconstruction: each tile of
-    all K candidates is scaled, coded, decoded and divided back in float32
-    exactly as those calls do, then subtracted in float64.
+    bit for bit, made without codes or a row-major reconstruction.
+    Candidates are coded in batches of ``_CHUNK_ELEMENTS // weight_t.size``
+    (at least one), stacked on a leading axis, which spares small modules
+    most of the fixed per-call cost; a stacked batch is one tile per group
+    width. Batches run in order.
+    """
+    checked = [None if s is None else _checked_channel_scale(s, len(weight_t))
+               for s in channel_scales]
+    per_batch = max(1, _CHUNK_ELEMENTS // weight_t.size)
+    for i in range(0, len(checked), per_batch):
+        yield from _batch_errors(weight_t, cfg, checked[i : i + per_batch])
 
-    Errors are those of the two calls. A scaled value or a decoded group
-    outside the float32 range raises as soon as its tile is coded; a
-    division by a channel scale that overflows raises only after every
-    candidate is coded, so a product overflow wins over it.
+
+def _batch_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list) -> np.ndarray:
+    """The float64 ``[K, in, out]`` errors of a batch of ``candidate_errors``.
+
+    Each tile of all K candidates is scaled, coded, decoded and divided
+    back in float32 exactly as ``rtn_quantize`` and ``dequantize`` do,
+    then subtracted in float64. A scaled value or a decoded group outside
+    the float32 range raises as soon as its tile is coded; a division that
+    overflows raises only after every candidate is coded, so a product
+    overflow wins over it.
     """
     if len(channel_scales) == 1 and channel_scales[0] is None:
         cscale = None  # a lone unscaled candidate skips the multiply and the division

@@ -17,12 +17,10 @@ round-to-nearest of the weight under each of several channel scales:
 ``search_scale`` scores plain RTN and the whole grid in one call, or only
 the grid when given the RTN loss, as the pseudo-fine-tuning curve does for
 each snapshot; ``quant_loss`` and the evaluation report score one scale
-through ``loss.quantized``. ``quant.candidate_errors`` codes candidates
-tile by tile on that copy, straight into their float64 in-major errors, in
-batches of up to ``_BATCH_WEIGHTS`` weights stacked on a leading axis,
-which spares small modules most of the fixed per-call cost; each candidate
-keeps its own contiguous error and its own loss product, so every loss has
-the bits it has when scored alone, and the bits ``loss(recon)`` gives its
+through ``loss.quantized``. ``quant.candidate_errors`` codes the
+candidates on that copy, straight into their float64 in-major errors;
+each candidate has its own loss product, so every loss has the bits it
+has when scored alone, and the bits ``loss(recon)`` gives its
 reconstruction. With at least ``in_features`` calibration rows it scores
 through the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the
 rows directly. The choice depends only on the shapes, and both forms give
@@ -46,17 +44,11 @@ from .quant import (
     QuantConfig,
     QuantizedTensor,
     candidate_errors,
-    checked_channel_scale,
     rtn_quantize,
     select_protected,
     transposed,
 )
 from .toy import CalibrationSet
-
-# weights per batch of search candidates coded by one candidate_errors call:
-# one tile budget of the quantizer, so a small module's batch is one tile
-# (twice that left toy-cli's eval stage 1.5 ms slower in some runs)
-_BATCH_WEIGHTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -110,12 +102,11 @@ class ModuleLoss:
     relative). ``module`` names the search result and the errors, those of
     the quantizer included.
 
-    ``quantized_many`` scores channel-scale candidates in batches of up to
-    ``_BATCH_WEIGHTS`` weights: one ``candidate_errors`` call per batch,
-    then one loss product per candidate. ``protected_losses`` scores an
-    error before and after ``|P|`` of its rows are replaced from one loss
-    product and a rank-``|P|`` update, so the evaluation report pays two
-    loss products per module, plus that update when channels are protected.
+    ``quantized_many`` scores one loss product per channel-scale candidate.
+    ``protected_losses`` scores a reconstruction before and after its
+    protected columns are restored from one loss product and a rank-``|P|``
+    update, so the evaluation report pays two loss products per module,
+    plus that update when channels are protected.
     """
 
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
@@ -162,24 +153,26 @@ class ModuleLoss:
         return self._reduce(self._basis() @ err_t, err_t)
 
     def protected_losses(
-        self, err_t: np.ndarray, protected: np.ndarray, rows: np.ndarray
+        self, recon: np.ndarray, protected: np.ndarray, columns: np.ndarray
     ) -> tuple[float, float]:
-        """The losses of ``err_t`` before and after the rows of the boolean mask
-        ``protected`` become the float64 ``rows``.
+        """The losses of the [out, in] ``recon`` before and after the columns of
+        the boolean mask ``protected`` become the float32 [out, |P|] ``columns``.
 
-        ``err_t`` is patched in place. The first loss is ``error_loss(err_t)``
-        bit for bit; the second updates the same product by the change ``D``
-        of the protected rows, adding the protected columns of the Gram
-        matrix (of the rows, on the direct path) times ``D`` to it, at a
-        cost proportional to their number. It agrees with ``error_loss`` of
-        the patched error up to float64 rounding of that sum, and an exactly
-        zero patched row adds exactly zero on the Gram path. With no
-        protected row both losses are the first and no update is made.
+        The first loss is ``self(recon)`` bit for bit; the second updates the
+        same product by the change ``D`` of the protected in-major error
+        rows, adding the protected columns of the Gram matrix (of the rows,
+        on the direct path) times ``D`` to it, at a cost proportional to
+        their number. It agrees with ``self`` of the patched reconstruction
+        up to float64 rounding of that sum, and an exactly zero patched row
+        adds exactly zero on the Gram path. With no protected column both
+        losses are the first and no update is made.
         """
+        err_t = self.error(recon)
         product = self._basis() @ err_t
         searched = self._reduce(product, err_t)
         if not protected.any():
             return searched, searched
+        rows = np.subtract(columns.T, self.weight_t[protected], dtype=np.float64)
         change = rows - err_t[protected]
         err_t[protected] = rows
         product += self._basis()[:, protected] @ change
@@ -199,26 +192,14 @@ class ModuleLoss:
     def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
         """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.
 
-        For each channel scale (``None`` for none) the columns are multiplied
-        by it, quantized without protection, decoded, and divided by it
-        again. Candidates go in batches of at most ``_BATCH_WEIGHTS``
-        weights, at least one each. ``candidate_errors`` codes a batch on a
-        leading candidate axis; groups and decoding are per candidate, so
-        each candidate's contiguous ``[in, out]`` error has the bits it has
-        alone, and is scored by its own loss product. Every scale is checked
-        before any candidate is scored, so an invalid scale raises its own
-        error first. Batches run in order, and a batch codes all its
-        candidates before it reports a division overflow, so there an
-        overflow of a product wins over one of a division. With a
-        ``module`` name, an error reads ``module '<name>': <message>``.
+        For each channel scale (``None`` for none), in order, the loss of
+        its ``candidate_errors`` error: the columns multiplied by it,
+        quantized without protection, decoded, and divided by it again.
+        With a ``module`` name, an error reads ``module '<name>': <message>``.
         """
-        in_features = self.shape[1]
-        per_batch = max(1, _BATCH_WEIGHTS // self.weight_t.size)
         try:
-            checked = [None if s is None else checked_channel_scale(s, in_features) for s in scales]
-            batches = [checked[i : i + per_batch] for i in range(0, len(checked), per_batch)]
-            return [self.error_loss(err_t) for batch in batches
-                    for err_t in candidate_errors(self.weight_t, qcfg, batch)]
+            return [self.error_loss(err_t)
+                    for err_t in candidate_errors(self.weight_t, qcfg, scales)]
         except ValueError as exc:
             if not self.module:
                 raise
@@ -276,7 +257,14 @@ def search_scale(
     ones = np.ones(in_features, dtype=np.float32)
     alphas = scfg.alphas()
     # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
-    scales = [(base**alpha).astype(np.float32) for alpha in alphas if alpha != 0.0]
+    scaled = [alpha for alpha in alphas if alpha != 0.0]
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        scales = [(base**alpha).astype(np.float32) for alpha in scaled]
+    for alpha, scale in zip(scaled, scales):
+        if not ((scale > 0) & (scale < np.inf)).all():
+            raise ValueError(
+                f"channel scale of alpha {alpha!r}{where} is not positive and finite in float32"
+            )
     if rtn_loss is None:
         rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales])
     else:

@@ -22,10 +22,11 @@ _CHUNK_STEPS = 10
 
 
 class TrainingDivergedError(Exception):
-    """Training loss became non-finite."""
+    """Training loss, or a tensor after the last step, became non-finite."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite training loss at step {step}")
+    def __init__(self, step: int, tensor: str | None = None):
+        what = "training loss" if tensor is None else f"tensor {tensor!r}"
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 
@@ -58,8 +59,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not np.inf > self.learning_rate > 0:
-            raise ValueError("learning_rate must be finite and > 0")
+        # training steps at the float32 rate, so it must not overflow float32
+        with np.errstate(over="ignore"):
+            rate = np.float32(self.learning_rate)
+        if not (self.learning_rate > 0 and np.isfinite(rate)):
+            raise ValueError("learning_rate must be > 0 and finite in float32")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.snapshot_every < 1:
@@ -237,6 +241,10 @@ def train(
     slices its batch and targets from them and runs the student forward and
     backward once. One draw per chunk yields the values of one draw per
     step, and the tests check that no snapshot depends on the chunk length.
+
+    A non-finite loss raises ``TrainingDivergedError`` at its step, before
+    that step's update; a weight or bias that the last update leaves
+    non-finite raises it naming the tensor. Overflows raise no numpy warning.
     """
     model = copy.deepcopy(model)
     teacher = _teacher_for(model, cfg.data_seed)
@@ -248,20 +256,27 @@ def train(
 
     snapshot_steps = cfg.snapshot_steps
     snapshots: list[tuple[int, TensorMap]] = [(0, checkpoint_map(model, 0, extra))]
-    for step in range(1, cfg.steps + 1):
-        row = (step - 1) % _CHUNK_STEPS * cfg.batch_size
-        if row == 0:
-            rows = min(_CHUNK_STEPS, cfg.steps + 1 - step) * cfg.batch_size
-            inputs = rng.standard_normal((rows, model.in_dim), dtype=np.float32)
-            targets = forward_activations(teacher.layers, inputs)[-1]
-        batch = slice(row, row + cfg.batch_size)
-        loss, grads = gradients(model, inputs[batch], targets[batch])
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
-        for layer in model.layers:
-            dw, db = grads[layer.name]
-            layer.weight -= lr * dw
-            layer.bias -= lr * db
-        if step in snapshot_steps:
-            snapshots.append((step, checkpoint_map(model, step, extra)))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for step in range(1, cfg.steps + 1):
+            row = (step - 1) % _CHUNK_STEPS * cfg.batch_size
+            if row == 0:
+                rows = min(_CHUNK_STEPS, cfg.steps + 1 - step) * cfg.batch_size
+                inputs = rng.standard_normal((rows, model.in_dim), dtype=np.float32)
+                targets = forward_activations(teacher.layers, inputs)[-1]
+            batch = slice(row, row + cfg.batch_size)
+            loss, grads = gradients(model, inputs[batch], targets[batch])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(step)
+            for layer in model.layers:
+                dw, db = grads[layer.name]
+                layer.weight -= lr * dw
+                layer.bias -= lr * db
+            if step in snapshot_steps:
+                snapshots.append((step, checkpoint_map(model, step, extra)))
+    # no loss covers the last update; an update never makes a non-finite
+    # value finite again, so the last snapshot stands for every snapshot
+    last = snapshots[-1][1]
+    for name in last.names():
+        if not np.isfinite(last[name]).all():
+            raise TrainingDivergedError(cfg.steps, name)
     return model, snapshots

@@ -22,9 +22,9 @@ from deltaquant.toy import CalibrationSet, TrainConfig
 CLI = [sys.executable, "-m", "deltaquant.cli"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd
+        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd, env=env
     )
 
 
@@ -74,6 +74,34 @@ class TestTrainToy:
     def test_bad_steps_is_usage_error(self, tmp_path):
         res = run_cli("train-toy", "--steps", "0", "--out", tmp_path / "x")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "dims,steps,lr,code,message",
+        [
+            # np.float32(1e39) is inf
+            ("8,16,8", "1", "1e39", 2,
+             r"--lr 1e39: learning_rate must be > 0 and finite in float32"),
+            # step 2's loss is finite, its update is not
+            ("8,16,8", "2", "1e15", 1, r"non-finite tensor 'layer\d\.(weight|bias)' at step 2"),
+            # finite weights whose calibration forward pass overflows, in a
+            # hidden layer or in the output
+            ("8,16,16,16,8", "1", "1e20", 1,
+             r"activations of module 'layer[0-2]' on the calibration batch are not finite"),
+            ("8,16,8", "1", "1e20", 1,
+             r"activations of module 'layer1' on the calibration batch are not finite"),
+        ],
+        ids=["lr-beyond-float32", "last-update", "hidden-overflow", "output-overflow"],
+    )
+    def test_non_finite_run_writes_nothing(self, tmp_path, dims, steps, lr, code, message):
+        # warnings printed, not raised: the run reports the failure without one
+        out = tmp_path / "x"
+        env = {**os.environ, "PYTHONWARNINGS": "default"}
+        res = run_cli("train-toy", "--dims", dims, "--steps", steps, "--lr", lr, "--out", out,
+                      env=env)
+        assert res.returncode == code, res.stderr
+        assert re.search(message, res.stderr), res.stderr
+        assert "Warning" not in res.stderr
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
                                             ("--seed", "-1"), ("--dims", "8,0,8"),
@@ -310,6 +338,25 @@ def full_pipeline(tmp_path, bits=3, extra_quant=()):
 
 
 class TestQuantizeAndEval:
+    def test_alpha_whose_scale_leaves_float32_is_named(self, tmp_path):
+        # the run's importance spans a ratio of about 2, so sqrt(2)**1000
+        # overflows float32; warnings printed, not raised, and none is
+        out, imp, _, _, _ = full_pipeline(tmp_path)
+        env = {**os.environ, "PYTHONWARNINGS": "default"}
+        message = r"^error: channel scale of alpha [-\d.e+]+ for module 'layer\d' is not positive"
+        for args in (
+            ["quantize", "--post", out / "ckpt_step000300.dqt", "--importance", imp,
+             "--calib", out / "calib.dqt", "--group-size", "4", "--alpha-hi", "1000"],
+            ["quantize", "--post", out / "ckpt_step000300.dqt", "--importance", imp,
+             "--calib", out / "calib.dqt", "--group-size", "4", "--alpha-lo", "-1000"],
+            ["curve", "--run", out, "--alpha-hi", "1000"],
+        ):
+            res = run_cli(*args, "--out", tmp_path / "bad", env=env)
+            assert res.returncode == 1, res.stderr
+            assert re.search(message, res.stderr), res.stderr
+            assert "Warning" not in res.stderr
+            assert not (tmp_path / "bad").exists()
+
     def test_report_curves_and_never_worse(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=3, extra_quant=("--grid-points", "20"))
         lines = rep.read_text().strip().split("\n")

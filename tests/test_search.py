@@ -1,6 +1,7 @@
 """Quantization loss, scale normalization, alpha grid search."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltaquant import quant, search
+from deltaquant import quant
 from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
     ModuleLoss,
@@ -220,12 +221,8 @@ class TestModuleLoss:
         patched = recon.copy()
         patched[:, mask] = values
         loss = ModuleLoss(w, x)
-        err_t = loss.error(recon)
-        searched, protected = loss.protected_losses(
-            err_t, mask, np.subtract(values.T, loss.weight_t[mask], dtype=np.float64)
-        )
-        assert searched == loss.error_loss(loss.error(recon))
-        assert np.array_equal(err_t, loss.error(patched))
+        searched, protected = loss.protected_losses(recon, mask, values)
+        assert searched == loss(recon)
         if not mask.any():
             assert protected == searched
         # the update sums in another order than the full product; a bound
@@ -298,21 +295,24 @@ class TestCandidatePath:
             ["random", "constant", "collapsed", "half_steps", "subnormal", "near_max"]
         ),
         rows=st.sampled_from(["below", "at_least"]),
-        per_batch=st.integers(1, 4),
-        chunk=st.sampled_from([8, 40, quant._CHUNK_ELEMENTS]),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_equals_public_path(
-        self, out_features, in_features, group_size, bits, kind, rows, per_batch, chunk, seed,
-        data,
+        self, out_features, in_features, group_size, bits, kind, rows, seed, data
     ):
         # quantized_many scores each candidate as the public quantize, decode
-        # and loss calls do, bit for bit, alone (per_batch 1) or stacked, on
-        # one tile or many; a failing candidate raises what those calls raise
+        # and loss calls do, bit for bit, alone on one tile or many (a budget
+        # below the weight) or stacked on one tile per group width; a failing
+        # candidate raises what those calls raise
         rng = np.random.default_rng(seed)
         w = _weight_of_kind(rng, kind, (out_features, in_features))
+        chunk = data.draw(
+            st.sampled_from([8, 40, w.size, 2 * w.size, 4 * w.size, quant._CHUNK_ELEMENTS]),
+            label="chunk",
+        )
+        per_batch = max(1, chunk // w.size)
         n = in_features - 1 if rows == "below" else in_features + 2
         x = rng.standard_normal((n, in_features)).astype(np.float32)
         scaled = data.draw(st.lists(st.booleans(), min_size=1, max_size=6), label="scaled")
@@ -328,7 +328,6 @@ class TestCandidatePath:
                 q if isinstance(q, str) else _outcome(lambda q=q: ModuleLoss(w, x)(dequantize(q)))
                 for q in public
             ]
-            mp.setattr(search, "_BATCH_WEIGHTS", per_batch * w.size)
             got = _outcome(lambda: ModuleLoss(w, x).quantized_many(cfg, scales))
         if not any(isinstance(p, str) for p in public):
             assert got == public
@@ -375,7 +374,7 @@ class TestBatchedScoring:
             scales[0] = None
         cfg = QuantConfig(bits=bits, group_size=group_size)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_BATCH_WEIGHTS", per_batch * w.size)
+            mp.setattr(quant, "_CHUNK_ELEMENTS", per_batch * w.size)
             losses = ModuleLoss(w, x).quantized_many(cfg, scales)
         ones = np.ones(in_features, np.float32)
         assert losses == [quant_loss(w, x, ones if s is None else s, cfg) for s in scales]
@@ -387,7 +386,7 @@ class TestBatchedScoring:
         with pytest.raises(ValueError, match=message):
             quant_loss(w, x, bad, QCFG)
         # four candidates per batch: positions 0-3 fall in the first, 4-6 in the second
-        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * w.size)
+        monkeypatch.setattr(quant, "_CHUNK_ELEMENTS", 4 * w.size)
         rng = np.random.default_rng(position)
         scales = [np.exp(rng.uniform(-0.1, 0.1, 8)).astype(np.float32) for _ in range(6)]
         ModuleLoss(w, x).quantized_many(QCFG, scales)
@@ -407,24 +406,24 @@ class TestBatchedScoring:
     def test_invalid_scale_is_raised_before_any_candidate(self, monkeypatch, kind):
         # every scale is checked first: a later invalid scale wins over an
         # earlier candidate's overflow, and no candidate is quantized
-        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
+        monkeypatch.setattr(quant, "_CHUNK_ELEMENTS", 4 * 32)
         calls = Counter()
 
-        def counted(*args, _original=search.candidate_errors, **kwargs):
-            calls["candidate_errors"] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, _original=quant._coded_tiles):
+            calls["_coded_tiles"] += 1
+            return _original(*args)
 
-        monkeypatch.setattr(search, "candidate_errors", counted)
+        monkeypatch.setattr(quant, "_coded_tiles", counted)
         w, x, overflow, _ = _failing_candidate("product")
         _, _, invalid, message = _failing_candidate(kind)
         with pytest.raises(ValueError, match=f"^module 'layer2': {message}"):
             ModuleLoss(w, x, "layer2").quantized_many(QCFG, [None, overflow, invalid])
-        assert calls["candidate_errors"] == 0
+        assert calls["_coded_tiles"] == 0
 
     def test_product_overflow_wins_within_a_batch(self, monkeypatch):
         # a batch quantizes all its candidates before decoding any: a later
         # candidate's product overflow wins over an earlier one's division overflow
-        monkeypatch.setattr(search, "_BATCH_WEIGHTS", 4 * 32)
+        monkeypatch.setattr(quant, "_CHUNK_ELEMENTS", 4 * 32)
         w, x, division, _ = _failing_candidate("division")
         w[1, 2] = 1e38
         product = np.ones(8, np.float32)
@@ -436,23 +435,43 @@ class TestBatchedScoring:
         with pytest.raises(ValueError, match="dequantization produced non-finite"):
             ModuleLoss(w, x).quantized_many(QCFG, [None] * 3 + [division, product])
 
-    @pytest.mark.parametrize("shape, fewest, most", [((64, 128), 1, 2), ((512, 512), 20, 20)])
-    def test_search_quantizes_once_per_batch(self, monkeypatch, shape, fewest, most):
+    @pytest.mark.parametrize(
+        "shape, batches", [((64, 128), [16, 4]), ((512, 512), [1] * 20)],
+        ids=["64x128", "512x512"],
+    )
+    def test_search_quantizes_once_per_batch(self, monkeypatch, shape, batches):
         # 20 candidates of 64 x 128 fit in two batches; one of 512 x 512 fills a batch
-        batches = []
+        stacks = []
 
-        def counted(weight_t, qcfg, channel_scales, _original=search.candidate_errors):
-            batches.append(len(channel_scales))
-            return _original(weight_t, qcfg, channel_scales)
+        def counted(weight_t, qcfg, cscale, _original=quant._coded_tiles):
+            stacks.append(1 if cscale is None else len(cscale))
+            return _original(weight_t, qcfg, cscale)
 
-        monkeypatch.setattr(search, "candidate_errors", counted)
+        monkeypatch.setattr(quant, "_coded_tiles", counted)
         rng = np.random.default_rng(5)
         w = rng.standard_normal(shape).astype(np.float32)
         x = rng.standard_normal((16, shape[1])).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, shape[1]))
         search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig())
-        assert fewest <= len(batches) <= most
-        assert sum(batches) == 20
+        assert stacks == batches
+
+    def test_stacked_batch_is_one_tile_per_group_width(self, monkeypatch):
+        # 20 candidates of 64 x 130 go in batches of 15 and 5 (2^17 // 8320
+        # per batch); each batch codes one tile of its full group and one of
+        # its ragged 2-channel group, so the quantizer kernel runs 4 times
+        tiles = []
+
+        def counted(values, bits, _original=quant._code_groups):
+            tiles.append(values.shape)
+            return _original(values, bits)
+
+        monkeypatch.setattr(quant, "_code_groups", counted)
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((64, 130)).astype(np.float32)
+        x = rng.standard_normal((16, 130)).astype(np.float32)
+        scores = np.exp(rng.uniform(-1.0, 2.0, 130))
+        search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig(group_size=128))
+        assert tiles == [(15, 128, 64), (15, 2, 64), (5, 128, 64), (5, 2, 64)]
 
 
 class TestNormalizeScale:
@@ -619,6 +638,21 @@ class TestSearchScale:
         w, x, scores = _instance(1)
         with pytest.raises(ValueError):
             search_scale(ModuleLoss(w, x), scores * 0.0, SearchConfig(), QCFG)
+
+    @pytest.mark.parametrize("lo, hi, first", [(0.0, 200.0, 4), (-200.0, 1.0, 0)])
+    def test_alpha_whose_scale_leaves_float32_is_named(self, lo, hi, first):
+        # base [0.1, 10]: 10**42.1 (alpha 4 * 200 / 19) and 0.1**-200 overflow
+        # float32; 0.1**42.1 is a positive subnormal
+        scfg = SearchConfig(alpha_lo=lo, alpha_hi=hi)
+        alpha = scfg.alphas()[first]
+        w, x, _ = _instance(4)
+        scores = np.where(np.arange(w.shape[1]) % 2, 100.0, 1.0)
+        message = (
+            f"channel scale of alpha {re.escape(repr(alpha))} for module 'layer2' "
+            "is not positive and finite in float32"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            search_scale(ModuleLoss(w, x, "layer2"), scores, scfg, QCFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

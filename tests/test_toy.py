@@ -170,6 +170,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(learning_rate=float("inf"))
 
+    def test_learning_rate_beyond_float32_rejected(self):
+        # training multiplies by np.float32(learning_rate), which is inf here
+        with pytest.raises(ValueError, match="finite in float32"):
+            TrainConfig(learning_rate=1e39)
+        TrainConfig(learning_rate=3e38)
+
+    def test_last_update_divergence_names_the_tensor(self):
+        # the loss of step 2 is about 1e57, finite; its update overflows
+        # float32 and no later loss sees it
+        model = init_model([8, 16, 8], seed=0)
+        with pytest.raises(
+            TrainingDivergedError, match=r"^non-finite tensor 'layer\d\.(weight|bias)' at step 2$"
+        ) as info:
+            train(model, TrainConfig(steps=2, learning_rate=1e15))
+        assert info.value.step == 2
+
     def test_loss_decreases(self):
         model = init_model([8, 16, 8], seed=0)
         cfg = TrainConfig(steps=200, data_seed=1)
@@ -204,9 +220,8 @@ class TestTrain:
 
     def test_divergence_reports_step(self):
         model = init_model([4, 8, 4], seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError, match="step"):
-                train(model, TrainConfig(steps=200, learning_rate=1e12))
+        with pytest.raises(TrainingDivergedError, match="step"):
+            train(model, TrainConfig(steps=200, learning_rate=1e12))
 
 
 class TestChunkInvariance:
@@ -237,9 +252,8 @@ class TestChunkInvariance:
         steps = []
         for chunk in (toy._CHUNK_STEPS, 1):
             monkeypatch.setattr(toy, "_CHUNK_STEPS", chunk)
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(TrainingDivergedError) as info:
-                    train(model, TrainConfig(steps=200, learning_rate=1e12))
+            with pytest.raises(TrainingDivergedError) as info:
+                train(model, TrainConfig(steps=200, learning_rate=1e12))
             steps.append(info.value.step)
         assert steps[0] == steps[1]
 
