@@ -228,14 +228,7 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
     batch = np.random.default_rng((ns.train.data_seed, 101)).standard_normal(
         (ns.calib_rows, ns.dims[0]), dtype=np.float32
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, before any write
-        output, calib = forward(final, batch)
-    outputs = [calib.inputs[layer.name] for layer in final.layers[1:]] + [output]
-    for layer, acts in zip(final.layers, outputs):
-        if not np.isfinite(acts).all():
-            raise ValueError(
-                f"activations of module {layer.name!r} on the calibration batch are not finite"
-            )
+    _, calib = forward(final, batch)
     for step, snap in snapshots:
         path = paths[step]
         save_container(snap, path)
@@ -262,12 +255,16 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 
 
 def cmd_quantize(ns: argparse.Namespace) -> int:
+    report_path = Path(ns.report) if ns.report else Path(ns.out).with_suffix(".report.jsonl")
+    # the artifact is written before the report: a missing directory fails before either
+    for path in (Path(ns.out), report_path):
+        if not path.parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {path.parent}")
     post = load_container(ns.post)
     imps = importances_from_map(load_container(ns.importance))
     calib = _load_calib(ns.calib)
     artifact, report = quantize_model(post, imps, calib, ns.search, ns.quant)
     save_container(artifact_to_map(artifact, config_to_text(ns.quant)), ns.out)
-    report_path = Path(ns.report) if ns.report else Path(ns.out).with_suffix(".report.jsonl")
     report_path.write_text("\n".join(report_lines(report, ns.search, ns.quant)) + "\n")
     print(f"wrote {ns.out}")
     print(f"wrote {report_path}")

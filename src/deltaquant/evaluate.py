@@ -34,7 +34,7 @@ from .signals import (
     importance_all,
     importances,
 )
-from .toy import CalibrationSet, LinearLayer, forward_activations, model_from_map
+from .toy import CalibrationSet, ToyModel, forward, model_from_map
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -59,22 +59,12 @@ class AblationRow:
     end_to_end_mse: float
 
 
-def _heldout_outputs(layers: list[LinearLayer], batch: np.ndarray, weights: str) -> np.ndarray:
-    """The outputs of ``layers`` on ``batch``.
-
-    A finite weight can still overflow float32 activations: that raises
-    ValueError naming the first layer whose activations are not finite and
-    ``weights``, the weights it ran, instead of numpy's warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        acts = forward_activations(layers, batch)
-    for layer, act in zip(layers, acts[1:]):
-        if not np.isfinite(act).all():
-            raise ValueError(
-                f"held-out activations of module {layer.name!r} are not finite "
-                f"with the {weights} weights"
-            )
-    return acts[-1]
+def _heldout_outputs(model: ToyModel, batch: np.ndarray, weights: str) -> np.ndarray:
+    """The outputs of ``model`` on ``batch``; an error also names ``weights``, the weights run."""
+    try:
+        return forward(model, batch)[0]
+    except ValueError as exc:
+        raise ValueError(f"held-out {exc} with the {weights} weights") from exc
 
 
 def _heldout_reference(post_ckpt: TensorMap):
@@ -82,14 +72,14 @@ def _heldout_reference(post_ckpt: TensorMap):
     model = model_from_map(post_ckpt)
     rng = np.random.default_rng(_HELDOUT_SEED)
     batch = rng.standard_normal((_HELDOUT_ROWS, model.in_dim), dtype=np.float32)
-    return model, batch, _heldout_outputs(model.layers, batch, "checkpoint")
+    return model, batch, _heldout_outputs(model, batch, "checkpoint")
 
 
 def _end_to_end(reference, recon: dict[str, np.ndarray]) -> tuple[float, float]:
     """Output MSE and relative Frobenius error of ``recon`` weights on the held-out batch."""
     model, batch, ref = reference
     layers = [replace(layer, weight=recon[layer.name]) for layer in model.layers]
-    quant = _heldout_outputs(layers, batch, "reconstructed")
+    quant = _heldout_outputs(replace(model, layers=layers), batch, "reconstructed")
     ref = ref.astype(np.float64)
     sq_err = np.square(quant.astype(np.float64) - ref)
     mse = float(np.mean(sq_err))

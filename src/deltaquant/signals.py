@@ -134,7 +134,8 @@ def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaSta
     zeros = vals.size - positives.size
     if positives.size == 0:
         raise DegenerateDeltasError(
-            "degenerate deltas: all weight updates are zero"
+            f"degenerate deltas: every weight update is at or below zero_epsilon {zero_epsilon}"
+            if zero_epsilon > 0 else "degenerate deltas: all weight updates are zero"
         )
     middle = (positives.size - 1) // 2
     positives.partition(middle)

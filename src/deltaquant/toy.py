@@ -143,13 +143,23 @@ def forward_activations(layers: list[LinearLayer], inputs: np.ndarray) -> list[n
 
 
 def forward(model: ToyModel, inputs: np.ndarray) -> tuple[np.ndarray, CalibrationSet]:
-    """Run the model on a batch; return its output and each module's input rows."""
+    """Run the model on a batch; return its output and a copy of each module's input rows.
+
+    Finite weights can still overflow float32 activations: that raises
+    ValueError naming the first module whose activations (ReLU output, or
+    the raw output of the last module) are not finite, instead of numpy's
+    warning. A hidden pre-activation that overflows to -inf is ReLU's 0.
+    """
     inputs = np.ascontiguousarray(inputs, dtype=np.float32)
     if inputs.ndim != 2 or inputs.shape[1] != model.in_dim:
         raise ValueError(
             f"inputs must be [n, {model.in_dim}], got {tuple(inputs.shape)}"
         )
-    acts = forward_activations(model.layers, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        acts = forward_activations(model.layers, inputs)
+    for layer, act in zip(model.layers, acts[1:]):
+        if not np.isfinite(act).all():
+            raise ValueError(f"activations of module {layer.name!r} are not finite")
     calib = CalibrationSet()
     for i, layer in enumerate(model.layers):
         calib.inputs[layer.name] = acts[i].copy()

@@ -86,9 +86,9 @@ class TestTrainToy:
             # finite weights whose calibration forward pass overflows, in a
             # hidden layer or in the output
             ("8,16,16,16,8", "1", "1e20", 1,
-             r"activations of module 'layer[0-2]' on the calibration batch are not finite"),
+             r"activations of module 'layer[0-2]' are not finite"),
             ("8,16,8", "1", "1e20", 1,
-             r"activations of module 'layer1' on the calibration batch are not finite"),
+             r"activations of module 'layer1' are not finite"),
         ],
         ids=["lr-beyond-float32", "last-update", "hidden-overflow", "output-overflow"],
     )
@@ -199,6 +199,18 @@ class TestImportance:
         assert res.returncode == 2
         assert "zero_epsilon" in res.stderr
         assert not imp.exists()
+
+    def test_zero_epsilon_above_every_update_is_named(self, tmp_path):
+        # the updates are not zero: the threshold excluded them all
+        out = train_run(tmp_path)
+        for cmd, extra in (("importance", []), ("ablate", ["--calib", out / "calib.dqt"])):
+            target = tmp_path / f"{cmd}.out"
+            res = run_cli(cmd, "--pre", out / "ckpt_step000000.dqt",
+                          "--post", out / "ckpt_step000300.dqt", *extra,
+                          "--zero-epsilon", "100", "--out", target)
+            assert res.returncode == 1, res.stderr
+            assert "every weight update is at or below zero_epsilon 100.0" in res.stderr
+            assert not target.exists()
 
     def test_non_finite_checkpoint_is_runtime_error(self, tmp_path):
         from deltaquant.container import load_container, save_container
@@ -356,6 +368,22 @@ class TestQuantizeAndEval:
             assert re.search(message, res.stderr), res.stderr
             assert "Warning" not in res.stderr
             assert not (tmp_path / "bad").exists()
+
+    def test_missing_output_directory_is_usage_error_and_writes_nothing(self, tmp_path):
+        out = train_run(tmp_path)
+        imp = tmp_path / "imp.dqt"
+        res = run_cli("importance", "--pre", out / "ckpt_step000000.dqt",
+                      "--post", out / "ckpt_step000300.dqt", "--out", imp)
+        assert res.returncode == 0, res.stderr
+        missing = tmp_path / "nodir"
+        for art, rep in ((tmp_path / "q.dqt", missing / "r.jsonl"),
+                         (missing / "q.dqt", tmp_path / "r.jsonl")):
+            res = run_cli("quantize", "--post", out / "ckpt_step000300.dqt", "--importance", imp,
+                          "--calib", out / "calib.dqt", "--group-size", "4",
+                          "--out", art, "--report", rep)
+            assert res.returncode == 2, res.stderr
+            assert f"no directory {missing}" in res.stderr
+            assert not art.exists() and not rep.exists()
 
     def test_report_curves_and_never_worse(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=3, extra_quant=("--grid-points", "20"))

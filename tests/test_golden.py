@@ -6,8 +6,10 @@ The checkpoint pair and the calibration rows come from numpy's
 arithmetic only, so their bytes are pinned (a digest per tensor, then the
 file's). The search runs float64 ``pow`` and BLAS loss products, so its
 alpha* is pinned exactly, on a seed whose losses are far apart, and its
-losses to 1e-12 relative. A change that moves a pinned value lists the old
-and the new value in CHANGES.md.
+losses to 1e-12 relative, as are ``eval``'s report of a searched artifact
+with protected channels and ``ablate``'s MSEs, which add BLAS products and
+the held-out forward pass (the two modules chain, 40 -> 24 -> 16). A change
+that moves a pinned value lists the old and the new value in CHANGES.md.
 """
 
 import hashlib
@@ -16,9 +18,11 @@ import numpy as np
 import pytest
 
 from deltaquant.container import TensorMap, load_container, save_container
+from deltaquant.evaluate import ablate_signals, layer_report
 from deltaquant.quant import QuantConfig, artifact_to_map, rtn_quantize
-from deltaquant.search import ModuleLoss, SearchConfig, search_scale
-from deltaquant.signals import MappingConfig, importance_all, importances_to_map
+from deltaquant.search import ModuleLoss, SearchConfig, quantize_model, search_scale
+from deltaquant.signals import SIGNALS, MappingConfig, importance_all, importances_to_map
+from deltaquant.toy import CalibrationSet
 
 _SEED = 20261062
 # module -> (out, in): at group size 16 each has a ragged last group of 8;
@@ -103,6 +107,79 @@ _SEARCH = {
     "layer1": (0.15789473684210525, 0.6180483329514495, 0.5642973872443132),
 }
 
+# eval.json of the default search's artifact at 3 bits with protect_fraction
+# 0.1 (4 protected channels on layer0, 2 on layer1)
+_EVAL = {
+    "layer0": {
+        "rtn_mse": 0.8363084852349082,
+        "searched_mse": 0.7565985889468778,
+        "protected_mse": 0.6686701541260843,
+    },
+    "layer1": {
+        "rtn_mse": 0.6180483329514495,
+        "searched_mse": 0.5642973872443132,
+        "protected_mse": 0.5211260033543483,
+    },
+    "end_to_end": {
+        "output_mse_fp32_vs_quant": 17.100636547639244,
+        "relative_frobenius": 0.1994299673693692,
+    },
+}
+
+# (signal, fraction) -> (layer0 mse, layer1 mse, mean_mse, end_to_end_mse) of
+# ablate at 3 bits, in row order
+_ABLATE = {
+    ("magnitude", 0.0): (
+        0.020003625871770125, 0.020570398751946998, 0.02028701231185856, 21.285252495690976
+    ),
+    ("magnitude", 0.1): (
+        0.01777840912248736, 0.018855229286361328, 0.018316819204424344, 20.17859296588422
+    ),
+    ("magnitude", 0.5): (
+        0.009761487748870985, 0.009821155690449581, 0.009791321719660283, 11.223344613941041
+    ),
+    ("both_ends", 0.0): (
+        0.020003625871770125, 0.020570398751946998, 0.02028701231185856, 21.285252495690976
+    ),
+    ("both_ends", 0.1): (
+        0.01756894545830766, 0.01913470521384844, 0.01835182533607805, 18.575959642345723
+    ),
+    ("both_ends", 0.5): (
+        0.010009946447582765, 0.010940198658054795, 0.010475072552818779, 9.767673511260492
+    ),
+    ("both_ends_zero", 0.0): (
+        0.020003625871770125, 0.020570398751946998, 0.02028701231185856, 21.285252495690976
+    ),
+    ("both_ends_zero", 0.1): (
+        0.01756894545830766, 0.01913470521384844, 0.01835182533607805, 18.575959642345723
+    ),
+    ("both_ends_zero", 0.5): (
+        0.01019890947508808, 0.010732211292397917, 0.010465560383742998, 10.057616869112344
+    ),
+    ("mid", 0.0): (
+        0.020003625871770125, 0.020570398751946998, 0.02028701231185856, 21.285252495690976
+    ),
+    ("mid", 0.1): (
+        0.018055648554073423, 0.018596417012259402, 0.018326032783166413, 19.94020646499714
+    ),
+    ("mid", 0.5): (
+        0.009993679424187364, 0.009630200093892203, 0.009811939759039785, 10.567357238815024
+    ),
+    ("activation_sq", 0.0): (
+        0.020003625871770125, 0.020570398751946998, 0.02028701231185856, 21.285252495690976
+    ),
+    ("activation_sq", 0.1): (
+        0.01841341659868247, 0.018955203161888947, 0.01868430988028571, 18.530908410850678
+    ),
+    ("activation_sq", 0.5): (
+        0.011071785503119245, 0.010034379679956634, 0.010553082591537939, 9.841893678287528
+    ),
+}
+
+
+def _assert_close(got: float, want: float, where: str) -> None:
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0), f"{where} is {got!r}, pinned {want!r}"
+
 
 @pytest.mark.parametrize("signal", sorted(_IMPORTANCE))
 def test_importance_container_bytes(tmp_path, signal):
@@ -141,7 +218,35 @@ def test_search_alpha_and_losses():
             f"module {module!r} field 'alpha_star' is {result.alpha_star!r}, pinned {alpha!r}"
         )
         for field, want in (("rtn_loss", rtn_loss), ("best_loss", best_loss)):
-            got = getattr(result, field)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (
-                f"module {module!r} field {field!r} is {got!r}, pinned {want!r}"
-            )
+            _assert_close(getattr(result, field), want, f"module {module!r} field {field!r}")
+
+
+def test_eval_report():
+    pre, post, rows = _golden_input()
+    calib = CalibrationSet(inputs=rows)
+    qcfg = QuantConfig(bits=3, group_size=_GROUP, protect_fraction=0.1)
+    artifact, _ = quantize_model(
+        post, importance_all(pre, post, MappingConfig()), calib, SearchConfig(), qcfg
+    )
+    report = layer_report(post, artifact, calib)
+    got = {**report.per_module, "end_to_end": report.end_to_end}
+    assert sorted(got) == sorted(_EVAL)
+    for module, fields in _EVAL.items():
+        assert sorted(got[module]) == sorted(fields), f"eval module {module!r}: fields"
+        for field, want in fields.items():
+            _assert_close(got[module][field], want, f"eval module {module!r} field {field!r}")
+
+
+def test_ablation_mses():
+    pre, post, rows = _golden_input()
+    signals = [MappingConfig(signal=name) for name in SIGNALS]
+    got = ablate_signals(pre, post, CalibrationSet(inputs=rows), signals, [0.0, 0.1, 0.5],
+                         QuantConfig(bits=3, group_size=_GROUP))
+    assert [(r.signal, r.fraction) for r in got] == list(_ABLATE)
+    for row, (layer0, layer1, mean, end_to_end) in zip(got, _ABLATE.values()):
+        where = f"ablate row ({row.signal!r}, {row.fraction!r})"
+        assert sorted(row.per_module) == ["layer0", "layer1"], f"{where}: modules"
+        _assert_close(row.per_module["layer0"], layer0, f"{where} module 'layer0' field 'mse'")
+        _assert_close(row.per_module["layer1"], layer1, f"{where} module 'layer1' field 'mse'")
+        _assert_close(row.mean_mse, mean, f"{where} module 'mean' field 'mse'")
+        _assert_close(row.end_to_end_mse, end_to_end, f"{where} field 'end_to_end_mse'")

@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ class TestForward:
         assert np.array_equal(calib.inputs["layer0"], x)
         hidden = np.maximum(x @ model.layers[0].weight.T + model.layers[0].bias, 0)
         assert np.array_equal(calib.inputs["layer1"], hidden)
+
+    def test_capture_does_not_alias_the_batch(self):
+        model = init_model([4, 6, 2], seed=2)
+        x = np.random.default_rng(0).standard_normal((8, 4), dtype=np.float32)
+        _, calib = forward(model, x)
+        before = x.copy()
+        x[:] = 0.0
+        assert np.array_equal(calib.inputs["layer0"], before)
+
+    @pytest.mark.parametrize("module", ["layer0", "layer1"])
+    def test_overflowing_activations_name_the_module(self, module):
+        # finite weights whose float32 activations overflow, in the hidden
+        # layer or in the output, raise instead of warning
+        model = init_model([8, 16, 8], seed=0)
+        layer = next(l for l in model.layers if l.name == module)
+        layer.weight = np.full_like(layer.weight, 3e38)
+        x = np.random.default_rng(1).standard_normal((4, 8), dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"module '{module}' are not finite"):
+                forward(model, x)
 
     def test_capture_reproducible(self):
         model = init_model([4, 6, 2], seed=2)
