@@ -32,16 +32,15 @@ from .quant import (
     artifact_to_map,
     dequantize,
     pack_codes,
+    protected_prefix,
     protection_order,
     rtn_quantize,
-    select_protected,
     unpack_codes,
 )
 from .search import (
     ModuleLoss,
     SearchConfig,
     SearchResult,
-    normalize_scale,
     quant_loss,
     quantize_model,
     search_scale,

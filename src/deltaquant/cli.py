@@ -211,6 +211,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dirs(*paths: str | Path) -> None:
+    """Name the first output path without a directory, before a command reads its inputs."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {path.parent}")
+
+
 def _load_calib(path: str) -> CalibrationSet:
     return CalibrationSet.from_tensor_map(load_container(path))
 
@@ -245,6 +252,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
         activation = ns.map.signal == "activation_sq"
         reader = f"signal {ns.map.signal!r}" if activation else "--multiply-activation"
         raise UsageError(f"{reader} requires --calib")
+    _check_out_dirs(ns.out)
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib) if ns.calib else None
@@ -257,9 +265,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 def cmd_quantize(ns: argparse.Namespace) -> int:
     report_path = Path(ns.report) if ns.report else Path(ns.out).with_suffix(".report.jsonl")
     # the artifact is written before the report: a missing directory fails before either
-    for path in (Path(ns.out), report_path):
-        if not path.parent.is_dir():
-            raise UsageError(f"cannot write {path}: no directory {path.parent}")
+    _check_out_dirs(ns.out, report_path)
     post = load_container(ns.post)
     imps = importances_from_map(load_container(ns.importance))
     calib = _load_calib(ns.calib)
@@ -272,6 +278,7 @@ def cmd_quantize(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    _check_out_dirs(ns.out)
     post = load_container(ns.post)
     artifact = artifact_from_map(load_container(ns.artifact))
     calib = _load_calib(ns.calib)
@@ -282,6 +289,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_ablate(ns: argparse.Namespace) -> int:
+    _check_out_dirs(ns.out)
     signals = [replace(ns.map, signal=name) for name in ns.signals]
     pre = load_container(ns.pre)
     post = load_container(ns.post)
@@ -293,6 +301,7 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
 
 
 def cmd_curve(ns: argparse.Namespace) -> int:
+    _check_out_dirs(ns.out)
     run_dir = Path(ns.run)
     ckpts = {path: path.stem[len("ckpt_step"):] for path in sorted(run_dir.glob("ckpt_step*.dqt"))}
     stray = [path for path, step in ckpts.items() if not step.isdecimal()]

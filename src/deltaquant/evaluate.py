@@ -178,8 +178,8 @@ def ablate_signals(
     once. Per module: one quantize, one dequantize and the float64
     per-column sums of the squared error; per signal and module, one
     ``protection_order`` sort. Per row and module: that order's
-    ``protected_prefix`` mask (the ``select_protected`` mask of the row's
-    fraction), a masked select of the float columns into the plain
+    ``protected_prefix`` mask (the mask ``quantize_model`` stores for the
+    row's fraction), a masked select of the float columns into the plain
     reconstruction (which is exactly what decoding the protected tensor
     gives: the channel scale is all ones and the mask never changes the
     codes) and one sum of the column error sums with the protected columns

@@ -456,32 +456,19 @@ def unpack_codes(buf: np.ndarray, count: int, bits: int) -> np.ndarray:
 def protection_order(scores: np.ndarray) -> np.ndarray:
     """Channels from most to least important; ties break toward the lower index.
 
-    ``select_protected`` marks a prefix of this order, so the masks of
+    ``protected_prefix`` marks a prefix of this order, so the masks of
     ascending fractions are nested.
     """
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
-def protected_count(fraction: float, channels: int) -> int:
-    """How many of ``channels`` a protect ``fraction`` in [0, 1] marks: round(fraction * channels)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    return int(round(fraction * channels))
-
-
 def protected_prefix(order: np.ndarray, fraction: float) -> np.ndarray:
     """Mark the first round(fraction * n) channels of an n-channel ``protection_order``."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
     mask = np.zeros(order.size, dtype=bool)
-    mask[order[: protected_count(fraction, order.size)]] = True
+    mask[order[: int(round(fraction * order.size))]] = True
     return mask
-
-
-def select_protected(scores: np.ndarray, fraction: float) -> np.ndarray:
-    """Mark the round(fraction * n) highest-importance channels of a score array.
-
-    Ties break toward the lower channel index.
-    """
-    return protected_prefix(protection_order(scores), fraction)
 
 
 def artifact_to_map(

@@ -26,10 +26,10 @@ through the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the
 rows directly. The choice depends only on the shapes, and both forms give
 the same loss up to float64 rounding.
 
-Importance vectors are normalized by sqrt(max * min) before
+``search_scale`` divides the importance vector by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
-the argmin: rescaling the importance by a constant changes neither the
-normalized base nor any candidate loss.
+the argmin: rescaling the importance by a constant changes neither that
+base nor any candidate loss.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .quant import (
     QuantConfig,
     QuantizedTensor,
     candidate_errors,
+    protected_prefix,
+    protection_order,
     rtn_quantize,
-    select_protected,
     transposed,
 )
 from .toy import CalibrationSet
@@ -130,10 +131,9 @@ class ModuleLoss:
         if not np.isfinite(x64.sum()):
             raise ValueError(f"calibration inputs{where} contain non-finite values")
         self.outputs = x64.shape[0] * self.shape[0]
-        if x64.shape[0] >= x64.shape[1]:
-            self.gram, self.x64 = x64.T @ x64, None
-        else:
-            self.gram, self.x64 = None, x64
+        # what multiplies an error into the loss product: the Gram matrix, else the rows
+        self.gram = x64.shape[0] >= x64.shape[1]
+        self.basis = x64.T @ x64 if self.gram else x64
 
     def __call__(self, recon: np.ndarray) -> float:
         """Mean squared difference between reconstructed and original outputs."""
@@ -150,7 +150,7 @@ class ModuleLoss:
 
     def error_loss(self, err_t: np.ndarray) -> float:
         """The loss of the float64 in-major error ``err_t``: ``self(recon)`` of its ``recon``."""
-        return self._reduce(self._basis() @ err_t, err_t)
+        return self._reduce(self.basis @ err_t, err_t)
 
     def protected_losses(
         self, recon: np.ndarray, protected: np.ndarray, columns: np.ndarray
@@ -168,26 +168,22 @@ class ModuleLoss:
         losses are the first and no update is made.
         """
         err_t = self.error(recon)
-        product = self._basis() @ err_t
+        product = self.basis @ err_t
         searched = self._reduce(product, err_t)
         if not protected.any():
             return searched, searched
         rows = np.subtract(columns.T, self.weight_t[protected], dtype=np.float64)
         change = rows - err_t[protected]
         err_t[protected] = rows
-        product += self._basis()[:, protected] @ change
+        product += self.basis[:, protected] @ change
         return searched, self._reduce(product, err_t)
 
-    def _basis(self) -> np.ndarray:
-        """What multiplies an error into the loss product: the Gram matrix, else the rows."""
-        return self.x64 if self.gram is None else self.gram
-
     def _reduce(self, product: np.ndarray, err_t: np.ndarray) -> float:
-        """The loss of ``err_t`` from its product with ``_basis()``."""
-        if self.gram is None:
-            return float(np.mean(product * product))
-        # numpy's own reduction: a BLAS dot would split the sum by thread count
-        return float(np.einsum("ij,ij->", product, err_t) / self.outputs)
+        """The loss of ``err_t`` from its product with ``basis``."""
+        if self.gram:
+            # numpy's own reduction: a BLAS dot would split the sum by thread count
+            return float(np.einsum("ij,ij->", product, err_t) / self.outputs)
+        return float(np.mean(product * product))
 
     def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
         """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.
@@ -221,29 +217,18 @@ def quant_loss(
     return ModuleLoss(weight, calib_inputs).quantized(qcfg, scale)
 
 
-def normalize_scale(raw: np.ndarray) -> np.ndarray:
-    """Divide by sqrt(max * min), centering the scale range around one."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if not np.isfinite(raw).all() or (raw <= 0).any():
-        raise ValueError("scale base must be positive and finite")
-    hi = raw.max()
-    lo = raw.min()
-    if hi == lo:
-        return np.ones_like(raw)
-    return raw / np.sqrt(hi * lo)
-
-
 def search_scale(
     loss: ModuleLoss, importance: np.ndarray, scfg: SearchConfig, qcfg: QuantConfig,
     rtn_loss: float | None = None,
 ) -> SearchResult:
     """Grid-search the scaling exponent that minimizes ``loss``.
 
-    Evaluates every alpha on the endpoint-inclusive grid with
-    s = normalize(I)^alpha; ties go to the smaller alpha. Also reports the
-    unscaled loss for reference, scored with the grid in one
-    ``quantized_many`` call unless ``rtn_loss`` gives it. ``loss.module``
-    names the result and the errors.
+    Evaluates every alpha on the endpoint-inclusive grid with s = base^alpha,
+    ``base`` the importance divided by sqrt(max * min), or all ones for a
+    constant one; ties go to the smaller alpha. Also reports the unscaled
+    loss for reference, scored with the grid in one ``quantized_many`` call
+    unless ``rtn_loss`` gives it. ``loss.module`` names the result and the
+    errors.
     """
     in_features = loss.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
@@ -253,7 +238,8 @@ def search_scale(
     if not ((scores > 0) & (scores < np.inf)).all():  # NaN fails both comparisons
         raise ValueError(f"importance scores must be finite and strictly positive{where}")
 
-    base = normalize_scale(scores)
+    hi, lo = scores.max(), scores.min()
+    base = np.ones_like(scores) if hi == lo else scores / np.sqrt(hi * lo)
     ones = np.ones(in_features, dtype=np.float32)
     alphas = scfg.alphas()
     # base**0.0 is exactly one: alpha = 0 is the unscaled candidate, scored once
@@ -327,7 +313,7 @@ def quantize_model(
         module = loss.module
         result = search_scale(loss, importances[module], scfg, qcfg)
         del loss  # its rows are freed before the artifact is quantized and the next loss built
-        mask = select_protected(importances[module], qcfg.protect_fraction)
+        mask = protected_prefix(protection_order(importances[module]), qcfg.protect_fraction)
         artifact[module] = rtn_quantize(
             post_ckpt[f"{module}.weight"], qcfg, channel_scale=result.scale, protected=mask
         )

@@ -66,6 +66,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0 and finite in float32")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # numpy's generators take no negative seed
+        if self.data_seed < 0:
+            raise ValueError("data_seed must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 

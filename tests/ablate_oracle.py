@@ -8,7 +8,7 @@ is taken in float64, and the held-out batch runs through ``forward``.
 per-checkpoint work: one importance pass for every signal, and one
 quantize, dequantize and per-column error sum per module, from which a
 row takes the protected float columns and zeroes their error sums under
-the same ``select_protected`` mask. Summing column errors is not taking
+the same mask, ``quant_oracle.select_protected``. Summing column errors is not taking
 one mean over each error map, so the ablation tests compare its CSV with
 this one byte for byte on every field except ``mse``, which they hold to
 a relative bound of 1e-12 (an exact 0 stays 0).
@@ -19,9 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from deltaquant.evaluate import AblationRow
-from deltaquant.quant import dequantize, rtn_quantize, select_protected
+from deltaquant.quant import dequantize, rtn_quantize
 from deltaquant.signals import importance_all
 from deltaquant.toy import forward, model_from_map
+from quant_oracle import select_protected
 
 
 def _heldout(post, seed, rows):

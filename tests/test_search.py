@@ -14,7 +14,6 @@ from deltaquant.quant import QuantConfig, dequantize, rtn_quantize
 from deltaquant.search import (
     ModuleLoss,
     SearchConfig,
-    normalize_scale,
     quant_loss,
     quantize_model,
     report_lines,
@@ -160,7 +159,7 @@ class TestModuleLoss:
         err = recon.astype(np.float64) - w.astype(np.float64)
         direct = float(np.mean((x.astype(np.float64) @ err.T) ** 2))
         loss = ModuleLoss(w, x)
-        assert (loss.gram is None) == (n < in_features)
+        assert loss.gram == (n >= in_features)
         assert loss(recon) == pytest.approx(direct, rel=1e-12)
         assert loss(w) == 0.0
 
@@ -183,13 +182,13 @@ class TestModuleLoss:
             # the mean then divides by more outputs
             padded = np.vstack([x, np.zeros((in_features - n, in_features), np.float32)])
             other = ModuleLoss(w, padded)
-            assert other.gram is not None
+            assert other.gram
             other_loss = other(recon) * in_features / n
         else:
             # zero columns add nothing to the outputs but reach the direct form
             pad = ((0, 0), (0, n + 1 - in_features))
             other = ModuleLoss(np.pad(w, pad), np.pad(x, pad))
-            assert other.gram is None
+            assert not other.gram
             other_loss = other(np.pad(recon, pad))
         assert other_loss == pytest.approx(loss, rel=1e-12)
 
@@ -474,27 +473,75 @@ class TestBatchedScoring:
         assert tiles == [(15, 128, 64), (15, 2, 64), (5, 128, 64), (5, 2, 64)]
 
 
+def _scored_scales(monkeypatch):
+    """Every channel scale ``ModuleLoss.quantized_many`` is given, in call order."""
+    scored = []
+    original = ModuleLoss.quantized_many
+
+    def recording(self, qcfg, scales):
+        scored.extend(scales)
+        return original(self, qcfg, scales)
+
+    monkeypatch.setattr(ModuleLoss, "quantized_many", recording)
+    return scored
+
+
+def _assert_equal_importances_score_ones(monkeypatch, importance):
+    """Every alpha > 0 candidate's scale is all ones and scores the plain RTN loss."""
+    w, x, _ = _instance(1, n_in=importance.size)
+    scored = _scored_scales(monkeypatch)
+    res = search_scale(ModuleLoss(w, x), importance, SearchConfig(), QCFG)
+    assert scored[0] is None and len(scored) == 20  # plain RTN, then alpha > 0
+    for scale in scored[1:]:
+        assert scale.dtype == np.float32 and np.array_equal(scale, np.ones(importance.size))
+    assert all(loss == res.rtn_loss for _, loss in res.loss_curve)
+
+
 class TestNormalizeScale:
-    def test_all_ones_fixed_point(self):
-        assert np.array_equal(normalize_scale(np.ones(5)), np.ones(5))
+    """``search_scale`` divides the importance by sqrt(max * min) before raising it to alpha."""
 
-    def test_hand_example(self):
-        assert np.allclose(normalize_scale(np.array([1.0, 100.0])), [0.1, 10.0])
+    def test_all_ones_fixed_point(self, monkeypatch):
+        _assert_equal_importances_score_ones(monkeypatch, np.ones(8))
 
-    def test_constant_vector_maps_to_ones(self):
-        assert np.array_equal(normalize_scale(np.full(4, 7.3)), np.ones(4))
+    def test_constant_vector_maps_to_ones(self, monkeypatch):
+        _assert_equal_importances_score_ones(monkeypatch, np.full(8, 7.3))
 
-    def test_power_zero_base_is_identity(self):
-        raw = np.array([2.0, 8.0]) ** 0.0
-        assert np.array_equal(normalize_scale(raw), np.ones(2))
+    def test_tiny_constant_vector_maps_to_ones(self, monkeypatch):
+        _assert_equal_importances_score_ones(monkeypatch, np.full(8, 2.0**-20))
+
+    def test_power_zero_base_is_identity(self, monkeypatch):
+        # any importance raised to the power 0 is the all-ones vector
+        _assert_equal_importances_score_ones(monkeypatch, np.array([2.0, 8.0] * 4) ** 0.0)
 
     def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_scale(np.array([1.0, 0.0]))
+        w, x, _ = _instance(1)
+        with pytest.raises(ValueError, match="strictly positive"):
+            search_scale(ModuleLoss(w, x), np.array([1.0, 0.0] * 4), SearchConfig(), QCFG)
 
-    def test_geometric_symmetry(self):
-        out = normalize_scale(np.array([0.25, 1.0, 4.0]))
-        assert out[0] * out[2] == pytest.approx(1.0)
+    def test_hand_example(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((4, 2)).astype(np.float32)
+        x = rng.standard_normal((6, 2)).astype(np.float32)
+        scored = _scored_scales(monkeypatch)
+        search_scale(ModuleLoss(w, x), np.array([1.0, 100.0]), SearchConfig(grid_points=2),
+                     QuantConfig(group_size=2))
+        # alpha 1, the only candidate besides plain RTN
+        assert scored[0] is None and len(scored) == 2
+        assert np.array_equal(scored[1], np.float32([0.1, 10.0]))
+
+    def test_geometric_symmetry(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((4, 3)).astype(np.float32)
+        x = rng.standard_normal((6, 3)).astype(np.float32)
+        scored = _scored_scales(monkeypatch)
+        search_scale(ModuleLoss(w, x), np.array([0.25, 1.0, 4.0]), SearchConfig(grid_points=5),
+                     QuantConfig(group_size=3))
+        assert len(scored) == 5
+        for scale in scored[1:]:
+            assert scale[1] == 1.0
+            assert float(scale[0]) * float(scale[2]) == pytest.approx(1.0, rel=1e-6)
+        # at alpha 1 the base itself, in which sqrt(4 * 0.25) changes nothing
+        assert np.array_equal(scored[-1], np.float32([0.25, 1.0, 4.0]))
 
 
 def _instance(seed, n_in=8, n_out=8, rows=16):
