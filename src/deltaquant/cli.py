@@ -211,11 +211,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dirs(*paths: str | Path) -> None:
-    """Name the first output path without a directory, before a command reads its inputs."""
-    for path in map(Path, paths):
+def _check_out_dirs(outs: list[str | Path], reads: list[str | Path | None]) -> None:
+    """Name the first output path without a directory, or whose file the command also
+    reads or writes under another output, before the command reads its inputs."""
+    read = {Path(p).resolve(): p for p in reads if p}
+    written: dict[Path, Path] = {}
+    for path in map(Path, outs):
         if not path.parent.is_dir():
             raise UsageError(f"cannot write {path}: no directory {path.parent}")
+        if path.resolve() in read:
+            raise UsageError(f"cannot write {path}: the command reads {read[path.resolve()]}")
+        other = written.setdefault(path.resolve(), path)
+        if other is not path:
+            raise UsageError(f"cannot write {path}: the command also writes {other}")
 
 
 def _load_calib(path: str) -> CalibrationSet:
@@ -225,6 +233,11 @@ def _load_calib(path: str) -> CalibrationSet:
 def cmd_train_toy(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     paths = {step: out_dir / f"ckpt_step{step:06d}.dqt" for step in ns.train.snapshot_steps}
+    calib_path = out_dir / "calib.dqt"
+    if out_dir.exists():
+        if not out_dir.is_dir():
+            raise UsageError(f"cannot write snapshots into {out_dir}: it is not a directory")
+        _check_out_dirs([*paths.values(), calib_path], [ns.config])
     # curve reads every snapshot in the directory, so one this run does not overwrite joins its run
     stale = sorted(set(out_dir.glob("ckpt_step*.dqt")) - set(paths.values()))
     if stale:
@@ -240,7 +253,6 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
         path = paths[step]
         save_container(snap, path)
         print(f"wrote {path}")
-    calib_path = out_dir / "calib.dqt"
     meta = {"data_seed": str(ns.train.data_seed), "rows": str(ns.calib_rows)}
     save_container(calib.to_tensor_map(meta=meta), calib_path)
     print(f"wrote {calib_path}")
@@ -252,7 +264,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
         activation = ns.map.signal == "activation_sq"
         reader = f"signal {ns.map.signal!r}" if activation else "--multiply-activation"
         raise UsageError(f"{reader} requires --calib")
-    _check_out_dirs(ns.out)
+    _check_out_dirs([ns.out], [ns.config, ns.pre, ns.post, ns.calib])
     pre = load_container(ns.pre)
     post = load_container(ns.post)
     calib = _load_calib(ns.calib) if ns.calib else None
@@ -265,7 +277,7 @@ def cmd_importance(ns: argparse.Namespace) -> int:
 def cmd_quantize(ns: argparse.Namespace) -> int:
     report_path = Path(ns.report) if ns.report else Path(ns.out).with_suffix(".report.jsonl")
     # the artifact is written before the report: a missing directory fails before either
-    _check_out_dirs(ns.out, report_path)
+    _check_out_dirs([ns.out, report_path], [ns.config, ns.post, ns.importance, ns.calib])
     post = load_container(ns.post)
     imps = importances_from_map(load_container(ns.importance))
     calib = _load_calib(ns.calib)
@@ -278,7 +290,7 @@ def cmd_quantize(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    _check_out_dirs(ns.out)
+    _check_out_dirs([ns.out], [ns.config, ns.post, ns.artifact, ns.calib])
     post = load_container(ns.post)
     artifact = artifact_from_map(load_container(ns.artifact))
     calib = _load_calib(ns.calib)
@@ -289,7 +301,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_ablate(ns: argparse.Namespace) -> int:
-    _check_out_dirs(ns.out)
+    _check_out_dirs([ns.out], [ns.config, ns.pre, ns.post, ns.calib])
     signals = [replace(ns.map, signal=name) for name in ns.signals]
     pre = load_container(ns.pre)
     post = load_container(ns.post)
@@ -301,9 +313,10 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
 
 
 def cmd_curve(ns: argparse.Namespace) -> int:
-    _check_out_dirs(ns.out)
     run_dir = Path(ns.run)
     ckpts = {path: path.stem[len("ckpt_step"):] for path in sorted(run_dir.glob("ckpt_step*.dqt"))}
+    calib_path = run_dir / "calib.dqt"
+    _check_out_dirs([ns.out], [ns.config, *ckpts, calib_path])
     stray = [path for path, step in ckpts.items() if not step.isdecimal()]
     if stray:
         raise UsageError(f"{stray[0]} is not a snapshot: expected ckpt_step<N>.dqt")
@@ -314,7 +327,6 @@ def cmd_curve(ns: argparse.Namespace) -> int:
             raise UsageError(f"{first} and {path} are snapshots of the same step {int(step)}")
     if len(ckpts) < 2:
         raise UsageError(f"{run_dir} holds fewer than two ckpt_step*.dqt files")
-    calib_path = run_dir / "calib.dqt"
     if not calib_path.exists():
         raise UsageError(f"{run_dir} is missing calib.dqt")
     snapshots = [(step, load_container(path)) for step, path in steps.items()]

@@ -1,4 +1,16 @@
-"""Point the CLI subprocesses the tests start at this checkout's ``src``.
+"""Point the few subprocesses the tests start at this checkout's ``src``.
+
+Most CLI tests call ``cli.main`` in process (``tests/cli_runner.py``). A child
+process stays where the process is the subject:
+
+- BLAS thread counts, which OpenBLAS reads at start-up:
+  ``test_cli.py::TestDeterminism::test_outputs_independent_of_blas_thread_count``
+  and ``::test_quantize_independent_of_blas_threads``, and
+  ``test_toy.py::TestMemoryLayout::test_train_toy_outputs_independent_of_blas_threads``;
+- a warning printed, not raised, under ``PYTHONWARNINGS=default``:
+  ``test_cli.py::TestTrainToy::test_non_finite_run_writes_nothing`` and
+  ``TestQuantizeAndEval::test_alpha_whose_scale_leaves_float32_is_named``;
+- the README's examples as written, in ``test_readme.py``.
 
 ``pythonpath`` and ``filterwarnings`` in ``pyproject.toml`` cover in-process
 code only; child processes see ``PYTHONPATH`` and ``PYTHONWARNINGS``, so a

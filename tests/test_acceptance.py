@@ -7,12 +7,11 @@ line per criterion. Every tolerance is pinned here, not configurable.
 import dataclasses
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from cli_runner import run_cli
 from deltaquant.container import TensorMap
 from deltaquant.evaluate import ablate_signals
 from deltaquant.quant import (
@@ -26,15 +25,6 @@ from deltaquant.search import ModuleLoss, SearchConfig, quant_loss, search_scale
 from deltaquant.signals import DeltaStats, MappingConfig, global_delta_stats, importances
 from deltaquant.toy import TrainConfig, forward, init_model, model_from_map, train
 from gradient_check import finite_diff_check
-
-CLI = [sys.executable, "-m", "deltaquant.cli"]
-
-
-def _run(*args):
-    res = subprocess.run(CLI + [str(a) for a in args], capture_output=True, text=True)
-    assert res.returncode == 0, f"{args}: {res.stderr}"
-    return res
-
 
 def _report(n: int, description: str):
     print(f"[PASS] criterion {n}: {description}")
@@ -266,24 +256,20 @@ def _pipeline(tmp_path, tag, bits):
     art = tmp_path / f"art_{tag}.dqt"
     rep = tmp_path / f"report_{tag}.jsonl"
     ev = tmp_path / f"eval_{tag}.json"
-    _run(
-        "train-toy", "--dims", "8,16,8", "--steps", "500", "--seed", "7",
-        "--data-seed", "3", "--snapshot-every", "100", "--out", run,
-    )
-    _run(
-        "importance", "--pre", run / "ckpt_step000000.dqt",
-        "--post", run / "ckpt_step000500.dqt", "--signal", "both-ends-zero",
-        "--out", imp,
-    )
-    _run(
-        "quantize", "--post", run / "ckpt_step000500.dqt", "--importance", imp,
-        "--calib", run / "calib.dqt", "--bits", bits, "--group-size", "4",
-        "--out", art, "--report", rep,
-    )
-    _run(
-        "eval", "--post", run / "ckpt_step000500.dqt", "--artifact", art,
-        "--calib", run / "calib.dqt", "--out", ev,
-    )
+    for args in (
+        ("train-toy", "--dims", "8,16,8", "--steps", "500", "--seed", "7",
+         "--data-seed", "3", "--snapshot-every", "100", "--out", run),
+        ("importance", "--pre", run / "ckpt_step000000.dqt",
+         "--post", run / "ckpt_step000500.dqt", "--signal", "both-ends-zero",
+         "--out", imp),
+        ("quantize", "--post", run / "ckpt_step000500.dqt", "--importance", imp,
+         "--calib", run / "calib.dqt", "--bits", bits, "--group-size", "4",
+         "--out", art, "--report", rep),
+        ("eval", "--post", run / "ckpt_step000500.dqt", "--artifact", art,
+         "--calib", run / "calib.dqt", "--out", ev),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 0, f"{args}: {res.stderr}"
     return run, imp, art, rep, ev
 
 
@@ -330,12 +316,14 @@ def test_criterion_8_gradient_check():
 
 def test_criterion_9_pseudo_ft_curve(tmp_path):
     run = tmp_path / "run"
-    _run(
-        "train-toy", "--dims", "8,16,8", "--steps", "500", "--seed", "7",
-        "--data-seed", "3", "--snapshot-every", "100", "--out", run,
-    )
     csv = tmp_path / "curve.csv"
-    _run("curve", "--run", run, "--bits", "3", "--group-size", "4", "--out", csv)
+    for args in (
+        ("train-toy", "--dims", "8,16,8", "--steps", "500", "--seed", "7",
+         "--data-seed", "3", "--snapshot-every", "100", "--out", run),
+        ("curve", "--run", run, "--bits", "3", "--group-size", "4", "--out", csv),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 0, f"{args}: {res.stderr}"
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "step,mean_loss,slope"
     steps, slopes = [], set()
@@ -361,15 +349,16 @@ def test_criterion_10_rerun_determinism(tmp_path):
         base = tmp_path / f"rerun_{tag}"
         base.mkdir()
         run, imp, art, rep, ev = _pipeline(base, "t", bits=3)
-        csv = base / "ablation.csv"
-        _run(
-            "ablate", "--pre", run / "ckpt_step000000.dqt",
-            "--post", run / "ckpt_step000500.dqt", "--calib", run / "calib.dqt",
-            "--signals", "magnitude,both-ends-zero", "--fractions", "0.05,0.3,1.0",
-            "--bits", "3", "--group-size", "4", "--out", csv,
-        )
-        curve = base / "curve.csv"
-        _run("curve", "--run", run, "--bits", "3", "--group-size", "4", "--out", curve)
+        for args in (
+            ("ablate", "--pre", run / "ckpt_step000000.dqt",
+             "--post", run / "ckpt_step000500.dqt", "--calib", run / "calib.dqt",
+             "--signals", "magnitude,both-ends-zero", "--fractions", "0.05,0.3,1.0",
+             "--bits", "3", "--group-size", "4", "--out", base / "ablation.csv"),
+            ("curve", "--run", run, "--bits", "3", "--group-size", "4",
+             "--out", base / "curve.csv"),
+        ):
+            res = run_cli(*args)
+            assert res.returncode == 0, f"{args}: {res.stderr}"
         digests[tag] = {
             p.relative_to(base).as_posix(): p.read_bytes()
             for p in sorted(base.rglob("*"))

@@ -6,11 +6,11 @@ import os
 import re
 import shutil
 import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from cli_runner import CLI, run_cli
 from deltaquant import cli
 from deltaquant.container import load_container
 from deltaquant.evaluate import curve_csv, pseudo_ft_curve
@@ -18,15 +18,6 @@ from deltaquant.quant import QuantConfig
 from deltaquant.search import SearchConfig
 from deltaquant.signals import MappingConfig
 from deltaquant.toy import CalibrationSet, TrainConfig
-
-CLI = [sys.executable, "-m", "deltaquant.cli"]
-
-
-def run_cli(*args, cwd=None, env=None):
-    return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd, env=env
-    )
-
 
 def train_run(tmp_path, name="run", steps=300):
     out = tmp_path / name
@@ -96,12 +87,33 @@ class TestTrainToy:
         # warnings printed, not raised: the run reports the failure without one
         out = tmp_path / "x"
         env = {**os.environ, "PYTHONWARNINGS": "default"}
-        res = run_cli("train-toy", "--dims", dims, "--steps", steps, "--lr", lr, "--out", out,
-                      env=env)
+        res = subprocess.run(CLI + ["train-toy", "--dims", dims, "--steps", steps, "--lr", lr,
+                                    "--out", str(out)], capture_output=True, text=True, env=env)
         assert res.returncode == code, res.stderr
         assert re.search(message, res.stderr), res.stderr
         assert "Warning" not in res.stderr
         assert not out.exists() or not any(out.iterdir())
+
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("not a run directory")
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        res = run_cli("train-toy", "--steps", "10", "--out", afile)
+        assert res.returncode == 2, res.stderr
+        assert f"{afile}: it is not a directory" in res.stderr
+        assert trained == [] and afile.read_text() == "not a run directory"
+
+    def test_config_among_the_outputs_is_usage_error(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        cfg = out / "calib.dqt"
+        cfg.write_text("train.steps = 100\n")
+        res = run_cli("train-toy", "--config", cfg, "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert f"cannot write {cfg}: the command reads {cfg}" in res.stderr
+        assert [p.name for p in out.iterdir()] == ["calib.dqt"]
+        assert cfg.read_text() == "train.steps = 100\n"
 
     @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
                                             ("--seed", "-1"), ("--data-seed", "-1"),
@@ -363,7 +375,8 @@ class TestQuantizeAndEval:
              "--calib", out / "calib.dqt", "--group-size", "4", "--alpha-lo", "-1000"],
             ["curve", "--run", out, "--alpha-hi", "1000"],
         ):
-            res = run_cli(*args, "--out", tmp_path / "bad", env=env)
+            res = subprocess.run(CLI + [str(a) for a in (*args, "--out", tmp_path / "bad")],
+                                 capture_output=True, text=True, env=env)
             assert res.returncode == 1, res.stderr
             assert re.search(message, res.stderr), res.stderr
             assert "Warning" not in res.stderr
@@ -412,6 +425,35 @@ class TestQuantizeAndEval:
         assert cli.main([command, *inputs, "--out", str(missing / "x")]) == 2
         assert f"no directory {missing}" in capsys.readouterr().err
         assert loads == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "case", ["quantize-report-is-out", "importance-out-is-post", "eval-out-is-artifact",
+                 "ablate-out-is-calib", "curve-out-is-snapshot"],
+    )
+    def test_output_that_names_another_file_is_usage_error(self, tmp_path, case):
+        run = train_run(tmp_path)
+        pre, post = run / "ckpt_step000000.dqt", run / "ckpt_step000300.dqt"
+        snap, calib = run / "ckpt_step000100.dqt", run / "calib.dqt"
+        imp, art = tmp_path / "imp.dqt", tmp_path / "art.dqt"
+        assert run_cli("importance", "--pre", pre, "--post", post, "--out", imp).returncode == 0
+        assert run_cli("quantize", "--post", post, "--importance", imp, "--calib", calib,
+                       "--group-size", "4", "--out", art).returncode == 0
+        args, target = {
+            "quantize-report-is-out": (["quantize", "--post", post, "--importance", imp,
+                                        "--calib", calib, "--out", art, "--report", art], art),
+            "importance-out-is-post": (["importance", "--pre", pre, "--post", snap,
+                                        "--out", snap], snap),
+            "eval-out-is-artifact": (["eval", "--post", post, "--artifact", art,
+                                      "--calib", calib, "--out", art], art),
+            "ablate-out-is-calib": (["ablate", "--pre", pre, "--post", post,
+                                     "--calib", calib, "--out", calib], calib),
+            "curve-out-is-snapshot": (["curve", "--run", run, "--out", snap], snap),
+        }[case]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        res = run_cli(*args)
+        assert res.returncode == 2, res.stderr
+        assert f"cannot write {target}: the command " in res.stderr
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_report_curves_and_never_worse(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=3, extra_quant=("--grid-points", "20"))
@@ -1125,9 +1167,9 @@ class TestHelpDefaults:
         "command,count",
         [("train-toy", 5), ("importance", 6), ("quantize", 7), ("ablate", 7), ("curve", 12)],
     )
-    def test_help_default_is_the_dataclass_default(self, command, count):
-        env = dict(os.environ, COLUMNS="400")  # no wrapped help lines
-        res = subprocess.run(CLI + [command, "--help"], capture_output=True, text=True, env=env)
+    def test_help_default_is_the_dataclass_default(self, command, count, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # no wrapped help lines
+        res = run_cli(command, "--help")
         assert res.returncode == 0
         configs = {"map": MappingConfig, "quant": QuantConfig, "search": SearchConfig,
                    "train": TrainConfig}

@@ -71,14 +71,25 @@ def searched_artifact(toy_run):
 
 class TestLayerReport:
     def test_searched_never_worse_and_crosscheck(self, toy_run, searched_artifact):
-        artifact, report, _ = searched_artifact
-        ev = layer_report(toy_run["post"], artifact, toy_run["calib"])
-        by_module = {r.module: r for r in report}
-        for module, stats in ev.per_module.items():
-            assert stats["searched_mse"] <= stats["rtn_mse"]
-            # same formula through two code paths
-            assert abs(stats["rtn_mse"] - by_module[module].rtn_loss) < 1e-9
-            assert stats["searched_mse"] == by_module[module].best_loss
+        # eval on the search's own rows repeats the search's losses bit for bit, on
+        # both loss paths: the toy run's 64 rows reach every module's inputs (Gram
+        # form), and the wide run's layer1 has 256 inputs for 100 rows (direct form)
+        model = init_model([64, 256, 64], seed=5)
+        _, snaps = train(model, TrainConfig(steps=100, data_seed=6, snapshot_every=100))
+        rows = np.random.default_rng(7).standard_normal((100, 64), dtype=np.float32)
+        _, calib = forward(model_from_map(snaps[-1][1]), rows)
+        wide = {"pre": snaps[0][1], "post": snaps[-1][1], "calib": calib}
+        imps = importance_all(wide["pre"], wide["post"], MappingConfig(), calib)
+        runs = [(toy_run, searched_artifact[:2]),
+                (wide, quantize_model(wide["post"], imps, calib, SearchConfig(), QCFG))]
+        for run, (artifact, report) in runs:
+            ev = layer_report(run["post"], artifact, run["calib"])
+            by_module = {r.module: r for r in report}
+            for module, stats in ev.per_module.items():
+                assert stats["searched_mse"] <= stats["rtn_mse"]
+                # same formula through two code paths
+                assert stats["rtn_mse"] == by_module[module].rtn_loss
+                assert stats["searched_mse"] == by_module[module].best_loss
 
     def test_searched_mse_decodes_protected_artifact(self, toy_run, searched_artifact):
         # searched_mse strips the protection instead of re-quantizing, and

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cli_runner import CLI
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -35,7 +37,7 @@ def test_quick_start_block_runs(tmp_path):
     ]
     for argv in commands:
         res = subprocess.run(
-            [sys.executable, "-m", "deltaquant.cli", *argv[1:]],
+            CLI + argv[1:],
             capture_output=True, text=True, cwd=tmp_path, timeout=120,
         )
         assert res.returncode == 0, (argv, res.stderr)

@@ -3,12 +3,12 @@
 import copy
 import os
 import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from cli_runner import CLI
 from deltaquant import toy
 from deltaquant.container import save_container
 from deltaquant.toy import (
@@ -333,8 +333,7 @@ class TestMemoryLayout:
                 env["OPENBLAS_NUM_THREADS"] = threads
             out = tmp_path / f"threads_{threads or 'default'}"
             res = subprocess.run(
-                [sys.executable, "-m", "deltaquant.cli", "train-toy", "--dims", "64,256,64",
-                 "--steps", "200", "--out", str(out)],
+                CLI + ["train-toy", "--dims", "64,256,64", "--steps", "200", "--out", str(out)],
                 capture_output=True, text=True, env=env,
             )
             assert res.returncode == 0, res.stderr
