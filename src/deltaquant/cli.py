@@ -234,9 +234,11 @@ def cmd_train_toy(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     paths = {step: out_dir / f"ckpt_step{step:06d}.dqt" for step in ns.train.snapshot_steps}
     calib_path = out_dir / "calib.dqt"
+    # a file at --out, or at its nearest existing ancestor, would fail the mkdir below
+    blocker = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not blocker.is_dir():
+        raise UsageError(f"cannot write snapshots under {blocker}: it is not a directory")
     if out_dir.exists():
-        if not out_dir.is_dir():
-            raise UsageError(f"cannot write snapshots into {out_dir}: it is not a directory")
         _check_out_dirs([*paths.values(), calib_path], [ns.config])
     # curve reads every snapshot in the directory, so one this run does not overwrite joins its run
     stale = sorted(set(out_dir.glob("ckpt_step*.dqt")) - set(paths.values()))

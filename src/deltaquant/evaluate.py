@@ -114,7 +114,10 @@ def layer_report(
         unprotected = replace(
             q, protected=np.zeros_like(q.protected), protected_values=q.protected_values[:, :0]
         )
-        recon = dequantize(unprotected)
+        try:
+            recon = dequantize(unprotected)
+        except ValueError as exc:
+            raise ValueError(f"module {module!r}: {exc}") from exc
         # one decode and one loss product serve both errors, which differ
         # only in the protected columns; the overwrite ends dequantize(q)
         searched_mse, protected_mse = loss.protected_losses(
@@ -202,7 +205,10 @@ def ablate_signals(
     weights, plain, col_err = {}, {}, {}
     for module in modules:
         weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
-        recon = dequantize(rtn_quantize(weight, qcfg))
+        try:
+            recon = dequantize(rtn_quantize(weight, qcfg))
+        except ValueError as exc:
+            raise ValueError(f"module {module!r}: {exc}") from exc
         weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
     # one sort per (signal, module): every row's mask is a prefix of it
     orders = {m: [protection_order(score) for score in scores[m]] for m in modules}

@@ -524,8 +524,8 @@ def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: in
 def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
     """Rebuild quantized modules from a container map.
 
-    A missing, misshaped or non-finite field, or fields of one module whose
-    shapes disagree, raises ValueError naming the module.
+    A missing, misshaped, non-finite or wrongly typed field, or fields of one
+    module whose shapes disagree, raises ValueError naming the module once.
     """
     keys = ("bits", "group_size")
     if any(key not in tmap.meta for key in keys):
@@ -538,8 +538,9 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
             name = f"{module}.{field}"
             if name not in tmap:
                 raise ValueError(f"module {module!r} is missing its {field} tensor")
-            if rank and tmap[name].ndim != rank:  # packed streams have no rank to check
-                raise ValueError(f"{field} of module {module!r} must be {rank}-D")
+            # packed streams have no rank, and _unpack_field checks their dtype
+            if rank and (tmap[name].ndim != rank or tmap[name].dtype != np.float32):
+                raise ValueError(f"{field} of module {module!r} must be {rank}-D float32")
         scales = tmap[f"{module}.scales"]
         channel_scale = tmap[f"{module}.channel_scale"]
         protected_values = tmap[f"{module}.protected_values"]
@@ -551,6 +552,7 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
         in_features = channel_scale.shape[0]
         codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
         zeros = _unpack_field(tmap, module, "zeros", scales.size, cfg.bits)
+        protected = _unpack_field(tmap, module, "protected", in_features, 1).astype(bool)
         try:
             artifact[module] = QuantizedTensor(
                 bits=cfg.bits,
@@ -559,7 +561,7 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
                 scales=scales,
                 zero_points=zeros.reshape(scales.shape),
                 channel_scale=channel_scale,
-                protected=_unpack_field(tmap, module, "protected", in_features, 1).astype(bool),
+                protected=protected,
                 protected_values=protected_values,
             )
         except ValueError as exc:

@@ -278,7 +278,7 @@ def module_losses(
     ``others`` names the modules of the map the losses are paired with;
     ``others_name`` and ``post_name`` name that map and the checkpoint in
     errors. The first module only one of them holds, or without calibration
-    inputs, raises ValueError naming it; so does a non-finite weight.
+    inputs, raises ValueError naming it; so does a non-finite or non-float32 weight.
     """
     modules = post_ckpt.modules("weight")
     if not modules:
@@ -290,8 +290,11 @@ def module_losses(
     for module in modules:
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
+        weight = post_ckpt[f"{module}.weight"]
+        if weight.dtype != np.float32:  # ModuleLoss would cast it
+            raise ValueError(f"weight {module + '.weight'!r} is {weight.dtype}, not float32")
         rows = np.asarray(calib.inputs[module])[:max_rows]
-        yield ModuleLoss(post_ckpt[f"{module}.weight"], rows, module)
+        yield ModuleLoss(weight, rows, module)
 
 
 def quantize_model(

@@ -333,15 +333,16 @@ def importances_to_map(scores: dict[str, np.ndarray], cfg: MappingConfig) -> Ten
 def importances_from_map(tmap: TensorMap) -> dict[str, np.ndarray]:
     """Read importance scores by module; a malformed meta value raises ValueError.
 
-    Every score must be finite and positive. The mapping's floor is kept:
+    Every score must be finite, positive and float32. The mapping's floor is kept:
     float32 stores it just below ``_SCORE_FLOOR``, which it is raised back to.
     """
     config_from_text(MappingConfig, tmap.meta)
     out: dict[str, np.ndarray] = {}
     for module in tmap.modules("importance"):
-        scores = tmap[f"{module}.importance"].astype(np.float64)
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite importance scores for module {module!r}")
+        stored = tmap[f"{module}.importance"]
+        scores = stored.astype(np.float64)
+        if stored.dtype != np.float32 or not np.isfinite(scores).all():
+            raise ValueError(f"non-finite or non-float32 importance scores for module {module!r}")
         if (scores <= 0).any():
             raise ValueError(f"non-positive importance scores for module {module!r}")
         out[module] = np.maximum(scores, _SCORE_FLOOR)

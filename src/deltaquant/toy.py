@@ -102,14 +102,14 @@ class CalibrationSet:
     def from_tensor_map(cls, tmap: TensorMap) -> "CalibrationSet":
         """Load the ``<module>.calib_inputs`` matrices; other tensors are ignored.
 
-        Only the rank is checked here; the rows are not scanned, because the
-        ``ModuleLoss`` and the activation signals check them where they use them.
+        Only the rank and dtype are checked here; the rows are not scanned, because
+        the ``ModuleLoss`` and the activation signals check them where they use them.
         """
         calib = cls()
         for module in tmap.modules("calib_inputs"):
             inputs = tmap[f"{module}.calib_inputs"]
-            if inputs.ndim != 2:
-                raise ValueError(f"calibration inputs of module {module!r} must be 2-D")
+            if inputs.ndim != 2 or inputs.dtype != np.float32:
+                raise ValueError(f"calibration inputs of module {module!r} must be 2-D float32")
             calib.inputs[module] = inputs
         return calib
 
@@ -213,8 +213,8 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
     """Rebuild a ToyModel from a checkpoint's tensors; a missing bias reads as zeros, a
-    misshaped or non-finite one raises ValueError naming it. The meta is not read, so the
-    rebuilt model's seed is 0."""
+    misshaped, non-finite or non-float32 one raises ValueError naming it. The meta is not
+    read, so the rebuilt model's seed is 0."""
     modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
@@ -223,8 +223,8 @@ def model_from_map(tmap: TensorMap) -> ToyModel:
         weight = tmap[f"{name}.weight"]
         bias_name = f"{name}.bias"
         bias = tmap[bias_name] if bias_name in tmap else np.zeros(weight.shape[0], np.float32)
-        if bias.shape != (weight.shape[0],) or not np.isfinite(bias).all():
-            raise ValueError(f"{bias_name!r} must hold {weight.shape[0]} finite values")
+        if bias.dtype != np.float32 or bias.shape != weight.shape[:1] or not np.isfinite(bias).all():
+            raise ValueError(f"{bias_name!r} must hold {weight.shape[0]} finite values in float32")
         layers.append(LinearLayer(name=name, weight=weight.copy(), bias=bias.copy()))
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.weight.shape[0] != nxt.weight.shape[1]:

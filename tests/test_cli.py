@@ -4,7 +4,6 @@ import dataclasses
 import json
 import os
 import re
-import shutil
 import subprocess
 
 import numpy as np
@@ -103,6 +102,16 @@ class TestTrainToy:
         assert res.returncode == 2, res.stderr
         assert f"{afile}: it is not a directory" in res.stderr
         assert trained == [] and afile.read_text() == "not a run directory"
+
+    @pytest.mark.parametrize("under", ["run", "a/b"])
+    def test_out_under_a_file_is_usage_error(self, tmp_path, monkeypatch, under):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("not a run directory")
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained"))
+        res = run_cli("train-toy", "--steps", "10", "--out", blocked / under)
+        assert res.returncode == 2, res.stderr
+        assert f"cannot write snapshots under {blocked}: it is not a directory" in res.stderr
+        assert blocked.read_text() == "not a run directory"
 
     def test_config_among_the_outputs_is_usage_error(self, tmp_path):
         out = tmp_path / "run"
@@ -223,23 +232,6 @@ class TestImportance:
             assert res.returncode == 1, res.stderr
             assert "every weight update is at or below zero_epsilon 100.0" in res.stderr
             assert not target.exists()
-
-    def test_non_finite_checkpoint_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out = train_run(tmp_path)
-        post = load_container(out / "ckpt_step000300.dqt")
-        post["layer0.weight"][0, 0] = np.nan
-        bad = tmp_path / "post_nan.dqt"
-        save_container(post, bad)
-        imp = tmp_path / "imp.dqt"
-        res = run_cli(
-            "importance", "--pre", out / "ckpt_step000000.dqt",
-            "--post", bad, "--out", imp,
-        )
-        assert res.returncode == 1
-        assert "layer0.weight" in res.stderr
-        assert not imp.exists()
 
     def test_too_many_slices_names_the_module(self, tmp_path):
         # layer0 of the 8,16,8 model has 16 rows, fewer than the 100 slices asked for
@@ -476,47 +468,6 @@ class TestQuantizeAndEval:
             assert stats["protected_mse"] <= 1e-10
         assert report["end_to_end"]["output_mse_fp32_vs_quant"] <= 1e-10
 
-    def test_non_finite_calibration_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, imp, art, _, _ = full_pipeline(tmp_path, bits=3)
-        calib = load_container(out / "calib.dqt")
-        calib["layer1.calib_inputs"][2, 3] = np.inf
-        bad = tmp_path / "calib_inf.dqt"
-        save_container(calib, bad)
-        post = out / "ckpt_step000300.dqt"
-        art2 = tmp_path / "art2.dqt"
-        res = run_cli(
-            "quantize", "--post", post, "--importance", imp, "--calib", bad,
-            "--bits", "3", "--group-size", "4", "--out", art2,
-        )
-        assert res.returncode == 1
-        assert "layer1" in res.stderr
-        assert not art2.exists()
-        assert not art2.with_suffix(".report.jsonl").exists()
-        ev = tmp_path / "eval_bad.json"
-        res = run_cli("eval", "--post", post, "--artifact", art, "--calib", bad, "--out", ev)
-        assert res.returncode == 1
-        assert "layer1" in res.stderr
-        assert not ev.exists()
-
-    def test_float_zero_points_artifact_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
-        tmap = load_container(art)
-        tmap["layer0.zeros"] = np.zeros((16, 2), np.float32)
-        old = tmp_path / "art_f32_zeros.dqt"
-        save_container(tmap, old)
-        ev = tmp_path / "eval_old.json"
-        res = run_cli(
-            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", old,
-            "--calib", out / "calib.dqt", "--out", ev,
-        )
-        assert res.returncode == 1
-        assert "layer0" in res.stderr and "re-run quantize" in res.stderr
-        assert not ev.exists()
-
     def test_artifact_of_other_shapes_is_runtime_error(self, tmp_path):
         from deltaquant.container import save_container
         from deltaquant.quant import artifact_to_map, rtn_quantize
@@ -540,105 +491,6 @@ class TestQuantizeAndEval:
         assert "broadcast" not in res.stderr
         assert not ev.exists()
 
-    def test_corrupt_artifact_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
-        for field, corrupt in (
-            ("channel_scale", np.negative),  # would decode to the negated weights
-            ("scales", lambda a: np.where(np.indices(a.shape)[0] == 1, np.nan, a)),
-            ("protected_values", lambda a: np.full_like(a, np.inf)),
-        ):
-            tmap = load_container(art)
-            tmap[f"layer0.{field}"] = corrupt(tmap[f"layer0.{field}"]).astype(np.float32)
-            bad = tmp_path / f"art_{field}.dqt"
-            save_container(tmap, bad)
-            ev = tmp_path / f"eval_{field}.json"
-            res = run_cli(
-                "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
-                "--calib", out / "calib.dqt", "--out", ev,
-            )
-            assert res.returncode == 1, field
-            assert "layer0" in res.stderr and field in res.stderr
-            assert not ev.exists()
-
-    def test_overflowing_protected_value_names_the_module(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
-        tmap = load_container(art)
-        # finite, so every load check passes, but layer0's float32 outputs overflow
-        tmap["layer0.protected_values"][0, 0] = 2.75e38
-        bad = tmp_path / "art_overflow.dqt"
-        save_container(tmap, bad)
-        ev = tmp_path / "eval_overflow.json"
-        res = run_cli(
-            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
-            "--calib", out / "calib.dqt", "--out", ev,
-        )
-        assert res.returncode == 1
-        assert "module 'layer0'" in res.stderr and "not finite" in res.stderr
-        assert "Warning" not in res.stderr
-        assert not ev.exists()
-
-    def test_misshaped_artifact_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
-        tmap = load_container(art)
-        tmap["layer0.protected_values"] = tmap["layer0.protected_values"].ravel()
-        bad = tmp_path / "art_1d.dqt"
-        save_container(tmap, bad)
-        ev = tmp_path / "eval_1d.json"
-        res = run_cli(
-            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
-            "--calib", out / "calib.dqt", "--out", ev,
-        )
-        assert res.returncode == 1
-        assert "'layer0'" in res.stderr and "protected_values" in res.stderr
-        assert not ev.exists()
-
-    @pytest.mark.parametrize(
-        "tag,corrupt,message",
-        [
-            ("short_rows",
-             lambda t: t.__setitem__("layer0.protected_values", t["layer0.protected_values"][:3]),
-             "protected_values"),
-            ("wide_groups", lambda t: t.meta.__setitem__("group_size", "8"), "scales"),
-        ],
-    )
-    def test_inconsistent_artifact_fields_name_the_module(self, tmp_path, tag, corrupt, message):
-        from deltaquant.container import load_container, save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3, extra_quant=("--protect", "0.25"))
-        tmap = load_container(art)
-        corrupt(tmap)
-        bad = tmp_path / f"art_{tag}.dqt"
-        save_container(tmap, bad)
-        ev = tmp_path / f"eval_{tag}.json"
-        res = run_cli(
-            "eval", "--post", out / "ckpt_step000300.dqt", "--artifact", bad,
-            "--calib", out / "calib.dqt", "--out", ev,
-        )
-        assert res.returncode == 1, res.stderr
-        assert "'layer0'" in res.stderr and message in res.stderr
-        assert not ev.exists()
-
-    def test_calibration_without_rows_names_the_module(self, audit_run, capsys):
-        from deltaquant.container import save_container
-
-        base, run, imp = audit_run
-        calib = load_container(run / "calib.dqt")
-        calib["layer1.calib_inputs"] = calib["layer1.calib_inputs"][:0]
-        no_rows = base / "calib_no_rows.dqt"
-        save_container(calib, no_rows)
-        art = base / "art_no_rows.dqt"
-        assert cli.main(["quantize", "--post", str(run / "ckpt_step000300.dqt"),
-                         "--importance", str(imp), "--calib", str(no_rows),
-                         "--out", str(art)]) == 1
-        assert "need at least one calibration row for module 'layer1'" in capsys.readouterr().err
-        assert not art.exists()
-
     def test_layers_that_do_not_chain_name_the_modules(self, tmp_path, capsys):
         # each module is consistent on its own, but layer1 reads 12 inputs, not layer0's 16
         from deltaquant.container import TensorMap, save_container
@@ -660,172 +512,6 @@ class TestQuantizeAndEval:
                          "--calib", str(paths["calib"]), "--out", str(ev)]) == 1
         assert "layer shapes do not chain: layer0 -> layer1" in capsys.readouterr().err
         assert not ev.exists()
-
-    def test_weight_that_decodes_beyond_float32_names_the_module(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
-        post = load_container(out / "ckpt_step000300.dqt")
-        post["layer1.weight"][0, :2] = [np.finfo(np.float32).max, 0.0]
-        bad = tmp_path / "post_max.dqt"
-        save_container(post, bad)
-        art = tmp_path / "art_max.dqt"
-        res = run_cli(
-            "quantize", "--post", bad, "--importance", imp, "--calib", out / "calib.dqt",
-            "--group-size", "2", "--out", art,
-        )
-        assert res.returncode == 1, res.stderr
-        assert "'layer1'" in res.stderr
-        assert not art.exists()
-        assert not art.with_suffix(".report.jsonl").exists()
-
-    def test_importance_for_unknown_module_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
-        tmap = load_container(imp)
-        tmap["layer9.importance"] = np.ones(3, np.float32)
-        bad = tmp_path / "imp_extra.dqt"
-        save_container(tmap, bad)
-        art = tmp_path / "art_extra.dqt"
-        res = run_cli(
-            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
-            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
-        )
-        assert res.returncode == 1, res.stderr
-        assert "'layer9'" in res.stderr and "checkpoint" in res.stderr
-        assert not art.exists()
-        assert not art.with_suffix(".report.jsonl").exists()
-
-    def test_misshaped_importance_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
-        for tag, reshape in (("short", lambda a: a[:-1]), ("2d", lambda a: a[None, :])):
-            tmap = load_container(imp)
-            tmap["layer0.importance"] = np.ascontiguousarray(reshape(tmap["layer0.importance"]))
-            bad = tmp_path / f"imp_{tag}.dqt"
-            save_container(tmap, bad)
-            art = tmp_path / f"art_{tag}.dqt"
-            res = run_cli(
-                "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
-                "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
-            )
-            assert res.returncode == 1, tag
-            assert "'layer0'" in res.stderr and "in_features" in res.stderr, tag
-            assert not art.exists()
-            assert not art.with_suffix(".report.jsonl").exists()
-
-    def test_non_finite_importance_is_runtime_error(self, tmp_path):
-        from deltaquant.container import load_container, save_container
-
-        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
-        tmap = load_container(imp)
-        tmap["layer1.importance"][3] = np.nan
-        bad = tmp_path / "imp_nan.dqt"
-        save_container(tmap, bad)
-        art = tmp_path / "art_nan.dqt"
-        res = run_cli(
-            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
-            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
-        )
-        assert res.returncode == 1
-        assert "layer1" in res.stderr
-        assert not art.exists()
-        assert not art.with_suffix(".report.jsonl").exists()
-
-    @pytest.mark.parametrize("score", [-1.0, 0.0])
-    def test_non_positive_importance_is_runtime_error(self, tmp_path, score):
-        from deltaquant.container import save_container
-
-        out, imp, _, _, _ = full_pipeline(tmp_path, bits=3)
-        tmap = load_container(imp)
-        tmap["layer1.importance"][3] = score
-        bad = tmp_path / "imp_non_positive.dqt"
-        save_container(tmap, bad)
-        art = tmp_path / "art_non_positive.dqt"
-        res = run_cli(
-            "quantize", "--post", out / "ckpt_step000300.dqt", "--importance", bad,
-            "--calib", out / "calib.dqt", "--bits", "3", "--group-size", "4", "--out", art,
-        )
-        assert res.returncode == 1, res.stderr
-        assert "non-positive importance scores for module 'layer1'" in res.stderr
-        assert not art.exists()
-        assert not art.with_suffix(".report.jsonl").exists()
-
-    def test_non_finite_bias_is_runtime_error(self, tmp_path):
-        from deltaquant.container import save_container
-
-        out, _, art, _, _ = full_pipeline(tmp_path, bits=3)
-        post = load_container(out / "ckpt_step000300.dqt")
-        post["layer0.bias"][1] = np.nan
-        bad = tmp_path / "post_nan_bias.dqt"
-        save_container(post, bad)
-        calib = out / "calib.dqt"
-        runs = {
-            "eval": ("--artifact", art, "--calib", calib),
-            "ablate": ("--pre", out / "ckpt_step000000.dqt", "--calib", calib),
-        }
-        for command, args in runs.items():
-            dest = tmp_path / f"{command}_nan_bias.out"
-            res = run_cli(command, "--post", bad, *args, "--out", dest)
-            assert res.returncode == 1, (command, res.stderr)
-            assert "'layer0.bias' must hold 16 finite values" in res.stderr, command
-            assert not dest.exists(), command
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weight_names_the_tensor(self, tmp_path, bad):
-        # quantize, eval and curve each read the weight once, as a ModuleLoss
-        from deltaquant.container import save_container
-
-        out, imp, art, _, _ = full_pipeline(tmp_path, bits=3)
-        post = load_container(out / "ckpt_step000300.dqt")
-        post["layer0.weight"][2, 3] = bad
-        bad_run = tmp_path / "bad_run"
-        shutil.copytree(out, bad_run)
-        save_container(post, bad_run / "ckpt_step000300.dqt")
-        calib = out / "calib.dqt"
-        runs = {
-            "quantize": ("--post", bad_run / "ckpt_step000300.dqt", "--importance", imp,
-                         "--calib", calib, "--bits", "3", "--group-size", "4"),
-            "eval": ("--post", bad_run / "ckpt_step000300.dqt", "--artifact", art,
-                     "--calib", calib),
-            "curve": ("--run", bad_run),
-        }
-        for command, args in runs.items():
-            dest = tmp_path / f"{command}_bad_weight.out"
-            res = run_cli(command, *args, "--out", dest)
-            assert res.returncode == 1, (command, res.stderr)
-            assert "weight 'layer0.weight' contains non-finite values" in res.stderr, command
-            assert "channel_scale" not in res.stderr, command
-            assert not dest.exists(), command
-        assert not (tmp_path / "quantize_bad_weight.report.jsonl").exists()
-
-    def test_bad_calibration_statistics_is_runtime_error(self, tmp_path):
-        # the activation statistics are derived from the rows, so a NaN row
-        # or a width mismatch fails every command that reads them
-        from deltaquant.container import load_container, save_container
-
-        out = train_run(tmp_path)
-        pre, post = out / "ckpt_step000000.dqt", out / "ckpt_step000300.dqt"
-        for tag, corrupt in (
-            ("nan", lambda t: t["layer0.calib_inputs"].__setitem__((4, 1), np.nan)),
-            ("width", lambda t: t.__setitem__("layer0.calib_inputs", np.ones((5, 3), np.float32))),
-        ):
-            calib = load_container(out / "calib.dqt")
-            corrupt(calib)
-            bad = tmp_path / f"calib_{tag}.dqt"
-            save_container(calib, bad)
-            for name, args in (
-                ("sq.dqt", ["importance", "--signal", "activation-sq"]),
-                ("mul.dqt", ["importance", "--multiply-activation"]),
-                ("ablation.csv", ["ablate", "--bits", "3", "--group-size", "4"]),
-            ):
-                dst = tmp_path / f"{tag}_{name}"
-                res = run_cli(*args, "--pre", pre, "--post", post, "--calib", bad, "--out", dst)
-                assert res.returncode == 1, (tag, name)
-                assert "layer0" in res.stderr
-                assert not dst.exists()
 
     def test_eval_ignores_checkpoint_meta(self, tmp_path):
         from deltaquant.container import load_container, save_container
@@ -850,7 +536,8 @@ class TestQuantizeAndEval:
         }
         report = json.loads(ev.read_text())
         for module, stats in report["per_module"].items():
-            assert abs(stats["rtn_mse"] - by_module[module]["rtn_loss"]) < 1e-9
+            assert stats["rtn_mse"] == by_module[module]["rtn_loss"]
+            assert stats["searched_mse"] == by_module[module]["best_loss"]
 
 
 class TestAblate:
@@ -1065,18 +752,19 @@ class TestConfigAndHelp:
 
 
 def unloadable_inputs(tmp_path):
-    """Base arguments per command whose inputs fail to load (exit 1 once read)."""
+    """Base arguments per command that exit 1 once run: the inputs fail to load,
+    or train-toy's run overflows."""
     bad = tmp_path / "bad.dqt"
     bad.write_bytes(b"not a container")
-    blocked = tmp_path / "blocked"
-    blocked.write_text("a file where train-toy wants a directory")
     run = tmp_path / "run"
     run.mkdir()
     for name in ("ckpt_step000000.dqt", "ckpt_step000100.dqt", "calib.dqt"):
         (run / name).write_bytes(b"not a container")
     out = tmp_path / "out"
     return {
-        "train-toy": ["train-toy", "--out", blocked / "run"],
+        # one step at this rate leaves weights whose calibration forward pass overflows
+        "train-toy": ["train-toy", "--dims", "8,16,8", "--steps", "1", "--lr", "1e20",
+                      "--out", out],
         "importance": ["importance", "--pre", bad, "--post", bad, "--out", out],
         "quantize": ["quantize", "--post", bad, "--importance", bad, "--calib", bad, "--out", out],
         "ablate": ["ablate", "--pre", bad, "--post", bad, "--calib", bad, "--out", out],
@@ -1088,7 +776,7 @@ class TestValuesCheckedBeforeInputs:
     @pytest.mark.parametrize(
         "command,flag_args,config_line,config_flag",
         [
-            ("train-toy", ["--steps", "0"], "train.learning_rate = -1", "--lr"),
+            ("train-toy", ["--steps", "0"], "train.batch_size = 0", "--batch-size"),
             ("importance", ["--y-min", "20"], "map.slices = 0", "--slices"),
             ("quantize", ["--bits", "5"], "search.grid_points = 1", "--grid-points"),
             ("ablate", ["--group-size", "0"], "map.zero_epsilon = nan", "--zero-epsilon"),

@@ -8,8 +8,11 @@ file's). The search runs float64 ``pow`` and BLAS loss products, so its
 alpha* is pinned exactly, on a seed whose losses are far apart, and its
 losses to 1e-12 relative, as are ``eval``'s report of a searched artifact
 with protected channels and ``ablate``'s MSEs, which add BLAS products and
-the held-out forward pass (the two modules chain, 40 -> 24 -> 16). A change
-that moves a pinned value lists the old and the new value in CHANGES.md.
+the held-out forward pass (the two modules chain, 40 -> 24 -> 16). That
+artifact's decoded weights are pinned too, through three float64 sums per
+module to 1e-12 relative, not its bytes, until CI has run on more than one
+libm. A change that moves a pinned value lists the old and the new value in
+CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ import pytest
 
 from deltaquant.container import TensorMap, load_container, save_container
 from deltaquant.evaluate import ablate_signals, layer_report
-from deltaquant.quant import QuantConfig, artifact_to_map, rtn_quantize
+from deltaquant.quant import QuantConfig, artifact_to_map, dequantize, rtn_quantize
 from deltaquant.search import ModuleLoss, SearchConfig, quantize_model, search_scale
 from deltaquant.signals import SIGNALS, MappingConfig, importance_all, importances_to_map
 from deltaquant.toy import CalibrationSet
@@ -126,6 +129,14 @@ _EVAL = {
     },
 }
 
+# module -> (sum, sum of squares, sum weighted by the 1-based row-major index)
+# of the float64 decoded weight of that artifact; one ulp of one decoded value
+# moves the weighted sum by more than 1e-12 relative
+_DECODED = {
+    "layer0": (-23.722861418500543, 921.2894164101806, -12504.097848370671),
+    "layer1": (-1.7160903625190258, 433.558304520404, 1042.8002082183957),
+}
+
 # (signal, fraction) -> (layer0 mse, layer1 mse, mean_mse, end_to_end_mse) of
 # ablate at 3 bits, in row order
 _ABLATE = {
@@ -221,13 +232,31 @@ def test_search_alpha_and_losses():
             _assert_close(getattr(result, field), want, f"module {module!r} field {field!r}")
 
 
-def test_eval_report():
+def _searched_artifact():
+    """The golden checkpoint, its calibration rows and the default search's
+    artifact at 3 bits with protect_fraction 0.1."""
     pre, post, rows = _golden_input()
     calib = CalibrationSet(inputs=rows)
     qcfg = QuantConfig(bits=3, group_size=_GROUP, protect_fraction=0.1)
     artifact, _ = quantize_model(
         post, importance_all(pre, post, MappingConfig()), calib, SearchConfig(), qcfg
     )
+    return post, calib, artifact
+
+
+def test_searched_artifact_decodes():
+    _, _, artifact = _searched_artifact()
+    assert sorted(artifact) == sorted(_DECODED)
+    for module, want in _DECODED.items():
+        recon = dequantize(artifact[module]).astype(np.float64)
+        index = np.arange(1, recon.size + 1).reshape(recon.shape)
+        got = (recon.sum(), (recon * recon).sum(), (recon * index).sum())
+        for field, value, pinned in zip(("sum", "sum of squares", "weighted sum"), got, want):
+            _assert_close(float(value), pinned, f"decoded module {module!r} {field}")
+
+
+def test_eval_report():
+    post, calib, artifact = _searched_artifact()
     report = layer_report(post, artifact, calib)
     got = {**report.per_module, "end_to_end": report.end_to_end}
     assert sorted(got) == sorted(_EVAL)
