@@ -550,6 +550,13 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
             raise ValueError(f"channel_scale of module {module!r} must be positive and finite")
         out_features = scales.shape[0]
         in_features = channel_scale.shape[0]
+        # the code count is derived from these two tables, so they are compared first
+        groups = -(-in_features // cfg.group_size)
+        if scales.shape[1] != groups:
+            raise ValueError(
+                f"scales of module {module!r} must have one column per group of "
+                f"{cfg.group_size} of its {in_features} channels ({groups}), not {scales.shape[1]}"
+            )
         codes = _unpack_field(tmap, module, "codes", out_features * in_features, cfg.bits)
         zeros = _unpack_field(tmap, module, "zeros", scales.size, cfg.bits)
         protected = _unpack_field(tmap, module, "protected", in_features, 1).astype(bool)

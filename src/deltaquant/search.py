@@ -228,7 +228,8 @@ def search_scale(
     constant one; ties go to the smaller alpha. Also reports the unscaled
     loss for reference, scored with the grid in one ``quantized_many`` call
     unless ``rtn_loss`` gives it. ``loss.module`` names the result and the
-    errors.
+    errors; when that call fails, the unscaled candidate is scored alone,
+    so a weight that plain RTN cannot code raises its own error.
     """
     in_features = loss.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
@@ -252,7 +253,13 @@ def search_scale(
                 f"channel scale of alpha {alpha!r}{where} is not positive and finite in float32"
             )
     if rtn_loss is None:
-        rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales])
+        try:
+            rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales])
+        except ValueError:
+            # a weight that plain RTN cannot code is reported as such, not
+            # as the overflow of a scaled candidate coded in the same batch
+            loss.quantized(qcfg)
+            raise
     else:
         losses = loss.quantized_many(qcfg, scales)
     scored = iter(zip(scales, losses))

@@ -114,24 +114,28 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
 
 
 def global_delta_stats(deltas: TensorMap, zero_epsilon: float = 0.0) -> DeltaStats:
-    """Pool all module deltas and extract min/median/max of the positives.
+    """Pool the positive updates of all modules and extract their min/median/max.
 
     Updates at or below ``zero_epsilon`` count as zero and are excluded
     from the minimum and the median. The median is the lower middle
     element of the sorted positives for even counts.
 
-    The pooled deltas keep their own dtype. The threshold is compared in
-    float64, so a ``zero_epsilon`` that float32 cannot represent keeps its
-    meaning under every numpy promotion rule; a partial sort finds the
-    median, and reductions the ends.
+    Each module's positives are selected on their own and then pooled,
+    keeping their dtype; the statistics do not depend on the order. The
+    threshold is compared in float64, so a ``zero_epsilon`` that float32
+    cannot represent keeps its meaning under every numpy promotion rule; a
+    partial sort finds the median, and reductions the ends. At its peak
+    this holds the positives twice (every module's selection and their
+    pooled copy), plus one module's mask and the selection's index into it.
     """
     if len(deltas) == 0:
         raise ValueError("deltas map is empty")
-    vals = np.concatenate([deltas[name].ravel() for name in deltas.names()])
-    positives = np.compress(
-        np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None)), vals
-    )
-    zeros = vals.size - positives.size
+    modules = [deltas[name].ravel() for name in deltas.names()]
+    positives = np.concatenate([
+        np.compress(np.greater(vals, zero_epsilon, signature=(np.float64, np.float64, None)), vals)
+        for vals in modules
+    ])
+    zeros = sum(vals.size for vals in modules) - positives.size
     if positives.size == 0:
         raise DegenerateDeltasError(
             f"degenerate deltas: every weight update is at or below zero_epsilon {zero_epsilon}"

@@ -214,7 +214,10 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 def model_from_map(tmap: TensorMap) -> ToyModel:
     """Rebuild a ToyModel from a checkpoint's tensors; a missing bias reads as zeros, a
     misshaped, non-finite or non-float32 one raises ValueError naming it. The meta is not
-    read, so the rebuilt model's seed is 0."""
+    read, so the rebuilt model's seed is 0.
+
+    The layers hold the map's own arrays, not copies: writing a layer's weight or bias in
+    place writes the map. ``train`` trains a copy of its model, so the map keeps its values."""
     modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
@@ -225,7 +228,7 @@ def model_from_map(tmap: TensorMap) -> ToyModel:
         bias = tmap[bias_name] if bias_name in tmap else np.zeros(weight.shape[0], np.float32)
         if bias.dtype != np.float32 or bias.shape != weight.shape[:1] or not np.isfinite(bias).all():
             raise ValueError(f"{bias_name!r} must hold {weight.shape[0]} finite values in float32")
-        layers.append(LinearLayer(name=name, weight=weight.copy(), bias=bias.copy()))
+        layers.append(LinearLayer(name=name, weight=weight, bias=bias))
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.weight.shape[0] != nxt.weight.shape[1]:
             raise ValueError(

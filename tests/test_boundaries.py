@@ -98,7 +98,6 @@ MESSAGES = {
     r"(pre|post)-weight-(nan|inf)-.*": "non-finite weight update in 'layer0.weight'",
     r"post-weight-dtype-(quantize|eval|curve)": "weight 'layer0.weight' is uint8, not float32",
     r"(pre|post)-\w+-dtype-.*": "dtype mismatch for 'layer0.{tensor}'",
-    r"post-weight-overflow-quantize": "module 'layer0': weight times channel_scale",
     r"post-weight-overflow-.*": "module 'layer0': a group of the weight decodes beyond the",
     r"post-weight-row-short-eval": "artifact module 'layer0' is [16, 8], its checkpoint weight",
     r"calib-calib_inputs-(column-short|no-rows)-(importance|ablate)": "must be [n >= 1, 8]",
@@ -123,7 +122,8 @@ MESSAGES = {
     r"artifact-\w+-(rank|dtype)-.*": "{tensor} of module 'layer0' must be",
     r"artifact-protected_values-.*": "module 'layer0': protected_values must be [16, 2]",
     r"artifact-(codes|zeros|protected)-.*": "corrupt {tensor} of module 'layer0': length",
-    r"artifact-scales-column-short-.*": "corrupt zeros of module 'layer0'",
+    r"artifact-(scales-column-short|channel_scale-no-rows)-.*":
+        "scales of module 'layer0' must have one column per group of 4",
     r"artifact-\w+-(row-short|no-rows)-.*": "corrupt codes of module 'layer0'",
     r".*-module-(missing|extra)-.*": "is missing from the",
 }

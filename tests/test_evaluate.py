@@ -69,6 +69,20 @@ def searched_artifact(toy_run):
     return artifact, report, imps
 
 
+def test_model_shares_the_checkpoint_arrays_and_no_stage_writes_them(toy_run, searched_artifact):
+    pre, post, calib = toy_run["pre"], copy.deepcopy(toy_run["post"]), toy_run["calib"]
+    before = {name: post[name].tobytes() for name in post.names()}
+    model = model_from_map(post)
+    for layer in model.layers:
+        assert np.shares_memory(layer.weight, post[f"{layer.name}.weight"])
+        assert np.shares_memory(layer.bias, post[f"{layer.name}.bias"])
+    layer_report(post, searched_artifact[0], calib)
+    ablate_signals(pre, post, calib, [MappingConfig()], [0.0, 0.5], QCFG)
+    trained, _ = train(model, TrainConfig(steps=20, data_seed=3))
+    assert not np.array_equal(trained.layers[0].weight, post["layer0.weight"])
+    assert {name: post[name].tobytes() for name in post.names()} == before
+
+
 class TestLayerReport:
     def test_searched_never_worse_and_crosscheck(self, toy_run, searched_artifact):
         # eval on the search's own rows repeats the search's losses bit for bit, on

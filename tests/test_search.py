@@ -701,6 +701,21 @@ class TestSearchScale:
         with pytest.raises(ValueError, match=f"^{message}$"):
             search_scale(ModuleLoss(w, x, "layer2"), scores, scfg, QCFG)
 
+    def test_weight_plain_rtn_cannot_code_is_named_before_the_scale(self):
+        # scaled up, the first channels overflow float32 first; the search still
+        # reports the unscaled weight's own failure, as quantized() alone does
+        w, x, _ = _instance(2)
+        w[0, :2] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+        scores = np.where(np.arange(w.shape[1]) < 2, 100.0, 1.0)
+        loss = ModuleLoss(w, x, "layer0")
+        with pytest.raises(ValueError, match="weight times channel_scale"):
+            loss.quantized_many(QCFG, [None, scores.astype(np.float32)])
+        message = "^module 'layer0': a group of the weight decodes beyond the float32 range$"
+        with pytest.raises(ValueError, match=message):
+            loss.quantized(QCFG)
+        with pytest.raises(ValueError, match=message):
+            search_scale(loss, scores, SearchConfig(), QCFG)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(grid_points=1)

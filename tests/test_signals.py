@@ -1,6 +1,7 @@
 """Delta statistics, quadratic mappings, zero counting, importance."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,28 @@ class TestGlobalStats:
                 global_delta_stats(deltas, eps)
             return
         assert global_delta_stats(deltas, eps) == want
+
+    def test_peak_memory_holds_the_positives_twice(self):
+        # the positives of every module and their pooled copy, plus the largest
+        # module's mask and np.compress's int64 index: no copy of every update
+        rng = np.random.default_rng(35)
+        deltas = TensorMap()
+        for name, shape in (("a", (512, 512)), ("b", (2048, 512)), ("c", (512, 2048))):
+            values = rng.lognormal(np.log(1e-3), 1.0, shape).astype(np.float32)
+            values[rng.random(shape) < 0.3] = 0.0
+            deltas[f"{name}.weight"] = values
+        arrays = [deltas[n] for n in deltas.names()]
+        positive_bytes = sum(np.count_nonzero(a) * a.itemsize for a in arrays)
+        bound = 2 * positive_bytes + 9 * max(a.size for a in arrays)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            global_delta_stats(deltas)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
 
     def test_min_including_zeros(self):
         with_zeros = DeltaStats(1.0, 2.0, 3.0, zero_count=1)
