@@ -77,9 +77,11 @@ class TensorMap:
         return sorted(self.entries)
 
     def modules(self, field: str) -> list[str]:
-        """Sorted names ``m`` of the modules that have an ``<m>.<field>`` tensor."""
+        """Names ``m`` of the modules that have an ``<m>.<field>`` tensor, in chain
+        order: by length, then by name, so ``layer2`` comes before ``layer10``."""
         suffix = f".{field}"
-        return sorted(n[: -len(suffix)] for n in self.entries if n.endswith(suffix))
+        names = (n[: -len(suffix)] for n in self.entries if n.endswith(suffix))
+        return sorted(names, key=lambda m: (len(m), m))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMap):
@@ -293,12 +295,38 @@ def load_container(path: str | Path) -> TensorMap:
     return tmap
 
 
-def check_weight_shape(weight: np.ndarray, name: str) -> None:
-    """Raise ValueError naming ``name`` unless ``weight`` is a matrix with rows and columns."""
+def check_weight(weight: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``weight`` is a finite, non-empty matrix."""
     if np.ndim(weight) != 2 or not np.size(weight):
         raise ValueError(
             f"{name} has shape {list(np.shape(weight))}; it needs at least one row and one column"
         )
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is; no mask temporary is allocated
+    if not np.isfinite(weight.sum(dtype=np.float64)):
+        raise ValueError(f"{name} contains non-finite values")
+
+
+def checkpoint_modules(tmap: TensorMap):
+    """Yield ``(module, weight, bias)`` of each checkpoint module, in chain order, checked.
+
+    The arrays are the map's own; a missing bias reads as float32 zeros. A map without a
+    ``.weight`` tensor raises ValueError, and so does, naming the tensor, a weight that is
+    not float32 or that ``check_weight`` rejects, or a bias of other than one finite float32
+    value per output channel."""
+    modules = tmap.modules("weight")
+    if not modules:
+        raise ValueError("checkpoint contains no '.weight' tensors")
+    for module in modules:
+        name, bias_name = f"{module}.weight", f"{module}.bias"
+        weight = tmap[name]
+        if weight.dtype != np.float32:
+            raise ValueError(f"weight {name!r} is {weight.dtype}, not float32")
+        check_weight(weight, f"weight {name!r}")
+        bias = tmap[bias_name] if bias_name in tmap else np.zeros(len(weight), np.float32)
+        if bias.dtype != np.float32 or bias.shape != weight.shape[:1] or not np.isfinite(bias).all():
+            raise ValueError(f"{bias_name!r} must hold {len(weight)} finite values in float32")
+        yield module, weight, bias
 
 
 def check_compatible(a: TensorMap, b: TensorMap) -> None:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .container import TensorMap
+from .container import TensorMap, checkpoint_modules
 from .quant import (
     QuantConfig,
     QuantizedTensor,
@@ -195,30 +195,28 @@ def ablate_signals(
     bad = [f for f in fractions if not 0.0 <= f <= 1.0]
     if bad:
         raise ValueError(f"fractions must lie in [0, 1], got {bad[0]!r}")
-    modules = post.modules("weight")
     deltas = compute_delta(pre, post)
+    weights = {module: weight for module, weight, _ in checkpoint_modules(post)}
     stats = {eps: global_delta_stats(deltas, eps) for eps in {c.zero_epsilon for c in signals}}
     requests = [(c, stats[c.zero_epsilon]) for c in signals]
-    scores = {m: importances(m, deltas[f"{m}.weight"], requests, calib) for m in modules}
+    scores = {m: importances(m, deltas[f"{m}.weight"], requests, calib) for m in weights}
     # dropped before the reconstructions so that the two peaks do not add up
     del deltas
-    weights, plain, col_err = {}, {}, {}
-    for module in modules:
-        weight = np.asarray(post[f"{module}.weight"], dtype=np.float32)
+    plain, col_err = {}, {}
+    for module, weight in weights.items():
         try:
             recon = dequantize(rtn_quantize(weight, qcfg))
         except ValueError as exc:
             raise ValueError(f"module {module!r}: {exc}") from exc
-        weights[module], plain[module], col_err[module] = weight, recon, _column_sq_err(recon, weight)
+        plain[module], col_err[module] = recon, _column_sq_err(recon, weight)
     # one sort per (signal, module): every row's mask is a prefix of it
-    orders = {m: [protection_order(score) for score in scores[m]] for m in modules}
+    orders = {m: [protection_order(score) for score in scores[m]] for m in weights}
     reference = _heldout_reference(post)
     rows = []
     for s, cfg_sig in enumerate(signals):
         for fraction in fractions:
             recon, per_module = {}, {}
-            for module in modules:
-                weight = weights[module]
+            for module, weight in weights.items():
                 mask = protected_prefix(orders[module][s], fraction)
                 recon[module] = np.where(mask, weight, plain[module])
                 per_module[module] = float(np.where(mask, 0.0, col_err[module]).sum() / weight.size)
@@ -226,7 +224,7 @@ def ablate_signals(
                 signal=cfg_sig.signal,
                 fraction=float(fraction),
                 per_module=per_module,
-                mean_mse=float(np.mean([per_module[m] for m in modules])),
+                mean_mse=float(np.mean(list(per_module.values()))),
                 end_to_end_mse=_end_to_end(reference, recon)[0],
             ))
     return rows
@@ -273,8 +271,8 @@ def pseudo_ft_curve(
     (_, base), (final_step, final) = by_step[0], by_step[-1]
     # every snapshot's importance covers the modules of step 0
     losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
-        final, base.modules("weight"), calib, scfg.max_calib_rows, "step-0 checkpoint",
-        f"step-{final_step} checkpoint")]
+        final, [module for module, _, _ in checkpoint_modules(base)], calib,
+        scfg.max_calib_rows, "step-0 checkpoint", f"step-{final_step} checkpoint")]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:

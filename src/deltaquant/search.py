@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap, check_weight_shape
+from .container import TensorMap, check_weight, checkpoint_modules
 from .quant import (
     QuantConfig,
     QuantizedTensor,
@@ -113,14 +113,9 @@ class ModuleLoss:
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
         weight = np.asarray(weight, dtype=np.float32)
         self.module = module
-        tensor = f" {module + '.weight'!r}" if module else ""
-        check_weight_shape(weight, f"weight{tensor}")
+        check_weight(weight, f"weight {module + '.weight'!r}" if module else "weight")
         self.shape = weight.shape
         self.weight_t = transposed(weight)
-        # a float64 sum of float32 values cannot overflow, so it is finite
-        # exactly when every value is; no mask temporary is allocated
-        if not np.isfinite(self.weight_t.sum(dtype=np.float64)):
-            raise ValueError(f"weight{tensor} contains non-finite values")
         x = np.asarray(calib_inputs)
         where = f" for module {module!r}" if module else ""
         if x.ndim != 2 or x.shape[1] != self.shape[1]:
@@ -192,14 +187,18 @@ class ModuleLoss:
         its ``candidate_errors`` error: the columns multiplied by it,
         quantized without protection, decoded, and divided by it again.
         With a ``module`` name, an error reads ``module '<name>': <message>``.
+        Each error is dropped once scored: a batch is freed before the next is coded.
         """
+        losses = []
         try:
-            return [self.error_loss(err_t)
-                    for err_t in candidate_errors(self.weight_t, qcfg, scales)]
+            for err_t in candidate_errors(self.weight_t, qcfg, scales):
+                losses.append(self.error_loss(err_t))
+                del err_t
         except ValueError as exc:
             if not self.module:
                 raise
             raise ValueError(f"module {self.module!r}: {exc}") from exc
+        return losses
 
     def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
         """``quantized_many(qcfg, [scale])[0]``: the loss of one channel scale."""
@@ -284,22 +283,18 @@ def module_losses(
 
     ``others`` names the modules of the map the losses are paired with;
     ``others_name`` and ``post_name`` name that map and the checkpoint in
-    errors. The first module only one of them holds, or without calibration
-    inputs, raises ValueError naming it; so does a non-finite or non-float32 weight.
+    errors. The checkpoint is read through ``checkpoint_modules``, whose
+    errors it raises; then the first module only one of the maps holds, or
+    without calibration inputs, raises ValueError naming it.
     """
-    modules = post_ckpt.modules("weight")
-    if not modules:
-        raise ValueError("checkpoint contains no '.weight' tensors")
-    unmatched = sorted(set(others) ^ set(modules))
+    weights = {module: weight for module, weight, _ in checkpoint_modules(post_ckpt)}
+    unmatched = sorted(set(others) ^ set(weights))
     if unmatched:
         missing_from = post_name if unmatched[0] in others else others_name
         raise ValueError(f"module {unmatched[0]!r} is missing from the {missing_from}")
-    for module in modules:
+    for module, weight in weights.items():
         if module not in calib.inputs:
             raise ValueError(f"missing calibration inputs for module {module!r}")
-        weight = post_ckpt[f"{module}.weight"]
-        if weight.dtype != np.float32:  # ModuleLoss would cast it
-            raise ValueError(f"weight {module + '.weight'!r} is {weight.dtype}, not float32")
         rows = np.asarray(calib.inputs[module])[:max_rows]
         yield ModuleLoss(weight, rows, module)
 
@@ -315,7 +310,7 @@ def quantize_model(
 
     Per module: find the best channel scale, select protected channels by
     importance, then quantize with both applied. Modules are processed in
-    sorted name order; the report carries one full loss curve per module.
+    chain order; the report carries one full loss curve per module.
     """
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []

@@ -24,7 +24,7 @@ import numpy as np
 from .container import (
     TensorMap,
     check_compatible,
-    check_weight_shape,
+    checkpoint_modules,
     config_from_text,
     config_to_text,
 )
@@ -85,30 +85,21 @@ class DeltaStats:
 
 
 def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
-    """Element-wise |post - pre| of every '.weight' tensor.
+    """Element-wise |post - pre| of every '.weight' tensor of two compatible checkpoints.
 
-    Raises ValueError when the checkpoints hold no '.weight' tensor, and
-    naming the tensor when it is not a matrix of at least one row and one
-    column, when either checkpoint holds a non-finite value there, or when
-    the update of finite weights overflows float32, so no NaN or inf
-    importance can be derived from it.
+    Both are read through ``checkpoint_modules``; an update of finite weights that overflows
+    float32 raises ValueError naming the tensor, so no NaN or inf importance comes of it.
     """
+    before, after = list(checkpoint_modules(pre)), list(checkpoint_modules(post))
     check_compatible(pre, post)
-    modules = pre.modules("weight")
-    if not modules:
-        raise ValueError("checkpoint contains no '.weight' tensors")
     out = TensorMap()
-    for module in modules:
+    for (module, old, _), (_, new, _) in zip(before, after):
         name = f"{module}.weight"
-        check_weight_shape(post[name], f"weight {name!r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are reported below
-            delta = np.subtract(post[name], pre[name], dtype=np.float32)
+        with np.errstate(over="ignore"):  # reported below
+            delta = np.subtract(new, old, dtype=np.float32)
         np.abs(delta, out=delta)
-        # max propagates NaN and inf without allocating a mask
-        if not np.isfinite(delta.max(initial=0.0)):
-            if np.isfinite(pre[name]).all() and np.isfinite(post[name]).all():
-                raise ValueError(f"weight update in {name!r} overflows float32")
-            raise ValueError(f"non-finite weight update in {name!r}")
+        if not np.isfinite(delta.max()):
+            raise ValueError(f"weight update in {name!r} overflows float32")
         out[name] = delta
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import TensorMap
+from .container import TensorMap, checkpoint_modules
 
 # training steps whose inputs are drawn, and teacher targets computed, at once
 _CHUNK_STEPS = 10
@@ -212,28 +212,15 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
-    """Rebuild a ToyModel from a checkpoint's tensors; a missing bias reads as zeros, a
-    misshaped, non-finite or non-float32 one raises ValueError naming it. The meta is not
-    read, so the rebuilt model's seed is 0.
+    """Rebuild a ToyModel from the modules ``checkpoint_modules`` reads, in chain order; the
+    meta is not read, so the rebuilt model's seed is 0.
 
     The layers hold the map's own arrays, not copies: writing a layer's weight or bias in
     place writes the map. ``train`` trains a copy of its model, so the map keeps its values."""
-    modules = sorted(tmap.modules("weight"), key=lambda n: (len(n), n))
-    if not modules:
-        raise ValueError("checkpoint contains no '.weight' tensors")
-    layers = []
-    for name in modules:
-        weight = tmap[f"{name}.weight"]
-        bias_name = f"{name}.bias"
-        bias = tmap[bias_name] if bias_name in tmap else np.zeros(weight.shape[0], np.float32)
-        if bias.dtype != np.float32 or bias.shape != weight.shape[:1] or not np.isfinite(bias).all():
-            raise ValueError(f"{bias_name!r} must hold {weight.shape[0]} finite values in float32")
-        layers.append(LinearLayer(name=name, weight=weight, bias=bias))
+    layers = [LinearLayer(*module) for module in checkpoint_modules(tmap)]
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.weight.shape[0] != nxt.weight.shape[1]:
-            raise ValueError(
-                f"layer shapes do not chain: {prev.name} -> {nxt.name}"
-            )
+            raise ValueError(f"layer shapes do not chain: {prev.name} -> {nxt.name}")
     dims = (layers[0].weight.shape[1],) + tuple(l.weight.shape[0] for l in layers)
     return ToyModel(layers=layers, dims=dims, seed=0)
 

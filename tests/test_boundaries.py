@@ -1,9 +1,10 @@
 """Every file boundary as one matrix: (file tensor x defect x reading command).
 
 A cell spoils one tensor of ``layer0`` (or the whole module) in a copy of one toy
-run and runs one command that reads it. It exits 1 naming the module or tensor
-once, with its ``MESSAGES`` fragment, no numpy warning and no output; or it is
-``ACCEPTED``, with the reason it exits 0, and writes.
+run and runs one command that reads it; a ``pre+post`` cell spoils it alike in both
+checkpoints, which then still agree in names, shapes and dtypes. It exits 1 naming
+the module or tensor once, with its ``MESSAGES`` fragment, no numpy warning and no
+output; or it is ``ACCEPTED``, with the reason it exits 0, and writes.
 """
 
 import re
@@ -76,15 +77,14 @@ DEFECTS = {
 
 CELLS = [(file, t, d, command) for command, files in READERS.items() for file in files
          for t in (*FILES[file][1], "module") for d in DEFECTS if t in DEFECTS[d]]
+CELLS += [("pre+post", "weight", "dtype", command) for command, files in READERS.items()
+          if {"pre", "post"} <= files.keys()]
 IDS = ["-".join(cell) for cell in CELLS]
 
 # cells that exit 0 by design: a regular expression over cell ids -> why
 ACCEPTED = {
     r"calib-calib_inputs-row-short-.*": "any count of at least one calibration row is valid",
     r"calib-module-extra-.*": "commands read the checkpoint's modules; an extra one goes unread",
-    r"post-weight-row-short-quantize": "quantize never chains layers; eval, which does, fails",
-    r"post-bias-.*-quantize": "quantize reads no bias",
-    r"post-bias-(nan|inf)-(importance|curve)": "they compare its shape and dtype, not its values",
     r"pre-weight-overflow-.*|post-weight-overflow-importance": "only its finite update is read",
     r"calib-calib_inputs-overflow-(quantize|eval|curve)": "3e38 squared is finite in float64",
     r"artifact-(codes|zeros|protected)-rank-eval": "packed streams have no rank",
@@ -93,17 +93,15 @@ ACCEPTED = {
 # every other cell: a regular expression over cell ids -> its message fragment
 # (with {tensor} filled in); the first match holds
 MESSAGES = {
-    r"post-weight-(nan|inf)-(quantize|eval|curve)": "weight 'layer0.weight' contains non-finite",
-    r"post-bias-(nan|inf)-ablate|post-bias-.*-eval": "'layer0.bias' must hold 16 finite values",
-    r"(pre|post)-weight-(nan|inf)-.*": "non-finite weight update in 'layer0.weight'",
-    r"post-weight-dtype-(quantize|eval|curve)": "weight 'layer0.weight' is uint8, not float32",
-    r"(pre|post)-\w+-dtype-.*": "dtype mismatch for 'layer0.{tensor}'",
+    r"(pre|post)-weight-(nan|inf)-.*": "weight 'layer0.weight' contains non-finite values",
+    # a short weight leaves the bias one value too many
+    r"post-bias-.*|(pre|post)-weight-row-short-.*": "'layer0.bias' must hold",
+    r"(pre|post|pre\+post)-weight-dtype-.*": "weight 'layer0.weight' is uint8, not float32",
     r"post-weight-overflow-.*": "module 'layer0': a group of the weight decodes beyond the",
-    r"post-weight-row-short-eval": "artifact module 'layer0' is [16, 8], its checkpoint weight",
     r"calib-calib_inputs-(column-short|no-rows)-(importance|ablate)": "must be [n >= 1, 8]",
     r"(post|calib)-\w+-column-short-(quantize|eval|curve)": "must be [n, in_features]",
-    r"post-weight-(no-rows|rank)-(quantize|eval|curve)": "it needs at least one row and one column",
-    r"(pre|post)-\w+-(\w+-short|no-rows|rank)-.*": "shape mismatch for 'layer0.{tensor}'",
+    r"(pre|post)-weight-(no-rows|rank)-.*": "it needs at least one row and one column",
+    r"(pre|post)-weight-column-short-.*": "shape mismatch for 'layer0.weight'",
     r"(pre|post)-module-\w+-(importance|ablate)": "missing tensor",
     r"calib-calib_inputs-overflow-importance": "importance scores of module 'layer0' are not",
     r"calib-\w+-(nan|inf|overflow)-(importance|ablate)": "non-finite calibration statistic",
@@ -146,13 +144,14 @@ def run(tmp_path_factory):
 def test_cell(run, tmp_path, file, tensor, defect, command):
     base = tmp_path / "run"
     shutil.copytree(run, base)
-    path, name = base / FILES[file][0], f"layer0.{tensor}"
-    tmap = load_container(path)
-    if tensor == "module":
-        DEFECTS[defect][tensor](tmap)
-    else:
-        tmap[name] = np.ascontiguousarray(DEFECTS[defect][tensor](tmap[name]))
-    save_container(tmap, path)
+    name = f"layer0.{tensor}"
+    for path in (base / FILES[f][0] for f in file.split("+")):
+        tmap = load_container(path)
+        if tensor == "module":
+            DEFECTS[defect][tensor](tmap)
+        else:
+            tmap[name] = np.ascontiguousarray(DEFECTS[defect][tensor](tmap[name]))
+        save_container(tmap, path)
     before = sorted(base.rglob("*"))
     inputs = {key: base / ("run" if key == "io.run" else FILES[f][0])
               for f, key in READERS[command].items()}

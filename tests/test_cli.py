@@ -277,20 +277,6 @@ class TestImportance:
         )
         assert res.returncode == 1
 
-    @pytest.mark.parametrize("command", ["importance", "ablate"])
-    def test_checkpoint_without_weights_is_runtime_error(self, tmp_path, command, capsys):
-        from deltaquant.container import TensorMap, save_container
-
-        ckpt, calib = tmp_path / "bias_only.dqt", tmp_path / "calib.dqt"
-        save_container(TensorMap({"layer0.bias": np.zeros(4, np.float32)}), ckpt)
-        save_container(CalibrationSet({"layer0": np.ones((2, 4), np.float32)}).to_tensor_map(),
-                       calib)
-        out = tmp_path / "out"
-        args = [command, "--pre", ckpt, "--post", ckpt, "--calib", calib, "--out", out]
-        assert cli.main([str(a) for a in args]) == 1
-        assert capsys.readouterr().err == "error: checkpoint contains no '.weight' tensors\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no-rows", "no-columns"])
     @pytest.mark.parametrize("command", ["importance", "ablate", "quantize", "eval"])
     def test_empty_weight_names_the_tensor(self, tmp_path, command, shape, capsys):

@@ -15,6 +15,7 @@ from deltaquant.container import (
     ContainerError,
     TensorMap,
     check_compatible,
+    checkpoint_modules,
     config_from_text,
     config_to_text,
     load_container,
@@ -372,6 +373,61 @@ class TestCompatibility:
         b = TensorMap({"b": np.zeros(3, np.float32)})
         with pytest.raises(CompatibilityError, match="'a'"):
             check_compatible(a, b)
+
+
+def _replace(name, value):
+    """The change that replaces tensor ``name`` with ``value`` of it."""
+    return lambda tmap: tmap.entries.update({name: value(tmap[name])})
+
+
+def _poison(name, value):
+    """The change that writes ``value`` into the first element of a copy of ``name``."""
+    def change(tmap):
+        tmap[name] = tmap[name].copy()
+        tmap[name].flat[0] = value
+    return change
+
+
+_BIAS = r"^'m\.bias' must hold 4 finite values in float32$"
+_NOT_A_MATRIX = r"^weight 'm\.weight' has shape \[{}\]; it needs at least one row and one column$"
+
+# change of a one-module checkpoint -> the error the reader raises, None for none
+READER_CASES = {
+    "clean": (lambda tmap: None, None),
+    "bias-missing": (lambda tmap: tmap.entries.pop("m.bias"), None),
+    "no-weights": (lambda tmap: tmap.entries.pop("m.weight"),
+                   r"^checkpoint contains no '\.weight' tensors$"),
+    "weight-uint8": (_replace("m.weight", lambda w: np.ones(w.shape, np.uint8)),
+                     r"^weight 'm\.weight' is uint8, not float32$"),
+    "weight-rank-1": (_replace("m.weight", np.ravel), _NOT_A_MATRIX.format("32")),
+    "weight-empty": (_replace("m.weight", lambda w: w[:0]), _NOT_A_MATRIX.format("0, 8")),
+    "weight-nan": (_poison("m.weight", np.nan), r"^weight 'm\.weight' contains non-finite values$"),
+    "weight-inf": (_poison("m.weight", -np.inf), r"^weight 'm\.weight' contains non-finite values$"),
+    "bias-short": (_replace("m.bias", lambda b: b[:3]), _BIAS),
+    "bias-2-D": (_replace("m.bias", lambda b: b[None]), _BIAS),
+    "bias-nan": (_poison("m.bias", np.nan), _BIAS),
+    "bias-uint8": (_replace("m.bias", lambda b: np.ones(b.shape, np.uint8)), _BIAS),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_checkpoint_modules(case):
+    """The one checked read of checkpoint modules: its rules, and the map's own arrays."""
+    change, message = READER_CASES[case]
+    rng = np.random.default_rng(11)
+    tmap = TensorMap({"m.weight": rng.standard_normal((4, 8), dtype=np.float32),
+                      "m.bias": rng.standard_normal(4, dtype=np.float32)})
+    change(tmap)
+    if message:
+        with pytest.raises(ValueError, match=message):
+            list(checkpoint_modules(tmap))
+        return
+    ((module, weight, bias),) = checkpoint_modules(tmap)
+    assert module == "m" and weight is tmap["m.weight"]
+    if "m.bias" in tmap:
+        assert bias is tmap["m.bias"]
+    else:
+        assert bias.dtype == np.float32 and bias.tolist() == [0.0] * 4
 
 
 class TestConfigText:

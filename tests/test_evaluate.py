@@ -38,6 +38,7 @@ from deltaquant.signals import SIGNALS, DegenerateDeltasError, MappingConfig, im
 from deltaquant.toy import (
     CalibrationSet,
     TrainConfig,
+    checkpoint_map,
     forward,
     init_model,
     model_from_map,
@@ -81,6 +82,26 @@ def test_model_shares_the_checkpoint_arrays_and_no_stage_writes_them(toy_run, se
     trained, _ = train(model, TrainConfig(steps=20, data_seed=3))
     assert not np.array_equal(trained.layers[0].weight, post["layer0.weight"])
     assert {name: post[name].tobytes() for name in post.names()} == before
+
+
+def test_every_stage_runs_the_modules_in_chain_order():
+    # by length, then name: layer2 comes before layer10, as the layers chain
+    model = init_model([6] + [8, 6] * 6, seed=4)
+    pre = checkpoint_map(model, 0)
+    post = checkpoint_map(model, 1)
+    rng = np.random.default_rng(9)
+    for layer in model.layers:
+        post[f"{layer.name}.weight"] = layer.weight + rng.normal(
+            0.0, 0.01, layer.weight.shape).astype(np.float32)
+    _, calib = forward(model_from_map(post), rng.standard_normal((16, 6), dtype=np.float32))
+    imps = importance_all(pre, post, MappingConfig(), calib)
+    artifact, report = quantize_model(post, imps, calib, SearchConfig(grid_points=3), QCFG)
+    ev = layer_report(post, artifact, calib)
+    (row,) = ablate_signals(pre, post, calib, [MappingConfig()], [0.25], QCFG)
+    chain = [f"layer{i}" for i in range(12)]
+    assert [result.module for result in report] == chain
+    assert list(ev.per_module) == chain
+    assert list(row.per_module) == chain
 
 
 class TestLayerReport:
@@ -641,12 +662,6 @@ class TestCurve:
         monkeypatch.setattr(evaluate, "importance_all", negative)
         with pytest.raises(ValueError, match="strictly positive for module 'layer0'"):
             pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
-
-    def test_checkpoint_without_modules_rejected(self):
-        snaps, calib = self._run(3)
-        empty = (20, TensorMap(meta=dict(snaps[-1][1].meta)))
-        with pytest.raises(ValueError, match="no '.weight' tensors"):
-            pseudo_ft_curve(snaps[:2] + [empty], calib, MappingConfig(), SearchConfig(), QCFG)
 
     def test_csv_shape(self, toy_run):
         points, slope = pseudo_ft_curve(

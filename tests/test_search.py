@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -453,6 +454,34 @@ class TestBatchedScoring:
         scores = np.exp(rng.uniform(-1.0, 2.0, shape[1]))
         search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig())
         assert stacks == batches
+
+    def test_one_candidate_error_is_alive_at_a_time(self):
+        # a 2^20-weight module codes one candidate per batch; each float64 error
+        # must be freed before the next candidate is coded
+        rng = np.random.default_rng(8)
+        out_features = in_features = 1024
+        rows = 64  # below in_features: the direct product, [rows, out]
+        w = rng.standard_normal((out_features, in_features), dtype=np.float32)
+        loss = ModuleLoss(w, rng.standard_normal((rows, in_features), dtype=np.float32))
+        scales = [None] + [np.exp(rng.normal(0.0, 0.3, in_features)).astype(np.float32)
+                           for _ in range(3)]
+        cfg = QuantConfig(group_size=128)
+        assert w.size >= quant._CHUNK_ELEMENTS
+        error = 8 * w.size
+        product = 2 * 8 * rows * out_features  # the product and its square
+        # a tile holds at most 2 * _CHUNK_ELEMENTS weights (see quant._tiles), each
+        # as a float32 scaled value, a float64 step and a float32 decoded value
+        tile = (4 + 8 + 4) * 2 * quant._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            losses = loss.quantized_many(cfg, scales)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= error + product + tile, (peak / 2**20, error / 2**20)
+        assert losses == [loss.quantized(cfg, scale) for scale in scales]
 
     def test_stacked_batch_is_one_tile_per_group_width(self, monkeypatch):
         # 20 candidates of 64 x 130 go in batches of 15 and 5 (2^17 // 8320
