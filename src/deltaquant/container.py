@@ -301,9 +301,9 @@ def check_weight(weight: np.ndarray, name: str) -> None:
         raise ValueError(
             f"{name} has shape {list(np.shape(weight))}; it needs at least one row and one column"
         )
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is; no mask temporary is allocated
-    if not np.isfinite(weight.sum(dtype=np.float64)):
+    # max and min carry a NaN, and two finite float32 values differ by a finite
+    # float; Python floats give inf - inf without a warning, and no mask is allocated
+    if not np.isfinite(float(weight.max()) - float(weight.min())):
         raise ValueError(f"{name} contains non-finite values")
 
 
@@ -313,7 +313,7 @@ def checkpoint_modules(tmap: TensorMap):
     The arrays are the map's own; a missing bias reads as float32 zeros. A map without a
     ``.weight`` tensor raises ValueError, and so does, naming the tensor, a weight that is
     not float32 or that ``check_weight`` rejects, or a bias of other than one finite float32
-    value per output channel."""
+    value per output channel; a bias of another shape names the module and both shapes."""
     modules = tmap.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
@@ -324,7 +324,10 @@ def checkpoint_modules(tmap: TensorMap):
             raise ValueError(f"weight {name!r} is {weight.dtype}, not float32")
         check_weight(weight, f"weight {name!r}")
         bias = tmap[bias_name] if bias_name in tmap else np.zeros(len(weight), np.float32)
-        if bias.dtype != np.float32 or bias.shape != weight.shape[:1] or not np.isfinite(bias).all():
+        if bias.shape != weight.shape[:1]:
+            raise ValueError(f"module {module!r}: bias shape {list(bias.shape)} does not match "
+                             f"weight shape {list(weight.shape)}")
+        if bias.dtype != np.float32 or not np.isfinite(bias).all():
             raise ValueError(f"{bias_name!r} must hold {len(weight)} finite values in float32")
         yield module, weight, bias
 

@@ -67,9 +67,8 @@ def _heldout_outputs(model: ToyModel, batch: np.ndarray, weights: str) -> np.nda
         raise ValueError(f"held-out {exc} with the {weights} weights") from exc
 
 
-def _heldout_reference(post_ckpt: TensorMap):
+def _heldout_reference(model: ToyModel):
     """The float model, the seeded held-out batch, and the model's outputs on it."""
-    model = model_from_map(post_ckpt)
     rng = np.random.default_rng(_HELDOUT_SEED)
     batch = rng.standard_normal((_HELDOUT_ROWS, model.in_dim), dtype=np.float32)
     return model, batch, _heldout_outputs(model, batch, "checkpoint")
@@ -130,7 +129,7 @@ def layer_report(
             "searched_mse": searched_mse,
             "protected_mse": protected_mse,
         }
-    reference = _heldout_reference(post_ckpt)
+    reference = _heldout_reference(model_from_map(post_ckpt))
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))
     return EvalReport(
@@ -196,7 +195,8 @@ def ablate_signals(
     if bad:
         raise ValueError(f"fractions must lie in [0, 1], got {bad[0]!r}")
     deltas = compute_delta(pre, post)
-    weights = {module: weight for module, weight, _ in checkpoint_modules(post)}
+    model = model_from_map(post)
+    weights = {layer.name: layer.weight for layer in model.layers}
     stats = {eps: global_delta_stats(deltas, eps) for eps in {c.zero_epsilon for c in signals}}
     requests = [(c, stats[c.zero_epsilon]) for c in signals]
     scores = {m: importances(m, deltas[f"{m}.weight"], requests, calib) for m in weights}
@@ -211,7 +211,7 @@ def ablate_signals(
         plain[module], col_err[module] = recon, _column_sq_err(recon, weight)
     # one sort per (signal, module): every row's mask is a prefix of it
     orders = {m: [protection_order(score) for score in scores[m]] for m in weights}
-    reference = _heldout_reference(post)
+    reference = _heldout_reference(model)
     rows = []
     for s, cfg_sig in enumerate(signals):
         for fraction in fractions:

@@ -44,10 +44,10 @@ _OPTIONS = {"importance": ["--multiply-activation"], "eval": []}
 
 
 def _put(value, where=(0, 0)):
-    """The defect that writes ``value`` at ``where``, cut to the tensor's rank."""
+    """The defect that writes ``value`` at ``where``, cut to the tensor's rank from the right."""
     def change(a):
         a = a.copy()
-        a[where[: a.ndim]] = value
+        a[where[-a.ndim:]] = value
         return a
     return change
 
@@ -57,6 +57,8 @@ def _put(value, where=(0, 0)):
 DEFECTS = {
     "nan": dict.fromkeys(_FLOATS, _put(np.nan)),
     "inf": dict.fromkeys(_FLOATS, _put(np.inf)),
+    # a float64 sum of the two is NaN, with a numpy warning
+    "inf-pair": dict.fromkeys(_FLOATS, _put([np.inf, -np.inf], (0, slice(0, 2)))),
     # a finite value whose use overflows float32
     "overflow": {"weight": _put([FLT_MAX, -FLT_MAX], (0, slice(0, 2))),  # in one group
                  "calib_inputs": _put(3e38, (slice(None), 0)),
@@ -94,8 +96,9 @@ ACCEPTED = {
 # (with {tensor} filled in); the first match holds
 MESSAGES = {
     r"(pre|post)-weight-(nan|inf)-.*": "weight 'layer0.weight' contains non-finite values",
+    r"post-bias-(nan|inf|dtype)-.*": "'layer0.bias' must hold",
     # a short weight leaves the bias one value too many
-    r"post-bias-.*|(pre|post)-weight-row-short-.*": "'layer0.bias' must hold",
+    r"post-bias-.*|(pre|post)-weight-row-short-.*": "module 'layer0': bias shape",
     r"(pre|post|pre\+post)-weight-dtype-.*": "weight 'layer0.weight' is uint8, not float32",
     r"post-weight-overflow-.*": "module 'layer0': a group of the weight decodes beyond the",
     r"calib-calib_inputs-(column-short|no-rows)-(importance|ablate)": "must be [n >= 1, 8]",
@@ -104,7 +107,7 @@ MESSAGES = {
     r"(pre|post)-weight-column-short-.*": "shape mismatch for 'layer0.weight'",
     r"(pre|post)-module-\w+-(importance|ablate)": "missing tensor",
     r"calib-calib_inputs-overflow-importance": "importance scores of module 'layer0' are not",
-    r"calib-\w+-(nan|inf|overflow)-(importance|ablate)": "non-finite calibration statistic",
+    r"calib-\w+-(nan|inf(-pair)?|overflow)-(importance|ablate)": "non-finite calibration statistic",
     r"calib-calib_inputs-(nan|inf)-.*": "calibration inputs for module 'layer0' contain non-finite",
     r"calib-calib_inputs-no-rows-.*": "need at least one calibration row for module 'layer0'",
     r"calib-calib_inputs-.*": "calibration inputs of module 'layer0' must be 2-D float32",

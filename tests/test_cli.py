@@ -18,6 +18,7 @@ from deltaquant.search import SearchConfig
 from deltaquant.signals import MappingConfig
 from deltaquant.toy import CalibrationSet, TrainConfig
 
+
 def train_run(tmp_path, name="run", steps=300):
     out = tmp_path / name
     res = run_cli(
@@ -40,30 +41,12 @@ class TestTrainToy:
             "ckpt_step000300.dqt",
         ]
 
-    def test_missing_out_is_usage_error(self):
-        res = run_cli("train-toy", "--steps", "10")
-        assert res.returncode == 2
-
     def test_rerun_byte_identical(self, tmp_path):
         # into the same directory, whose snapshots the rerun overwrites
         out = train_run(tmp_path, steps=150)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         train_run(tmp_path, steps=150)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_snapshot_the_run_does_not_write_is_usage_error(self, tmp_path):
-        # curve would read the longer earlier run's steps 200 and 300 with this run's
-        out = train_run(tmp_path, steps=300)
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        res = run_cli("train-toy", "--dims", "8,16,8", "--steps", "100", "--seed", "2",
-                      "--snapshot-every", "100", "--out", out)
-        assert res.returncode == 2, res.stderr
-        assert "ckpt_step000200.dqt is not a snapshot of this run" in res.stderr
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_bad_steps_is_usage_error(self, tmp_path):
-        res = run_cli("train-toy", "--steps", "0", "--out", tmp_path / "x")
-        assert res.returncode == 2
 
     @pytest.mark.parametrize(
         "dims,steps,lr,code,message",
@@ -93,47 +76,6 @@ class TestTrainToy:
         assert "Warning" not in res.stderr
         assert not out.exists() or not any(out.iterdir())
 
-    def test_out_that_is_a_file_is_usage_error(self, tmp_path, monkeypatch):
-        afile = tmp_path / "afile"
-        afile.write_text("not a run directory")
-        trained = []
-        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
-        res = run_cli("train-toy", "--steps", "10", "--out", afile)
-        assert res.returncode == 2, res.stderr
-        assert f"{afile}: it is not a directory" in res.stderr
-        assert trained == [] and afile.read_text() == "not a run directory"
-
-    @pytest.mark.parametrize("under", ["run", "a/b"])
-    def test_out_under_a_file_is_usage_error(self, tmp_path, monkeypatch, under):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("not a run directory")
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained"))
-        res = run_cli("train-toy", "--steps", "10", "--out", blocked / under)
-        assert res.returncode == 2, res.stderr
-        assert f"cannot write snapshots under {blocked}: it is not a directory" in res.stderr
-        assert blocked.read_text() == "not a run directory"
-
-    def test_config_among_the_outputs_is_usage_error(self, tmp_path):
-        out = tmp_path / "run"
-        out.mkdir()
-        cfg = out / "calib.dqt"
-        cfg.write_text("train.steps = 100\n")
-        res = run_cli("train-toy", "--config", cfg, "--out", out)
-        assert res.returncode == 2, res.stderr
-        assert f"cannot write {cfg}: the command reads {cfg}" in res.stderr
-        assert [p.name for p in out.iterdir()] == ["calib.dqt"]
-        assert cfg.read_text() == "train.steps = 100\n"
-
-    @pytest.mark.parametrize("flag,value", [("--calib-rows", "0"), ("--calib-rows", "-1"),
-                                            ("--seed", "-1"), ("--data-seed", "-1"),
-                                            ("--dims", "8,0,8"), ("--dims", "8,-3,8")])
-    def test_out_of_range_value_is_usage_error_and_writes_nothing(self, tmp_path, flag, value):
-        out = tmp_path / "x"
-        res = run_cli("train-toy", "--steps", "10", flag, value, "--out", out)
-        assert res.returncode == 2, res.stderr
-        assert flag in res.stderr
-        assert not out.exists() or not any(out.iterdir())
-
 
 class TestImportance:
     def test_defaults_echoed_in_meta(self, tmp_path):
@@ -152,29 +94,6 @@ class TestImportance:
         assert tmap.meta["y_max"] == "10.0"
         assert tmap.meta["signal"] == "both_ends_zero"
         assert sorted(tmap.names()) == ["layer0.importance", "layer1.importance"]
-
-    def test_activation_signal_without_calib_is_usage_error(self, tmp_path):
-        out = train_run(tmp_path)
-        res = run_cli(
-            "importance", "--pre", out / "ckpt_step000000.dqt",
-            "--post", out / "ckpt_step000300.dqt",
-            "--signal", "activation-sq", "--out", tmp_path / "imp.dqt",
-        )
-        assert res.returncode == 2
-        assert "calib" in res.stderr
-
-    def test_multiply_activation_without_calib_names_the_flag(self, tmp_path):
-        out = train_run(tmp_path)
-        imp = tmp_path / "imp.dqt"
-        res = run_cli(
-            "importance", "--pre", out / "ckpt_step000000.dqt",
-            "--post", out / "ckpt_step000300.dqt",
-            "--multiply-activation", "--out", imp,
-        )
-        assert res.returncode == 2
-        assert "--multiply-activation requires --calib" in res.stderr
-        assert "both_ends_zero" not in res.stderr
-        assert not imp.exists()
 
     def test_slicing_path_runs_and_differs_when_zeros_differ(self, tmp_path):
         # hand-built checkpoints with zeros confined to the first row band
@@ -199,27 +118,6 @@ class TestImportance:
             outs[slices] = load_container(dst)["layer0.importance"]
         assert outs[1].shape == outs[2].shape
         assert not np.array_equal(outs[1], outs[2])
-
-    def test_unknown_signal_is_usage_error(self, tmp_path):
-        out = train_run(tmp_path)
-        res = run_cli(
-            "importance", "--pre", out / "ckpt_step000000.dqt",
-            "--post", out / "ckpt_step000300.dqt",
-            "--signal", "sideways", "--out", tmp_path / "imp.dqt",
-        )
-        assert res.returncode == 2
-
-    def test_nan_zero_epsilon_is_usage_error(self, tmp_path):
-        out = train_run(tmp_path)
-        imp = tmp_path / "imp.dqt"
-        res = run_cli(
-            "importance", "--pre", out / "ckpt_step000000.dqt",
-            "--post", out / "ckpt_step000300.dqt",
-            "--zero-epsilon", "nan", "--out", imp,
-        )
-        assert res.returncode == 2
-        assert "zero_epsilon" in res.stderr
-        assert not imp.exists()
 
     def test_zero_epsilon_above_every_update_is_named(self, tmp_path):
         # the updates are not zero: the threshold excluded them all
@@ -360,79 +258,6 @@ class TestQuantizeAndEval:
             assert "Warning" not in res.stderr
             assert not (tmp_path / "bad").exists()
 
-    def test_missing_output_directory_is_usage_error_and_writes_nothing(self, tmp_path):
-        out = train_run(tmp_path)
-        imp = tmp_path / "imp.dqt"
-        res = run_cli("importance", "--pre", out / "ckpt_step000000.dqt",
-                      "--post", out / "ckpt_step000300.dqt", "--out", imp)
-        assert res.returncode == 0, res.stderr
-        missing = tmp_path / "nodir"
-        for art, rep in ((tmp_path / "q.dqt", missing / "r.jsonl"),
-                         (missing / "q.dqt", tmp_path / "r.jsonl")):
-            res = run_cli("quantize", "--post", out / "ckpt_step000300.dqt", "--importance", imp,
-                          "--calib", out / "calib.dqt", "--group-size", "4",
-                          "--out", art, "--report", rep)
-            assert res.returncode == 2, res.stderr
-            assert f"no directory {missing}" in res.stderr
-            assert not art.exists() and not rep.exists()
-
-    @pytest.mark.parametrize("command", ["importance", "eval", "ablate", "curve"])
-    def test_missing_output_directory_is_named_before_any_input_is_read(
-        self, audit_run, tmp_path, monkeypatch, capsys, command
-    ):
-        _, run, imp = audit_run
-        art = tmp_path / "art.dqt"
-        if command == "eval":
-            assert cli.main(["quantize", "--post", str(run / "ckpt_step000300.dqt"),
-                             "--importance", str(imp), "--calib", str(run / "calib.dqt"),
-                             "--group-size", "4", "--out", str(art)]) == 0
-        pre = ["--pre", str(run / "ckpt_step000000.dqt")]
-        post = ["--post", str(run / "ckpt_step000300.dqt")]
-        calib = ["--calib", str(run / "calib.dqt")]
-        inputs = {
-            "importance": pre + post,
-            "eval": post + ["--artifact", str(art)] + calib,
-            "ablate": pre + post + calib + ["--group-size", "4"],
-            "curve": ["--run", str(run), "--group-size", "4"],
-        }[command]
-        before = sorted(tmp_path.rglob("*"))
-        loads = []
-        monkeypatch.setattr(cli, "load_container", lambda path: loads.append(path))
-        missing = tmp_path / "nodir"
-        capsys.readouterr()
-        assert cli.main([command, *inputs, "--out", str(missing / "x")]) == 2
-        assert f"no directory {missing}" in capsys.readouterr().err
-        assert loads == [] and sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize(
-        "case", ["quantize-report-is-out", "importance-out-is-post", "eval-out-is-artifact",
-                 "ablate-out-is-calib", "curve-out-is-snapshot"],
-    )
-    def test_output_that_names_another_file_is_usage_error(self, tmp_path, case):
-        run = train_run(tmp_path)
-        pre, post = run / "ckpt_step000000.dqt", run / "ckpt_step000300.dqt"
-        snap, calib = run / "ckpt_step000100.dqt", run / "calib.dqt"
-        imp, art = tmp_path / "imp.dqt", tmp_path / "art.dqt"
-        assert run_cli("importance", "--pre", pre, "--post", post, "--out", imp).returncode == 0
-        assert run_cli("quantize", "--post", post, "--importance", imp, "--calib", calib,
-                       "--group-size", "4", "--out", art).returncode == 0
-        args, target = {
-            "quantize-report-is-out": (["quantize", "--post", post, "--importance", imp,
-                                        "--calib", calib, "--out", art, "--report", art], art),
-            "importance-out-is-post": (["importance", "--pre", pre, "--post", snap,
-                                        "--out", snap], snap),
-            "eval-out-is-artifact": (["eval", "--post", post, "--artifact", art,
-                                      "--calib", calib, "--out", art], art),
-            "ablate-out-is-calib": (["ablate", "--pre", pre, "--post", post,
-                                     "--calib", calib, "--out", calib], calib),
-            "curve-out-is-snapshot": (["curve", "--run", run, "--out", snap], snap),
-        }[case]
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        res = run_cli(*args)
-        assert res.returncode == 2, res.stderr
-        assert f"cannot write {target}: the command " in res.stderr
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-
     def test_report_curves_and_never_worse(self, tmp_path):
         _, _, _, rep, ev = full_pipeline(tmp_path, bits=3, extra_quant=("--grid-points", "20"))
         lines = rep.read_text().strip().split("\n")
@@ -551,6 +376,7 @@ class TestAblate:
             "--signals", "", "--out", tmp_path / "ablation.csv",
         )
         assert res.returncode == 2
+        assert not (tmp_path / "ablation.csv").exists()
 
 
 class TestCurve:
@@ -610,43 +436,6 @@ class TestCurve:
         assert "module 'layerX' is missing from the step-200 checkpoint" in res.stderr
         assert not csv.exists()
 
-    def test_stray_snapshot_name_is_usage_error(self, tmp_path):
-        out = train_run(tmp_path, steps=100)
-        (out / "ckpt_stepbak.dqt").write_bytes(b"not a container")
-        csv = tmp_path / "curve.csv"
-        res = run_cli("curve", "--run", out, "--out", csv)
-        assert res.returncode == 2, res.stderr
-        assert "ckpt_stepbak.dqt" in res.stderr
-        assert not csv.exists()
-
-    @pytest.mark.parametrize(
-        "names, message",
-        [(["ckpt_step000000.dqt", "calib.dqt"], "fewer than two ckpt_step*.dqt files"),
-         (["ckpt_step000000.dqt", "ckpt_step000100.dqt"], "is missing calib.dqt")],
-        ids=["one-snapshot", "no-calib"],
-    )
-    def test_incomplete_run_is_usage_error(self, tmp_path, names, message):
-        run = tmp_path / "run"
-        run.mkdir()
-        for name in names:
-            (run / name).write_bytes(b"not a container")  # the run is checked before any read
-        out = tmp_path / "curve.csv"
-        res = run_cli("curve", "--run", run, "--out", out)
-        assert res.returncode == 2, res.stderr
-        assert message in res.stderr
-        assert not out.exists()
-
-    def test_two_snapshots_of_one_step_is_usage_error(self, tmp_path):
-        out = train_run(tmp_path, steps=100)
-        assert (out / "ckpt_step000000.dqt").exists()
-        # not a container either: the names alone must stop the run
-        (out / "ckpt_step0.dqt").write_bytes(b"not a container")
-        csv = tmp_path / "curve.csv"
-        res = run_cli("curve", "--run", out, "--out", csv)
-        assert res.returncode == 2, res.stderr
-        assert "ckpt_step000000.dqt" in res.stderr and "ckpt_step0.dqt" in res.stderr
-        assert not csv.exists()
-
 
 class TestConfigAndHelp:
     def test_config_file_supplies_values(self, tmp_path):
@@ -675,21 +464,6 @@ class TestConfigAndHelp:
             assert key in res.stderr
 
     @pytest.mark.parametrize(
-        "text, message",
-        [(None, "cannot read config file"), ("train.steps 120\n", ":1: expected 'key = value'")],
-        ids=["missing-file", "line-without-equals"],
-    )
-    def test_unusable_config_file_is_usage_error(self, tmp_path, text, message):
-        cfg = tmp_path / "dq.cfg"
-        if text is not None:
-            cfg.write_text(text)
-        out = tmp_path / "x"
-        res = run_cli("train-toy", "--config", cfg, "--out", out)
-        assert res.returncode == 2, res.stderr
-        assert message in res.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
         "command", ["train-toy", "importance", "quantize", "eval", "ablate", "curve"]
     )
     def test_help_lists_defaults(self, command):
@@ -705,16 +479,6 @@ class TestConfigAndHelp:
             res = run_cli(*args, "--out", tmp_path / "x")
             assert res.returncode == 2
             assert args[1] in res.stderr
-
-    def test_unpackable_bits_rejected(self, tmp_path):
-        out = train_run(tmp_path, steps=100)
-        res = run_cli(
-            "quantize", "--post", out / "ckpt_step000100.dqt",
-            "--importance", out / "calib.dqt", "--calib", out / "calib.dqt",
-            "--bits", "5", "--out", tmp_path / "a.dqt",
-        )
-        assert res.returncode == 2
-        assert "--bits" in res.stderr
 
     @pytest.mark.parametrize(
         "cls,opts",
@@ -737,99 +501,29 @@ class TestConfigAndHelp:
         assert not (tmp_path / "x").exists()
 
 
-def unloadable_inputs(tmp_path):
-    """Base arguments per command that exit 1 once run: the inputs fail to load,
-    or train-toy's run overflows."""
-    bad = tmp_path / "bad.dqt"
-    bad.write_bytes(b"not a container")
-    run = tmp_path / "run"
-    run.mkdir()
-    for name in ("ckpt_step000000.dqt", "ckpt_step000100.dqt", "calib.dqt"):
-        (run / name).write_bytes(b"not a container")
-    out = tmp_path / "out"
-    return {
-        # one step at this rate leaves weights whose calibration forward pass overflows
-        "train-toy": ["train-toy", "--dims", "8,16,8", "--steps", "1", "--lr", "1e20",
-                      "--out", out],
-        "importance": ["importance", "--pre", bad, "--post", bad, "--out", out],
-        "quantize": ["quantize", "--post", bad, "--importance", bad, "--calib", bad, "--out", out],
-        "ablate": ["ablate", "--pre", bad, "--post", bad, "--calib", bad, "--out", out],
-        "curve": ["curve", "--run", run, "--out", out],
-    }
-
-
 class TestValuesCheckedBeforeInputs:
-    @pytest.mark.parametrize(
-        "command,flag_args,config_line,config_flag",
-        [
-            ("train-toy", ["--steps", "0"], "train.batch_size = 0", "--batch-size"),
-            ("importance", ["--y-min", "20"], "map.slices = 0", "--slices"),
-            ("quantize", ["--bits", "5"], "search.grid_points = 1", "--grid-points"),
-            ("ablate", ["--group-size", "0"], "map.zero_epsilon = nan", "--zero-epsilon"),
-            ("curve", ["--alpha-hi", "-1"], "quant.group_size = x", "--group-size"),
-            ("quantize", ["--max-calib-rows", "0"], "search.max_calib_rows = 0",
-             "--max-calib-rows"),
-            ("train-toy", ["--lr", "0"], "train.snapshot_every = 0", "--snapshot-every"),
-        ],
-    )
-    def test_rejected_config_value_is_usage_error(
-        self, tmp_path, command, flag_args, config_line, config_flag
-    ):
-        base = unloadable_inputs(tmp_path)[command]
-        assert run_cli(*base).returncode == 1  # the inputs really fail once read
-        res = run_cli(*base, *flag_args)
-        assert res.returncode == 2, res.stderr
-        assert flag_args[0] in res.stderr
-        cfg = tmp_path / "dq.cfg"
-        cfg.write_text(config_line + "\n")
-        res = run_cli(*base, "--config", cfg)
-        assert res.returncode == 2, res.stderr
-        assert config_flag in res.stderr
-
-    @pytest.mark.parametrize(
-        "command,flag,value",
-        [
-            ("train-toy", "--dims", "8"),
-            ("train-toy", "--dims", "8,x"),
-            ("train-toy", "--dims", ""),
-            ("ablate", "--signals", "mid,sideways"),
-            ("ablate", "--signals", ""),
-            ("ablate", "--fractions", "0.1,1.5"),
-            ("ablate", "--fractions", "nan"),
-            ("ablate", "--fractions", "-0.1"),
-            ("ablate", "--fractions", ""),
-        ],
-    )
+    @pytest.mark.parametrize("command,flag,value", [("ablate", "--signals", "")])
     def test_bad_list_value_is_usage_error(self, tmp_path, command, flag, value):
-        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
+        # the inputs hold bytes no reader accepts: only an unchecked value reaches them
+        bad = tmp_path / "bad.dqt"
+        bad.write_bytes(b"not a container")
+        base = [command, "--pre", bad, "--post", bad, "--calib", bad,
+                "--out", tmp_path / "out.csv"]
+        assert run_cli(*base).returncode == 1
+        res = run_cli(*base, flag, value)
         assert res.returncode == 2, res.stderr
         assert flag in res.stderr
-
-    @pytest.mark.parametrize(
-        "command,flag,value",
-        [
-            ("train-toy", "--lr", "inf"),
-            ("importance", "--y-max", "inf"),
-            ("importance", "--zero-epsilon", "inf"),
-            ("quantize", "--alpha-hi", "inf"),
-            ("ablate", "--zero-epsilon", "inf"),
-            ("curve", "--y-max", "inf"),
-        ],
-    )
-    def test_infinite_value_is_usage_error(self, tmp_path, command, flag, value):
-        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
-        assert res.returncode == 2, res.stderr
-        assert f"{flag} {value}" in res.stderr and "finite" in res.stderr
 
     @pytest.mark.parametrize(
         "command,flag,value",
         [("ablate", "--signal", "mid"), ("ablate", "--protect", "0.1"),
          ("curve", "--protect", "0.1")],
     )
-    def test_flag_that_changes_no_output_is_unknown(self, tmp_path, command, flag, value):
+    def test_flag_that_changes_no_output_is_unknown(self, command, flag, value):
         # ablate's signals come from --signals and its protection from --fractions;
-        # curve reports search losses, which protection never changes
-        res = run_cli(*unloadable_inputs(tmp_path)[command], flag, value)
+        # curve reports search losses, which protection never changes; argparse
+        # rejects the flag before the command asks for its required options
+        res = run_cli(command, flag, value)
         assert res.returncode == 2, res.stderr
         assert f"unrecognized arguments: {flag} {value}" in res.stderr
         shown = run_cli(command, "--help").stdout

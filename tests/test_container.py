@@ -389,6 +389,7 @@ def _poison(name, value):
 
 
 _BIAS = r"^'m\.bias' must hold 4 finite values in float32$"
+_BIAS_SHAPE = r"^module 'm': bias shape \[{}\] does not match weight shape \[{}, 8\]$"
 _NOT_A_MATRIX = r"^weight 'm\.weight' has shape \[{}\]; it needs at least one row and one column$"
 
 # change of a one-module checkpoint -> the error the reader raises, None for none
@@ -403,8 +404,9 @@ READER_CASES = {
     "weight-empty": (_replace("m.weight", lambda w: w[:0]), _NOT_A_MATRIX.format("0, 8")),
     "weight-nan": (_poison("m.weight", np.nan), r"^weight 'm\.weight' contains non-finite values$"),
     "weight-inf": (_poison("m.weight", -np.inf), r"^weight 'm\.weight' contains non-finite values$"),
-    "bias-short": (_replace("m.bias", lambda b: b[:3]), _BIAS),
-    "bias-2-D": (_replace("m.bias", lambda b: b[None]), _BIAS),
+    "weight-short": (_replace("m.weight", lambda w: w[:3]), _BIAS_SHAPE.format("4", "3")),
+    "bias-short": (_replace("m.bias", lambda b: b[:3]), _BIAS_SHAPE.format("3", "4")),
+    "bias-2-D": (_replace("m.bias", lambda b: b[None]), _BIAS_SHAPE.format("1, 4", "4")),
     "bias-nan": (_poison("m.bias", np.nan), _BIAS),
     "bias-uint8": (_replace("m.bias", lambda b: np.ones(b.shape, np.uint8)), _BIAS),
 }
