@@ -157,30 +157,36 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
     """Fill every option, then build every config as ``ns.<section>`` from its options.
 
-    A value a config rejects is a usage error that echoes the given options.
+    A value a config rejects is a usage error that echoes the given options. Then the
+    config file's keys of the other commands are parsed as the command that owns a key
+    reads the file when given no flags, into a namespace that is dropped.
     """
     cfg = _parse_config_file(ns.config) if ns.config else {}
-    for opt in opts:
-        raw = getattr(ns, opt.dest)
-        if raw is None:
-            raw = cfg.get(opt.key, opt.default)
-        if raw is None and opt.required:
-            raise UsageError(f"missing required option {opt.flag}")
-        if raw is not None and opt.convert:
+    others = {o.key: o for _, _, every in _COMMANDS.values() for o in every
+              if o.key in cfg.keys() - {own.key for own in opts}}
+    # the command's options, echoed by flag, then the other keys, echoed by key
+    for space, group, by in ((ns, opts, "flag"), (argparse.Namespace(), others.values(), "key")):
+        for opt in group:
+            raw = getattr(space, opt.dest, None)
+            if raw is None:
+                raw = cfg.get(opt.key, opt.default)
+            if raw is None and opt.required:
+                raise UsageError(f"missing required option {opt.flag}")
+            if raw is not None and opt.convert:
+                try:
+                    raw = opt.convert(raw)
+                except ValueError as exc:
+                    raise UsageError(f"bad value for {getattr(opt, by)}: {raw!r}: {exc}") from exc
+            setattr(space, opt.dest, raw)
+        for section, cls in _CONFIGS.items():
+            given = [o for o in group if o.field and o.field[0] is cls
+                     and getattr(space, o.dest) is not None]
             try:
-                raw = opt.convert(raw)
+                config = config_from_text(cls, {o.field[1]: getattr(space, o.dest) for o in given})
             except ValueError as exc:
-                raise UsageError(f"bad value for {opt.flag}: {raw!r}: {exc}") from exc
-        setattr(ns, opt.dest, raw)
-    for section, cls in _CONFIGS.items():
-        backed = [o for o in opts if o.field and o.field[0] is cls]
-        given = [o for o in backed if getattr(ns, o.dest) is not None]
-        try:
-            config = config_from_text(cls, {o.field[1]: getattr(ns, o.dest) for o in given})
-        except ValueError as exc:
-            shown = " ".join(f"{o.flag} {getattr(ns, o.dest)}" for o in given)
-            raise UsageError(f"{shown}: {exc}") from exc
-        setattr(ns, section, config)
+                shown = " ".join(f"{getattr(o, by)} {getattr(space, o.dest)}" for o in given)
+                raise UsageError(f"{shown}: {exc}") from exc
+            setattr(space, section, config)
     return ns
 
 

@@ -295,40 +295,50 @@ def load_container(path: str | Path) -> TensorMap:
     return tmap
 
 
-def check_weight(weight: np.ndarray, name: str) -> None:
-    """Raise ValueError naming ``name`` unless ``weight`` is a finite, non-empty matrix."""
-    if np.ndim(weight) != 2 or not np.size(weight):
-        raise ValueError(
-            f"{name} has shape {list(np.shape(weight))}; it needs at least one row and one column"
-        )
+def check_tensor(array: np.ndarray, name: str, ndim: int, dtype=np.float32) -> np.ndarray:
+    """``array`` if it is an ``ndim``-D ``dtype`` tensor, else ValueError naming ``name``."""
+    if array.dtype != dtype or array.ndim != ndim:
+        raise ValueError(f"tensor {name!r} is {array.ndim}-D {array.dtype}, "
+                         f"not {ndim}-D {np.dtype(dtype)}")
+    return array
+
+
+def check_finite(array: np.ndarray, name: str) -> np.ndarray:
+    """``array`` if every value of it is finite, else ValueError naming ``name``."""
     # max and min carry a NaN, and two finite float32 values differ by a finite
     # float; Python floats give inf - inf without a warning, and no mask is allocated
-    if not np.isfinite(float(weight.max()) - float(weight.min())):
-        raise ValueError(f"{name} contains non-finite values")
+    if array.size and not np.isfinite(float(array.max()) - float(array.min())):
+        raise ValueError(f"tensor {name!r} contains non-finite values")
+    return array
+
+
+def check_weight(weight: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``weight`` is a finite, non-empty float32 matrix."""
+    check_finite(check_tensor(weight, name, 2), name)
+    if not weight.size:
+        raise ValueError(f"tensor {name!r} has shape {list(weight.shape)}; "
+                         "it needs at least one row and one column")
 
 
 def checkpoint_modules(tmap: TensorMap):
     """Yield ``(module, weight, bias)`` of each checkpoint module, in chain order, checked.
 
     The arrays are the map's own; a missing bias reads as float32 zeros. A map without a
-    ``.weight`` tensor raises ValueError, and so does, naming the tensor, a weight that is
-    not float32 or that ``check_weight`` rejects, or a bias of other than one finite float32
-    value per output channel; a bias of another shape names the module and both shapes."""
+    ``.weight`` tensor raises ValueError, and so does, naming the tensor, a weight that
+    ``check_weight`` rejects or a bias that is not one finite float32 value per output
+    channel; a 1-D bias of another length names the module and both shapes."""
     modules = tmap.modules("weight")
     if not modules:
         raise ValueError("checkpoint contains no '.weight' tensors")
     for module in modules:
         name, bias_name = f"{module}.weight", f"{module}.bias"
         weight = tmap[name]
-        if weight.dtype != np.float32:
-            raise ValueError(f"weight {name!r} is {weight.dtype}, not float32")
-        check_weight(weight, f"weight {name!r}")
+        check_weight(weight, name)
         bias = tmap[bias_name] if bias_name in tmap else np.zeros(len(weight), np.float32)
+        check_finite(check_tensor(bias, bias_name, 1), bias_name)
         if bias.shape != weight.shape[:1]:
             raise ValueError(f"module {module!r}: bias shape {list(bias.shape)} does not match "
                              f"weight shape {list(weight.shape)}")
-        if bias.dtype != np.float32 or not np.isfinite(bias).all():
-            raise ValueError(f"{bias_name!r} must hold {len(weight)} finite values in float32")
         yield module, weight, bias
 
 

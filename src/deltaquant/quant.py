@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap, config_from_text
+from .container import TensorMap, check_finite, check_tensor, config_from_text
 
 # scale mantissa width: 19 bits + 4-bit codes keeps products exact in f32
 _SCALE_MANTISSA_BITS = 19
@@ -351,29 +351,33 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return recon
 
 
-def candidate_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list):
+def candidate_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list | None):
     """Yield the in-major error ``recon - weight`` of round-to-nearest under each channel scale.
 
     ``weight_t`` is the float32 ``[in, out]`` transpose of a finite weight;
-    every scale of ``channel_scales`` (``None`` for none) is checked before
-    any is coded. Candidate k's error is the float64 ``[in, out]``
-    ``dequantize(rtn_quantize(weight, cfg, channel_scale=s_k)).T - weight_t``
+    every scale of ``channel_scales`` is checked before any is coded, and
+    None yields the one unscaled error. Candidate k's error is the float64
+    ``[in, out]`` ``dequantize(rtn_quantize(weight, cfg, channel_scale=s_k)).T - weight_t``
     bit for bit, made without codes or a row-major reconstruction.
     Candidates are coded in batches of ``_CHUNK_ELEMENTS // weight_t.size``
     (at least one), stacked on a leading axis, which spares small modules
     most of the fixed per-call cost; a stacked batch is one tile per group
     width. Batches run in order.
     """
-    checked = [None if s is None else _checked_channel_scale(s, len(weight_t))
-               for s in channel_scales]
+    if channel_scales is None:
+        yield from _batch_errors(weight_t, cfg, None)
+        return
+    checked = [_checked_channel_scale(s, len(weight_t)) for s in channel_scales]
     per_batch = max(1, _CHUNK_ELEMENTS // weight_t.size)
     for i in range(0, len(checked), per_batch):
-        yield from _batch_errors(weight_t, cfg, checked[i : i + per_batch])
+        yield from _batch_errors(weight_t, cfg, np.stack(checked[i : i + per_batch]))
 
 
-def _batch_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list) -> np.ndarray:
+def _batch_errors(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | None) -> np.ndarray:
     """The float64 ``[K, in, out]`` errors of a batch of ``candidate_errors``.
 
+    ``cscale`` stacks the K channel scales as float32 ``[K, in]``, or is None for
+    the one unscaled candidate, which skips the multiply and the division.
     Each tile of all K candidates is scaled, coded, decoded and divided
     back in float32 exactly as ``rtn_quantize`` and ``dequantize`` do,
     then subtracted in float64. A scaled value or a decoded group outside
@@ -381,12 +385,7 @@ def _batch_errors(weight_t: np.ndarray, cfg: QuantConfig, channel_scales: list) 
     overflows raises only after every candidate is coded, so a product
     overflow wins over it.
     """
-    if len(channel_scales) == 1 and channel_scales[0] is None:
-        cscale = None  # a lone unscaled candidate skips the multiply and the division
-    else:  # x * 1 == x and x / 1 == x: ones stand in for no scale
-        ones = np.ones(len(weight_t), dtype=np.float32)
-        cscale = np.stack([ones if s is None else s for s in channel_scales])
-    err_t = np.empty((len(channel_scales), *weight_t.shape), dtype=np.float64)
+    err_t = np.empty((1 if cscale is None else len(cscale), *weight_t.shape), dtype=np.float64)
     finite = True
     for outs, ins, _, steps, scales, _ in _coded_tiles(weight_t, cfg, cscale):
         decoded = np.multiply(steps, scales[:, None], dtype=np.float32)
@@ -508,13 +507,9 @@ def artifact_to_map(
 
 
 def _unpack_field(tmap: TensorMap, module: str, field: str, count: int, bits: int) -> np.ndarray:
-    """Decode the packed ``<module>.<field>`` stream of ``count`` values."""
-    buf = tmap[f"{module}.{field}"]
-    if buf.dtype != np.uint8:
-        raise ValueError(
-            f"{field} of module {module!r} is {buf.dtype}, not a packed stream "
-            "(an older artifact format); re-run quantize"
-        )
+    """Decode the packed ``<module>.<field>`` stream, a 1-D uint8 tensor, of ``count`` values."""
+    name = f"{module}.{field}"
+    buf = check_tensor(tmap[name], name, 1, np.uint8)
     try:
         return unpack_codes(buf, count, bits)
     except ValueError as exc:
@@ -525,7 +520,7 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
     """Rebuild quantized modules from a container map.
 
     A missing, misshaped, non-finite or wrongly typed field, or fields of one
-    module whose shapes disagree, raises ValueError naming the module once.
+    module whose shapes disagree, raises ValueError naming the module or the tensor once.
     """
     keys = ("bits", "group_size")
     if any(key not in tmap.meta for key in keys):
@@ -533,21 +528,17 @@ def artifact_from_map(tmap: TensorMap) -> dict[str, QuantizedTensor]:
     cfg = config_from_text(QuantConfig, {key: tmap.meta[key] for key in keys})
     artifact: dict[str, QuantizedTensor] = {}
     for module in tmap.modules("codes"):
-        for field, rank in (("zeros", 0), ("protected", 0), ("scales", 2),
-                            ("channel_scale", 1), ("protected_values", 2)):
-            name = f"{module}.{field}"
-            if name not in tmap:
+        for field in ("zeros", "protected", "scales", "channel_scale", "protected_values"):
+            if f"{module}.{field}" not in tmap:
                 raise ValueError(f"module {module!r} is missing its {field} tensor")
-            # packed streams have no rank, and _unpack_field checks their dtype
-            if rank and (tmap[name].ndim != rank or tmap[name].dtype != np.float32):
-                raise ValueError(f"{field} of module {module!r} must be {rank}-D float32")
-        scales = tmap[f"{module}.scales"]
-        channel_scale = tmap[f"{module}.channel_scale"]
-        protected_values = tmap[f"{module}.protected_values"]
-        if not (np.isfinite(scales).all() and np.isfinite(protected_values).all()):
-            raise ValueError(f"scales and protected_values of module {module!r} must be finite")
-        if not (np.isfinite(channel_scale).all() and (channel_scale > 0).all()):
-            raise ValueError(f"channel_scale of module {module!r} must be positive and finite")
+        # the packed streams are checked as _unpack_field decodes them
+        names = [f"{module}.{field}" for field in ("scales", "channel_scale", "protected_values")]
+        scales, channel_scale, protected_values = (
+            check_finite(check_tensor(tmap[name], name, ndim), name)
+            for name, ndim in zip(names, (2, 1, 2))
+        )
+        if not (channel_scale > 0).all():
+            raise ValueError(f"channel_scale of module {module!r} must be positive")
         out_features = scales.shape[0]
         in_features = channel_scale.shape[0]
         # the code count is derived from these two tables, so they are compared first

@@ -6,25 +6,27 @@ columns are multiplied by s, quantized round-to-nearest, dequantized, and
 divided back by s; the loss is the mean squared difference between the
 reconstructed and the original layer outputs on calibration inputs. alpha
 is searched on an endpoint-inclusive uniform grid (default 20 points over
-[0, 1]), so alpha = 0 always reproduces plain unscaled quantization and
-the best candidate can never lose to it.
+[0, 1]). alpha = 0 reproduces plain unscaled quantization, so on a grid
+that contains it, as the default grid does, the best candidate can never
+lose to plain RTN; a grid without it searches only its own alphas.
 
 One ``ModuleLoss`` per module serves every candidate. It keeps the weight
 only as an in-major (``[in, out]``) float32 copy, transposed once, and
 validates the calibration rows once; ``loss(recon)`` scores any
 reconstruction and ``loss.quantized_many(qcfg, scales)`` scores
 round-to-nearest of the weight under each of several channel scales:
-``search_scale`` scores plain RTN and the whole grid in one call, or only
-the grid when given the RTN loss, as the pseudo-fine-tuning curve does for
-each snapshot; ``quant_loss`` and the evaluation report score one scale
-through ``loss.quantized``. ``quant.candidate_errors`` codes the
-candidates on that copy, straight into their float64 in-major errors;
-each candidate has its own loss product, so every loss has the bits it
-has when scored alone, and the bits ``loss(recon)`` gives its
-reconstruction. With at least ``in_features`` calibration rows it scores
-through the Gram matrix ``H = X.T @ X``, with fewer it multiplies by the
-rows directly. The choice depends only on the shapes, and both forms give
-the same loss up to float64 rounding.
+``search_scale`` scores its grid in one call, after plain RTN through
+``loss.quantized(qcfg)`` unless given the RTN loss, as the
+pseudo-fine-tuning curve is for each snapshot; ``quant_loss`` and the
+evaluation report score one scale through ``loss.quantized``.
+``quant.candidate_errors`` codes the candidates on that copy, straight
+into their float64 in-major errors; each candidate has its own loss
+product, so every loss has the bits it has when scored alone, and the
+bits ``loss(recon)`` gives its reconstruction. With at least
+``in_features`` calibration rows it scores through the Gram matrix
+``H = X.T @ X``, with fewer it multiplies by the rows directly. The choice
+depends only on the shapes, and both forms give the same loss up to
+float64 rounding.
 
 ``search_scale`` divides the importance vector by sqrt(max * min) before
 exponentiation. This recentres the scale range around one without moving
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorMap, check_weight, checkpoint_modules
+from .container import TensorMap, check_finite, check_tensor, check_weight, checkpoint_modules
 from .quant import (
     QuantConfig,
     QuantizedTensor,
@@ -113,19 +115,17 @@ class ModuleLoss:
     def __init__(self, weight: np.ndarray, calib_inputs: np.ndarray, module: str = "") -> None:
         weight = np.asarray(weight, dtype=np.float32)
         self.module = module
-        check_weight(weight, f"weight {module + '.weight'!r}" if module else "weight")
+        prefix = f"{module}." if module else ""
+        check_weight(weight, prefix + "weight")
         self.shape = weight.shape
         self.weight_t = transposed(weight)
-        x = np.asarray(calib_inputs)
+        x = check_tensor(np.asarray(calib_inputs, dtype=np.float32), prefix + "calib_inputs", 2)
         where = f" for module {module!r}" if module else ""
-        if x.ndim != 2 or x.shape[1] != self.shape[1]:
+        if x.shape[1] != self.shape[1]:
             raise ValueError(f"calibration inputs{where} must be [n, in_features]")
         if x.shape[0] < 1:
             raise ValueError(f"need at least one calibration row{where}")
-        x64 = np.asarray(x, dtype=np.float32).astype(np.float64)
-        # as in check_weight: no sum, whose inf + -inf would warn
-        if not np.isfinite(float(x64.max()) - float(x64.min())):
-            raise ValueError(f"calibration inputs{where} contain non-finite values")
+        x64 = check_finite(x, prefix + "calib_inputs").astype(np.float64)
         self.outputs = x64.shape[0] * self.shape[0]
         # what multiplies an error into the loss product: the Gram matrix, else the rows
         self.gram = x64.shape[0] >= x64.shape[1]
@@ -181,15 +181,23 @@ class ModuleLoss:
             return float(np.einsum("ij,ij->", product, err_t) / self.outputs)
         return float(np.mean(product * product))
 
-    def quantized_many(self, qcfg: QuantConfig, scales: list) -> list[float]:
+    def quantized_many(self, qcfg: QuantConfig, scales: list[np.ndarray]) -> list[float]:
         """Losses of round-to-nearest quantization of the weight scaled by each of ``scales``.
 
-        For each channel scale (``None`` for none), in order, the loss of
-        its ``candidate_errors`` error: the columns multiplied by it,
-        quantized without protection, decoded, and divided by it again.
+        For each channel scale, in order, the loss of its ``candidate_errors``
+        error: the columns multiplied by it, quantized without protection,
+        decoded, and divided by it again.
         With a ``module`` name, an error reads ``module '<name>': <message>``.
         Each error is dropped once scored: a batch is freed before the next is coded.
         """
+        return self._losses(qcfg, scales)
+
+    def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
+        """The loss of one channel ``scale``, or of plain RTN for None."""
+        return self._losses(qcfg, None if scale is None else [scale])[0]
+
+    def _losses(self, qcfg: QuantConfig, scales: list[np.ndarray] | None) -> list[float]:
+        """The losses of the ``candidate_errors`` of ``scales``."""
         losses = []
         try:
             for err_t in candidate_errors(self.weight_t, qcfg, scales):
@@ -200,10 +208,6 @@ class ModuleLoss:
                 raise
             raise ValueError(f"module {self.module!r}: {exc}") from exc
         return losses
-
-    def quantized(self, qcfg: QuantConfig, scale: np.ndarray | None = None) -> float:
-        """``quantized_many(qcfg, [scale])[0]``: the loss of one channel scale."""
-        return self.quantized_many(qcfg, [scale])[0]
 
 
 def quant_loss(
@@ -226,10 +230,9 @@ def search_scale(
     Evaluates every alpha on the endpoint-inclusive grid with s = base^alpha,
     ``base`` the importance divided by sqrt(max * min), or all ones for a
     constant one; ties go to the smaller alpha. Also reports the unscaled
-    loss for reference, scored with the grid in one ``quantized_many`` call
-    unless ``rtn_loss`` gives it. ``loss.module`` names the result and the
-    errors; when that call fails, the unscaled candidate is scored alone,
-    so a weight that plain RTN cannot code raises its own error.
+    loss for reference: ``rtn_loss``, or else ``loss.quantized(qcfg)``,
+    scored before the grid, so a weight that plain RTN cannot code raises
+    its own error. ``loss.module`` names the result and the errors.
     """
     in_features = loss.shape[1]
     scores = np.asarray(importance, dtype=np.float64)
@@ -252,17 +255,8 @@ def search_scale(
             raise ValueError(
                 f"channel scale of alpha {alpha!r}{where} is not positive and finite in float32"
             )
-    if rtn_loss is None:
-        try:
-            rtn_loss, *losses = loss.quantized_many(qcfg, [None, *scales])
-        except ValueError:
-            # a weight that plain RTN cannot code is reported as such, not
-            # as the overflow of a scaled candidate coded in the same batch
-            loss.quantized(qcfg)
-            raise
-    else:
-        losses = loss.quantized_many(qcfg, scales)
-    scored = iter(zip(scales, losses))
+    rtn_loss = loss.quantized(qcfg) if rtn_loss is None else rtn_loss
+    scored = iter(zip(scales, loss.quantized_many(qcfg, scales)))
     candidates = [(a, *(next(scored) if a != 0.0 else (ones, rtn_loss))) for a in alphas]
     # every loss is finite, and min keeps the first of equal losses: ties go to the smaller alpha
     alpha_star, best_scale, best_loss = min(candidates, key=lambda c: c[2])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import TensorMap, checkpoint_modules
+from .container import TensorMap, check_tensor, checkpoint_modules
 
 # training steps whose inputs are drawn, and teacher targets computed, at once
 _CHUNK_STEPS = 10
@@ -102,15 +102,13 @@ class CalibrationSet:
     def from_tensor_map(cls, tmap: TensorMap) -> "CalibrationSet":
         """Load the ``<module>.calib_inputs`` matrices; other tensors are ignored.
 
-        Only the rank and dtype are checked here; the rows are not scanned, because
-        the ``ModuleLoss`` and the activation signals check them where they use them.
+        Only ``check_tensor``'s rank and dtype rule applies here; the rows are not scanned,
+        because the ``ModuleLoss`` and the activation signals check them where they use them.
         """
         calib = cls()
         for module in tmap.modules("calib_inputs"):
-            inputs = tmap[f"{module}.calib_inputs"]
-            if inputs.ndim != 2 or inputs.dtype != np.float32:
-                raise ValueError(f"calibration inputs of module {module!r} must be 2-D float32")
-            calib.inputs[module] = inputs
+            name = f"{module}.calib_inputs"
+            calib.inputs[module] = check_tensor(tmap[name], name, 2)
         return calib
 
 

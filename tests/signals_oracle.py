@@ -6,7 +6,9 @@ with ``np.where``, zero updates are pinned with a second ``np.where``, the
 positive deltas are selected with a boolean index, zero updates are counted
 band by band with a float64 ``<=``, and each checkpoint is cast to float32
 before subtracting. ``signals`` evaluates each element once in place; the
-signal tests compare its outputs with these byte for byte.
+signal tests compare its outputs with these byte for byte. ``loop_importance``
+scores every signal again one scalar at a time, for the tolerance tests of the
+signal suite and of acceptance criterion 2.
 """
 
 import numpy as np
@@ -104,4 +106,63 @@ def update_importance(weight_delta, stats, cfg):
         else:
             zbar = count_zeros_per_channel(delta, cfg.zero_epsilon, cfg.slices)
             scores[cols] = map_both_ends_zero(delta, stats, cfg).mean(axis=0) * (zbar + 1.0)
+    return np.maximum(scores, 1e-12)
+
+
+def loop_importance(delta, stats, cfg, mean_abs=None, mean_square=None):
+    """Independent scalar re-implementation of every importance signal."""
+    rows, cols = delta.shape
+
+    def f_zero(d):
+        if d <= cfg.zero_epsilon:
+            return cfg.y_min
+        d = min(max(d, stats.min_positive), stats.max)
+        if d <= stats.median_positive:
+            lo, mid = stats.min_positive, stats.median_positive
+            if mid - lo <= 0:
+                return cfg.y_max
+            return cfg.y_min + (cfg.y_max - cfg.y_min) * ((mid - d) / (mid - lo)) ** 2
+        mid, hi = stats.median_positive, stats.max
+        if hi - mid <= 0:
+            return cfg.y_max
+        return cfg.y_min + (cfg.y_max - cfg.y_min) * ((d - mid) / (hi - mid)) ** 2
+
+    def f_plain(d):
+        lo = 0.0 if stats.zero_count else stats.min_positive
+        d = min(max(d, lo), stats.max)
+        if d <= stats.median_positive:
+            mid = stats.median_positive
+            if mid - lo <= 0:
+                return cfg.y_max
+            return cfg.y_min + (cfg.y_max - cfg.y_min) * ((mid - d) / (mid - lo)) ** 2
+        mid, hi = stats.median_positive, stats.max
+        if hi - mid <= 0:
+            return cfg.y_max
+        return cfg.y_min + (cfg.y_max - cfg.y_min) * ((d - mid) / (hi - mid)) ** 2
+
+    scores = np.zeros(cols)
+    for c in range(cols):
+        if cfg.signal == "magnitude":
+            scores[c] = sum(delta[r, c] for r in range(rows)) / rows
+        elif cfg.signal == "activation_sq":
+            scores[c] = mean_square[c]
+        elif cfg.signal == "both_ends":
+            scores[c] = sum(f_plain(delta[r, c]) for r in range(rows)) / rows
+        elif cfg.signal == "mid":
+            scores[c] = sum(
+                cfg.y_min + cfg.y_max - f_plain(delta[r, c]) for r in range(rows)
+            ) / rows
+        else:
+            mean_f = sum(f_zero(delta[r, c]) for r in range(rows)) / rows
+            base, rem = divmod(rows, cfg.slices)
+            start = 0
+            z_sum = 0.0
+            for b in range(cfg.slices):
+                size = base + (1 if b < rem else 0)
+                band = delta[start : start + size, c]
+                z_sum += sum(1 for v in band if v <= cfg.zero_epsilon)
+                start += size
+            scores[c] = mean_f * (z_sum / cfg.slices + 1.0)
+        if cfg.multiply_activation:
+            scores[c] *= mean_abs[c]
     return np.maximum(scores, 1e-12)

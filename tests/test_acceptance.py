@@ -25,6 +25,7 @@ from deltaquant.search import ModuleLoss, SearchConfig, quant_loss, search_scale
 from deltaquant.signals import DeltaStats, MappingConfig, global_delta_stats, importances
 from deltaquant.toy import TrainConfig, forward, init_model, model_from_map, train
 from gradient_check import finite_diff_check
+from signals_oracle import loop_importance
 
 def _report(n: int, description: str):
     print(f"[PASS] criterion {n}: {description}")
@@ -74,39 +75,6 @@ def test_criterion_1_mapping_endpoints():
 # --------------------------------------------------------------------------
 
 
-def _oracle_importance(delta, stats, cfg):
-    rows, cols = delta.shape
-    out = np.zeros(cols)
-    for c in range(cols):
-        total_f = 0.0
-        for r in range(rows):
-            d = delta[r, c]
-            if d <= cfg.zero_epsilon:
-                total_f += cfg.y_min
-                continue
-            d = min(max(d, stats.min_positive), stats.max)
-            if d <= stats.median_positive:
-                lo, mid = stats.min_positive, stats.median_positive
-                q = cfg.y_max if mid == lo else cfg.y_min + (cfg.y_max - cfg.y_min) * (
-                    (mid - d) / (mid - lo)
-                ) ** 2
-            else:
-                mid, hi = stats.median_positive, stats.max
-                q = cfg.y_max if hi == mid else cfg.y_min + (cfg.y_max - cfg.y_min) * (
-                    (d - mid) / (hi - mid)
-                ) ** 2
-            total_f += q
-        base, rem = divmod(rows, cfg.slices)
-        start = 0
-        z = 0.0
-        for b in range(cfg.slices):
-            size = base + (1 if b < rem else 0)
-            z += sum(1 for r in range(start, start + size) if delta[r, c] <= cfg.zero_epsilon)
-            start += size
-        out[c] = (total_f / rows) * (z / cfg.slices + 1.0)
-    return out
-
-
 def test_criterion_2_importance_oracle_equivalence():
     rng = np.random.default_rng(2002)
     for trial in range(50):
@@ -119,7 +87,7 @@ def test_criterion_2_importance_oracle_equivalence():
         for slices in (1, 2, 4):
             cfg = MappingConfig(slices=slices)
             got = importances("m", delta, [(cfg, stats)])[0]
-            want = _oracle_importance(delta, stats, cfg)
+            want = loop_importance(delta, stats, cfg)
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
         # every positive update clamps to the median of these anchors and maps
         # to y_min = 1 exactly, so each score is the channel's zero count + 1

@@ -15,6 +15,8 @@ from deltaquant.container import (
     ContainerError,
     TensorMap,
     check_compatible,
+    check_finite,
+    check_tensor,
     checkpoint_modules,
     config_from_text,
     config_to_text,
@@ -388,9 +390,9 @@ def _poison(name, value):
     return change
 
 
-_BIAS = r"^'m\.bias' must hold 4 finite values in float32$"
 _BIAS_SHAPE = r"^module 'm': bias shape \[{}\] does not match weight shape \[{}, 8\]$"
-_NOT_A_MATRIX = r"^weight 'm\.weight' has shape \[{}\]; it needs at least one row and one column$"
+_TENSOR = r"^tensor 'm\.{}' is {}, not {}$"
+_NON_FINITE = r"^tensor 'm\.{}' contains non-finite values$"
 
 # change of a one-module checkpoint -> the error the reader raises, None for none
 READER_CASES = {
@@ -399,16 +401,20 @@ READER_CASES = {
     "no-weights": (lambda tmap: tmap.entries.pop("m.weight"),
                    r"^checkpoint contains no '\.weight' tensors$"),
     "weight-uint8": (_replace("m.weight", lambda w: np.ones(w.shape, np.uint8)),
-                     r"^weight 'm\.weight' is uint8, not float32$"),
-    "weight-rank-1": (_replace("m.weight", np.ravel), _NOT_A_MATRIX.format("32")),
-    "weight-empty": (_replace("m.weight", lambda w: w[:0]), _NOT_A_MATRIX.format("0, 8")),
-    "weight-nan": (_poison("m.weight", np.nan), r"^weight 'm\.weight' contains non-finite values$"),
-    "weight-inf": (_poison("m.weight", -np.inf), r"^weight 'm\.weight' contains non-finite values$"),
+                     _TENSOR.format("weight", "2-D uint8", "2-D float32")),
+    "weight-rank-1": (_replace("m.weight", np.ravel),
+                      _TENSOR.format("weight", "1-D float32", "2-D float32")),
+    "weight-empty": (_replace("m.weight", lambda w: w[:0]), r"^tensor 'm\.weight' has shape "
+                     r"\[0, 8\]; it needs at least one row and one column$"),
+    "weight-nan": (_poison("m.weight", np.nan), _NON_FINITE.format("weight")),
+    "weight-inf": (_poison("m.weight", -np.inf), _NON_FINITE.format("weight")),
     "weight-short": (_replace("m.weight", lambda w: w[:3]), _BIAS_SHAPE.format("4", "3")),
     "bias-short": (_replace("m.bias", lambda b: b[:3]), _BIAS_SHAPE.format("3", "4")),
-    "bias-2-D": (_replace("m.bias", lambda b: b[None]), _BIAS_SHAPE.format("1, 4", "4")),
-    "bias-nan": (_poison("m.bias", np.nan), _BIAS),
-    "bias-uint8": (_replace("m.bias", lambda b: np.ones(b.shape, np.uint8)), _BIAS),
+    "bias-2-D": (_replace("m.bias", lambda b: b[None]),
+                 _TENSOR.format("bias", "2-D float32", "1-D float32")),
+    "bias-nan": (_poison("m.bias", np.nan), _NON_FINITE.format("bias")),
+    "bias-uint8": (_replace("m.bias", lambda b: np.ones(b.shape, np.uint8)),
+                   _TENSOR.format("bias", "1-D uint8", "1-D float32")),
 }
 
 
@@ -430,6 +436,21 @@ def test_checkpoint_modules(case):
         assert bias is tmap["m.bias"]
     else:
         assert bias.dtype == np.float32 and bias.tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("values", [[np.inf, -np.inf], [1.0, np.nan], [-np.inf]],
+                         ids=["inf-pair", "nan", "neg-inf"])
+def test_check_finite_names_the_tensor(values):
+    # the suite turns a RuntimeWarning into an error: the test of inf - inf raises none
+    with pytest.raises(ValueError, match=r"^tensor 'm\.x' contains non-finite values$"):
+        check_finite(np.float32(values), "m.x")
+
+
+def test_checks_return_the_array():
+    empty = np.zeros((0, 3), np.float32)
+    assert check_finite(check_tensor(empty, "m.x", 2), "m.x") is empty  # nothing to scan
+    with pytest.raises(ValueError, match=r"^tensor 'm\.x' is 2-D float32, not 1-D uint8$"):
+        check_tensor(empty, "m.x", 1, np.uint8)
 
 
 class TestConfigText:

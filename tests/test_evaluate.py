@@ -584,25 +584,29 @@ class TestCurve:
         snaps, calib = self._run(snapshots)
         assert len(snaps) == snapshots
         calls = collections.Counter()
-        init, many = ModuleLoss.__init__, ModuleLoss.quantized_many
+        init, one, many = ModuleLoss.__init__, ModuleLoss.quantized, ModuleLoss.quantized_many
 
         def counted_init(self, *args, **kwargs):
             calls["losses"] += 1
             init(self, *args, **kwargs)
 
+        def counted_one(self, qcfg, scale=None):
+            calls["rtn" if scale is None else "quantized"] += 1
+            return one(self, qcfg, scale)
+
         def counted_many(self, qcfg, scales):
             calls["quantized_many"] += 1
-            calls["rtn"] += sum(scale is None for scale in scales)
             return many(self, qcfg, scales)
 
         monkeypatch.setattr(ModuleLoss, "__init__", counted_init)
+        monkeypatch.setattr(ModuleLoss, "quantized", counted_one)
         monkeypatch.setattr(ModuleLoss, "quantized_many", counted_many)
         points, _ = pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
         assert all(math.isfinite(l) for _, l in points)
         modules = len(snaps[-1][1].modules("weight"))
-        # plain RTN once per module, then one grid call per module and snapshot
+        # plain RTN once per module, then one grid call per module and snapshot past step 0
         assert calls == {
-            "losses": modules, "rtn": modules, "quantized_many": modules * snapshots
+            "losses": modules, "rtn": modules, "quantized_many": modules * (snapshots - 1)
         }
 
     @pytest.mark.parametrize(

@@ -658,7 +658,7 @@ class TestArtifactContainer:
         q = rtn_quantize(w, QuantConfig(bits=3, group_size=4))
         tmap = artifact_to_map({"m": q})
         tmap["m.zeros"] = q.zero_points.astype(np.float32)
-        with pytest.raises(ValueError, match="'m'.*re-run quantize"):
+        with pytest.raises(ValueError, match=r"^tensor 'm\.zeros' is 2-D float32, not 1-D uint8$"):
             artifact_from_map(tmap)
 
     @pytest.mark.parametrize(
@@ -681,7 +681,9 @@ class TestArtifactContainer:
         )
         tmap = artifact_to_map({"m": q})
         tmap[f"m.{field}"][index] = value
-        with pytest.raises(ValueError, match=f"{field}.* of module 'm'"):
+        message = (f"{field} of module 'm' must be positive" if np.isfinite(value)
+                   else f"tensor 'm\\.{field}' contains non-finite values")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             artifact_from_map(tmap)
 
     @staticmethod
@@ -707,7 +709,7 @@ class TestArtifactContainer:
     def test_wrong_rank_rejected(self, field, reshape):
         tmap = self._protected_map()
         tmap[f"m.{field}"] = reshape(tmap[f"m.{field}"])
-        with pytest.raises(ValueError, match=f"{field} of module 'm' must be [12]-D"):
+        with pytest.raises(ValueError, match=f"^tensor 'm\\.{field}' is [12]-D float32, not "):
             artifact_from_map(tmap)
 
     @pytest.mark.parametrize(

@@ -116,21 +116,22 @@ class TestQuantLoss:
         # quantizer would blame a channel scale that is not at fault
         w, x, _ = _instance(0)
         w[1, 2] = bad
-        with pytest.raises(ValueError, match="^weight contains non-finite values$"):
+        with pytest.raises(ValueError, match="^tensor 'weight' contains non-finite values$"):
             ModuleLoss(w, x)
-        with pytest.raises(ValueError, match="^weight 'layer0.weight' contains non-finite"):
+        with pytest.raises(ValueError, match="^tensor 'layer0.weight' contains non-finite"):
             ModuleLoss(w, x, "layer0")
-        with pytest.raises(ValueError, match="^weight contains non-finite values$"):
+        with pytest.raises(ValueError, match="^tensor 'weight' contains non-finite values$"):
             quant_loss(w, x, np.ones(8, np.float32), QCFG)
 
     @pytest.mark.parametrize("shape", [(0, 8), (4, 0), (8,), (2, 2, 2)])
     def test_weight_that_is_not_a_matrix_rejected(self, shape):
         # an empty weight would divide by zero when batching the candidates
         x = np.ones((3, shape[1] if len(shape) == 2 else 8), np.float32)
-        message = rf"has shape \[{', '.join(map(str, shape))}\]; it needs at least one row"
-        with pytest.raises(ValueError, match=f"^weight {message}"):
+        message = (rf"has shape \[{', '.join(map(str, shape))}\]; it needs at least one row"
+                   if len(shape) == 2 else f"is {len(shape)}-D float32, not 2-D float32$")
+        with pytest.raises(ValueError, match=f"^tensor 'weight' {message}"):
             ModuleLoss(np.zeros(shape, np.float32), x)
-        with pytest.raises(ValueError, match=f"^weight 'layer1.weight' {message}"):
+        with pytest.raises(ValueError, match=f"^tensor 'layer1.weight' {message}"):
             ModuleLoss(np.zeros(shape, np.float32), x, "layer1")
 
     def test_reconstruction_of_another_shape_rejected(self):
@@ -304,8 +305,9 @@ class TestCandidatePath:
     ):
         # quantized_many scores each candidate as the public quantize, decode
         # and loss calls do, bit for bit, alone on one tile or many (a budget
-        # below the weight) or stacked on one tile per group width; a failing
-        # candidate raises what those calls raise
+        # below the weight) or stacked on one tile per group width, and
+        # quantized(cfg) so scores plain RTN; a failing candidate raises what
+        # those calls raise
         rng = np.random.default_rng(seed)
         w = _weight_of_kind(rng, kind, (out_features, in_features))
         chunk = data.draw(
@@ -315,19 +317,20 @@ class TestCandidatePath:
         per_batch = max(1, chunk // w.size)
         n = in_features - 1 if rows == "below" else in_features + 2
         x = rng.standard_normal((n, in_features)).astype(np.float32)
-        scaled = data.draw(st.lists(st.booleans(), min_size=1, max_size=6), label="scaled")
-        scales = [np.exp(rng.uniform(-3, 3, in_features)).astype(np.float32) if on else None
-                  for on in scaled]
+        candidates = data.draw(st.integers(1, 6), label="candidates")
+        scales = [np.exp(rng.uniform(-3, 3, in_features)).astype(np.float32)
+                  for _ in range(candidates)]
         cfg = QuantConfig(bits=bits, group_size=group_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quant, "_CHUNK_ELEMENTS", chunk)
-            public = [
-                _outcome(lambda s=s: rtn_quantize(w, cfg, channel_scale=s)) for s in scales
+            rtn, *public = [
+                _outcome(lambda s=s: rtn_quantize(w, cfg, channel_scale=s)) for s in [None, *scales]
             ]
-            public = [
+            rtn, *public = [
                 q if isinstance(q, str) else _outcome(lambda q=q: ModuleLoss(w, x)(dequantize(q)))
-                for q in public
+                for q in [rtn, *public]
             ]
+            assert _outcome(lambda: ModuleLoss(w, x).quantized(cfg)) == rtn
             got = _outcome(lambda: ModuleLoss(w, x).quantized_many(cfg, scales))
         if not any(isinstance(p, str) for p in public):
             assert got == public
@@ -354,12 +357,10 @@ class TestBatchedScoring:
         rows=st.sampled_from(["below", "at_least"]),
         candidates=st.integers(1, 7),
         per_batch=st.integers(1, 8),
-        unscaled_first=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batched_losses_equal_one_at_a_time(
-        self, out_features, in_features, group_size, bits, rows, candidates, per_batch,
-        unscaled_first, seed,
+        self, out_features, in_features, group_size, bits, rows, candidates, per_batch, seed,
     ):
         # per_batch from 1 up gives batches of one, of several, and a ragged last batch
         n = in_features - 1 if rows == "below" else in_features + 3
@@ -370,14 +371,11 @@ class TestBatchedScoring:
         scales = [
             np.exp(rng.uniform(-2, 2, in_features)).astype(np.float32) for _ in range(candidates)
         ]
-        if unscaled_first:
-            scales[0] = None
         cfg = QuantConfig(bits=bits, group_size=group_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quant, "_CHUNK_ELEMENTS", per_batch * w.size)
             losses = ModuleLoss(w, x).quantized_many(cfg, scales)
-        ones = np.ones(in_features, np.float32)
-        assert losses == [quant_loss(w, x, ones if s is None else s, cfg) for s in scales]
+        assert losses == [quant_loss(w, x, s, cfg) for s in scales]
 
     @pytest.mark.parametrize("kind", _FAILURES)
     @pytest.mark.parametrize("position", range(7))
@@ -397,10 +395,11 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("kind", _FAILURES)
     def test_error_of_a_named_loss_names_the_module(self, kind):
         w, x, bad, message = _failing_candidate(kind)
+        ones = np.ones(8, np.float32)
         with pytest.raises(ValueError, match=f"^module 'layer3': {message}"):
-            ModuleLoss(w, x, "layer3").quantized_many(QCFG, [None, bad])
+            ModuleLoss(w, x, "layer3").quantized_many(QCFG, [ones, bad])
         with pytest.raises(ValueError, match=f"^{message}"):
-            ModuleLoss(w, x).quantized_many(QCFG, [None, bad])
+            ModuleLoss(w, x).quantized_many(QCFG, [ones, bad])
 
     @pytest.mark.parametrize("kind", ["length", "zero", "nan"])
     def test_invalid_scale_is_raised_before_any_candidate(self, monkeypatch, kind):
@@ -417,7 +416,7 @@ class TestBatchedScoring:
         w, x, overflow, _ = _failing_candidate("product")
         _, _, invalid, message = _failing_candidate(kind)
         with pytest.raises(ValueError, match=f"^module 'layer2': {message}"):
-            ModuleLoss(w, x, "layer2").quantized_many(QCFG, [None, overflow, invalid])
+            ModuleLoss(w, x, "layer2").quantized_many(QCFG, [overflow, invalid])
         assert calls["_coded_tiles"] == 0
 
     def test_product_overflow_wins_within_a_batch(self, monkeypatch):
@@ -432,15 +431,17 @@ class TestBatchedScoring:
             ModuleLoss(w, x).quantized_many(QCFG, [division])
         with pytest.raises(ValueError, match="weight times channel_scale"):
             ModuleLoss(w, x).quantized_many(QCFG, [division, product])
+        ones = np.ones(8, np.float32)
         with pytest.raises(ValueError, match="dequantization produced non-finite"):
-            ModuleLoss(w, x).quantized_many(QCFG, [None] * 3 + [division, product])
+            ModuleLoss(w, x).quantized_many(QCFG, [ones] * 3 + [division, product])
 
     @pytest.mark.parametrize(
-        "shape, batches", [((64, 128), [16, 4]), ((512, 512), [1] * 20)],
+        "shape, batches", [((64, 128), [1, 16, 3]), ((512, 512), [1] * 20)],
         ids=["64x128", "512x512"],
     )
     def test_search_quantizes_once_per_batch(self, monkeypatch, shape, batches):
-        # 20 candidates of 64 x 128 fit in two batches; one of 512 x 512 fills a batch
+        # plain RTN alone, then the 19 scaled candidates: of 64 x 128 they fit
+        # in two batches; one of 512 x 512 fills a batch
         stacks = []
 
         def counted(weight_t, qcfg, cscale, _original=quant._coded_tiles):
@@ -463,8 +464,8 @@ class TestBatchedScoring:
         rows = 64  # below in_features: the direct product, [rows, out]
         w = rng.standard_normal((out_features, in_features), dtype=np.float32)
         loss = ModuleLoss(w, rng.standard_normal((rows, in_features), dtype=np.float32))
-        scales = [None] + [np.exp(rng.normal(0.0, 0.3, in_features)).astype(np.float32)
-                           for _ in range(3)]
+        scales = [np.exp(rng.normal(0.0, 0.3, in_features)).astype(np.float32)
+                  for _ in range(4)]
         cfg = QuantConfig(group_size=128)
         assert w.size >= quant._CHUNK_ELEMENTS
         error = 8 * w.size
@@ -484,9 +485,9 @@ class TestBatchedScoring:
         assert losses == [loss.quantized(cfg, scale) for scale in scales]
 
     def test_stacked_batch_is_one_tile_per_group_width(self, monkeypatch):
-        # 20 candidates of 64 x 130 go in batches of 15 and 5 (2^17 // 8320
-        # per batch); each batch codes one tile of its full group and one of
-        # its ragged 2-channel group, so the quantizer kernel runs 4 times
+        # plain RTN alone, then 19 candidates of 64 x 130 in batches of 15 and 4
+        # (2^17 // 8320 per batch); each batch codes one tile of its full group
+        # and one of its ragged 2-channel group, so the quantizer kernel runs 6 times
         tiles = []
 
         def counted(values, bits, _original=quant._code_groups):
@@ -499,7 +500,8 @@ class TestBatchedScoring:
         x = rng.standard_normal((16, 130)).astype(np.float32)
         scores = np.exp(rng.uniform(-1.0, 2.0, 130))
         search_scale(ModuleLoss(w, x), scores, SearchConfig(), QuantConfig(group_size=128))
-        assert tiles == [(15, 128, 64), (15, 2, 64), (5, 128, 64), (5, 2, 64)]
+        assert tiles == [(1, 128, 64), (1, 2, 64), (15, 128, 64), (15, 2, 64),
+                         (4, 128, 64), (4, 2, 64)]
 
 
 def _scored_scales(monkeypatch):
@@ -520,8 +522,8 @@ def _assert_equal_importances_score_ones(monkeypatch, importance):
     w, x, _ = _instance(1, n_in=importance.size)
     scored = _scored_scales(monkeypatch)
     res = search_scale(ModuleLoss(w, x), importance, SearchConfig(), QCFG)
-    assert scored[0] is None and len(scored) == 20  # plain RTN, then alpha > 0
-    for scale in scored[1:]:
+    assert len(scored) == 19  # alpha > 0; plain RTN is scored on its own
+    for scale in scored:
         assert scale.dtype == np.float32 and np.array_equal(scale, np.ones(importance.size))
     assert all(loss == res.rtn_loss for _, loss in res.loss_curve)
 
@@ -555,8 +557,8 @@ class TestNormalizeScale:
         search_scale(ModuleLoss(w, x), np.array([1.0, 100.0]), SearchConfig(grid_points=2),
                      QuantConfig(group_size=2))
         # alpha 1, the only candidate besides plain RTN
-        assert scored[0] is None and len(scored) == 2
-        assert np.array_equal(scored[1], np.float32([0.1, 10.0]))
+        assert len(scored) == 1
+        assert np.array_equal(scored[0], np.float32([0.1, 10.0]))
 
     def test_geometric_symmetry(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -565,8 +567,8 @@ class TestNormalizeScale:
         scored = _scored_scales(monkeypatch)
         search_scale(ModuleLoss(w, x), np.array([0.25, 1.0, 4.0]), SearchConfig(grid_points=5),
                      QuantConfig(group_size=3))
-        assert len(scored) == 5
-        for scale in scored[1:]:
+        assert len(scored) == 4
+        for scale in scored:
             assert scale[1] == 1.0
             assert float(scale[0]) * float(scale[2]) == pytest.approx(1.0, rel=1e-6)
         # at alpha 1 the base itself, in which sqrt(4 * 0.25) changes nothing
@@ -731,14 +733,14 @@ class TestSearchScale:
             search_scale(ModuleLoss(w, x, "layer2"), scores, scfg, QCFG)
 
     def test_weight_plain_rtn_cannot_code_is_named_before_the_scale(self):
-        # scaled up, the first channels overflow float32 first; the search still
-        # reports the unscaled weight's own failure, as quantized() alone does
+        # scaled up, the first channels overflow float32 first; the search
+        # scores plain RTN first, and so reports the unscaled weight's own failure
         w, x, _ = _instance(2)
         w[0, :2] = np.finfo(np.float32).max, -np.finfo(np.float32).max
         scores = np.where(np.arange(w.shape[1]) < 2, 100.0, 1.0)
         loss = ModuleLoss(w, x, "layer0")
         with pytest.raises(ValueError, match="weight times channel_scale"):
-            loss.quantized_many(QCFG, [None, scores.astype(np.float32)])
+            loss.quantized_many(QCFG, [scores.astype(np.float32)])
         message = "^module 'layer0': a group of the weight decodes beyond the float32 range$"
         with pytest.raises(ValueError, match=message):
             loss.quantized(QCFG)

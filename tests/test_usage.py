@@ -3,10 +3,11 @@
 The cells derive from ``cli._COMMANDS``. A value cell gives one option, as
 ``--flag=value``, a value that its parser (``_int_at_least``, ``_fraction``,
 ``_comma_list``) or its config field rejects; a config cell gives one through
-``--config``; an ``omitted`` cell leaves a required option out; a path cell puts
-an output where the command may not write it; a rule cell (``RULES``) breaks a
-usage rule that spans options. Each cell exits 2 with ``usage error:``, names
-its flag exactly once (value, config and ``omitted`` cells) or its path or rule,
+``--config``, and an ``other-config`` cell one for a key of another command;
+an ``omitted`` cell leaves a required option out; a path cell puts an output
+where the command may not write it; a rule cell (``RULES``) breaks a usage rule
+that spans options. Each cell exits 2 with ``usage error:``, names its flag
+exactly once (value, config and ``omitted`` cells) or its key, path or rule,
 and reads no container, trains nothing and writes nothing.
 """
 
@@ -89,6 +90,11 @@ def bad_values(opt) -> dict[str, str]:
     return {"empty": "", **short} | {f"item-{k}": f"{opt.default},{v}" for k, v in bad.items()}
 
 
+# config key -> the option that reads it, in whichever command has it
+OWNERS = {opt.key: opt for _, _, opts in cli._COMMANDS.values() for opt in opts
+          if opt.key and not opt.key.startswith("io.")}
+
+
 def _write(path, text="not a container"):
     def edit(base):
         (base / path).parent.mkdir(parents=True, exist_ok=True)
@@ -127,6 +133,11 @@ def _cells():
                             for label, value in values.items())
             line = f"{opt.key} = {next(iter(values.values()))}\n"
             yield Cell(command, (opt.flag,), "config", edit=_write(cfg, line))
+        # every command checks the keys of the others, though it does not use them
+        for key, opt in OWNERS.items():
+            if key not in {own.key for own in opts}:
+                line = f"{key} = {next(iter(bad_values(opt).values()))}\n"
+                yield Cell(command, (opt.flag,), "other-config", edit=_write(cfg, line), names=key)
         yield Cell(command, ("--config",), "missing-file", edit=_remove(cfg), names="{base}/" + cfg)
         yield Cell(command, ("--config",), "unknown-key", edit=_write(cfg, "map.sideways = 1\n"),
                    names="{base}/" + cfg + ":1: unknown config key 'map.sideways'")
