@@ -157,15 +157,17 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
     """Fill every option, then build every config as ``ns.<section>`` from its options.
 
-    A value a config rejects is a usage error that echoes the given options. Then the
+    A value a config rejects is a usage error that echoes the given options, each by
+    its flag when the command line gave it, else by its config-file key. Then the
     config file's keys of the other commands are parsed as the command that owns a key
     reads the file when given no flags, into a namespace that is dropped.
     """
     cfg = _parse_config_file(ns.config) if ns.config else {}
     others = {o.key: o for _, _, every in _COMMANDS.values() for o in every
               if o.key in cfg.keys() - {own.key for own in opts}}
-    # the command's options, echoed by flag, then the other keys, echoed by key
-    for space, group, by in ((ns, opts, "flag"), (argparse.Namespace(), others.values(), "key")):
+    for space, group in ((ns, opts), (argparse.Namespace(), others.values())):
+        named = {o.dest: o.key if getattr(space, o.dest, None) is None else o.flag
+                 for o in group}
         for opt in group:
             raw = getattr(space, opt.dest, None)
             if raw is None:
@@ -176,7 +178,7 @@ def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
                 try:
                     raw = opt.convert(raw)
                 except ValueError as exc:
-                    raise UsageError(f"bad value for {getattr(opt, by)}: {raw!r}: {exc}") from exc
+                    raise UsageError(f"bad value for {named[opt.dest]}: {raw!r}: {exc}") from exc
             setattr(space, opt.dest, raw)
         for section, cls in _CONFIGS.items():
             given = [o for o in group if o.field and o.field[0] is cls
@@ -184,7 +186,7 @@ def _resolve(ns: argparse.Namespace, opts: list[Opt]) -> argparse.Namespace:
             try:
                 config = config_from_text(cls, {o.field[1]: getattr(space, o.dest) for o in given})
             except ValueError as exc:
-                shown = " ".join(f"{getattr(o, by)} {getattr(space, o.dest)}" for o in given)
+                shown = " ".join(f"{named[o.dest]} {getattr(space, o.dest)}" for o in given)
                 raise UsageError(f"{shown}: {exc}") from exc
             setattr(space, section, config)
     return ns

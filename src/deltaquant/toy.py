@@ -10,8 +10,8 @@ the same (dims, seed, config) always produces bit-identical snapshots.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -133,13 +133,24 @@ def init_model(dims: list[int] | tuple[int, ...], seed: int) -> ToyModel:
     return ToyModel(layers=layers, dims=dims, seed=int(seed))
 
 
-def forward_activations(layers: list[LinearLayer], inputs: np.ndarray) -> list[np.ndarray]:
-    """Return [input, hidden..., output]; entry i is the input of layer i."""
+def forward_activations(
+    layers: list[LinearLayer], inputs: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Return [input, hidden..., output]; entry i is the input of layer i.
+
+    Layer i writes its output into ``out[i]``, a C-contiguous float32
+    [n, out_features] array; with ``out`` None each is allocated here.
+    """
+    if out is None:
+        out = [np.empty((len(inputs), layer.weight.shape[0]), np.float32) for layer in layers]
     acts = [inputs]
     last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        z = acts[-1] @ layer.weight.T + layer.bias
-        acts.append(np.maximum(z, 0.0, dtype=np.float32) if i < last else z)
+    for i, (layer, z) in enumerate(zip(layers, out)):
+        np.matmul(acts[-1], layer.weight.T, out=z)
+        np.add(z, layer.bias, out=z)
+        if i < last:
+            np.maximum(z, 0.0, out=z, dtype=np.float32)
+        acts.append(z)
     return acts
 
 
@@ -167,29 +178,63 @@ def forward(model: ToyModel, inputs: np.ndarray) -> tuple[np.ndarray, Calibratio
     return acts[-1], calib
 
 
+def _aligned(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """An uninitialized C-order array whose first byte is on a 64-byte boundary."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = np.empty(nbytes + 64, np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
+
+
+class Workspace:
+    """Every array one ``gradients`` call on ``rows`` rows writes, each 64-byte aligned.
+
+    Per layer i of ``dims``: its output ``acts[i]`` [rows, out], which for the
+    last layer then holds the output error; ``dw[i]`` [in, out], C-order, so that
+    ``dw[i].T`` is the column-major [out, in] gradient; and ``db[i]`` [out]. Per
+    hidden layer: the gradient rows back-propagated to its output ``back[i]``
+    and its ReLU mask ``masks[i]``. And ``sq``, the float64 squared error.
+    """
+
+    def __init__(self, dims: tuple[int, ...], rows: int):
+        pairs = list(zip(dims[:-1], dims[1:]))
+        self.acts = [_aligned((rows, n_out)) for _, n_out in pairs]
+        self.back = [_aligned((rows, n_out)) for _, n_out in pairs[:-1]]
+        self.masks = [_aligned((rows, n_out), np.bool_) for _, n_out in pairs[:-1]]
+        self.dw = [_aligned(pair) for pair in pairs]
+        self.db = [_aligned((n_out,)) for _, n_out in pairs]
+        self.sq = _aligned((rows, dims[-1]), np.float64)
+
+
 def gradients(
-    model: ToyModel, inputs: np.ndarray, targets: np.ndarray
+    model: ToyModel, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
 ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Mean-squared-error loss and its analytic gradients per layer.
 
     Loss is the mean over all batch x output elements of (out - target)^2.
-    Returns (loss, {layer name: (dW, db)}).
+    Returns (loss, {layer name: (dW, db)}). Every array is written in
+    ``work``, a ``Workspace`` for the model's dims and the batch's rows; with
+    ``work`` None one is allocated here. The gradients are views of it, valid
+    until the next call with the same workspace.
     """
     inputs = np.ascontiguousarray(inputs, dtype=np.float32)
     targets = np.ascontiguousarray(targets, dtype=np.float32)
-    acts = forward_activations(model.layers, inputs)
-    out = acts[-1]
-    diff = out - targets
-    loss = float(np.mean(diff.astype(np.float64) ** 2))
-    grad = diff * np.float32(2.0 / diff.size)
+    if work is None:
+        work = Workspace(model.dims, len(inputs))
+    acts = forward_activations(model.layers, inputs, work.acts)
+    grad = np.subtract(acts[-1], targets, out=acts[-1])
+    np.square(grad, dtype=np.float64, out=work.sq)
+    loss = float(np.add.reduce(work.sq, axis=None) / work.sq.size)
+    np.multiply(grad, np.float32(2.0 / grad.size), out=grad)
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        dw = (acts[i].T @ grad).T  # [out, in] in the memory order of a column-major weight
-        db = grad.sum(axis=0)
+        dw = np.matmul(acts[i].T, grad, out=work.dw[i]).T
+        db = np.add.reduce(grad, axis=0, out=work.db[i])
         grads[layer.name] = (dw, db)
         if i > 0:
-            grad = (grad @ layer.weight) * (acts[i] > 0)
+            back = np.matmul(grad, layer.weight, out=work.back[i - 1])
+            grad = np.multiply(back, np.greater(acts[i], 0, out=work.masks[i - 1]), out=back)
     return loss, grads
 
 
@@ -228,6 +273,18 @@ def _teacher_for(model: ToyModel, data_seed: int) -> ToyModel:
     return init_model(model.dims, seed=(int(data_seed) ^ 0x5EED_7EAC) & 0xFFFFFFFF)
 
 
+def _column_major_copy(model: ToyModel) -> ToyModel:
+    """A copy of the model with column-major weights, so that ``acts @ weight.T`` is
+    untransposed, and every weight and bias on a 64-byte boundary."""
+    layers = []
+    for layer in model.layers:
+        weight = _aligned(layer.weight.shape[::-1]).T
+        bias = _aligned(layer.bias.shape)
+        weight[...], bias[...] = layer.weight, layer.bias
+        layers.append(LinearLayer(layer.name, weight, bias))
+    return replace(model, layers=layers)
+
+
 def train(
     model: ToyModel, cfg: TrainConfig
 ) -> tuple[ToyModel, list[tuple[int, TensorMap]]]:
@@ -242,18 +299,25 @@ def train(
     slices its batch and targets from them and runs the student forward and
     backward once. One draw per chunk yields the values of one draw per
     step, and the tests check that no snapshot depends on the chunk length.
+    Every array a step writes (the chunk's inputs and teacher activations,
+    a ``Workspace`` for the student's batch, the weights and biases of the
+    student and the teacher) is allocated once per run, 64-byte aligned, and
+    every operation writes into it in place: a step allocates no array, and
+    the snapshots keep the bits of allocating ones.
 
     A non-finite loss raises ``TrainingDivergedError`` at its step, before
     that step's update; a weight or bias that the last update leaves
     non-finite raises it naming the tensor. Overflows raise no numpy warning.
     """
-    model = copy.deepcopy(model)
-    teacher = _teacher_for(model, cfg.data_seed)
-    for layer in model.layers + teacher.layers:  # column-major: acts @ weight.T is untransposed
-        layer.weight = np.asfortranarray(layer.weight)
+    teacher = _column_major_copy(_teacher_for(model, cfg.data_seed))
+    model = _column_major_copy(model)
     rng = np.random.default_rng(cfg.data_seed)
     lr = np.float32(cfg.learning_rate)
     extra = {"data_seed": str(cfg.data_seed)}
+    chunk_rows = min(_CHUNK_STEPS, cfg.steps) * cfg.batch_size
+    chunk_inputs = _aligned((chunk_rows, model.in_dim))
+    chunk_acts = [_aligned((chunk_rows, n_out)) for n_out in model.dims[1:]]
+    work = Workspace(model.dims, cfg.batch_size)
 
     snapshot_steps = cfg.snapshot_steps
     snapshots: list[tuple[int, TensorMap]] = [(0, checkpoint_map(model, 0, extra))]
@@ -262,16 +326,17 @@ def train(
             row = (step - 1) % _CHUNK_STEPS * cfg.batch_size
             if row == 0:
                 rows = min(_CHUNK_STEPS, cfg.steps + 1 - step) * cfg.batch_size
-                inputs = rng.standard_normal((rows, model.in_dim), dtype=np.float32)
-                targets = forward_activations(teacher.layers, inputs)[-1]
+                inputs = rng.standard_normal(out=chunk_inputs[:rows], dtype=np.float32)
+                out = [acts[:rows] for acts in chunk_acts]
+                targets = forward_activations(teacher.layers, inputs, out)[-1]
             batch = slice(row, row + cfg.batch_size)
-            loss, grads = gradients(model, inputs[batch], targets[batch])
+            loss, grads = gradients(model, inputs[batch], targets[batch], work)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
             for layer in model.layers:
                 dw, db = grads[layer.name]
-                layer.weight -= lr * dw
-                layer.bias -= lr * db
+                layer.weight -= np.multiply(dw, lr, out=dw)
+                layer.bias -= np.multiply(db, lr, out=db)
             if step in snapshot_steps:
                 snapshots.append((step, checkpoint_map(model, step, extra)))
     # no loss covers the last update; an update never makes a non-finite

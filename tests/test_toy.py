@@ -14,6 +14,7 @@ from deltaquant.container import save_container
 from deltaquant.toy import (
     TrainConfig,
     TrainingDivergedError,
+    Workspace,
     _teacher_for,
     checkpoint_map,
     forward,
@@ -23,6 +24,7 @@ from deltaquant.toy import (
     train,
 )
 from gradient_check import finite_diff_check
+import train_oracle
 
 
 def _model_bytes(model) -> bytes:
@@ -280,6 +282,51 @@ class TestChunkInvariance:
         assert steps[0] == steps[1]
 
 
+class TestAgainstOracle:
+    """``train`` writes every step into one aligned workspace; ``train_oracle``
+    allocates every array afresh. Both run the same operations on operands of
+    the same memory order, so BLAS gets the same calls and the bits must match.
+    """
+
+    @pytest.mark.parametrize(
+        "dims,cfg,chunk",
+        [
+            ([16, 32, 16], TrainConfig(steps=120, snapshot_every=40), None),
+            ([5, 7, 3, 4], TrainConfig(steps=57, batch_size=3, snapshot_every=20), None),
+            ([4, 3], TrainConfig(steps=23, batch_size=1, snapshot_every=10), None),
+            ([64, 256, 64], TrainConfig(steps=45, batch_size=7, snapshot_every=20), None),
+            ([5, 7, 3, 4], TrainConfig(steps=57, batch_size=3, snapshot_every=20), 4),
+        ],
+        ids=["16-32-16", "5-7-3-4", "4-3", "64-256-64", "5-7-3-4-chunk4"],
+    )
+    def test_snapshots_match_oracle(self, monkeypatch, dims, cfg, chunk):
+        if chunk:
+            monkeypatch.setattr(toy, "_CHUNK_STEPS", chunk)
+        model = init_model(dims, seed=0)
+        final, snaps = train(model, cfg)
+        want_final, want = train_oracle.train(model, cfg)
+        assert [s for s, _ in snaps] == [s for s, _ in want]
+        for (_, got), (_, ref) in zip(snaps, want):
+            assert got.meta == ref.meta and got.names() == ref.names()
+            for name in got.names():
+                assert got[name].tobytes() == ref[name].tobytes(), name
+        assert _model_bytes(final) == _model_bytes(want_final)
+
+    @pytest.mark.parametrize(
+        "dims,cfg",
+        [([4, 8, 4], TrainConfig(steps=200, learning_rate=1e12)),
+         ([8, 16, 8], TrainConfig(steps=2, learning_rate=1e15))],
+        ids=["loss", "last-update"],
+    )
+    def test_divergence_matches_oracle(self, dims, cfg):
+        model = init_model(dims, seed=0)
+        with pytest.raises(TrainingDivergedError) as got:
+            train(model, cfg)
+        with pytest.raises(TrainingDivergedError) as want:
+            train_oracle.train(model, cfg)
+        assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
+
+
 def _fortran_copy(model):
     fortran = copy.deepcopy(model)
     for layer in fortran.layers:
@@ -301,6 +348,27 @@ class TestMemoryLayout:
             for name in snap.names():
                 assert snap[name].dtype == np.float32, name
                 assert snap[name].flags.c_contiguous, name
+
+    def test_trained_model_is_aligned_column_major(self):
+        final, _ = train(init_model([5, 7, 3, 4], seed=0), TrainConfig(steps=12, batch_size=3))
+        for layer in final.layers:
+            assert layer.weight.flags.f_contiguous, layer.name
+            assert layer.weight.ctypes.data % 64 == 0, layer.name
+            assert layer.bias.ctypes.data % 64 == 0, layer.name
+
+    def test_gradients_keep_their_bits_in_a_used_workspace(self):
+        model = _fortran_copy(init_model([16, 32, 16], seed=3))
+        rng = np.random.default_rng(4)
+        x, t, other = (rng.standard_normal((24, 16), dtype=np.float32) for _ in range(3))
+        loss, grads = gradients(model, x, t)
+        work = Workspace(model.dims, len(x))
+        gradients(model, other, x, work)  # leaves another batch's values in every array
+        got_loss, got = gradients(model, x, t, work)
+        assert got_loss == loss and got.keys() == grads.keys()
+        for name, pair in grads.items():
+            for a, b in zip(got[name], pair):
+                assert a.flags.f_contiguous == b.flags.f_contiguous
+                assert a.tobytes() == b.tobytes(), name
 
     def test_gradients_agree_across_memory_order(self):
         model = init_model([16, 32, 16], seed=3)

@@ -7,8 +7,9 @@ The cells derive from ``cli._COMMANDS``. A value cell gives one option, as
 an ``omitted`` cell leaves a required option out; a path cell puts an output
 where the command may not write it; a rule cell (``RULES``) breaks a usage rule
 that spans options. Each cell exits 2 with ``usage error:``, names its flag
-exactly once (value, config and ``omitted`` cells) or its key, path or rule,
-and reads no container, trains nothing and writes nothing.
+exactly once (value and ``omitted`` cells) or its key (a value from the config
+file, in config and ``other-config`` cells), path or rule, and reads no
+container, trains nothing and writes nothing.
 """
 
 from inspect import getclosurevars
@@ -132,7 +133,7 @@ def _cells():
                 yield from (Cell(command, (opt.flag,), label, {opt.flag: value})
                             for label, value in values.items())
             line = f"{opt.key} = {next(iter(values.values()))}\n"
-            yield Cell(command, (opt.flag,), "config", edit=_write(cfg, line))
+            yield Cell(command, (opt.flag,), "config", edit=_write(cfg, line), names=opt.key)
         # every command checks the keys of the others, though it does not use them
         for key, opt in OWNERS.items():
             if key not in {own.key for own in opts}:
