@@ -31,7 +31,7 @@ from .signals import (
     MappingConfig,
     compute_delta,
     global_delta_stats,
-    importance_all,
+    importance_from_modules,
     importances,
 )
 from .toy import CalibrationSet, ToyModel, forward, model_from_map
@@ -261,22 +261,24 @@ def pseudo_ft_curve(
     a step's deltas are all zero. Returns the points and their least-squares
     slope (NaN when fewer than two points are finite).
 
-    Cost: one ``ModuleLoss`` and one plain-RTN score per module for the whole
-    curve; each snapshot adds an importance pass and one ``quantized_many``
-    call per module for its alpha grid. No artifact is quantized.
+    Cost: one checked read of step 0, and one ``ModuleLoss`` and one plain-RTN
+    score per module, for the whole curve; each snapshot adds a checked read
+    of itself, an importance pass and one ``quantized_many`` call per module
+    for its alpha grid. No artifact is quantized.
     """
     by_step = sorted(snapshots, key=lambda pair: pair[0])
     if len(by_step) < 2 or by_step[0][0] != 0:
         raise ValueError("need at least two snapshots including step 0")
     (_, base), (final_step, final) = by_step[0], by_step[-1]
-    # every snapshot's importance covers the modules of step 0
+    # step 0 is read and checked once; every snapshot's importance covers its modules
+    before = list(checkpoint_modules(base))
     losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
-        final, [module for module, _, _ in checkpoint_modules(base)], calib,
+        final, [module for module, _, _ in before], calib,
         scfg.max_calib_rows, "step-0 checkpoint", f"step-{final_step} checkpoint")]
     points: list[tuple[int, float]] = []
     for step, snap in by_step[1:]:
         try:
-            imps = importance_all(base, snap, mapping_cfg, calib)
+            imps = importance_from_modules(base, before, snap, mapping_cfg, calib)
             best = [search_scale(loss, imps[loss.module], scfg, qcfg, rtn).best_loss
                     for loss, rtn in losses]
             point = float(np.mean(best))

@@ -13,7 +13,9 @@ point broadcast along the contiguous column axis. ``rtn_quantize`` runs the
 kernel on tiles of ``weight.T`` and stores codes and tables in row-major
 order; ``candidate_errors`` runs it on batches of search candidates and
 decodes each tile straight into their float64 in-major errors, with no
-codes kept.
+codes kept. The kernel divides and rounds in float32, which gives the
+integers of the exact quotient (see ``_code_groups``), and never writes
+a caller's array: only a scaled product made per tile is coded in place.
 ``dequantize`` decodes the same tiles in row-major order.
 
 Two representation details keep quantize(dequantize(q)) an exact identity:
@@ -45,8 +47,8 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _MAX_RESCALE_ITERS = 64
 # widths the artifact stores: 1 (protection mask), 3 and 4 (codes, zero points)
 _PACK_WIDTHS = (1, 3, 4)
-# weights per tile (a 1 MiB float64 code temporary; twice that for a tile of
-# one full-width group, see _tiles)
+# weights per tile (a 512 KiB float32 steps tile; twice that for a tile of
+# one full-width group, see _tiles). 2^18 measured no faster with float32 steps
 _CHUNK_ELEMENTS = 1 << 17
 # side of the square blocks a transposing copy moves at a time
 _TRANSPOSE_BLOCK = 128
@@ -150,13 +152,15 @@ def _tiles(shape: tuple[int, int], group_size: int):
 
 
 def _code_groups(
-    values: np.ndarray, bits: int
+    values: np.ndarray, bits: int, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a [groups, width, columns] tile, one group per (group, column) pair.
+    """Quantize a float32 [groups, width, columns] tile, one group per (group, column) pair.
 
-    Returns (steps f64 [groups, width, columns], scales f32 [groups,
+    Returns (steps f32 [groups, width, columns], scales f32 [groups,
     columns], zero_points f64 [groups, columns]): a weight's code is its
     step plus its group's zero point, and it decodes as step times scale.
+    With ``overwrite`` the steps are computed in place in ``values``;
+    without it ``values`` is only read.
     The scale is chosen so that re-quantizing the reconstruction reproduces
     codes, scales, and zero-points bit-exactly: the achieved code span must
     regenerate the stored scale, and when a double rounding leaves the span
@@ -168,6 +172,19 @@ def _code_groups(
     tables (a stable group keeps its scale while others step), and the
     steps are computed once, after it, from the final scales, as
     ``clip(rint(v / s), -z, k - z)``: the same integers minus ``z``.
+
+    The quotient ``v / s`` is rounded to float32 before ``rint``, and
+    ``rint`` still gives the integer of the exact quotient. Every scale a
+    group that does not collapse divides by has at most 19 significant bits
+    (``_round_scale``, or the 2^-126 floor), and its |quotient| is below
+    k + 1 <= 16, so a rounding tie s * (n + 1/2) has at most 19 + 5 = 24
+    significant bits: it is a float32. A float32 ``v`` that is not on the
+    tie sits at least one float32 spacing from it, or half a spacing across
+    a binade boundary; divided by s, that distance is more than the half
+    ulp by which float32 division can move the quotient. So the rounded
+    quotient never reaches or crosses a tie, and a ``v`` on one divides
+    exactly. Constant groups divide by 1.0, which is exact; the steps of
+    other collapsed groups are overwritten.
 
     A non-finite value raises ValueError. Min and max propagate NaN and
     +-inf, so the tables are finite exactly when every value of the tile
@@ -212,17 +229,20 @@ def _code_groups(
         if (np.maximum(cmax - zeros, zeros - cmin) * s64 > _FLOAT32_MAX).any():
             raise ValueError("a group of the weight decodes beyond the float32 range")
 
-    # steps of the last scales tried, in place in one float64 tile.
-    # rint(v / s) is monotone in v, so a bound is applied only when the max
-    # or min of a group that does not collapse crosses it (collapsed groups
-    # are overwritten below)
+    # steps of the last scales tried, in float32 in one tile (``values``
+    # itself when the caller may overwrite it). rint(v / s) is monotone in v,
+    # so a bound is applied only when the max or min of a group that does not
+    # collapse crosses it (collapsed groups are overwritten below)
     collapsed = const | (cmax == cmin)
-    steps = values / s64[:, None]
+    steps = np.divide(
+        values, s64.astype(np.float32)[:, None], out=values if overwrite else None,
+        dtype=np.float32,
+    )
     np.rint(steps, out=steps)
     if (bottom[~collapsed] < 0).any():
-        np.maximum(steps, -zeros[:, None], out=steps)
+        np.maximum(steps, (-zeros).astype(np.float32)[:, None], out=steps)
     if (top[~collapsed] > k).any():
-        np.minimum(steps, (k - zeros)[:, None], out=steps)
+        np.minimum(steps, (k - zeros).astype(np.float32)[:, None], out=steps)
 
     # canonical constant form: reconstructs the group constant exactly
     if collapsed.any():
@@ -257,7 +277,9 @@ def _coded_tiles(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | No
         else:
             with np.errstate(over="ignore"):  # an overflow to inf is rejected per tile
                 tile = block * cscale[:, ins, None]
-        yield outs, ins, groups, *_code_groups(tile.reshape(-1, width, block.shape[1]), cfg.bits)
+        # only a product made here is the kernel's to overwrite: ``block`` is the caller's
+        coded = _code_groups(tile.reshape(-1, width, block.shape[1]), cfg.bits, tile is not block)
+        yield outs, ins, groups, *coded
 
 
 def _checked_channel_scale(channel_scale: np.ndarray, in_features: int) -> np.ndarray:
@@ -309,7 +331,7 @@ def rtn_quantize(
     # tiles of the in-major view weight.T, stored through the same views of the outputs
     scale_stack = None if channel_scale is None else cscale[None]
     for outs, ins, groups, steps, tile_scales, zeros in _coded_tiles(weight.T, cfg, scale_stack):
-        steps += zeros[:, None]
+        steps += zeros.astype(np.float32)[:, None]
         codes.T[ins, outs] = steps.reshape(-1, steps.shape[2])
         scales.T[groups, outs] = tile_scales
         zero_points.T[groups, outs] = zeros
@@ -388,7 +410,7 @@ def _batch_errors(weight_t: np.ndarray, cfg: QuantConfig, cscale: np.ndarray | N
     err_t = np.empty((1 if cscale is None else len(cscale), *weight_t.shape), dtype=np.float64)
     finite = True
     for outs, ins, _, steps, scales, _ in _coded_tiles(weight_t, cfg, cscale):
-        decoded = np.multiply(steps, scales[:, None], dtype=np.float32)
+        decoded = np.multiply(steps, scales[:, None], out=steps)
         if cscale is not None:
             with np.errstate(over="ignore"):  # an overflow to inf is rejected at the end
                 decoded /= cscale[:, ins].reshape(-1, steps.shape[1], 1)

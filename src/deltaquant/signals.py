@@ -92,7 +92,12 @@ def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     Both are read through ``checkpoint_modules``; an update of finite weights that overflows
     float32 raises ValueError naming the tensor, so no NaN or inf importance comes of it.
     """
-    before, after = list(checkpoint_modules(pre)), list(checkpoint_modules(post))
+    return _delta(pre, list(checkpoint_modules(pre)), post)
+
+
+def _delta(pre: TensorMap, before: list, post: TensorMap) -> TensorMap:
+    """``compute_delta(pre, post)``, where ``before`` is what ``checkpoint_modules(pre)`` yielded."""
+    after = list(checkpoint_modules(post))
     check_compatible(pre, post)
     out = TensorMap()
     for (module, old, _), (_, new, _) in zip(before, after):
@@ -302,7 +307,20 @@ def importance_all(
     One global DeltaStats, pooled over all modules, anchors the mappings
     for every module.
     """
-    deltas = compute_delta(pre, post)
+    return importance_from_modules(pre, list(checkpoint_modules(pre)), post, cfg, calib)
+
+
+def importance_from_modules(
+    pre: TensorMap,
+    before: list,
+    post: TensorMap,
+    cfg: MappingConfig,
+    calib: CalibrationSet | None = None,
+) -> dict[str, np.ndarray]:
+    """``importance_all(pre, post, cfg, calib)``, where ``before`` is what
+    ``checkpoint_modules(pre)`` yielded: a caller pairing one ``pre`` with many
+    ``post`` checkpoints reads and checks ``pre`` once."""
+    deltas = _delta(pre, before, post)
     stats = global_delta_stats(deltas, cfg.zero_epsilon)
     return {
         module: importances(module, deltas[f"{module}.weight"], [(cfg, stats)], calib)[0]

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ablate_oracle import ablate_oracle
-from deltaquant import evaluate, signals
-from deltaquant.container import TensorMap
+from deltaquant import evaluate, search, signals, toy
+from deltaquant.container import TensorMap, checkpoint_modules
 from deltaquant.evaluate import (
     ablation_csv,
     ablate_signals,
@@ -609,6 +609,22 @@ class TestCurve:
             "losses": modules, "rtn": modules, "quantized_many": modules * (snapshots - 1)
         }
 
+    @pytest.mark.parametrize("snapshots", [3, 11])
+    def test_step_zero_is_read_once(self, monkeypatch, snapshots):
+        snaps, calib = self._run(snapshots)
+        reads = collections.Counter()
+
+        def counted(tmap, _original=checkpoint_modules):
+            reads[id(tmap)] += 1
+            return _original(tmap)
+
+        for namespace in (evaluate, search, signals, toy):
+            monkeypatch.setattr(namespace, "checkpoint_modules", counted)
+        pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
+        # step 0 once per curve; every later snapshot once for its deltas, and the
+        # final one once more for its searched weights
+        assert [reads[id(snap)] for _, snap in snaps] == [1] * (snapshots - 1) + [2]
+
     @pytest.mark.parametrize(
         "scfg", [SearchConfig(), SearchConfig(grid_points=7, alpha_lo=0.1, max_calib_rows=16)]
     )
@@ -660,10 +676,10 @@ class TestCurve:
 
     def test_non_positive_importance_names_the_module(self, monkeypatch):
         snaps, calib = self._run(3)
-        def negative(pre, post, *_):
+        def negative(pre, before, post, *_):
             return {m: -np.ones(pre[f"{m}.weight"].shape[1]) for m in pre.modules("weight")}
 
-        monkeypatch.setattr(evaluate, "importance_all", negative)
+        monkeypatch.setattr(evaluate, "importance_from_modules", negative)
         with pytest.raises(ValueError, match="strictly positive for module 'layer0'"):
             pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
 

@@ -1,6 +1,7 @@
 """RTN group quantization, packing bijection, channel protection."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,106 @@ class TestChannelScale:
         else:
             with pytest.raises(ValueError, match="non-finite"):
                 dequantize(skipped)
+
+
+def _near_tie_weight(rng, bits, rows, groups, group_size):
+    """(weight, scales, zero points): groups that pick known 19-bit scales and hold near-ties.
+
+    Group (r, g) of the [rows, groups * group_size] weight holds its min
+    -z * s and max (k - z) * s, so the quantizer picks exactly scale s and
+    zero point z; its other values sit on a rounding tie s * (n + 1/2) or 1-3
+    float32 ulps either side of one. A quarter of the scales lie in the
+    binade of the 2^-126 floor, which puts ties and values below 2^-126.
+    """
+    k = 2**bits - 1
+    shape = (rows, groups)
+    mantissa = rng.integers(2**18, 2**19, shape)
+    mantissa[::8] = 2**18  # the floor itself
+    exponent = rng.integers(-126, 110, shape)
+    exponent[::4] = -126
+    scales = np.ldexp(mantissa / 2.0**18, exponent)
+    zeros = rng.integers(0, k + 1, shape)
+    n = rng.integers(-zeros[..., None], k - zeros[..., None], (*shape, group_size))
+    ties = (scales[..., None] * (n + 0.5)).astype(np.float32)
+    # a step of the integer view is one float32 ulp of the magnitude, either sign
+    values = (ties.view(np.int32) + rng.integers(-3, 4, ties.shape, np.int32)).view(np.float32)
+    values[..., 0] = -zeros * scales
+    values[..., 1] = (k - zeros) * scales
+    return values.reshape(rows, -1), scales.astype(np.float32), zeros.astype(np.uint8)
+
+
+class TestFloat32Steps:
+    """The kernel divides and rounds in float32 with the codes of an exact division."""
+
+    @pytest.mark.parametrize("bits", [3, 4])
+    def test_near_ties_code_as_the_oracle(self, bits):
+        group_size = 24
+        w, scales, zeros = _near_tie_weight(np.random.default_rng(bits), bits, 64, 3, group_size)
+        assert ((w != 0) & (np.abs(w) < np.finfo(np.float32).tiny)).any()
+        cfg = QuantConfig(bits=bits, group_size=group_size)
+        q = rtn_quantize(w, cfg)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zero_points, zeros)
+        codes, oracle_scales, oracle_zeros = rtn_oracle(w, np.ones(w.shape[1]), bits, group_size)
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, oracle_scales)
+        assert np.array_equal(q.zero_points, oracle_zeros)
+        weight_t = np.ascontiguousarray(w.T)
+        want = dequantize(q).T.astype(np.float64) - weight_t
+        for channel_scales in (None, [np.ones(w.shape[1], np.float32)]):
+            (err,) = quant.candidate_errors(weight_t, cfg, channel_scales)
+            assert err.tobytes() == want.tobytes()
+
+    def test_float32_quotients_round_as_float64(self):
+        # the lemma: a 19-bit scale s >= 2^-126 and |n + 1/2| < 16 make the tie
+        # s * (n + 1/2) a float32, and float32 v / s rounds to the integer that the
+        # float64 quotient rounds to, on the tie and 1-3 ulps either side of it
+        rng = np.random.default_rng(19)
+        size = 1 << 20
+        exponent = rng.integers(-126, 120, size)
+        exponent[::4] = -126
+        scales = np.ldexp(rng.integers(2**18, 2**19, size) / 2.0**18, exponent)
+        ties = scales * (rng.integers(-16, 16, size) + 0.5)
+        assert np.array_equal(ties.astype(np.float32), ties)
+        values = ties.astype(np.float32).view(np.int32) + rng.integers(-3, 4, size, np.int32)
+        values = values.view(np.float32)
+        quotients = np.divide(values, scales.astype(np.float32), dtype=np.float32)
+        assert np.array_equal(np.rint(quotients), np.rint(values / scales))
+
+    def test_candidate_transient_fits_four_tiles(self):
+        # 128 channels of 2048 rows: one full-width group, a tile of 2 * _CHUNK_ELEMENTS
+        # weights; the scaled product, the steps and what the kernel reduces over it
+        # stay within four float32 tiles beyond the float64 error itself
+        rng = np.random.default_rng(2048)
+        weight_t = np.ascontiguousarray(_rand_weight(rng, (2048, 512)).T)
+        scale = np.exp(rng.uniform(-1, 1, 512)).astype(np.float32)
+        cfg = QuantConfig()
+        tile = 2 * quant._CHUNK_ELEMENTS * np.dtype(np.float32).itemsize
+        assert cfg.group_size * 2048 * np.dtype(np.float32).itemsize == tile
+        tracemalloc.start()
+        try:
+            (err,) = quant.candidate_errors(weight_t, cfg, [scale])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - err.nbytes <= 4 * tile
+
+    def test_no_input_is_written(self):
+        rng = np.random.default_rng(5)
+        w = _rand_weight(rng, (48, 40))
+        scale = np.exp(rng.uniform(-1, 1, 40)).astype(np.float32)
+        f_order = np.asfortranarray(w)
+        weight_t = np.ascontiguousarray(w.T)
+        inputs = (w, f_order, weight_t, scale)
+        before = [a.tobytes() for a in inputs]
+        cfg = QuantConfig(bits=3, group_size=16)
+        rtn_quantize(w, cfg)
+        rtn_quantize(f_order, cfg)
+        rtn_quantize(w, cfg, channel_scale=scale)
+        for t in (weight_t, w.T):
+            list(quant.candidate_errors(t, cfg, None))
+            list(quant.candidate_errors(t, cfg, [scale, scale]))
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestProtection:

@@ -490,9 +490,9 @@ class TestBatchedScoring:
         # and one of its ragged 2-channel group, so the quantizer kernel runs 6 times
         tiles = []
 
-        def counted(values, bits, _original=quant._code_groups):
+        def counted(values, bits, *args, _original=quant._code_groups):
             tiles.append(values.shape)
-            return _original(values, bits)
+            return _original(values, bits, *args)
 
         monkeypatch.setattr(quant, "_code_groups", counted)
         rng = np.random.default_rng(6)
