@@ -211,10 +211,17 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_container(path: str | Path) -> TensorMap:
-    """Read a container file; a malformed header or data region raises ContainerError.
+    """Read a container file; a malformed one raises ContainerError, starting with ``path``.
 
     Each tensor is read straight into its own array; no copy of the file is held.
     """
+    try:
+        return _read_container(path)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
+
+
+def _read_container(path: str | Path) -> TensorMap:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(16)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .container import TensorMap, checkpoint_modules
+from .container import CompatibilityError, TensorMap, check_compatible, checkpoint_modules
 from .quant import (
     QuantConfig,
     QuantizedTensor,
@@ -29,12 +29,12 @@ from .search import SearchConfig, module_losses, search_scale
 from .signals import (
     DegenerateDeltasError,
     MappingConfig,
-    compute_delta,
+    deltas_between,
     global_delta_stats,
-    importance_from_modules,
+    importance_from_deltas,
     importances,
 )
-from .toy import CalibrationSet, ToyModel, forward, model_from_map
+from .toy import CalibrationSet, ToyModel, forward, model_from_modules
 
 _HELDOUT_SEED = 1013
 _HELDOUT_ROWS = 64
@@ -98,7 +98,8 @@ def layer_report(
         raise ValueError("empty artifact")
     per_module: dict[str, dict[str, float]] = {}
     recon_full: dict[str, np.ndarray] = {}
-    for loss in module_losses(post_ckpt, artifact, calib, None, "artifact"):
+    modules = list(checkpoint_modules(post_ckpt))
+    for loss in module_losses(modules, artifact, calib, None, "artifact"):
         module = loss.module
         q = artifact[module]
         if q.shape != loss.shape:
@@ -129,7 +130,7 @@ def layer_report(
             "searched_mse": searched_mse,
             "protected_mse": protected_mse,
         }
-    reference = _heldout_reference(model_from_map(post_ckpt))
+    reference = _heldout_reference(model_from_modules(modules))
     e2e_mse, rel_fro = _end_to_end(reference, recon_full)
     first = next(iter(artifact.values()))
     return EvalReport(
@@ -175,27 +176,29 @@ def ablate_signals(
     Rows are emitted in input order, signals outer, fractions inner, and
     each row is built on its own, so it does not depend on the other rows.
 
-    Cost of a sweep: one delta pass, one global-stats pass per distinct
-    ``zero_epsilon`` and one importance pass per module for every signal at
-    once. Per module: one quantize, one dequantize and the float64
-    per-column sums of the squared error; per signal and module, one
-    ``protection_order`` sort. Per row and module: that order's
-    ``protected_prefix`` mask (the mask ``quantize_model`` stores for the
-    row's fraction), a masked select of the float columns into the plain
-    reconstruction (which is exactly what decoding the protected tensor
-    gives: the channel scale is all ones and the mask never changes the
-    codes) and one sum of the column error sums with the protected columns
-    zeroed; plus one held-out forward pass per row. The masks of ascending
-    fractions nest and the sum runs over the columns in channel order, so
-    ``mse`` cannot rise with the fraction.
+    Cost of a sweep: one checked read of each checkpoint, one delta pass,
+    one global-stats pass per distinct ``zero_epsilon`` and one importance
+    pass per module for every signal at once. Per module: one quantize, one
+    dequantize and the float64 per-column sums of the squared error; per
+    signal and module, one ``protection_order`` sort. Per row and module:
+    that order's ``protected_prefix`` mask (the mask ``quantize_model``
+    stores for the row's fraction), a masked select of the float columns
+    into the plain reconstruction (which is exactly what decoding the
+    protected tensor gives: the channel scale is all ones and the mask
+    never changes the codes) and one sum of the column error sums with the
+    protected columns zeroed; plus one held-out forward pass per row. The
+    masks of ascending fractions nest and the sum runs over the columns in
+    channel order, so ``mse`` cannot rise with the fraction.
     """
     if not signals:
         raise ValueError("need at least one signal")
     bad = [f for f in fractions if not 0.0 <= f <= 1.0]
     if bad:
         raise ValueError(f"fractions must lie in [0, 1], got {bad[0]!r}")
-    deltas = compute_delta(pre, post)
-    model = model_from_map(post)
+    before, after = list(checkpoint_modules(pre)), list(checkpoint_modules(post))
+    check_compatible(pre, post)
+    deltas = deltas_between(before, after)
+    model = model_from_modules(after)
     weights = {layer.name: layer.weight for layer in model.layers}
     stats = {eps: global_delta_stats(deltas, eps) for eps in {c.zero_epsilon for c in signals}}
     requests = [(c, stats[c.zero_epsilon]) for c in signals]
@@ -261,29 +264,37 @@ def pseudo_ft_curve(
     a step's deltas are all zero. Returns the points and their least-squares
     slope (NaN when fewer than two points are finite).
 
-    Cost: one checked read of step 0, and one ``ModuleLoss`` and one plain-RTN
-    score per module, for the whole curve; each snapshot adds a checked read
-    of itself, an importance pass and one ``quantized_many`` call per module
-    for its alpha grid. No artifact is quantized.
+    Cost: one checked read of every snapshot before the first search, and
+    one ``ModuleLoss`` and one plain-RTN score per module, for the whole
+    curve; each later snapshot adds a delta and importance pass and one
+    ``quantized_many`` call per module. No artifact is quantized. A failed
+    read of a snapshot, or its mismatch with step 0, raises an error that
+    starts ``step-<N> checkpoint: ``.
     """
     by_step = sorted(snapshots, key=lambda pair: pair[0])
     if len(by_step) < 2 or by_step[0][0] != 0:
         raise ValueError("need at least two snapshots including step 0")
-    (_, base), (final_step, final) = by_step[0], by_step[-1]
-    # step 0 is read and checked once; every snapshot's importance covers its modules
-    before = list(checkpoint_modules(base))
-    losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
-        final, [module for module, _, _ in before], calib,
-        scfg.max_calib_rows, "step-0 checkpoint", f"step-{final_step} checkpoint")]
-    points: list[tuple[int, float]] = []
-    for step, snap in by_step[1:]:
+    reads = []
+    for step, snap in by_step:
         try:
-            imps = importance_from_modules(base, before, snap, mapping_cfg, calib)
+            reads.append(list(checkpoint_modules(snap)))
+        except ValueError as exc:
+            raise ValueError(f"step-{step} checkpoint: {exc}") from exc
+    losses = [(loss, loss.quantized(qcfg)) for loss in module_losses(
+        reads[-1], [module for module, _, _ in reads[0]], calib,
+        scfg.max_calib_rows, "step-0 checkpoint", f"step-{by_step[-1][0]} checkpoint")]
+    points: list[tuple[int, float]] = []
+    for (step, snap), after in zip(by_step[1:], reads[1:]):
+        try:
+            check_compatible(by_step[0][1], snap)
+            imps = importance_from_deltas(deltas_between(reads[0], after), mapping_cfg, calib)
             best = [search_scale(loss, imps[loss.module], scfg, qcfg, rtn).best_loss
                     for loss, rtn in losses]
             point = float(np.mean(best))
         except DegenerateDeltasError:
             point = math.nan
+        except CompatibilityError as exc:
+            raise CompatibilityError(f"step-{step} checkpoint: {exc}") from exc
         points.append((step, point))
     finite = [(s, l) for s, l in points if math.isfinite(l)]
     if len(finite) >= 2:

@@ -271,18 +271,17 @@ def search_scale(
 
 
 def module_losses(
-    post_ckpt: TensorMap, others, calib: CalibrationSet, max_rows: int | None,
+    modules: list, others, calib: CalibrationSet, max_rows: int | None,
     others_name: str = "importance vectors", post_name: str = "checkpoint",
 ):
     """Yield the ``ModuleLoss`` of each module, on its first ``max_rows`` rows (all for None).
 
-    ``others`` names the modules of the map the losses are paired with;
-    ``others_name`` and ``post_name`` name that map and the checkpoint in
-    errors. The checkpoint is read through ``checkpoint_modules``, whose
-    errors it raises; then the first module only one of the maps holds, or
-    without calibration inputs, raises ValueError naming it.
+    ``modules`` is what ``checkpoint_modules`` yielded for the checkpoint; ``others`` names
+    the modules of the map the losses are paired with, and ``others_name`` and
+    ``post_name`` name that map and the checkpoint in errors. The first module only one of
+    the two holds, or without calibration inputs, raises ValueError naming it.
     """
-    weights = {module: weight for module, weight, _ in checkpoint_modules(post_ckpt)}
+    weights = {module: weight for module, weight, _ in modules}
     unmatched = sorted(set(others) ^ set(weights))
     if unmatched:
         missing_from = post_name if unmatched[0] in others else others_name
@@ -307,15 +306,17 @@ def quantize_model(
     importance, then quantize with both applied. Modules are processed in
     chain order; the report carries one full loss curve per module.
     """
+    modules = list(checkpoint_modules(post_ckpt))
+    weights = {module: weight for module, weight, _ in modules}
     artifact: dict[str, QuantizedTensor] = {}
     report: list[SearchResult] = []
-    for loss in module_losses(post_ckpt, importances, calib, scfg.max_calib_rows):
+    for loss in module_losses(modules, importances, calib, scfg.max_calib_rows):
         module = loss.module
         result = search_scale(loss, importances[module], scfg, qcfg)
         del loss  # its rows are freed before the artifact is quantized and the next loss built
         mask = protected_prefix(protection_order(importances[module]), qcfg.protect_fraction)
         artifact[module] = rtn_quantize(
-            post_ckpt[f"{module}.weight"], qcfg, channel_scale=result.scale, protected=mask
+            weights[module], qcfg, channel_scale=result.scale, protected=mask
         )
         report.append(result)
     return artifact, report

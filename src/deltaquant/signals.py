@@ -88,17 +88,16 @@ class DeltaStats:
 
 def compute_delta(pre: TensorMap, post: TensorMap) -> TensorMap:
     """Element-wise |post - pre| of every '.weight' tensor of two compatible checkpoints.
-
-    Both are read through ``checkpoint_modules``; an update of finite weights that overflows
-    float32 raises ValueError naming the tensor, so no NaN or inf importance comes of it.
-    """
-    return _delta(pre, list(checkpoint_modules(pre)), post)
-
-
-def _delta(pre: TensorMap, before: list, post: TensorMap) -> TensorMap:
-    """``compute_delta(pre, post)``, where ``before`` is what ``checkpoint_modules(pre)`` yielded."""
-    after = list(checkpoint_modules(post))
+    Each is read once, ``pre`` first, and ``check_compatible`` compares them before any update."""
+    before, after = list(checkpoint_modules(pre)), list(checkpoint_modules(post))
     check_compatible(pre, post)
+    return deltas_between(before, after)
+
+
+def deltas_between(before: list, after: list) -> TensorMap:
+    """|after - before| of each weight of the ``checkpoint_modules`` of two compatible
+    checkpoints; an update of finite weights that overflows float32 raises ValueError naming
+    the tensor, so no NaN or inf importance comes of it."""
     out = TensorMap()
     for (module, old, _), (_, new, _) in zip(before, after):
         name = f"{module}.weight"
@@ -302,25 +301,16 @@ def importance_all(
     cfg: MappingConfig,
     calib: CalibrationSet | None = None,
 ) -> dict[str, np.ndarray]:
-    """Compute importance scores for every linear module of a checkpoint pair.
-
-    One global DeltaStats, pooled over all modules, anchors the mappings
-    for every module.
-    """
-    return importance_from_modules(pre, list(checkpoint_modules(pre)), post, cfg, calib)
+    """Compute importance scores for every linear module of a checkpoint pair:
+    ``importance_from_deltas`` of ``compute_delta``, which reads each checkpoint once."""
+    return importance_from_deltas(compute_delta(pre, post), cfg, calib)
 
 
-def importance_from_modules(
-    pre: TensorMap,
-    before: list,
-    post: TensorMap,
-    cfg: MappingConfig,
-    calib: CalibrationSet | None = None,
+def importance_from_deltas(
+    deltas: TensorMap, cfg: MappingConfig, calib: CalibrationSet | None = None
 ) -> dict[str, np.ndarray]:
-    """``importance_all(pre, post, cfg, calib)``, where ``before`` is what
-    ``checkpoint_modules(pre)`` yielded: a caller pairing one ``pre`` with many
-    ``post`` checkpoints reads and checks ``pre`` once."""
-    deltas = _delta(pre, before, post)
+    """Importance scores of every module of ``deltas`` under ``cfg``. One global DeltaStats,
+    pooled over all modules, anchors the mappings for every module."""
     stats = global_delta_stats(deltas, cfg.zero_epsilon)
     return {
         module: importances(module, deltas[f"{module}.weight"], [(cfg, stats)], calib)[0]

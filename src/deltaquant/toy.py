@@ -255,12 +255,17 @@ def checkpoint_map(model: ToyModel, step: int, extra_meta: dict[str, str] | None
 
 
 def model_from_map(tmap: TensorMap) -> ToyModel:
-    """Rebuild a ToyModel from the modules ``checkpoint_modules`` reads, in chain order; the
-    meta is not read, so the rebuilt model's seed is 0.
+    """``model_from_modules`` of the modules ``checkpoint_modules`` reads from ``tmap``."""
+    return model_from_modules(checkpoint_modules(tmap))
 
-    The layers hold the map's own arrays, not copies: writing a layer's weight or bias in
+
+def model_from_modules(modules) -> ToyModel:
+    """Rebuild a ToyModel from the ``(module, weight, bias)`` that ``checkpoint_modules``
+    yielded, in chain order; no meta is read, so the rebuilt model's seed is 0.
+
+    The layers hold the read arrays, not copies: writing a layer's weight or bias in
     place writes the map. ``train`` trains a copy of its model, so the map keeps its values."""
-    layers = [LinearLayer(*module) for module in checkpoint_modules(tmap)]
+    layers = [LinearLayer(*module) for module in modules]
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.weight.shape[0] != nxt.weight.shape[1]:
             raise ValueError(f"layer shapes do not chain: {prev.name} -> {nxt.name}")

@@ -1,17 +1,21 @@
 """CLI subcommands: files, exit codes, config precedence, determinism."""
 
+import collections
 import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cli_runner import CLI, run_cli
 from deltaquant import cli
-from deltaquant.container import load_container
+from deltaquant.container import checkpoint_modules, load_container
 from deltaquant.evaluate import curve_csv, pseudo_ft_curve
 from deltaquant.quant import QuantConfig
 from deltaquant.search import SearchConfig
@@ -87,7 +91,7 @@ class TestImportance:
             "--signal", "both-ends-zero", "--out", imp,
         )
         assert res.returncode == 0, res.stderr
-        from deltaquant.container import load_container
+        from deltaquant.container import checkpoint_modules, load_container
 
         tmap = load_container(imp)
         assert tmap.meta["y_min"] == "1.0"
@@ -435,6 +439,132 @@ class TestCurve:
         assert res.returncode == 1, res.stderr
         assert "module 'layerX' is missing from the step-200 checkpoint" in res.stderr
         assert not csv.exists()
+
+
+    @pytest.mark.parametrize(
+        "damage, message, searched",
+        [
+            ("nan", "tensor 'layer0.weight' contains non-finite values", 0),
+            ("column-short", "shape mismatch for 'layer0.weight': (16, 8) vs (16, 7)", 2),
+            ("missing-module", "missing tensor 'layer1.bias' in second map", 2),
+        ],
+    )
+    def test_bad_middle_snapshot_names_its_step(
+        self, tmp_path, monkeypatch, damage, message, searched
+    ):
+        from deltaquant import evaluate
+        from deltaquant.container import TensorMap, save_container
+
+        out = tmp_path / "run"
+        res = run_cli("train-toy", "--dims", "8,16,8", "--steps", "40",
+                      "--snapshot-every", "10", "--out", out)
+        assert res.returncode == 0, res.stderr
+        path = out / "ckpt_step000020.dqt"
+        snap = load_container(path)
+        if damage == "nan":
+            snap["layer0.weight"][2, 3] = np.nan
+        elif damage == "column-short":
+            snap["layer0.weight"] = np.ascontiguousarray(snap["layer0.weight"][:, :7])
+        else:
+            snap = TensorMap({n: snap[n] for n in snap.names() if not n.startswith("layer1.")})
+        save_container(snap, path)
+        calls = collections.Counter()
+
+        def counted(*args, _original=evaluate.search_scale):
+            calls["search"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(evaluate, "search_scale", counted)
+        csv = tmp_path / "curve.csv"
+        res = run_cli("curve", "--run", out, "--group-size", "4", "--out", csv)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == f"error: step-20 checkpoint: {message}\n"
+        # every snapshot is read before the first search; only the compatibility
+        # check with step 0 comes after the searches of the steps before it
+        assert calls["search"] == searched
+        assert not csv.exists()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """An 8-16-8, 40-step toy run with snapshots at 0, 20 and 40, and its default
+    importance container and 4-wide artifact, made in process."""
+    base = tmp_path_factory.mktemp("small")
+    run = base / "run"
+    assert cli.main(["train-toy", "--dims", "8,16,8", "--steps", "40", "--snapshot-every", "20",
+                     "--out", str(run)]) == 0
+    pre, post = str(run / "ckpt_step000000.dqt"), str(run / "ckpt_step000040.dqt")
+    assert cli.main(["importance", "--pre", pre, "--post", post,
+                     "--out", str(base / "imp.dqt")]) == 0
+    assert cli.main(["quantize", "--post", post, "--importance", str(base / "imp.dqt"),
+                     "--calib", str(run / "calib.dqt"), "--group-size", "4",
+                     "--out", str(base / "art.dqt")]) == 0
+    return base
+
+
+def _reading_args(base: Path, run: Path) -> dict[str, list]:
+    """The input options of each command that reads a container, on ``small_run``'s files
+    below ``base``, with the run directory at ``run``."""
+    pre, post, calib = run / "ckpt_step000000.dqt", run / "ckpt_step000040.dqt", run / "calib.dqt"
+    return {
+        "importance": ["--pre", pre, "--post", post],
+        "quantize": ["--post", post, "--importance", base / "imp.dqt", "--calib", calib,
+                     "--group-size", "4"],
+        "eval": ["--post", post, "--artifact", base / "art.dqt", "--calib", calib],
+        "ablate": ["--pre", pre, "--post", post, "--calib", calib, "--group-size", "4"],
+        "curve": ["--run", run, "--group-size", "4"],
+    }
+
+
+class TestEachCheckpointReadOnce:
+    @pytest.mark.parametrize("command", ["importance", "quantize", "eval", "ablate", "curve"])
+    def test_each_loaded_checkpoint_is_read_once(self, small_run, tmp_path, monkeypatch, command):
+        loaded, reads = [], collections.Counter()
+
+        def load(path, _original=cli.load_container):
+            loaded.append((Path(path).name, _original(path)))
+            return loaded[-1][1]
+
+        def counted(tmap, _original=checkpoint_modules):
+            reads[id(tmap)] += 1
+            return _original(tmap)
+
+        monkeypatch.setattr(cli, "load_container", load)
+        readers = [module for name, module in sys.modules.items() if name.startswith("deltaquant")
+                   and getattr(module, "checkpoint_modules", None) is checkpoint_modules]
+        for module in readers:
+            monkeypatch.setattr(module, "checkpoint_modules", counted)
+        args = _reading_args(small_run, small_run / "run")[command]
+        out = tmp_path / "out"
+        assert cli.main([str(a) for a in [command, *args, "--out", out]]) == 0
+        by_file = {name: reads[id(tmap)] for name, tmap in loaded}
+        checkpoints = {name: 1 for name in by_file if name.startswith("ckpt_step")}
+        assert {name: count for name, count in by_file.items() if count} == checkpoints
+        # no map the command did not load was read either
+        assert sum(reads.values()) == len(checkpoints)
+
+
+class TestUnloadableInput:
+    @pytest.mark.parametrize("command, victim", [
+        ("importance", "run/ckpt_step000040.dqt"),
+        ("quantize", "imp.dqt"),
+        ("eval", "art.dqt"),
+        ("ablate", "run/ckpt_step000000.dqt"),
+        ("curve", "run/ckpt_step000020.dqt"),
+    ])
+    def test_truncated_input_names_its_path(self, small_run, tmp_path, command, victim):
+        base = tmp_path / "in"
+        shutil.copytree(small_run, base)
+        path = base / victim
+        os.truncate(path, 100)
+        out = tmp_path / "out"
+        res = run_cli(command, *_reading_args(base, base / "run")[command], "--out", out)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == (
+            f"error: {path}: truncated header: declared length exceeds file size\n"
+        )
+        # quantize's report included
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 class TestConfigAndHelp:

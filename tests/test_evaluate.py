@@ -332,7 +332,8 @@ class TestAblation:
         def no_work(*args, **kwargs):
             raise AssertionError("per-module work started before the request was checked")
 
-        monkeypatch.setattr(evaluate, "compute_delta", no_work)
+        # reading a checkpoint is the first per-checkpoint work
+        monkeypatch.setattr(evaluate, "checkpoint_modules", no_work)
         with pytest.raises(ValueError, match=message):
             ablate_signals(
                 toy_run["pre"], toy_run["post"], toy_run["calib"], signals, fractions, QCFG
@@ -515,7 +516,7 @@ class TestAblationOracle:
             monkeypatch.setattr(namespace, name, wrapper)
 
         for namespace in (signals, evaluate):
-            count(namespace, "compute_delta")
+            count(namespace, "deltas_between")
             count(namespace, "global_delta_stats")
         count(evaluate, "rtn_quantize")
         count(evaluate, "dequantize")
@@ -530,7 +531,7 @@ class TestAblationOracle:
         assert len(rows) == 25
         modules = len(toy_run["calib"].inputs)
         assert counts == {
-            "compute_delta": 1,
+            "deltas_between": 1,
             "global_delta_stats": len(set(epsilons)),
             "rtn_quantize": modules,
             "dequantize": modules,
@@ -621,9 +622,9 @@ class TestCurve:
         for namespace in (evaluate, search, signals, toy):
             monkeypatch.setattr(namespace, "checkpoint_modules", counted)
         pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
-        # step 0 once per curve; every later snapshot once for its deltas, and the
-        # final one once more for its searched weights
-        assert [reads[id(snap)] for _, snap in snaps] == [1] * (snapshots - 1) + [2]
+        # every snapshot once per curve: the final one's read serves its deltas and
+        # its searched weights
+        assert [reads[id(snap)] for _, snap in snaps] == [1] * snapshots
 
     @pytest.mark.parametrize(
         "scfg", [SearchConfig(), SearchConfig(grid_points=7, alpha_lo=0.1, max_calib_rows=16)]
@@ -676,10 +677,10 @@ class TestCurve:
 
     def test_non_positive_importance_names_the_module(self, monkeypatch):
         snaps, calib = self._run(3)
-        def negative(pre, before, post, *_):
-            return {m: -np.ones(pre[f"{m}.weight"].shape[1]) for m in pre.modules("weight")}
+        def negative(deltas, *_):
+            return {m: -np.ones(deltas[f"{m}.weight"].shape[1]) for m in deltas.modules("weight")}
 
-        monkeypatch.setattr(evaluate, "importance_from_modules", negative)
+        monkeypatch.setattr(evaluate, "importance_from_deltas", negative)
         with pytest.raises(ValueError, match="strictly positive for module 'layer0'"):
             pseudo_ft_curve(snaps, calib, MappingConfig(), SearchConfig(), QCFG)
 
